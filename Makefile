@@ -14,7 +14,7 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # the tournament engine, the continuous-time workloads, the fast-forward
 # speedup pair, the result-cache cold/warm pair (cold bounds the cache's
 # miss-path overhead; warm pins the fully cached sweep), and the
-# long-horizon streaming workload (1m guards the O(window) memory claim
+# long-horizon workload (1m guards the O(window) memory claim
 # through the bytes/op gate). bench-gate and the CI workflow both read
 # this list, so the two cannot drift.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m
@@ -142,6 +142,6 @@ bench-smoke:
 		-cpuprofile=$(BENCH_PROFILE_DIR)/cpu.pprof \
 		-memprofile=$(BENCH_PROFILE_DIR)/mem.pprof \
 		-o $(BENCH_PROFILE_DIR)/bench.test .
-	$(GO) test -run=NONE -bench=Simulator1MBlocksStreaming -benchtime=1x \
+	$(GO) test -run=NONE -bench=Simulator1MBlocks -benchtime=1x \
 		-memprofile=$(BENCH_PROFILE_DIR)/longhorizon-heap.pprof \
 		-o $(BENCH_PROFILE_DIR)/longhorizon.test .

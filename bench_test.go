@@ -136,10 +136,9 @@ func BenchmarkThresholdSearch(b *testing.B) {
 }
 
 func BenchmarkSimulator100kBlocks(b *testing.B) {
-	// Streaming settlement is the production configuration for long
-	// horizons: the settled prefix is folded into dense tallies as the
-	// consensus floor advances and evicted from the tree, so bytes/op is
-	// bounded by the uncle window, not the run length.
+	// Settlement streams: the settled prefix is folded into dense tallies
+	// as the consensus floor advances and evicted from the tree, so
+	// bytes/op is bounded by the uncle window, not the run length.
 	b.ReportAllocs()
 	pop, err := mining.TwoAgent(0.35)
 	if err != nil {
@@ -152,7 +151,6 @@ func BenchmarkSimulator100kBlocks(b *testing.B) {
 			Gamma:      0.5,
 			Blocks:     100000,
 			Seed:       uint64(i),
-			Streaming:  true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -164,10 +162,9 @@ func BenchmarkSimulator100kBlocks(b *testing.B) {
 	b.ReportMetric(100000, "blocks/op")
 }
 
-func BenchmarkSimulator1MBlocksStreaming(b *testing.B) {
+func BenchmarkSimulator1MBlocks(b *testing.B) {
 	// The long-horizon workload: a million blocks through one reused
-	// Runner with streaming settlement — flat O(window) memory for the
-	// whole run.
+	// Runner — flat O(window) memory for the whole run.
 	b.ReportAllocs()
 	pop, err := mining.TwoAgent(0.35)
 	if err != nil {
@@ -181,7 +178,6 @@ func BenchmarkSimulator1MBlocksStreaming(b *testing.B) {
 			Gamma:      0.5,
 			Blocks:     1000000,
 			Seed:       uint64(i),
-			Streaming:  true,
 		})
 		if err != nil {
 			b.Fatal(err)

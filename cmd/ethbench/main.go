@@ -70,10 +70,10 @@ type benchmark struct {
 func benchmarks() []benchmark {
 	return []benchmark{
 		{name: "sim-100k-blocks", run: func(b *testing.B, parallel int) {
-			// The headline tracking workload runs the production
-			// configuration: streaming settlement, so resident memory is
-			// O(uncle window) and bytes/op is the Result plus the
-			// window-bounded engine state, not a 100k-block tree.
+			// The headline tracking workload. Settlement streams, so
+			// resident memory is O(uncle window) and bytes/op is the
+			// Result plus the window-bounded engine state, not a
+			// 100k-block tree.
 			pop, err := mining.TwoAgent(0.35)
 			if err != nil {
 				b.Fatal(err)
@@ -85,7 +85,6 @@ func benchmarks() []benchmark {
 					Gamma:      0.5,
 					Blocks:     100000,
 					Seed:       uint64(i),
-					Streaming:  true,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -93,9 +92,9 @@ func benchmarks() []benchmark {
 		}},
 		{name: "sim-1m-blocks", run: func(b *testing.B, parallel int) {
 			// The long-horizon workload: a million blocks through one
-			// reused Runner under streaming settlement. Heap stays flat
-			// at O(uncle window); the bench-smoke heap profile artifact
-			// is taken from this workload.
+			// reused Runner. Heap stays flat at O(uncle window); the
+			// bench-smoke heap profile artifact is taken from this
+			// workload.
 			pop, err := mining.TwoAgent(0.35)
 			if err != nil {
 				b.Fatal(err)
@@ -108,7 +107,6 @@ func benchmarks() []benchmark {
 					Gamma:      0.5,
 					Blocks:     1000000,
 					Seed:       uint64(i),
-					Streaming:  true,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -281,7 +279,6 @@ func benchmarks() []benchmark {
 					Blocks:      100000,
 					Seed:        uint64(i),
 					FastForward: true,
-					Streaming:   true,
 				}); err != nil {
 					b.Fatal(err)
 				}

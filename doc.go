@@ -102,8 +102,8 @@
 // the regular-plus-uncle rate, Byzantium). sim.Result reports elapsed and
 // settled time, the difficulty trajectory, per-pool absolute reward rates
 // (RateOf, rewards per unit time), and two windows of the settled chain —
-// Early (before the first adjustment) and Steady (the converged trailing
-// half) — whose comparison is exactly the profitability crossover
+// Early (before the first adjustment) and Steady (the converged chain
+// above the floor reached at event Blocks/2) — whose comparison is exactly the profitability crossover
 // experiments.Profitability sweeps over (alpha, gamma) x rule.
 //
 // The time axis is an overlay: it draws from a dedicated second RNG
@@ -147,8 +147,8 @@
 //
 // # Streaming settlement
 //
-// sim.Config.Streaming bounds the event loop's memory by the active race
-// window instead of the run length, for multi-million-block horizons. The
+// The engine has one settlement path, and it bounds the event loop's memory
+// by the active race window instead of the run length, at any horizon. The
 // contract:
 //
 //   - As the consensus floor advances, the decided prefix — every block at
@@ -156,20 +156,18 @@
 //     dense per-miner reward tallies by an incremental chain.StreamSettler,
 //     and the settled records are evicted from the block tree by
 //     base-offset compaction (surviving chain.BlockIDs stay stable).
-//   - Results are bit-identical to one-shot settlement: reward values are
-//     dyadic rationals well inside float64's exact-integer range, so the
-//     per-miner sums are order-independent. A golden equivalence suite,
-//     a fuzz property over random legal strategies, and the sampled
-//     conservation audit (replayed against a cloned settler mid-run) pin
-//     this.
-//   - The one approximation is the Result.Steady window boundary on runs
-//     past 2048 settled blocks: cumulative snapshots live on a
-//     doubling-granularity ring, so the early/steady split may round down
-//     by O(blocks/2048) heights. Reward totals, counts, occupancy, and
-//     audits are exact regardless.
-//   - Streaming composes with the time axis, fast-forward, audits, and
-//     Runner reuse; it rejects only trace recording (which needs the full
-//     tree at the end of the run).
+//   - Results are bit-identical to a one-shot chain.Tree.Settle walk over
+//     the full tree: reward values are dyadic rationals well inside
+//     float64's exact-integer range, so the per-miner sums are
+//     order-independent. An oracle suite over every engine mode, a fuzz
+//     property over random legal strategies, and the sampled conservation
+//     audit (replayed against a cloned settler mid-run) pin this.
+//   - Result.Steady starts at the midpoint floor: the consensus-floor
+//     height when the run first reaches event Blocks/2. The boundary is
+//     known before the settler passes it, so the window is tallied
+//     exactly, in O(1) state, as blocks settle.
+//   - sim.RunTrace is the one caller that keeps the whole tree: it turns
+//     eviction off for its run, so its memory is O(Blocks).
 //
 // # Fast-forward and variance reduction
 //

@@ -156,8 +156,9 @@ func (t *Tree) Classify(tip BlockID) []Classification {
 // either way. It returns an error only for an invalid tip.
 //
 // Settle requires the full history (the walk descends to genesis) and
-// panics once it crosses Base() of a compacted tree; streaming runs use a
-// StreamSettler instead, whose incremental tallies are bit-identical.
+// panics once it crosses Base() of a compacted tree. The simulator settles
+// with a StreamSettler, whose incremental tallies are bit-identical; Settle
+// is the one-shot reference walk its oracle tests compare against.
 func (t *Tree) Settle(tip BlockID, schedule rewards.Schedule) (Settlement, error) {
 	if !t.Contains(tip) {
 		return Settlement{}, fmt.Errorf("tip %d: %w", tip, ErrUnknownBlock)

@@ -19,7 +19,7 @@ import (
 // is a dyadic rational with totals far below 2^53 (Ethereum's (8-d)/8 and
 // 1/32, Bitcoin's and the tests' constants), so each float addition is exact
 // and the accumulated tallies are bit-identical to the one-shot walk — the
-// property the golden-equivalence and fuzz suites pin.
+// property the simulator's oracle and fuzz suites pin.
 //
 // Counts follow the same rules as Settle: RegularCount is the settled chain
 // length, UncleCount counts schedule-referenceable references only, and the
@@ -121,6 +121,11 @@ func (ss *StreamSettler) CloneInto(dst *StreamSettler) {
 	dst.mintedNephew = ss.mintedNephew
 }
 
+// errNotDescendant reports an Advance target off the settled tip's chain.
+func errNotDescendant(to, tip BlockID) error {
+	return fmt.Errorf("chain: settle target %d does not descend from settled tip %d", to, tip)
+}
+
 // see grows the dense tallies to cover id and marks it seen.
 func (ss *StreamSettler) see(id int32) int {
 	for int(id) >= len(ss.minerRewards) {
@@ -160,27 +165,37 @@ func (ss *StreamSettler) Advance(t *Tree, to BlockID, hooks SettleHooks) error {
 	}
 	// Collect the new span tip-down, then settle it in reverse (ascending)
 	// order. The walk also proves the descendant precondition: it must
-	// land exactly on the settled tip.
+	// land exactly on the settled tip. This is the engine's settlement hot
+	// path, so both passes read the record array directly: one record
+	// load per block and pass.
 	span := ss.scratch[:0]
-	cursor := to
-	for cursor != ss.tip {
-		if int(cursor) < int(t.Base()) || t.HeightOf(cursor) <= ss.height {
-			return fmt.Errorf("chain: settle target %d does not descend from settled tip %d", to, ss.tip)
+	cursor := int32(to)
+	for cursor != int32(ss.tip) {
+		if cursor < t.base {
+			return errNotDescendant(to, ss.tip)
 		}
-		span = append(span, cursor)
-		cursor = t.ParentOf(cursor)
+		r := &t.recs[cursor-t.base]
+		if int(r.height) <= ss.height {
+			return errNotDescendant(to, ss.tip)
+		}
+		span = append(span, BlockID(cursor))
+		cursor = r.parent
 	}
 	ss.scratch = span
 	for i := len(span) - 1; i >= 0; i-- {
 		id := span[i]
-		_, height, uncles := t.BlockInfo(id)
+		r := t.recs[int32(id)-t.base]
+		height := int(r.height)
 		if hooks.OnBlock != nil {
 			hooks.OnBlock(id, height)
 		}
 		ss.regularCount++
-		m := ss.see(int32(t.MinerOf(id)))
+		m := ss.see(r.miner)
 		ss.minerRewards[m].Static++
-		for _, u := range uncles {
+		if r.uncleStart == r.uncleEnd {
+			continue
+		}
+		for _, u := range t.uncles(r) {
 			d := height - t.HeightOf(u)
 			if hooks.OnRef != nil {
 				hooks.OnRef(UncleRef{Uncle: u, Nephew: id, Distance: d})

@@ -94,6 +94,11 @@ func SeedBase(sweepSeed uint64, cfg sim.Config) uint64 {
 	return binary.LittleEndian.Uint64(sum[:8])
 }
 
+// steadyDefinition tags timed addresses with the Steady window's boundary
+// rule (sim.Result.Steady): the settled chain above the consensus floor
+// recorded at event Blocks/2.
+const steadyDefinition = "steady=midpoint-floor"
+
 // writeConfig streams every result-relevant field of a resolved config.
 // The field-coverage test in this package enumerates sim.Config by
 // reflection, so adding a config field fails tests until it is either
@@ -107,11 +112,16 @@ func writeConfig(w *Writer, cfg *sim.Config) {
 	// separates the address space.
 	w.Bool(cfg.FastForward)
 	w.Bool(cfg.Antithetic)
-	// Streaming settlement is bit-identical except the Steady window's
-	// snapshot-rounded start, so it separates the address space too.
-	w.Bool(cfg.Streaming)
+	// The slot of the retired settlement-mode flag: always false, so
+	// timeless addresses stay byte-identical to those cached while the
+	// flag existed.
+	w.Bool(false)
 	w.Bool(cfg.Time.Enabled)
 	if cfg.Time.Enabled {
+		// The Steady window's definition. Timed rows cached under an
+		// earlier boundary carry a different Steady, so each definition
+		// gets its own address space.
+		w.Str(steadyDefinition)
 		d := cfg.Time.Difficulty
 		w.U64(uint64(d.Rule))
 		w.F64(d.TargetRate)

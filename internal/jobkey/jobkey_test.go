@@ -28,7 +28,6 @@ var configFields = map[string]string{
 	"Time":               "encoded",
 	"FastForward":        "encoded",
 	"Antithetic":         "encoded",
-	"Streaming":          "encoded",
 	"Seed":               "excluded: joins per run via Key.Row",
 	"NoDecisionTables":   "excluded: table and interface paths are bit-identical (pinned by the equivalence suite), so the knob is result-neutral",
 	"Parallelism":        "excluded: scheduling knob, result-neutral by the RunMany contract",
@@ -136,6 +135,26 @@ func TestKeySensitivity(t *testing.T) {
 		if ForConfig(cfg) != base {
 			t.Errorf("result-neutral field %s changed the key", name)
 		}
+	}
+}
+
+// TestAddressContinuity pins addresses across the removal of the
+// settlement-mode flag: a timeless row keeps the exact address it had while
+// the flag existed (its slot still encodes false, so warm caches stay
+// valid), while a timed row, whose Steady window moved to the midpoint-floor
+// boundary, must not resolve to the address of the old definition.
+func TestAddressContinuity(t *testing.T) {
+	const (
+		timeless = "22b9ddc9924614da0b8ba4d317b51ff7b4f9abd4ade21ac121cd709dffb66c8e"
+		oldTimed = "4fb94762c1504d16a70ea61dcdf5f2cdcbe96dbba90bc15779eacf1c47221552"
+	)
+	if got := ForConfig(baseConfig(t)).Row(7).String(); got != timeless {
+		t.Errorf("timeless row address %s, want the pinned %s", got, timeless)
+	}
+	timed := baseConfig(t)
+	timed.Time = sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.EIP100}}
+	if got := ForConfig(timed).Row(7).String(); got == oldTimed {
+		t.Error("timed row kept the address of the old Steady definition")
 	}
 }
 

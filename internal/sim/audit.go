@@ -42,9 +42,9 @@ type AuditConfig struct {
 	Enabled bool
 
 	// SampleEvery audits every Nth block event (and the final state).
-	// Zero or one audits every event — exhaustive but O(chain) per event
-	// for the conservation check; CI-scale runs use a sparse sample
-	// (e.g. 1024).
+	// Zero or one audits every event — exhaustive, and O(window) per event
+	// for the fork-child rescan and the conservation settle; CI-scale runs
+	// use a sparse sample (e.g. 1024).
 	SampleEvery int
 }
 
@@ -65,17 +65,16 @@ type auditor struct {
 
 	// timeChecked is the highest block ID whose timestamp has been
 	// verified against its parent; the incremental sweep covers every
-	// block exactly once regardless of the sampling interval (under
-	// streaming: every block still resident when a sample fires — a
-	// block settled and evicted between sparse samples is vouched for by
-	// the settler equivalence suite instead).
+	// block still resident when a sample fires (a block settled and
+	// evicted between sparse samples is vouched for by the settlement
+	// oracle suite instead).
 	timeChecked chain.BlockID
 
 	// scratch backs the brute-force fork-child rescan.
 	scratch []windowBlock
 
-	// streamScratch is the throwaway settler copy the streaming
-	// conservation check advances to the consensus floor.
+	// streamScratch is the throwaway settler copy the conservation check
+	// advances to the consensus floor.
 	streamScratch chain.StreamSettler
 }
 
@@ -212,7 +211,10 @@ func onSettledChain(t *chain.Tree, b, floor chain.BlockID) bool {
 // for block, height for height, in the same (creation) order.
 func (a *auditor) checkForkChildren(s *simulator) error {
 	t := s.tree
-	floor := s.floor
+	// The floor settlement runs against: a poolless population's
+	// maintained floor stays at genesis, which eviction releases (and it
+	// never forks, so the purge rules are vacuous there either way).
+	floor := s.streamFloor()
 	floorHeight := t.HeightOf(floor)
 	expected := a.scratch[:0]
 	for _, wb := range s.recent[s.recentHead:] {
@@ -253,64 +255,15 @@ func (a *auditor) checkForkChildren(s *simulator) error {
 // summation orders of the same reward total.
 const conservationTolerance = 1e-9
 
-// checkConservation settles the chain-so-far at the consensus floor and
-// verifies reward conservation: every non-genesis block is classified as
-// exactly one of regular, uncle, or stale (regular + uncle + stale = total
-// blocks minted), static rewards equal the regular-block count, and the
-// uncle/nephew payouts equal the schedule's mint over the realized
-// references. This is the expensive audit (O(chain)); the sampling interval
-// bounds its amortized cost.
+// checkConservation verifies reward conservation on the chain settled so
+// far, whose prefix may already be evicted. It advances a throwaway copy of
+// the live settler to the consensus floor (the exact walk final assembly
+// will take) and re-proves the invariants from the extended tallies: the
+// settled chain length matches the floor height, static rewards pay one
+// per regular block, the per-miner uncle/nephew tallies sum to the
+// schedule's accumulated mint, and the implied stale count is sane.
 func (a *auditor) checkConservation(s *simulator) error {
 	floor := s.consensusFloor()
-	if s.str != nil {
-		return a.checkStreamConservation(s, floor)
-	}
-	settlement, err := s.tree.Settle(floor, s.cfg.Schedule)
-	if err != nil {
-		return a.violation("settling at floor %d: %v", floor, err)
-	}
-	minted := s.tree.Len() - 1 // every block event mints one block; genesis is free
-	if got := settlement.RegularCount + settlement.UncleCount + settlement.StaleCount; got != minted {
-		return a.violation("block conservation: regular %d + uncle %d + stale %d = %d, minted %d",
-			settlement.RegularCount, settlement.UncleCount, settlement.StaleCount, got, minted)
-	}
-	total := settlement.TotalReward()
-	if total.Static != float64(settlement.RegularCount) {
-		return a.violation("static rewards %v, want one per %d regular blocks",
-			total.Static, settlement.RegularCount)
-	}
-	// Re-derive the uncle and nephew mint from the realized references —
-	// an accumulation independent of Settle's per-miner tallies.
-	var wantUncle, wantNephew float64
-	refs := 0
-	for _, ref := range settlement.Refs {
-		if !s.cfg.Schedule.Referenceable(ref.Distance) {
-			continue
-		}
-		refs++
-		wantUncle += s.cfg.Schedule.Uncle(ref.Distance)
-		wantNephew += s.cfg.Schedule.Nephew(ref.Distance)
-	}
-	if refs != settlement.UncleCount {
-		return a.violation("uncle count %d, but %d referenceable references realized",
-			settlement.UncleCount, refs)
-	}
-	if !closeEnough(total.Uncle, wantUncle) || !closeEnough(total.Nephew, wantNephew) {
-		return a.violation("reward conservation: settled uncle %v nephew %v, schedule mints uncle %v nephew %v",
-			total.Uncle, total.Nephew, wantUncle, wantNephew)
-	}
-	return nil
-}
-
-// checkStreamConservation is the conservation audit for streaming runs,
-// where the settled prefix may already be evicted and the one-shot Settle
-// walk cannot run. It advances a throwaway copy of the live settler to the
-// consensus floor (the exact walk final assembly will take) and re-proves
-// the same invariants from the extended tallies: the settled chain length
-// matches the floor height, static rewards pay one per regular block, the
-// per-miner uncle/nephew tallies sum to the schedule's accumulated mint,
-// and the implied stale count is sane.
-func (a *auditor) checkStreamConservation(s *simulator, floor chain.BlockID) error {
 	clone := &a.streamScratch
 	s.str.settler.CloneInto(clone)
 	if err := clone.Advance(s.tree, floor, chain.SettleHooks{}); err != nil {

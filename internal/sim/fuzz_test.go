@@ -98,7 +98,9 @@ func (s *randomReactor) react(ls, lh, published int) Reaction {
 // the consensus floor (never past it), must conserve blocks — every minted
 // block is settled as regular, uncle, or stale — and, when the time axis is
 // on, must keep timestamps monotone along every branch and elapsed time
-// positive, with the same conservation laws holding under retargeting.
+// positive, with the same conservation laws holding under retargeting. Its
+// Result must match the one-shot settlement oracle bit for bit, with and
+// without eviction.
 func FuzzRandomLegalStrategySimulation(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(30), uint8(128), uint8(1), uint16(2000), uint8(0))
 	f.Add(uint64(7), uint64(11), uint8(45), uint8(0), uint8(2), uint16(1500), uint8(1))
@@ -131,9 +133,7 @@ func FuzzRandomLegalStrategySimulation(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		var s simulator
-		s.init(cfg)
-		result, err := settleRun(&s)
+		s, result, err := traceRun(cfg)
 		if err != nil {
 			t.Fatalf("random legal reactions errored: %v", err)
 		}
@@ -216,33 +216,27 @@ func FuzzRandomLegalStrategySimulation(f *testing.F) {
 				result.Elapsed, result.SettledTime)
 		}
 
-		// Streaming equivalence: the same trajectory settled incrementally
-		// (with the runtime auditor verifying conservation at every sampled
-		// event along the way) must reproduce the one-shot Result bit for
-		// bit. Fresh reactors at the same seeds replay the same decisions.
-		streamCfg := cfg
-		streamCfg.Streaming = true
-		streamCfg.Audit = AuditConfig{Enabled: true, SampleEvery: 64}
-		streamStrategies := make([]Strategy, pools)
-		for i := range streamStrategies {
-			streamStrategies[i] = &randomReactor{r: rng.New(strategySeed + uint64(i))}
+		// Settlement oracle: the one-shot walk over the full tree must
+		// reproduce the Result bit for bit, and so must the same trajectory
+		// settled with eviction on (with the runtime auditor verifying
+		// conservation at every sampled event along the way). Fresh
+		// reactors at the same seeds replay the same decisions.
+		if want := oracleResult(t, s); !reflect.DeepEqual(want, result) {
+			diffResults(t, want, result)
 		}
-		streamCfg.Strategies = streamStrategies
-		var ss simulator
-		ss.init(streamCfg)
-		streamResult, err := settleRun(&ss)
+		evictCfg := cfg
+		evictCfg.Audit = AuditConfig{Enabled: true, SampleEvery: 64}
+		evictStrategies := make([]Strategy, pools)
+		for i := range evictStrategies {
+			evictStrategies[i] = &randomReactor{r: rng.New(strategySeed + uint64(i))}
+		}
+		evictCfg.Strategies = evictStrategies
+		evicted, err := Run(evictCfg)
 		if err != nil {
-			t.Fatalf("streaming replay errored: %v", err)
+			t.Fatalf("evicting replay errored: %v", err)
 		}
-		want := result
-		if want.RegularCount >= maxStreamSnaps {
-			// The snapshot ring coarsened: Steady is approximate by
-			// contract, every other field stays exact.
-			want.Steady = Window{}
-			streamResult.Steady = Window{}
-		}
-		if !reflect.DeepEqual(want, streamResult) {
-			diffResults(t, want, streamResult)
+		if !reflect.DeepEqual(result, evicted) {
+			diffResults(t, result, evicted)
 		}
 	})
 }

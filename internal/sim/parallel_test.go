@@ -256,6 +256,9 @@ func TestRunnerResetAfterFailure(t *testing.T) {
 		}
 		if reset {
 			rn.Reset()
+			if rn.s.str == nil {
+				t.Error("Reset dropped the reusable settlement state")
+			}
 		}
 		got, err := rn.Run(clean)
 		if err != nil {

@@ -103,9 +103,14 @@ type Result struct {
 	// settled chain: Early covers its first min(epoch, settled) regular
 	// blocks — the difficulty regime before the first Bitcoin-style
 	// retarget (and, for EIP100, at most one epoch of 1/epoch-gain
-	// steps) — and Steady covers its trailing half, where the controller
-	// has converged. The profitability question "does selfish mining
-	// actually pay?" is RateOf compared across these two windows.
+	// steps) — and Steady covers the settled chain above the midpoint
+	// floor: the consensus-floor height when the run first reached event
+	// Blocks/2 (under fast-forward, the first event boundary at or past
+	// it). That is roughly the trailing half, where the controller has
+	// converged, and it is fixed before settlement reaches it, so the
+	// window is tallied exactly, in O(1) state, as blocks settle. The
+	// profitability question "does selfish mining actually pay?" is RateOf
+	// compared across these two windows.
 	Early, Steady Window
 }
 
@@ -298,7 +303,6 @@ func (rn *Runner) Reset() {
 	s.cfg = Config{}
 	s.aud = nil
 	s.ctrl = nil
-	s.str = nil
 	s.idBase = 0
 }
 
@@ -310,29 +314,34 @@ func Run(cfg Config) (Result, error) {
 // RunTrace executes one simulation and additionally returns the full block
 // tree, for trace export and post-hoc analysis. The tree retains every
 // block including losers of resolved races and the pool's never-published
-// blocks — which is why streaming runs (whose tree is evicted as it
-// settles) are rejected.
+// blocks: eviction is off for this run, so its memory is O(Blocks).
 func RunTrace(cfg Config) (Result, *chain.Tree, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return Result{}, nil, err
-	}
-	if cfg.Streaming {
-		return Result{}, nil, fmt.Errorf(
-			"%w: RunTrace needs the full block tree; disable Streaming", ErrBadConfig)
-	}
-	var s simulator
-	s.init(cfg)
-	result, err := settleRun(&s)
+	s, result, err := traceRun(cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
 	return result, s.tree, nil
 }
 
-// settleRun drives an initialized simulator through its run and settles the
-// final tree into a self-contained Result. The chain is settled at the
-// consensus floor, so every race still in flight is excluded.
+// traceRun is RunTrace returning the whole simulator, whose state the
+// one-shot oracle tests read.
+func traceRun(cfg Config) (*simulator, Result, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, Result{}, err
+	}
+	s := &simulator{keepTree: true}
+	s.init(cfg)
+	result, err := settleRun(s)
+	if err != nil {
+		return nil, Result{}, err
+	}
+	return s, result, nil
+}
+
+// settleRun drives an initialized simulator through its run and settles it
+// into a self-contained Result. The chain is settled at the consensus
+// floor, so every race still in flight is excluded.
 func settleRun(s *simulator) (Result, error) {
 	if err := s.run(); err != nil {
 		return Result{}, err
@@ -341,64 +350,7 @@ func settleRun(s *simulator) (Result, error) {
 	if err := s.auditFinal(); err != nil {
 		return Result{}, err
 	}
-	if s.str != nil {
-		return settleStream(s)
-	}
-	cfg := s.cfg
-	settlement, err := s.tree.Settle(s.consensusFloor(), cfg.Schedule)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim: settling: %w", err)
-	}
-
-	pop := cfg.Population
-	result := Result{
-		Alpha:           pop.Alpha(),
-		Blocks:          cfg.Blocks,
-		ByPool:          make([]chain.Reward, pop.NumPools()+1),
-		MinerRewards:    settlement.MinerRewards,
-		MinerSeen:       settlement.MinerSeen,
-		RegularCount:    settlement.RegularCount,
-		UncleCount:      settlement.UncleCount,
-		StaleCount:      settlement.StaleCount,
-		EventsByPool:    append([]int64(nil), s.events...),
-		OccupancyByPool: make([]map[core.State]int64, len(s.occ)),
-	}
-	for i := range s.occ {
-		result.OccupancyByPool[i] = s.occupancyMap(i)
-	}
-	result.Occupancy = result.OccupancyByPool[0]
-	// Summing the dense tallies in ID order keeps the float accumulation
-	// order deterministic (the map view has no stable order).
-	for id, reward := range settlement.MinerRewards {
-		pool := pop.PoolOf(chain.MinerID(id))
-		result.ByPool[pool] = result.ByPool[pool].Add(reward)
-		if pool != mining.HonestPool {
-			result.Pool = result.Pool.Add(reward)
-		} else {
-			result.Honest = result.Honest.Add(reward)
-		}
-	}
-	for _, ref := range settlement.Refs {
-		if !cfg.Schedule.Referenceable(ref.Distance) {
-			continue
-		}
-		if pop.IsSelfish(s.tree.MinerOf(ref.Uncle)) {
-			result.PoolUncleDistances.Observe(ref.Distance)
-		} else {
-			result.HonestUncleDistances.Observe(ref.Distance)
-		}
-	}
-	if s.timing {
-		result.Elapsed = s.clock
-		result.SettledTime = s.tree.TimeOf(settlement.Tip)
-		result.InitialDifficulty = cfg.Time.Difficulty.Initial
-		result.FinalDifficulty = s.currentDifficulty()
-		if s.ctrl != nil {
-			result.Retargets = s.ctrl.Retargets()
-		}
-		s.timeWindows(&result, settlement.Tip)
-	}
-	return result, nil
+	return settleStream(s)
 }
 
 // Series summarizes repeated runs of one configuration: per-metric

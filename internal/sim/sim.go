@@ -9,11 +9,14 @@
 // the longest public branch, break ties with total probability gamma toward
 // whichever published pool branches tie for the lead (split evenly among
 // them), and reference every eligible uncle they can see. Rewards are
-// settled over the final tree, so the simulator validates the analytic
-// model end to end: state occupancy, uncle distances, and revenue all
-// emerge from the tree rather than from the model's formulas. The paper's
-// setting is the K = 1 special case and is bit-compatible with the
-// pre-generalization engine.
+// settled over the tree's consensus chain, so the simulator validates the
+// analytic model end to end: state occupancy, uncle distances, and revenue
+// all emerge from the tree rather than from the model's formulas.
+// Settlement streams: the decided prefix is folded into tallies as the
+// consensus floor advances and is then evicted, so a run's memory is
+// O(race window) at any horizon (see stream.go). The paper's setting is the
+// K = 1 special case and is bit-compatible with the pre-generalization
+// engine.
 //
 // For long runs the simulator can audit itself: Config.Audit enables a
 // runtime invariant auditor (reward conservation, timestamp and
@@ -133,17 +136,6 @@ type Config struct {
 	// Strategies must be stateless functions of their frame, which the
 	// Strategy contract already requires.
 	FastForward bool
-
-	// Streaming settles the chain incrementally as the consensus floor
-	// advances and evicts settled records from the block tree, keeping
-	// resident memory O(active race window) instead of O(run length) —
-	// the mode multi-million-block horizons require (see stream.go).
-	// Results are bit-identical to the default one-shot settlement except
-	// Result.Steady, whose start snaps to a cumulative snapshot boundary
-	// (within 1/2048 of the run; exact for runs short enough that the
-	// snapshot interval is still one block). The final tree is partial, so
-	// RunTrace rejects the mode.
-	Streaming bool
 
 	// Antithetic runs the simulation on the antithetic mirror of the
 	// seed's random streams: every uniform draw u is reflected to
@@ -311,16 +303,25 @@ type simulator struct {
 
 	// published[id - idBase] reports whether honest miners can see the
 	// block. Unpublished blocks are additionally visible to the pool that
-	// mined them. idBase tracks the tree's eviction base under streaming
-	// (always zero otherwise), so both per-block arrays stay as dense ID
-	// indexes while the settled prefix is evicted out from under them.
+	// mined them. idBase tracks the tree's eviction base, so both per-block
+	// arrays stay as dense ID indexes while the settled prefix is evicted
+	// out from under them.
 	published []bool
 	idBase    int
 
-	// str is the streaming-settlement overlay (see stream.go); nil unless
-	// cfg.Streaming, so the non-streaming hot path pays one nil check per
-	// event.
-	str *streamState
+	// str is the streaming settlement (see stream.go); flushAt is the
+	// floor height at which it next settles a batch.
+	str     *streamState
+	flushAt int
+
+	// keepTree disables eviction and sizes the tree for the whole run, so
+	// the final tree holds every block. Only RunTrace sets it.
+	keepTree bool
+
+	// steadyEvent is the event index at which the loop records the Steady
+	// window's boundary (markSteadyStart); math.MaxInt once recorded or on
+	// timeless runs, so the per-event check is one comparison.
+	steadyEvent int
 
 	// recent is a sliding window of blocks used as uncle candidates;
 	// entries carry their height so trimming and filtering never touch
@@ -439,15 +440,13 @@ func (s *simulator) init(cfg Config) {
 	if window > maxReferenceWindow {
 		window = maxReferenceWindow
 	}
-	// One block per event: size the tree (and the per-block arrays below)
-	// up front so they never reallocate mid-run. Under streaming the
-	// resident set is a window over the run, so the hint drops to a few
-	// flush batches — this is the O(blocks) -> O(window) memory change.
-	blocksHint := cfg.Blocks
-	if cfg.Streaming {
-		if h := 4 * (window + 1 + streamFlushBatch); h < blocksHint {
-			blocksHint = h
-		}
+	// Size the tree (and the per-block arrays below) up front so they
+	// rarely reallocate mid-run. The resident set is a window over the run,
+	// a few flush batches deep; only a full-tree run needs one record per
+	// event.
+	blocksHint := 4 * (window + 1 + streamFlushBatch)
+	if s.keepTree || cfg.Blocks < blocksHint {
+		blocksHint = cfg.Blocks
 	}
 	treeCfg := chain.Config{
 		// The tree enforces the protocol's reference-depth rule so a
@@ -1236,18 +1235,26 @@ func (s *simulator) honestEvent(miner chain.MinerID) error {
 	return s.reactOthers(-1)
 }
 
-// run executes the configured number of block events and returns the
-// resulting tree state. The races still in flight when the run ends are
+// run executes the configured number of block events, settling the decided
+// prefix as it goes. The races still in flight when the run ends are
 // excluded from settlement (the chain is settled at the consensus floor).
 func (s *simulator) run() error {
 	pop := s.cfg.Population
 	for i := 0; i < s.cfg.Blocks; i++ {
+		if i >= s.steadyEvent {
+			s.markSteadyStart()
+		}
 		if s.ffwd && s.atRaceOrigin() {
 			skipped, err := s.fastForward(s.cfg.Blocks - i)
 			if err != nil {
 				return err
 			}
 			i += skipped
+			if i >= s.steadyEvent {
+				// The stretch skipped past the boundary: record it at
+				// the first event boundary the loop reaches.
+				s.markSteadyStart()
+			}
 			if i >= s.cfg.Blocks {
 				return nil
 			}
@@ -1265,8 +1272,10 @@ func (s *simulator) run() error {
 			if err := s.flushFloor(); err != nil {
 				return err
 			}
-			if err := s.flushStream(); err != nil {
-				return err
+			if s.flushDue() {
+				if err := s.settleDecided(); err != nil {
+					return err
+				}
 			}
 			if s.aud != nil {
 				if err := s.auditEvent(i); err != nil {
@@ -1337,8 +1346,10 @@ func (s *simulator) run() error {
 			if s.ctrl != nil {
 				s.observeSettled()
 			}
-			if err := s.flushStream(); err != nil {
-				return err
+			if s.flushDue() {
+				if err := s.settleDecided(); err != nil {
+					return err
+				}
 			}
 			if s.aud != nil {
 				if err := s.auditEvent(i); err != nil {
@@ -1368,8 +1379,10 @@ func (s *simulator) run() error {
 		if s.ctrl != nil {
 			s.observeSettled()
 		}
-		if err := s.flushStream(); err != nil {
-			return err
+		if s.flushDue() {
+			if err := s.settleDecided(); err != nil {
+				return err
+			}
 		}
 		if s.aud != nil {
 			if err := s.auditEvent(i); err != nil {

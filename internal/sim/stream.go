@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/core"
@@ -9,11 +10,11 @@ import (
 	"github.com/ethselfish/ethselfish/internal/stats"
 )
 
-// This file is the streaming-settlement overlay (Config.Streaming): instead
-// of retaining the whole run and settling it in one end-of-run walk, the
-// engine settles the decided prefix incrementally as the consensus floor
-// advances and evicts settled records from the tree, keeping resident memory
-// O(active race window) instead of O(run length).
+// This file is the engine's settlement: instead of retaining the whole run
+// and settling it in one end-of-run walk, the engine settles the decided
+// prefix incrementally as the consensus floor advances and evicts settled
+// records from the tree, keeping resident memory O(active race window)
+// instead of O(run length).
 //
 // The contract, layer by layer:
 //
@@ -31,39 +32,27 @@ import (
 //     and the floor purge's walk bottoms out at the lowest candidate's
 //     parent, which the pre-eviction sweep (sweepDeadRecent) pins at or
 //     above sH - window - 1 for every window >= 1.
-//   - Bit-identity. The incremental tallies equal the one-shot Settle walk
-//     bit for bit (see chain.StreamSettler); Result assembly then sums them
-//     in the same miner-ID order. The only intentionally weaker field is
-//     Steady, whose start rounds down to a cumulative snapshot (below).
+//   - Bit-identity. The incremental tallies equal the one-shot
+//     chain.Tree.Settle walk over the full tree bit for bit (see
+//     chain.StreamSettler); Result assembly then sums them in miner-ID
+//     order. The oracle suite pins every Result field, Steady included,
+//     against that walk.
+//   - Steady boundary. The Steady window starts at the consensus-floor
+//     height the loop records when it first reaches event Blocks/2
+//     (markSteadyStart). The settler still lags that height then, so every
+//     block above it is tallied into the window as it settles.
 //
 // Flushes are batched (streamFlushBatch settled heights at a time) so the
 // amortized cost per block is a handful of moves, mirroring the candidate
 // window's trim batching.
 
-// streamFlushBatch is the settled-height backlog at which the overlay
+// streamFlushBatch is the settled-height backlog at which the engine
 // settles and evicts. Larger batches amortize the compaction copy-down
 // further at the cost of a proportionally larger resident suffix; 256 keeps
 // both far below cache sizes.
 const streamFlushBatch = 256
 
-// maxStreamSnaps bounds the cumulative-snapshot ring for the Steady window:
-// when the ring fills, every other snapshot is dropped and the snapshot
-// interval doubles, so a run of any length keeps between half and a full
-// ring of snapshots at granularity finalHeight/maxStreamSnaps or finer.
-const maxStreamSnaps = 2048
-
-// streamSnap is one cumulative time-window snapshot: the whole settled
-// chain's window tallies through the block at height h, stamped with that
-// block's time.
-type streamSnap struct {
-	height  int
-	time    float64
-	regular int
-	uncles  int
-	byPool  []chain.Reward
-}
-
-// streamState holds the streaming-settlement overlay's per-run state.
+// streamState holds the streaming settlement's per-run state.
 type streamState struct {
 	settler *chain.StreamSettler
 
@@ -72,34 +61,21 @@ type streamState struct {
 	hooks chain.SettleHooks
 
 	// poolDist and honestDist accumulate realized reference distances by
-	// the uncle's camp — the streaming counterpart of settleRun's pass
-	// over Settlement.Refs.
+	// the uncle's camp (the Result's uncle-distance distributions).
 	poolDist, honestDist stats.Counter
 
-	// Time-window accumulation (timed runs only; windows gates it).
-	windows bool
-	epoch   int
-	early   Window // heights <= epoch; End stamped when height epoch settles
-	cum     Window // cumulative over the whole settled chain
-
-	// snaps, snapInterval, and the pending pair implement the Steady
-	// window's cumulative snapshots. A snapshot of height h must include
-	// block h's own references, which arrive after its OnBlock; so a due
-	// snapshot is held pending and committed when the next block opens
-	// (or at final assembly).
-	snaps         []streamSnap
-	snapInterval  int
-	pendingHeight int
-	pendingTime   float64
+	// Time-window accumulation (timed runs only). steadyHeight is the
+	// Steady window's boundary height, math.MaxInt until the loop records
+	// it.
+	epoch        int
+	steadyHeight int
+	early        Window // heights <= epoch; End stamped when height epoch settles
+	steady       Window // heights > steadyHeight; Start stamped when steadyHeight settles
 }
 
-// initStream prepares the streaming overlay for one run (or disables it).
+// initStream prepares the streaming settlement for one run.
 func (s *simulator) initStream(cfg Config) {
 	s.idBase = 0
-	if !cfg.Streaming {
-		s.str = nil
-		return
-	}
 	if s.str == nil {
 		s.str = &streamState{}
 	}
@@ -109,43 +85,51 @@ func (s *simulator) initStream(cfg Config) {
 	} else {
 		st.settler.Reset(cfg.Schedule)
 	}
-	st.hooks = chain.SettleHooks{OnBlock: s.streamBlock, OnRef: s.streamRef}
+	s.armFlush()
+	st.hooks = chain.SettleHooks{OnRef: s.streamRef}
 	st.poolDist = stats.Counter{}
 	st.honestDist = stats.Counter{}
-	st.windows = cfg.Time.Enabled
-	st.snaps = st.snaps[:0]
-	st.snapInterval = 1
-	st.pendingHeight = -1
-	if st.windows {
+	st.steadyHeight = math.MaxInt
+	s.steadyEvent = math.MaxInt
+	if cfg.Time.Enabled {
+		// Only the windows need per-block callbacks.
+		st.hooks.OnBlock = s.streamBlock
+		s.steadyEvent = cfg.Blocks / 2
 		st.epoch = cfg.Time.Difficulty.Epoch
 		nPools := cfg.Population.NumPools() + 1
 		st.early = Window{ByPool: make([]chain.Reward, nPools)}
-		st.cum = Window{ByPool: make([]chain.Reward, nPools)}
+		st.steady = Window{ByPool: make([]chain.Reward, nPools)}
 	}
 }
 
-// streamBlock is the settler's per-block hook: window accumulation and
-// snapshot bookkeeping. Reward-tally work lives in the settler itself.
+// markSteadyStart records the Steady window's boundary: the height of the
+// consensus floor at the first event boundary at or past Blocks/2. Every
+// later floor descends from this one, so the boundary block is on the final
+// settled chain; and the settler lags the floor by more than a window, so
+// no block above the boundary has settled yet.
+func (s *simulator) markSteadyStart() {
+	s.steadyEvent = math.MaxInt
+	s.str.steadyHeight = s.tree.HeightOf(s.streamFloor())
+}
+
+// streamBlock is the settler's per-block hook on timed runs: window
+// accumulation. Reward-tally work lives in the settler itself.
 func (s *simulator) streamBlock(id chain.BlockID, height int) {
 	st := s.str
-	if !st.windows {
-		return
-	}
-	st.commitSnap()
-	at := s.tree.TimeOf(id)
 	minerPool := s.poolOf(id)
-	st.cum.Regular++
-	st.cum.ByPool[minerPool].Static++
 	if height <= st.epoch {
 		st.early.Regular++
 		st.early.ByPool[minerPool].Static++
 		if height == st.epoch {
-			st.early.End = at
+			st.early.End = s.tree.TimeOf(id)
 		}
 	}
-	if height%st.snapInterval == 0 {
-		st.pendingHeight = height
-		st.pendingTime = at
+	switch {
+	case height > st.steadyHeight:
+		st.steady.Regular++
+		st.steady.ByPool[minerPool].Static++
+	case height == st.steadyHeight:
+		st.steady.Start = s.tree.TimeOf(id)
 	}
 }
 
@@ -161,52 +145,27 @@ func (s *simulator) streamRef(ref chain.UncleRef) {
 	} else {
 		st.honestDist.Observe(ref.Distance)
 	}
-	if !st.windows {
+	if !s.timing {
 		return
 	}
-	nephewPool := s.poolOf(ref.Nephew)
-	unclePool := s.poolOf(ref.Uncle)
-	nv := s.cfg.Schedule.Nephew(ref.Distance)
-	uv := s.cfg.Schedule.Uncle(ref.Distance)
-	st.cum.Uncles++
-	st.cum.ByPool[nephewPool].Nephew += nv
-	st.cum.ByPool[unclePool].Uncle += uv
-	if s.tree.HeightOf(ref.Nephew) <= st.epoch {
-		st.early.Uncles++
-		st.early.ByPool[nephewPool].Nephew += nv
-		st.early.ByPool[unclePool].Uncle += uv
+	height := s.tree.HeightOf(ref.Nephew)
+	if height <= st.epoch {
+		s.tallyRef(&st.early, ref)
+	}
+	if height > st.steadyHeight {
+		s.tallyRef(&st.steady, ref)
 	}
 }
 
-// commitSnap records the pending cumulative snapshot, now that every
-// reference of its block has been folded into cum, and compacts the ring
-// when it fills.
-func (st *streamState) commitSnap() {
-	if st.pendingHeight < 0 {
-		return
-	}
-	st.snaps = append(st.snaps, streamSnap{
-		height:  st.pendingHeight,
-		time:    st.pendingTime,
-		regular: st.cum.Regular,
-		uncles:  st.cum.Uncles,
-		byPool:  append([]chain.Reward(nil), st.cum.ByPool...),
-	})
-	st.pendingHeight = -1
-	if len(st.snaps) < maxStreamSnaps {
-		return
-	}
-	st.snapInterval *= 2
-	kept := st.snaps[:0]
-	for _, sn := range st.snaps {
-		if sn.height%st.snapInterval == 0 {
-			kept = append(kept, sn)
-		}
-	}
-	st.snaps = kept
+// tallyRef attributes one realized reference's uncle and nephew rewards to
+// a window.
+func (s *simulator) tallyRef(w *Window, ref chain.UncleRef) {
+	w.Uncles++
+	w.ByPool[s.poolOf(ref.Nephew)].Nephew += s.cfg.Schedule.Nephew(ref.Distance)
+	w.ByPool[s.poolOf(ref.Uncle)].Uncle += s.cfg.Schedule.Uncle(ref.Distance)
 }
 
-// streamFloor returns the floor the overlay settles against: the maintained
+// streamFloor returns the floor settlement runs against: the maintained
 // consensus floor, or the public tip for a poolless population (whose floor
 // never advances — resolve is pool-triggered), mirroring observeSettled.
 func (s *simulator) streamFloor() chain.BlockID {
@@ -216,26 +175,35 @@ func (s *simulator) streamFloor() chain.BlockID {
 	return s.floor
 }
 
-// flushStream settles the newly decided prefix and evicts what the settle
-// boundary releases. Called once per event after the floor flush (and after
-// the difficulty observation, whose cursor must stay ahead of eviction); the
-// batching gate makes the common case one subtraction.
-func (s *simulator) flushStream() error {
+// flushDue is the per-event settlement gate, checked after the floor flush
+// (and after the difficulty observation, whose cursor must stay ahead of
+// eviction): a batch of newly decided heights awaits settleDecided. It
+// inlines to one comparison.
+func (s *simulator) flushDue() bool {
+	return s.tree.HeightOf(s.streamFloor()) >= s.flushAt
+}
+
+// settleDecided advances the settler to window+1 heights below the floor,
+// evicts what that releases, and re-arms the flushDue gate one batch
+// further up (see flushDue).
+func (s *simulator) settleDecided() error {
 	st := s.str
-	if st == nil {
-		return nil
-	}
 	floor := s.streamFloor()
-	sH := s.tree.HeightOf(floor) - (s.window + 1)
-	if sH-st.settler.SettledHeight() < streamFlushBatch {
-		return nil
-	}
-	target := s.tree.AncestorAt(floor, sH)
+	target := s.tree.AncestorAt(floor, s.tree.HeightOf(floor)-(s.window+1))
 	if err := st.settler.Advance(s.tree, target, st.hooks); err != nil {
 		return fmt.Errorf("sim: streaming settle: %w", err)
 	}
-	s.evictSettled()
+	if !s.keepTree {
+		s.evictSettled()
+	}
+	s.armFlush()
 	return nil
+}
+
+// armFlush sets the floor height at which flushDue next fires: a full
+// batch of heights beyond the settled prefix plus the window+1 lag.
+func (s *simulator) armFlush() {
+	s.flushAt = s.str.settler.SettledHeight() + s.window + 1 + streamFlushBatch
 }
 
 // evictSettled drops tree records the settle boundary has released and
@@ -288,12 +256,9 @@ func (s *simulator) sweepDeadRecent(minHeight int) {
 	s.recent = s.recent[:s.recentHead+len(kept)]
 }
 
-// settleStream assembles the Result of a streaming run: advance the settler
-// over the still-unsettled suffix up to the final consensus floor, then read
-// the Result fields off the accumulated tallies. Every field except Steady
-// is bit-identical to the one-shot settleRun; Steady's start rounds down to
-// the nearest cumulative snapshot (exact while the run is short enough that
-// the snapshot interval is still one block).
+// settleStream assembles the Result of a run: advance the settler over the
+// still-unsettled suffix up to the final consensus floor, then read the
+// Result fields off the accumulated tallies.
 func settleStream(s *simulator) (Result, error) {
 	cfg := s.cfg
 	st := s.str
@@ -301,7 +266,6 @@ func settleStream(s *simulator) (Result, error) {
 	if err := st.settler.Advance(s.tree, floor, st.hooks); err != nil {
 		return Result{}, fmt.Errorf("sim: streaming settle: %w", err)
 	}
-	st.commitSnap()
 
 	pop := cfg.Population
 	regular := st.settler.RegularCount()
@@ -324,6 +288,8 @@ func settleStream(s *simulator) (Result, error) {
 		result.OccupancyByPool[i] = s.occupancyMap(i)
 	}
 	result.Occupancy = result.OccupancyByPool[0]
+	// Summing the dense tallies in ID order keeps the float accumulation
+	// order deterministic (the map view has no stable order).
 	for id, reward := range result.MinerRewards {
 		pool := pop.PoolOf(chain.MinerID(id))
 		result.ByPool[pool] = result.ByPool[pool].Add(reward)
@@ -348,48 +314,19 @@ func settleStream(s *simulator) (Result, error) {
 	return result, nil
 }
 
-// assembleWindows finalizes the Early window and derives Steady from the
-// cumulative snapshots.
+// assembleWindows finalizes the Early and Steady windows.
 func (st *streamState) assembleWindows(result *Result) {
 	early := st.early
 	if result.RegularCount < st.epoch {
 		// The settled chain never reached the epoch boundary: the early
-		// window is the whole settled chain, ending at the floor's stamp —
-		// exactly where the one-shot walk stamps height min(epoch, regular).
+		// window is the whole settled chain, ending at the floor's stamp.
 		early.End = result.SettledTime
 	}
 	early.ByPool = append([]chain.Reward(nil), early.ByPool...)
 	result.Early = early
 
-	// Steady covers the trailing half: subtract the deepest cumulative
-	// snapshot at or below regular/2 from the full-chain cumulatives. With
-	// no snapshot that deep (short runs, or regular/2 == 0) the zero
-	// snapshot applies and Steady spans the whole settled chain from t=0.
-	steadyStart := result.RegularCount / 2
-	var base streamSnap
-	for i := len(st.snaps) - 1; i >= 0; i-- {
-		if st.snaps[i].height <= steadyStart {
-			base = st.snaps[i]
-			break
-		}
-	}
-	steady := Window{
-		Start:   base.time,
-		End:     result.SettledTime,
-		Regular: st.cum.Regular - base.regular,
-		Uncles:  st.cum.Uncles - base.uncles,
-		ByPool:  make([]chain.Reward, len(st.cum.ByPool)),
-	}
-	for i, c := range st.cum.ByPool {
-		var b chain.Reward
-		if i < len(base.byPool) {
-			b = base.byPool[i]
-		}
-		steady.ByPool[i] = chain.Reward{
-			Static: c.Static - b.Static,
-			Uncle:  c.Uncle - b.Uncle,
-			Nephew: c.Nephew - b.Nephew,
-		}
-	}
+	steady := st.steady
+	steady.End = result.SettledTime
+	steady.ByPool = append([]chain.Reward(nil), steady.ByPool...)
 	result.Steady = steady
 }

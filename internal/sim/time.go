@@ -106,10 +106,12 @@ func (s *simulator) observeSettled() {
 	s.observedTo = floor
 }
 
-// Window is one time slice of the settled chain: its time bounds, its block
-// production, and the rewards settled inside it (attributed to the slice
-// containing the rewarding regular block's timestamp; an uncle's reward
-// lands in its nephew's slice, when the nephew is paid).
+// Window is one slice of the settled chain by height: its time bounds, its
+// block production, and the rewards settled inside it (attributed to the
+// slice containing the rewarding regular block; an uncle's reward lands in
+// its nephew's slice, when the nephew is paid). Settlement accumulates both
+// of the Result's windows as it streams over the chain (see Result.Early
+// and Result.Steady for their boundaries).
 type Window struct {
 	// Start and End bound the slice in simulation time.
 	Start, End float64
@@ -156,72 +158,6 @@ func safeRate(amount, duration float64) float64 {
 		return 0
 	}
 	return amount / duration
-}
-
-// timeWindows splits the settled chain into the Result's two windows and
-// fills the Result's time fields. The early window covers the first
-// min(epoch, settled) regular blocks — the pre-adjustment difficulty
-// regime: under the Bitcoin-style rule it ends exactly at the first
-// retarget, and under EIP100 the controller has applied at most an epoch of
-// 1/epoch-gain steps there. The steady window covers the trailing half of
-// the settled chain, where the controller has converged. Each window's
-// rewards are attributed by the rewarding regular block's position on the
-// chain.
-func (s *simulator) timeWindows(result *Result, floor chain.BlockID) {
-	tree := s.tree
-	pop := s.cfg.Population
-	regular := result.RegularCount
-	epoch := s.cfg.Time.Difficulty.Epoch
-	earlyEnd := epoch
-	if earlyEnd > regular {
-		earlyEnd = regular
-	}
-	steadyStart := regular / 2
-
-	nPools := len(result.ByPool)
-	early := Window{ByPool: make([]chain.Reward, nPools)}
-	steady := Window{ByPool: make([]chain.Reward, nPools), End: tree.TimeOf(floor)}
-	for id := floor; id != tree.Genesis(); id = tree.ParentOf(id) {
-		_, height, uncles := tree.BlockInfo(id)
-		at := tree.TimeOf(id)
-		if height == earlyEnd {
-			early.End = at
-		}
-		if height == steadyStart {
-			steady.Start = at
-		}
-		inEarly := height <= earlyEnd
-		inSteady := height > steadyStart
-		if !inEarly && !inSteady {
-			continue
-		}
-		minerPool := pop.PoolOf(tree.MinerOf(id))
-		if inEarly {
-			s.tallyWindowBlock(&early, minerPool, height, uncles)
-		}
-		if inSteady {
-			s.tallyWindowBlock(&steady, minerPool, height, uncles)
-		}
-	}
-	result.Early = early
-	result.Steady = steady
-}
-
-// tallyWindowBlock attributes one settled regular block's rewards — its
-// static reward, its nephew bonuses, and its referenced uncles' rewards —
-// to a window.
-func (s *simulator) tallyWindowBlock(w *Window, minerPool mining.PoolID, height int, uncles []chain.BlockID) {
-	w.Regular++
-	w.ByPool[minerPool].Static++
-	for _, u := range uncles {
-		d := height - s.tree.HeightOf(u)
-		if !s.cfg.Schedule.Referenceable(d) {
-			continue
-		}
-		w.Uncles++
-		w.ByPool[minerPool].Nephew += s.cfg.Schedule.Nephew(d)
-		w.ByPool[s.poolOf(u)].Uncle += s.cfg.Schedule.Uncle(d)
-	}
 }
 
 // timeSeed derives the dedicated time-stream seed for a run.

@@ -136,11 +136,12 @@ func TestControllerConvergesInEngine(t *testing.T) {
 }
 
 // TestWindowsPartitionSettledChain: the early window covers the first
-// epoch of settled blocks and the steady window the trailing half; their
+// epoch of settled blocks and the steady window everything above the
+// midpoint floor, which sits near the middle of the settled chain; their
 // tallies must be consistent with the whole-run settlement.
 func TestWindowsPartitionSettledChain(t *testing.T) {
 	cfg := timedConfig(t, 0.35, 20000, difficulty.BitcoinStyle)
-	result, err := Run(cfg)
+	s, result, err := traceRun(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,9 +149,14 @@ func TestWindowsPartitionSettledChain(t *testing.T) {
 	if result.Early.Regular != epoch {
 		t.Errorf("early window has %d regular blocks, want the epoch %d", result.Early.Regular, epoch)
 	}
-	if want := result.RegularCount - result.RegularCount/2; result.Steady.Regular != want {
-		t.Errorf("steady window has %d regular blocks, want the trailing half %d",
+	mid := s.str.steadyHeight
+	if want := result.RegularCount - mid; result.Steady.Regular != want {
+		t.Errorf("steady window has %d regular blocks, want the %d above the midpoint floor",
 			result.Steady.Regular, want)
+	}
+	// The floor at event Blocks/2 settles about half of the final chain.
+	if half := result.RegularCount / 2; mid < half*9/10 || mid > half*11/10 {
+		t.Errorf("midpoint floor at height %d, want near half the settled chain (%d)", mid, half)
 	}
 	if result.Early.End <= result.Early.Start || result.Steady.End <= result.Steady.Start {
 		t.Error("window time bounds are degenerate")

@@ -19,7 +19,7 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # this list, so the two cannot drift.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m
 
-.PHONY: check build vet test race agreement staticcheck chaos-smoke cache-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
+.PHONY: check build vet test race agreement staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
 
 # How long each fuzz target runs in fuzz-smoke; CI uses the default.
 FUZZTIME ?= 10s
@@ -86,15 +86,37 @@ cache-smoke:
 	grep -Eq 'cache: [1-9][0-9]* hits' "$$dir/warm.err"; \
 	echo "cache-smoke: warm rerun bit-identical and served from cache"
 
+# Crash safety end to end: SIGKILL a cached sweep after a random delay
+# (somewhere between its first and last row), rerun it to completion over
+# the same cache directory, and cmp the output against a clean run without
+# a cache. Resuming is just rerunning; a final line torn by the kill is
+# trimmed with a warning on stderr, never left for a human to repair. The
+# binary is built first because a SIGKILL sent to `go run` kills only the
+# go tool and leaves the sweep running.
+kill-smoke:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/ethselfish" ./cmd/ethselfish; \
+	start=$$(date +%s%N); \
+	"$$dir/ethselfish" -quick fig8 > "$$dir/clean.out"; \
+	clean_ms=$$(( ($$(date +%s%N) - start) / 1000000 )); \
+	delay=$$(awk -v ms=$$clean_ms 'BEGIN { srand(); printf "%.3f", rand() * ms / 1000 }'); \
+	"$$dir/ethselfish" -quick -cachedir "$$dir/cache" fig8 > /dev/null 2>&1 & pid=$$!; \
+	sleep $$delay; kill -9 $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; \
+	lines=$$(cat "$$dir/cache/results.jsonl" 2>/dev/null | wc -l); \
+	"$$dir/ethselfish" -quick -cachedir "$$dir/cache" fig8 \
+		> "$$dir/resumed.out" 2> "$$dir/resumed.err"; \
+	cat "$$dir/resumed.err"; \
+	cmp "$$dir/clean.out" "$$dir/resumed.out"; \
+	echo "kill-smoke: killed after $${delay}s of a $${clean_ms}ms sweep ($$lines journal lines); resumed output bit-identical"
+
 # Short randomized passes over the simulator's fuzz targets (the strategy
-# gate and the random-legal-reaction property), the checkpoint-journal
-# decoder, and the result-cache journal decoder; Go allows one -fuzz
-# target per invocation, hence the separate runs.
+# gate and the random-legal-reaction property) and the result-cache
+# journal decoder; Go allows one -fuzz target per invocation, hence the
+# separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzValidateReaction -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTableCompile -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzRandomLegalStrategySimulation -fuzztime=$(FUZZTIME) ./internal/sim
-	$(GO) test -run=NONE -fuzz=FuzzJournalDecode -fuzztime=$(FUZZTIME) ./internal/experiments
 	$(GO) test -run=NONE -fuzz=FuzzCacheDecode -fuzztime=$(FUZZTIME) ./internal/resultcache
 
 bench:

@@ -29,17 +29,13 @@
 //	               axis (default: all three)
 //	-fastforward   run simulations with the analytic fast-forward of
 //	               uneventful stretches; results agree with the plain
-//	               engine in distribution, not bit-for-bit, so journals
-//	               written in one mode never resume in the other
+//	               engine in distribution, not bit-for-bit, so the two
+//	               modes' rows are cached under separate addresses
 //	-notables      keep every pool on the live Strategy interface path
 //	               instead of the compiled decision tables; diagnostic
 //	               only — results are bit-identical either way
 //	-timeout D     overall deadline for the invocation (e.g. 30m); on
 //	               expiry in-flight runs finish, then the sweep stops
-//	-checkpoint F  journal completed (grid-point x run) rows to file F and
-//	               resume from any rows already journaled there; rerunning
-//	               the same command after an interrupt continues where it
-//	               stopped and produces bit-identical output
 //	-cache         serve content-addressed rows from an in-memory result
 //	               cache for this invocation (an "all" sweep reuses points
 //	               shared between experiments); hits are bit-identical to
@@ -48,7 +44,11 @@
 //	               directory D, so a rerun — of the same experiment or any
 //	               experiment sharing grid points — serves cached rows
 //	               instead of simulating; a summary of hits and misses is
-//	               printed to stderr on exit
+//	               printed to stderr on exit. This is also how an
+//	               interrupted sweep resumes: rerun the same command and
+//	               the output is bit-identical to an uninterrupted run. A
+//	               final line torn by a crash is trimmed with a warning
+//	-checkpoint D  deprecated alias for -cachedir D
 //	-audit         enable the simulator's runtime invariant auditor
 //	-audit-every N audit every Nth block event (default 1024; 1 checks
 //	               every event). Only meaningful with -audit
@@ -102,14 +102,14 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		notables    = fs.Bool("notables", false, "disable compiled decision tables (diagnostic; results are identical either way)")
 		rule        = fs.String("rule", "", "comma-separated difficulty rules for profitability (static, bitcoin, eip100)")
 		timeout     = fs.Duration("timeout", 0, "overall deadline (0: none); in-flight runs finish on expiry")
-		checkpoint  = fs.String("checkpoint", "", "journal completed rows to this file and resume from it")
 		cacheFlag   = fs.Bool("cache", false, "serve rows from an in-memory result cache for this invocation")
-		cachedir    = fs.String("cachedir", "", "persistent result cache directory (implies -cache, survives reruns)")
+		cachedir    = fs.String("cachedir", "", "persistent result cache directory (implies -cache, survives reruns; rerun to resume)")
 		audit       = fs.Bool("audit", false, "enable the runtime invariant auditor")
 		auditEvery  = fs.Int("audit-every", 1024, "audit every Nth block event (with -audit)")
 		list        = fs.Bool("list", false, "list experiments and registered strategy specs")
 		csv         = fs.Bool("csv", false, "emit CSV instead of aligned text")
 	)
+	fs.StringVar(cachedir, "checkpoint", "", "deprecated alias for -cachedir")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: ethselfish [flags] <experiment>\n")
 		fmt.Fprintf(fs.Output(), "experiments: %s\n", strings.Join(experimentNames(), ", "))
@@ -155,18 +155,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		defer cancel()
 	}
 	opts.Ctx = ctx
-	if *checkpoint != "" {
-		ck, err := experiments.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			return err
-		}
-		defer ck.Close()
-		opts.Checkpoint = ck
-	}
 	if *cachedir != "" {
 		cache, err := resultcache.Open(*cachedir, 0)
 		if err != nil {
 			return err
+		}
+		if torn := cache.Stats().TornBytes; torn > 0 {
+			fmt.Fprintf(os.Stderr, "ethselfish: cache: dropped a torn %d-byte final line; its row will be recomputed\n", torn)
 		}
 		opts.Cache = cache
 	} else if *cacheFlag {
@@ -205,13 +200,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	if len(specs) > 0 && name == "bestresponse" {
 		return fmt.Errorf("bestresponse searches the whole stubborn family; -strategies is not supported (use strategies or tournament)")
 	}
-	// An interrupted sweep is resumable when journaled; say so instead of
-	// leaving a bare "context canceled".
+	// An interrupted sweep over a disk cache is resumable; say so instead
+	// of leaving a bare "context canceled".
 	finish := func(err error) error {
-		if err != nil && *checkpoint != "" &&
+		if err != nil && *cachedir != "" &&
 			(errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) {
-			return fmt.Errorf("%w (completed rows are journaled in %s; rerun the same command to resume)",
-				err, *checkpoint)
+			return fmt.Errorf("%w (completed rows are cached in %s; rerun the same command to resume)",
+				err, *cachedir)
 		}
 		return err
 	}

@@ -205,38 +205,47 @@ func TestRunCancelledContext(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
-	// The resume hint appears only when a checkpoint would hold the
-	// completed rows.
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	err = run(ctx, []string{"-quick", "-runs", "1", "-blocks", "2000", "-checkpoint", ckpt, "table2"}, &b)
-	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "rerun the same command to resume") {
-		t.Errorf("err = %v, want context.Canceled with a resume hint", err)
+	// The resume hint appears only when a disk cache holds the completed
+	// rows; -checkpoint is an alias for -cachedir.
+	for _, flag := range []string{"-cachedir", "-checkpoint"} {
+		dir := filepath.Join(t.TempDir(), "cache")
+		err = run(ctx, []string{"-quick", "-runs", "1", "-blocks", "2000", flag, dir, "table2"}, &b)
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "rerun the same command to resume") {
+			t.Errorf("%s: err = %v, want context.Canceled with a resume hint", flag, err)
+		}
 	}
 }
 
 func TestRunCheckpointFlag(t *testing.T) {
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	args := []string{"-quick", "-runs", "1", "-blocks", "2000", "-checkpoint", ckpt, "table2"}
+	dir := filepath.Join(t.TempDir(), "cache")
+	args := []string{"-quick", "-runs", "1", "-blocks", "2000", "-checkpoint", dir, "table2"}
 	var first, second strings.Builder
 	if err := run(context.Background(), args, &first); err != nil {
 		t.Fatal(err)
 	}
-	// The second invocation replays the journal instead of recomputing;
-	// output must be bit-identical.
+	// The second invocation is served from the cache directory the alias
+	// named instead of recomputing; output must be bit-identical.
 	if err := run(context.Background(), args, &second); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {
-		t.Error("checkpointed rerun produced different output")
+		t.Error("rerun over the -checkpoint cache produced different output")
 	}
-	// A corrupt journal is rejected up front, not silently resumed.
-	bad := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := os.WriteFile(bad, []byte("not a journal"), 0o644); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "results.jsonl")); err != nil {
+		t.Errorf("-checkpoint did not write a cache journal: %v", err)
+	}
+	// A checkpoint file from before the alias is not a cache directory: it
+	// fails closed, and is left as it was.
+	old := filepath.Join(t.TempDir(), "sweep.ckpt")
+	const journal = `{"version":1}` + "\n"
+	if err := os.WriteFile(old, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := run(context.Background(), []string{"-quick", "-checkpoint", bad, "table2"}, &second)
-	if !errors.Is(err, experiments.ErrJournal) {
-		t.Errorf("corrupt checkpoint err = %v, want ErrJournal", err)
+	if err := run(context.Background(), []string{"-quick", "-checkpoint", old, "table2"}, &second); err == nil {
+		t.Error("an old checkpoint file was accepted as a cache directory")
+	}
+	if data, err := os.ReadFile(old); err != nil || string(data) != journal {
+		t.Errorf("old checkpoint file was modified (%v)", err)
 	}
 }
 

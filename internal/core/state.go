@@ -47,7 +47,7 @@ func (s State) Valid() bool {
 func (s State) String() string { return fmt.Sprintf("(%d,%d)", s.S, s.H) }
 
 // MarshalText encodes the state as "s,h", making State usable as a JSON map
-// key (occupancy maps are serialized by the experiments checkpoint
+// key (occupancy maps are serialized by the result cache's disk
 // journal).
 func (s State) MarshalText() ([]byte, error) {
 	return []byte(strconv.Itoa(s.S) + "," + strconv.Itoa(s.H)), nil

@@ -1,8 +1,16 @@
 package experiments
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/resultcache"
@@ -197,5 +205,186 @@ func TestPrecisionCacheReuse(t *testing.T) {
 	}
 	if s := cache.Stats(); s.Misses != misses {
 		t.Errorf("warm precision study computed %d new rows, want 0", s.Misses-misses)
+	}
+}
+
+// testJobs is a small two-point Fig. 8-style grid.
+func testJobs() []simJob {
+	alphas := []float64{0.2, 0.35}
+	jobs := make([]simJob, len(alphas))
+	for i, alpha := range alphas {
+		jobs[i] = simJob{alpha: alpha, build: func(*mining.Population) sim.Config {
+			return sim.Config{Gamma: 0.5}
+		}}
+	}
+	return jobs
+}
+
+// TestCacheCancelThenResume interrupts a real sweep over a disk cache via
+// context cancellation, then reruns it over the journal the interrupt left
+// behind: the resumed sweep must match an uninterrupted one bit for bit and
+// compute exactly the rows the first pass did not store.
+func TestCacheCancelThenResume(t *testing.T) {
+	opts := Options{Runs: 4, Blocks: 20000, Seed: 3, Parallelism: 2}
+	jobs := testJobs()
+	want, err := runSimGrid(opts, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	cache, err := resultcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	interrupted := opts
+	interrupted.Ctx = ctx
+	interrupted.Cache = cache
+	if _, err := runSimGrid(interrupted, jobs); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("interrupted sweep err = %v, want nil or context.DeadlineExceeded", err)
+	}
+	stored := cache.Stats().Stores
+	t.Logf("%d of %d rows stored before the cancel", stored, len(jobs)*opts.Runs)
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err = resultcache.Open(dir, 0)
+	if err != nil {
+		t.Fatalf("journal left by a graceful cancellation must reopen cleanly: %v", err)
+	}
+	defer cache.Close()
+	resumed := opts
+	resumed.Cache = cache
+	got, err := runSimGrid(resumed, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("sweep resumed after cancellation differs from uninterrupted sweep")
+	}
+	rows := uint64(len(jobs) * opts.Runs)
+	if s := cache.Stats(); s.Misses != rows-stored || s.DiskHits != stored {
+		t.Errorf("resume stats = %+v, want %d misses and %d disk hits (%d rows stored before the cancel)",
+			s, rows-stored, stored, stored)
+	}
+	if cache.Len() != int(rows) {
+		t.Errorf("resumed journal holds %d rows, want the complete %d", cache.Len(), rows)
+	}
+}
+
+// TestCacheTamperedSeedRejected: a journaled row whose seed does not match
+// the seed the sweep derives for its address (hash collision or tampering)
+// fails the rerun with ErrCache, wrapped in a JobError naming the row.
+func TestCacheTamperedSeedRejected(t *testing.T) {
+	opts := Options{Runs: 2, Blocks: 1000, Seed: 7, Parallelism: 1}
+	jobs := testJobs()
+	dir := t.TempDir()
+	cache, err := resultcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Cache = cache
+	if _, err := runSimGrid(opts, jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Tamper with the last row's seed; with one worker that is row (1,1).
+	path := filepath.Join(dir, "results.jsonl")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	var row map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &row); err != nil {
+		t.Fatal(err)
+	}
+	var seed uint64
+	if err := json.Unmarshal(row["seed"], &seed); err != nil {
+		t.Fatalf("last journal line has no seed: %v", err)
+	}
+	row["seed"] = json.RawMessage(fmt.Sprint(seed + 1))
+	tampered, err := json.Marshal(row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines[len(lines)-1] = string(tampered)
+	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err = resultcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cache.Close()
+	opts.Cache = cache
+	_, err = runSimGrid(opts, jobs)
+	if !errors.Is(err, resultcache.ErrCache) {
+		t.Fatalf("err = %v, want resultcache.ErrCache", err)
+	}
+	var je *JobError
+	if !errors.As(err, &je) {
+		t.Fatalf("err = %v (%T), want *JobError", err, err)
+	}
+	if je.Point != 1 || je.Run != 1 {
+		t.Errorf("JobError names (%d,%d), want the tampered row (1,1)", je.Point, je.Run)
+	}
+}
+
+// TestResultJSONRoundTrip: the Result encoding round-trips exactly (after
+// RestoreAliases), which is what makes journaled rows interchangeable with
+// freshly computed ones. A timed multi-pool run populates every field.
+func TestResultJSONRoundTrip(t *testing.T) {
+	pop, err := mining.MultiAgent(0.25, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"timeless two-agent", sim.Config{Gamma: 0.5, Blocks: 2000, Seed: 7}},
+		{"timed multi-pool", sim.Config{
+			Population: pop,
+			Gamma:      0.3,
+			Blocks:     3000,
+			Seed:       9,
+			Time:       sim.TimeConfig{Enabled: true},
+			Strategies: []sim.Strategy{sim.Algorithm1{}, sim.Stubborn{Lead: true}},
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := tt.cfg
+			if cfg.Population == nil {
+				p, err := mining.TwoAgent(0.35)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Population = p
+			}
+			want, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got sim.Result
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatal(err)
+			}
+			got.RestoreAliases()
+			if !reflect.DeepEqual(got, want) {
+				t.Error("Result does not round-trip through JSON")
+			}
+		})
 	}
 }

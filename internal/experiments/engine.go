@@ -23,8 +23,8 @@ import (
 //     seed (jobkey.SeedBase), and flattens (grid-point × run) into
 //     individually addressed rows. Rows whose addresses coincide within the
 //     sweep are computed once and scattered; the remaining unique rows are
-//     served from the result cache or checkpoint journal when present, and
-//     simulated across the worker pool otherwise. Per-run seeds are derived
+//     served from the result cache when present, and simulated across the
+//     worker pool (and stored) otherwise. Per-run seeds are derived
 //     exactly as the sequential sim.RunMany would derive them, so the
 //     assembled Series are bit-identical to a sequential sweep — which is
 //     also why a cached row is exact: by determinism invariant 3, a row is
@@ -136,32 +136,17 @@ func resolveJobs(opts Options, jobs []simJob) (configs []sim.Config, keys []jobk
 //
 // Rows flow through the pipeline: each is content-addressed; addresses
 // repeated within the sweep are computed once and the result scattered to
-// every duplicate; each unique address is looked up in opts.Cache and then
-// opts.Checkpoint before any simulation runs, and whichever store missed is
-// backfilled from the one that hit (or from the fresh run), so the journal
-// stays complete and the cache warms even on resumed sweeps.
+// every duplicate; each unique address goes through cachedRun, so a sweep
+// interrupted over a disk cache resumes by simply running again.
 func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 	configs, keys, seedBases, err := resolveJobs(opts, jobs)
 	if err != nil {
 		return nil, err
 	}
 
-	var header sweepHeader
-	if opts.Checkpoint != nil {
-		header = sweepHeader{
-			Hash:   sweepHash(opts, keys, seedBases),
-			Jobs:   len(jobs),
-			Runs:   opts.Runs,
-			Blocks: opts.Blocks,
-			Seed:   opts.Seed,
-		}
-	}
-
 	// Address every row, then deduplicate: rows sharing a content address
 	// are the same pure function evaluation, so only the first occurrence
-	// is dispatched and the rest alias its result. The representative
-	// choice is deterministic (first in grid order), so checkpoint journals
-	// written by deduplicated sweeps resume identically.
+	// is dispatched and the rest alias its result.
 	n := len(jobs) * opts.Runs
 	seeds := make([]uint64, n)
 	rowKeys := make([]jobkey.Key, n)
@@ -187,58 +172,12 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 	uniqueResults, _, err := parallel.MapWithCtx(opts.Ctx, opts.Parallelism, len(unique), sim.NewRunner,
 		func(rn *sim.Runner, u int) (sim.Result, error) {
 			k := unique[u]
-			j, r := k/opts.Runs, k%opts.Runs
-			seed := seeds[k]
-			fail := func(err error) (sim.Result, error) {
-				return sim.Result{}, &JobError{Point: j, Alpha: jobs[j].alpha, Run: r, Seed: seed, Err: err}
-			}
-			if opts.Cache != nil {
-				res, ok, err := opts.Cache.GetRaw(rowKeys[k], seed)
-				if err != nil {
-					return fail(err)
-				}
-				if ok {
-					// Backfill the journal so a resume of this sweep is
-					// complete even if the cache is gone by then.
-					if opts.Checkpoint != nil {
-						if err := opts.Checkpoint.record(header, j, r, seed, res); err != nil {
-							return fail(err)
-						}
-					}
-					return res, nil
-				}
-			}
-			if opts.Checkpoint != nil {
-				res, ok, err := opts.Checkpoint.lookup(header.Hash, j, r, seed)
-				if err != nil {
-					return fail(err)
-				}
-				if ok {
-					if opts.Cache != nil {
-						if err := opts.Cache.PutRaw(rowKeys[k], seed, res); err != nil {
-							return fail(err)
-						}
-					}
-					return res, nil
-				}
-			}
+			j := k / opts.Runs
 			cfg := configs[j]
-			cfg.Seed = seed
-			res, err := rn.Run(cfg)
+			cfg.Seed = seeds[k]
+			res, err := cachedRun(rn, cfg, rowKeys[k], opts.Cache)
 			if err != nil {
-				return fail(err)
-			}
-			if opts.Checkpoint != nil {
-				// Journal before returning so a cancellation arriving
-				// while later items drain still persists this row.
-				if err := opts.Checkpoint.record(header, j, r, seed, res); err != nil {
-					return fail(err)
-				}
-			}
-			if opts.Cache != nil {
-				if err := opts.Cache.PutRaw(rowKeys[k], seed, res); err != nil {
-					return fail(err)
-				}
+				return sim.Result{}, &JobError{Point: j, Alpha: jobs[j].alpha, Run: k % opts.Runs, Seed: cfg.Seed, Err: err}
 			}
 			return res, nil
 		})
@@ -268,15 +207,17 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 	return series, nil
 }
 
-// cachedRun is the pipeline's single-row form, for drivers that adaptively
-// run simulations outside a fixed grid (the precision study): one run,
-// addressed under key+seed, served from cache when possible and stored
-// after a miss. A nil cache degenerates to a plain run.
-func cachedRun(rn *sim.Runner, cfg sim.Config, key jobkey.Key, cache *resultcache.Cache) (sim.Result, error) {
+// cachedRun is the pipeline's single-row step, shared by runSimGrid and the
+// drivers that adaptively run simulations outside a fixed grid (the
+// precision study): one run at row address addr (cfg's key joined with
+// cfg.Seed), served from cache when possible and stored after a miss — the
+// store happens before the row is returned, so a cancellation arriving
+// while later rows drain still keeps it. A nil cache degenerates to a plain
+// run.
+func cachedRun(rn *sim.Runner, cfg sim.Config, addr jobkey.Key, cache *resultcache.Cache) (sim.Result, error) {
 	if cache == nil {
 		return rn.Run(cfg)
 	}
-	addr := key.Row(cfg.Seed)
 	res, ok, err := cache.GetRaw(addr, cfg.Seed)
 	if err != nil {
 		return sim.Result{}, err

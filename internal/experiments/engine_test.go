@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/jobkey"
@@ -172,5 +173,44 @@ func TestRunSimGridResolvesSpecs(t *testing.T) {
 		build: func(*mining.Population) sim.Config { return sim.Config{Gamma: 0.5} },
 	}}); !errors.Is(err, sim.ErrBadSpec) {
 		t.Errorf("bad spec err = %v, want sim.ErrBadSpec", err)
+	}
+}
+
+// TestJobErrorCoordinates: a failing run surfaces with its grid
+// coordinates and exact seed, reproducible as a single sim.Run.
+func TestJobErrorCoordinates(t *testing.T) {
+	opts := Options{Runs: 2, Blocks: 1000, Seed: 9, Parallelism: 1}
+	jobs := []simJob{
+		{alpha: 0.2, build: func(*mining.Population) sim.Config {
+			return sim.Config{Gamma: 0.5}
+		}},
+		{alpha: 0.3, build: func(*mining.Population) sim.Config {
+			return sim.Config{Gamma: 2} // invalid: gamma must be in [0,1]
+		}},
+	}
+	_, err := runSimGrid(opts, jobs)
+	var je *JobError
+	if !errors.As(err, &je) {
+		t.Fatalf("err = %v (%T), want *JobError", err, err)
+	}
+	if !errors.Is(err, sim.ErrBadConfig) {
+		t.Errorf("error chain %v lacks sim.ErrBadConfig", err)
+	}
+	if je.Point != 1 || je.Run != 0 || je.Alpha != 0.3 {
+		t.Errorf("JobError = point %d alpha %g run %d, want point 1 alpha 0.3 run 0",
+			je.Point, je.Alpha, je.Run)
+	}
+	pop, popErr := mining.TwoAgent(0.3)
+	if popErr != nil {
+		t.Fatal(popErr)
+	}
+	base := jobkey.SeedBase(opts.Seed, sim.Config{Population: pop, Gamma: 2})
+	if want := sim.DeriveSeed(base, 0); je.Seed != want {
+		t.Errorf("JobError.Seed = %d, want %d", je.Seed, want)
+	}
+	for _, part := range []string{"grid point 1", "alpha=0.3", "run 0"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("error %q does not name %q", err, part)
+		}
 	}
 }

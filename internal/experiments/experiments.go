@@ -51,18 +51,11 @@ type Options struct {
 	Parallelism int
 
 	// Ctx cancels a sweep early: once done, no new work items start,
-	// in-flight runs finish, and the sweep returns the context's error
-	// (completed rows are preserved in Checkpoint, if set). Nil means
-	// no cancellation.
+	// in-flight runs finish, and the sweep returns the context's error.
+	// Every completed row is already stored in Cache, if set, so rerunning
+	// the sweep over the same disk cache resumes it bit-identically. Nil
+	// means no cancellation.
 	Ctx context.Context
-
-	// Checkpoint, when non-nil, journals every completed (grid-point ×
-	// run) row keyed by a canonical hash of the sweep configuration, and
-	// reuses journaled rows instead of recomputing them. By the engine's
-	// determinism guarantees a resumed sweep is bit-identical to an
-	// uninterrupted one. One open Checkpoint may serve many sweeps
-	// (tournament and best-response drivers run several grids).
-	Checkpoint *Checkpoint
 
 	// Cache, when non-nil, is consulted before any simulation runs: every
 	// (grid-point × run) row is content-addressed through the jobkey
@@ -71,7 +64,9 @@ type Options struct {
 	// invariant 3), cache hits are bit-identical to recomputation — any
 	// sweep containing a previously cached point reuses its rows, even a
 	// sweep of a different experiment. One Cache may serve many sweeps and
-	// many invocations (via its disk journal; see resultcache.Open).
+	// many invocations (via its disk journal; see resultcache.Open), which
+	// is also how an interrupted sweep resumes: rerun it over the same
+	// journal.
 	Cache *resultcache.Cache
 
 	// Audit enables the simulator's runtime invariant auditor for every
@@ -82,14 +77,14 @@ type Options struct {
 	// FastForward turns on the simulator's analytic fast-forward (see
 	// sim.Config.FastForward) for every run in the sweep. Fast-forwarded
 	// runs agree with plain runs in distribution, not bit-for-bit, so the
-	// mode participates in the sweep's checkpoint hash: journals written
-	// in one mode are never resumed in the other.
+	// mode participates in every row's content address: rows cached in one
+	// mode are never served to the other.
 	FastForward bool
 
 	// NoDecisionTables keeps every run on the live Strategy interface
 	// path instead of the compiled decision tables (see
 	// sim.Config.NoDecisionTables). The knob never changes results, so it
-	// does not participate in content addresses or checkpoint hashes.
+	// does not participate in content addresses.
 	NoDecisionTables bool
 }
 

@@ -1,8 +1,8 @@
 // Package jobkey is the canonical identity of one simulation: a
 // content-addressed encoding of everything that can change a run's result,
-// and nothing that cannot. It is the single encoder shared by the
-// checkpoint journal's sweep hash and the result cache's row addresses, so
-// the two can never diverge on what "the same simulation" means.
+// and nothing that cannot. It is the single encoder behind the experiments
+// engine's deduplication, seeding, and result-cache row addresses, so they
+// can never diverge on what "the same simulation" means.
 //
 // Three identities are derived here, all from the same streamed encoding:
 //
@@ -103,7 +103,7 @@ const steadyDefinition = "steady=midpoint-floor"
 // The field-coverage test in this package enumerates sim.Config by
 // reflection, so adding a config field fails tests until it is either
 // encoded here or explicitly recorded as result-neutral.
-func writeConfig(w *Writer, cfg *sim.Config) {
+func writeConfig(w *writer, cfg *sim.Config) {
 	w.U64(uint64(cfg.Blocks))
 	w.F64(cfg.Gamma)
 	w.U64(uint64(cfg.MaxUnclesPerBlock))
@@ -137,7 +137,7 @@ func writeConfig(w *Writer, cfg *sim.Config) {
 // reward values, so two same-named schedules with different payouts cannot
 // collide. The zero schedule hashes as Ethereum, mirroring the simulator's
 // default.
-func writeSchedule(w *Writer, sched rewards.Schedule) {
+func writeSchedule(w *writer, sched rewards.Schedule) {
 	if sched.MaxDepth() == 0 {
 		sched = rewards.Ethereum()
 	}
@@ -155,7 +155,7 @@ func writeSchedule(w *Writer, sched rewards.Schedule) {
 
 // writePopulation hashes the miner set: count, and each miner's ID, power,
 // and pool label.
-func writePopulation(w *Writer, pop *mining.Population) {
+func writePopulation(w *writer, pop *mining.Population) {
 	w.U64(uint64(pop.Len()))
 	for i := 0; i < pop.Len(); i++ {
 		m := pop.Miner(i)
@@ -170,7 +170,7 @@ func writePopulation(w *Writer, pop *mining.Population) {
 // equal behavior). A nil assignment hashes as the simulator's default —
 // Algorithm 1 everywhere — so a defaulted config and an explicit
 // [algorithm1] share an address.
-func writeStrategies(w *Writer, cfg *sim.Config) {
+func writeStrategies(w *writer, cfg *sim.Config) {
 	if cfg.Strategies != nil {
 		w.U64(uint64(len(cfg.Strategies)))
 		for _, s := range cfg.Strategies {
@@ -186,43 +186,40 @@ func writeStrategies(w *Writer, cfg *sim.Config) {
 	}
 }
 
-// Writer streams length-prefixed primitives into a running hash, so
-// adjacent fields can never alias each other. The checkpoint's sweep hash
-// builds on it directly. Primitives accumulate in a fixed chunk flushed to
-// the digest in bulk — the digest sees the same byte stream either way, so
-// buffering can never change an address — which keeps the per-field cost to
-// a couple of stores instead of an interface call.
-type Writer struct {
+// writer streams length-prefixed primitives into a running hash, so
+// adjacent fields can never alias each other. Primitives accumulate in a
+// fixed chunk flushed to the digest in bulk — the digest sees the same byte
+// stream either way, so buffering can never change an address — which
+// keeps the per-field cost to a couple of stores instead of an interface
+// call.
+type writer struct {
 	h     hash.Hash
 	n     int
 	chunk [192]byte
 	sum   [sha256.Size]byte
 }
 
-// NewWriter returns a Writer over a fresh sha256.
-func NewWriter() *Writer { return &Writer{h: sha256.New()} }
-
-// writerPool recycles Writers (and their sha256 states) across the
+// writerPool recycles writers (and their sha256 states) across the
 // package's own key derivations, which run once per row on the result
 // cache's hot path.
-var writerPool = sync.Pool{New: func() any { return NewWriter() }}
+var writerPool = sync.Pool{New: func() any { return &writer{h: sha256.New()} }}
 
-func getWriter() *Writer {
-	w := writerPool.Get().(*Writer)
+func getWriter() *writer {
+	w := writerPool.Get().(*writer)
 	w.h.Reset()
 	w.n = 0
 	return w
 }
 
-// putWriter finalizes the key and returns the Writer to the pool.
-func putWriter(w *Writer) Key {
+// putWriter finalizes the key and returns the writer to the pool.
+func putWriter(w *writer) Key {
 	k := w.Sum()
 	writerPool.Put(w)
 	return k
 }
 
 // flush drains the chunk into the digest.
-func (w *Writer) flush() {
+func (w *writer) flush() {
 	if w.n > 0 {
 		w.h.Write(w.chunk[:w.n])
 		w.n = 0
@@ -230,7 +227,7 @@ func (w *Writer) flush() {
 }
 
 // U64 writes one little-endian uint64.
-func (w *Writer) U64(v uint64) {
+func (w *writer) U64(v uint64) {
 	if w.n+8 > len(w.chunk) {
 		w.flush()
 	}
@@ -239,10 +236,10 @@ func (w *Writer) U64(v uint64) {
 }
 
 // F64 writes a float64 by exact bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
+func (w *writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Bool writes a boolean as 0 or 1.
-func (w *Writer) Bool(v bool) {
+func (w *writer) Bool(v bool) {
 	if v {
 		w.U64(1)
 	} else {
@@ -251,7 +248,7 @@ func (w *Writer) Bool(v bool) {
 }
 
 // Str writes a length-prefixed string.
-func (w *Writer) Str(s string) {
+func (w *writer) Str(s string) {
 	w.U64(uint64(len(s)))
 	for len(s) > 0 {
 		if w.n == len(w.chunk) {
@@ -264,7 +261,7 @@ func (w *Writer) Str(s string) {
 }
 
 // Bytes writes a length-prefixed byte slice.
-func (w *Writer) Bytes(b []byte) {
+func (w *writer) Bytes(b []byte) {
 	w.U64(uint64(len(b)))
 	for len(b) > 0 {
 		if w.n == len(w.chunk) {
@@ -277,7 +274,7 @@ func (w *Writer) Bytes(b []byte) {
 }
 
 // Sum returns the accumulated digest as a Key.
-func (w *Writer) Sum() Key {
+func (w *writer) Sum() Key {
 	w.flush()
 	w.h.Sum(w.sum[:0])
 	return Key(w.sum)

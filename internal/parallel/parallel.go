@@ -108,7 +108,7 @@ func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error
 // *PanicError — or, when every executed item succeeded but cancellation
 // skipped some, an error wrapping ErrSkipped and the context's cause.
 // Unlike Map/MapWith, the partial results are returned alongside a non-nil
-// error, so callers can checkpoint completed work.
+// error, so callers can keep completed work.
 func MapWithCtx[S, T any](ctx context.Context, workers, n int, newState func() S, fn func(state S, i int) (T, error)) ([]T, []bool, error) {
 	if n <= 0 {
 		return nil, nil, nil

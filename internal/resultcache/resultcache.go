@@ -12,12 +12,14 @@
 // Disk layout: one file, results.jsonl, in the cache directory. The first
 // line is {"version":1,"schema":S} where S is sim.ResultSchemaVersion;
 // every following line is one row {"key":"<64 hex>","seed":N,
-// "result":{...}}. The decoder is strict in exactly the checkpoint
-// journal's sense: a malformed line, a duplicated key, a version or schema
-// skew, or a truncated tail (a final line missing its newline — the mark
-// of a crash mid-write) rejects the whole file with ErrCache rather than
-// silently serving corrupt rows. Wipe the directory (or repair the file to
-// a line boundary) to recover; the cache then simply refills.
+// "result":{...}}. Rows are appended one whole line per write, so the
+// damage a crash mid-append leaves is a torn final line missing its
+// newline: Open trims it back to the last complete line and reports the
+// dropped bytes in Stats.TornBytes, and the row it held is simply
+// recomputed. Everything before the tail is decoded strictly: a malformed
+// line, a duplicated key, or a version or schema skew rejects the whole
+// file with ErrCache rather than silently serving corrupt rows. Wipe the
+// directory to recover from that; the cache then simply refills.
 //
 // The memory tier holds decoded rows under an LRU bound; the disk tier is
 // scanned once at Open into a key -> byte-offset index, so a disk hit is
@@ -42,8 +44,8 @@ import (
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
-// ErrCache is returned when a cache journal is malformed, truncated, or
-// written under a different row schema.
+// ErrCache is returned when a cache journal is malformed or written under a
+// different row schema.
 var ErrCache = errors.New("resultcache: invalid cache journal")
 
 // journalVersion identifies the cache journal's container format; the row
@@ -92,13 +94,16 @@ type entry struct {
 // Stats counts the cache's traffic. Hits split by serving tier; Stores
 // counts rows newly added (duplicates of an already-cached key are
 // ignored, not counted); Evictions counts memory-tier drops (disk-backed
-// rows remain reachable after eviction, memory-only rows do not).
+// rows remain reachable after eviction, memory-only rows do not);
+// TornBytes is the length of the torn final line Open trimmed from the
+// journal (zero when the journal ended cleanly).
 type Stats struct {
 	MemoryHits uint64
 	DiskHits   uint64
 	Misses     uint64
 	Stores     uint64
 	Evictions  uint64
+	TornBytes  uint64
 }
 
 // Hits returns the total hit count across both tiers.
@@ -132,11 +137,12 @@ func NewMemory(capacity int) *Cache {
 	}
 }
 
-// Open opens (creating if needed) the disk-backed cache in dir, strictly
-// validating any existing journal, and layers a memory LRU of the given
-// capacity (non-positive: DefaultMemoryEntries) over it. A corrupt,
-// truncated, or schema-skewed journal is rejected with ErrCache — it is
-// never silently served from.
+// Open opens (creating if needed) the disk-backed cache in dir and layers a
+// memory LRU of the given capacity (non-positive: DefaultMemoryEntries)
+// over it. A torn final line is trimmed from the file (see the package
+// doc); the rest of the journal is validated strictly, and a corrupt or
+// schema-skewed journal is rejected with ErrCache — left untouched on disk
+// and never silently served from.
 func Open(dir string, capacity int) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: creating cache dir: %w", err)
@@ -146,9 +152,18 @@ func Open(dir string, capacity int) (*Cache, error) {
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("resultcache: reading cache journal: %w", err)
 	}
-	index, err := decodeJournal(data)
+	complete := data[:bytes.LastIndexByte(data, '\n')+1]
+	index, err := decodeJournal(complete)
 	if err != nil {
 		return nil, fmt.Errorf("%w (wipe %s to start over)", err, dir)
+	}
+	torn := len(data) - len(complete)
+	if torn > 0 {
+		// Appends must start on a line boundary, so drop the torn line
+		// from the file itself, not just from the index.
+		if err := os.Truncate(path, int64(len(complete))); err != nil {
+			return nil, fmt.Errorf("resultcache: trimming torn journal tail: %w", err)
+		}
 	}
 	file, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
@@ -156,9 +171,10 @@ func Open(dir string, capacity int) (*Cache, error) {
 	}
 	c := NewMemory(capacity)
 	c.file = file
-	c.size = int64(len(data))
+	c.size = int64(len(complete))
 	c.index = index
-	if len(data) == 0 {
+	c.stats.TornBytes = uint64(torn)
+	if len(complete) == 0 {
 		if err := c.writeLine(journalHeader{Version: journalVersion, Schema: sim.ResultSchemaVersion}); err != nil {
 			file.Close()
 			return nil, err
@@ -351,7 +367,8 @@ func (c *Cache) writeLine(v any) error {
 // decodeJournal strictly parses a journal's bytes into the key -> position
 // index, validating every row (including its Result payload) without
 // retaining the decoded rows — the memory tier fills on demand. Empty
-// input is a fresh journal.
+// input is a fresh journal; input not ending in a newline is rejected
+// (Open trims a torn tail before decoding).
 func decodeJournal(data []byte) (map[string]diskPos, error) {
 	index := make(map[string]diskPos)
 	if len(data) == 0 {

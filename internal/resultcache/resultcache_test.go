@@ -1,6 +1,7 @@
 package resultcache
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -183,15 +184,21 @@ func TestDiskEvictionKeepsRowsReachable(t *testing.T) {
 	}
 }
 
+// TestCacheFailsClosed: corruption anywhere before the final line, and
+// version or schema skew, reject the journal with ErrCache and leave the
+// file exactly as it was — only a torn tail is ever repaired (see
+// TestCacheTrimsTornTail).
 func TestCacheFailsClosed(t *testing.T) {
-	rows := makeRows(t, 1)
+	rows := makeRows(t, 2)
 	dir := t.TempDir()
 	c, err := Open(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(rows[0].key, rows[0].seed, rows[0].result); err != nil {
-		t.Fatal(err)
+	for _, r := range rows {
+		if err := c.Put(r.key, r.seed, r.result); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -204,16 +211,29 @@ func TestCacheFailsClosed(t *testing.T) {
 
 	corrupt := func(name string, mutate func([]byte) []byte) {
 		t.Helper()
-		if err := os.WriteFile(path, mutate(append([]byte(nil), data...)), 0o644); err != nil {
+		bad := mutate(append([]byte(nil), data...))
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := Open(dir, 4); !errors.Is(err, ErrCache) {
 			t.Errorf("%s: Open err = %v, want ErrCache", name, err)
 		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, bad) {
+			t.Errorf("%s: rejected journal was modified on disk (%v)", name, err)
+		}
 	}
-	corrupt("truncated tail", func(b []byte) []byte { return b[:len(b)-1] })
-	corrupt("tampered row", func(b []byte) []byte {
+	tamper := func(b []byte) []byte {
 		return []byte(strings.Replace(string(b), `"result":{`, `"result":{"bogus":1,`, 1))
+	}
+	corrupt("tampered row", tamper)
+	corrupt("torn line mid-file", func(b []byte) []byte {
+		lines := strings.SplitAfter(string(b), "\n")
+		lines[1] = lines[1][:len(lines[1])/2] + "\n"
+		return []byte(strings.Join(lines, ""))
+	})
+	corrupt("tampered row and a torn tail", func(b []byte) []byte {
+		b = tamper(b)
+		return b[:len(b)-1]
 	})
 	corrupt("version skew", func(b []byte) []byte {
 		return []byte(strings.Replace(string(b), `{"version":1,`, `{"version":2,`, 1))
@@ -224,6 +244,104 @@ func TestCacheFailsClosed(t *testing.T) {
 	corrupt("duplicated row", func(b []byte) []byte {
 		lines := strings.SplitAfter(string(b), "\n")
 		return []byte(string(b) + lines[1])
+	})
+}
+
+// TestCacheTrimsTornTail: a final line missing its newline — what a kill
+// mid-append leaves — is trimmed at Open and reported in Stats.TornBytes;
+// the rows before it keep serving, the torn row misses and is stored again
+// on a clean line, and the repaired journal reopens with nothing dropped.
+// A torn header line leaves an empty journal, which gets a fresh header.
+func TestCacheTrimsTornTail(t *testing.T) {
+	rows := makeRows(t, 2)
+	open := func(dir string, wantTorn int) *Cache {
+		t.Helper()
+		c, err := Open(dir, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := c.Stats().TornBytes; got != uint64(wantTorn) {
+			t.Fatalf("TornBytes = %d, want %d", got, wantTorn)
+		}
+		return c
+	}
+	put := func(c *Cache, r testRow) {
+		t.Helper()
+		if err := c.Put(r.key, r.seed, r.result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hit := func(c *Cache, r testRow, want bool) {
+		t.Helper()
+		got, ok, err := c.Get(r.key, r.seed)
+		if err != nil || ok != want {
+			t.Fatalf("Get(%.12s) = (%v, %v), want hit=%v", r.key, ok, err, want)
+		}
+		if ok && !reflect.DeepEqual(got, r.result) {
+			t.Fatalf("row %.12s differs from the computed result", r.key)
+		}
+	}
+	closeCache := func(c *Cache) {
+		t.Helper()
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("torn row", func(t *testing.T) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, journalName)
+		c := open(dir, 0)
+		put(c, rows[0])
+		put(c, rows[1])
+		closeCache(c)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.SplitAfter(string(data), "\n")
+		last := lines[len(lines)-2] // SplitAfter leaves "" after the final newline
+		intact := len(data) - len(last)
+		torn := data[:intact+len(last)/2]
+		if err := os.WriteFile(path, torn, 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		c = open(dir, len(torn)-intact)
+		hit(c, rows[0], true)
+		hit(c, rows[1], false)
+		put(c, rows[1])
+		closeCache(c)
+		if repaired, err := os.ReadFile(path); err != nil || !bytes.Equal(repaired, data) {
+			t.Fatalf("re-stored row did not land on a clean line (%v)", err)
+		}
+
+		c = open(dir, 0)
+		defer closeCache(c)
+		if c.Len() != 2 {
+			t.Fatalf("Len = %d, want 2", c.Len())
+		}
+		hit(c, rows[0], true)
+		hit(c, rows[1], true)
+	})
+
+	t.Run("torn header", func(t *testing.T) {
+		dir := t.TempDir()
+		header := fmt.Sprintf(`{"version":1,"schema":%d}`, sim.ResultSchemaVersion)
+		torn := header[:len(header)/2]
+		if err := os.WriteFile(filepath.Join(dir, journalName), []byte(torn), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c := open(dir, len(torn))
+		if c.Len() != 0 {
+			t.Fatalf("Len = %d, want an empty cache", c.Len())
+		}
+		put(c, rows[0])
+		closeCache(c)
+
+		c = open(dir, 0)
+		defer closeCache(c)
+		hit(c, rows[0], true)
 	})
 }
 
@@ -301,9 +419,9 @@ func TestCachePropertySequence(t *testing.T) {
 	}
 }
 
-// FuzzCacheDecode mirrors the checkpoint journal's FuzzJournalDecode: the
-// strict decoder never panics, never accepts a truncated tail, and only
-// ever fails with ErrCache.
+// FuzzCacheDecode: the strict decoder never panics, never accepts a
+// truncated tail (Open trims one before decoding), and only ever fails with
+// ErrCache.
 func FuzzCacheDecode(f *testing.F) {
 	header := fmt.Sprintf(`{"version":1,"schema":%d}`, sim.ResultSchemaVersion)
 	key := strings.Repeat("ab", 32)

@@ -98,7 +98,7 @@ func (c *Counter) Merge(other *Counter) {
 // MarshalJSON encodes the counter as [[outcome, count], ...] sorted by
 // outcome, or null for the zero counter. The encoding round-trips exactly:
 // a decoded counter is reflect.DeepEqual to the original, which the
-// experiments checkpoint journal relies on for bit-identical resume.
+// result cache's disk journal relies on for bit-identical cache hits.
 func (c Counter) MarshalJSON() ([]byte, error) {
 	if c.counts == nil {
 		return []byte("null"), nil

@@ -5,20 +5,25 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/rewards"
+	"github.com/ethselfish/ethselfish/internal/stats"
 )
 
 // The timeless (no time axis, no difficulty controller) path of the engine
 // must stay bit-identical across refactors: testdata/golden_timeless.json
-// pins exact reward tallies, block classifications, and occupancy checksums
-// produced by the engine before the continuous-time refactor, across
-// gamma in {0, 0.5, 1}, both reward schedules, uncle caps, and one- and
-// two-pool populations. Regenerate with
+// pins exact reward tallies, block classifications, occupancy checksums and
+// uncle-distance checksums produced by the engine before the continuous-time
+// refactor, across gamma in {0, 0.5, 1}, both reward schedules, uncle caps,
+// and one- and two-pool populations. The unbounded-depth cases (reference
+// window 64, the schedule of the paper's Fig. 8) and the fast-forward cases
+// were added later, generated on the engine that preceded the floor-anchored
+// chain index. Regenerate with
 //
 //	go test ./internal/sim -run TestGoldenTimeless -update
 //
@@ -43,13 +48,26 @@ func toGoldenReward(r chain.Reward) goldenReward {
 }
 
 // goldenFingerprint summarizes one run exactly: per-pool tallies, block
-// classes, and an order-independent occupancy checksum per pool.
+// classes, an order-independent occupancy checksum per pool, and an
+// order-independent checksum of each camp's uncle-distance distribution
+// (pool camp first).
 type goldenFingerprint struct {
-	ByPool       []goldenReward `json:"byPool"`
-	Regular      int            `json:"regular"`
-	Uncles       int            `json:"uncles"`
-	Stale        int            `json:"stale"`
-	OccChecksums []int64        `json:"occChecksums"`
+	ByPool        []goldenReward `json:"byPool"`
+	Regular       int            `json:"regular"`
+	Uncles        int            `json:"uncles"`
+	Stale         int            `json:"stale"`
+	OccChecksums  []int64        `json:"occChecksums"`
+	DistChecksums []int64        `json:"distChecksums"`
+}
+
+// distChecksum folds a distance distribution into one order-independent
+// number.
+func distChecksum(c *stats.Counter) int64 {
+	var sum int64
+	for _, k := range c.Outcomes() {
+		sum += (int64(k)*257 + 1) * c.Count(k)
+	}
+	return sum
 }
 
 func fingerprint(r Result) goldenFingerprint {
@@ -68,6 +86,7 @@ func fingerprint(r Result) goldenFingerprint {
 		}
 		fp.OccChecksums = append(fp.OccChecksums, sum)
 	}
+	fp.DistChecksums = []int64{distChecksum(&r.PoolUncleDistances), distChecksum(&r.HonestUncleDistances)}
 	return fp
 }
 
@@ -81,6 +100,17 @@ type goldenCase struct {
 	uncleCap int
 	miners   int // >0: Equal(miners, selfish) population instead
 	selfish  int
+	ffwd     bool
+}
+
+// noDepthSchedule is the paper's Fig. 8 schedule: a flat Ku = 1/2 at any
+// distance, which the engine runs at its maximum reference window.
+func noDepthSchedule() rewards.Schedule {
+	s, err := rewards.Constant(0.5, rewards.NoDepthLimit)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 func goldenCases() []goldenCase {
@@ -113,7 +143,23 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "1pool-ethereum-unclecap2", gamma: 0.5, schedule: rewards.Ethereum(), uncleCap: 2},
 		goldenCase{name: "2pool-ethereum-unclecap2", gamma: 0.5, schedule: rewards.Ethereum(), uncleCap: 2, pools: []float64{0.25, 0.2}},
 		goldenCase{name: "1000miners-ethereum-gamma0.5", gamma: 0.5, schedule: rewards.Ethereum(), miners: 1000, selfish: 350},
+		goldenCase{name: "1pool-nodepth-gamma0.5", gamma: 0.5, schedule: noDepthSchedule()},
+		goldenCase{name: "2pool-nodepth-gamma0.5", gamma: 0.5, schedule: noDepthSchedule(), pools: []float64{0.25, 0.2}},
+		goldenCase{name: "1pool-nodepth-unclecap2", gamma: 0.5, schedule: noDepthSchedule(), uncleCap: 2},
 	)
+	// Fast-forward consumes the random stream differently, so its runs get
+	// their own fingerprints: the unbounded-depth configurations above plus
+	// the paper's Ethereum setting.
+	for _, c := range []goldenCase{
+		{name: "1pool-ethereum-gamma0.5", gamma: 0.5, schedule: rewards.Ethereum()},
+		{name: "1pool-nodepth-gamma0.5", gamma: 0.5, schedule: noDepthSchedule()},
+		{name: "2pool-nodepth-gamma0.5", gamma: 0.5, schedule: noDepthSchedule(), pools: []float64{0.25, 0.2}},
+		{name: "1pool-nodepth-unclecap2", gamma: 0.5, schedule: noDepthSchedule(), uncleCap: 2},
+	} {
+		c.name += "-fastforward"
+		c.ffwd = true
+		cases = append(cases, c)
+	}
 	return cases
 }
 
@@ -141,6 +187,7 @@ func (c goldenCase) run(t *testing.T) Result {
 		Blocks:            20000,
 		Seed:              7,
 		MaxUnclesPerBlock: c.uncleCap,
+		FastForward:       c.ffwd,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,6 +253,9 @@ func TestGoldenTimeless(t *testing.T) {
 				t.Errorf("%s: occupancy checksum %d = %d, golden %d",
 					name, i, got.OccChecksums[i], w.OccChecksums[i])
 			}
+		}
+		if !slices.Equal(got.DistChecksums, w.DistChecksums) {
+			t.Errorf("%s: uncle-distance checksums %v, golden %v", name, got.DistChecksums, w.DistChecksums)
 		}
 	}
 }

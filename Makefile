@@ -13,11 +13,12 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # The workloads gated against a same-machine baseline: the K-pool races,
 # the tournament engine, the continuous-time workloads, the fast-forward
 # speedup pair, the result-cache cold/warm pair (cold bounds the cache's
-# miss-path overhead; warm pins the fully cached sweep), and the
-# long-horizon workload (1m guards the O(window) memory claim
-# through the bytes/op gate). bench-gate and the CI workflow both read
-# this list, so the two cannot drift.
-BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m
+# miss-path overhead; warm pins the fully cached sweep), the long-horizon
+# workload (1m guards the O(window) memory claim through the bytes/op
+# gate), and the unbounded-depth schedule (nodepth runs the widest
+# reference window, where uncle eligibility costs most). bench-gate and
+# the CI workflow both read this list, so the two cannot drift.
+BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m nodepth
 
 .PHONY: check build vet test race agreement staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
 

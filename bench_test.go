@@ -8,6 +8,7 @@ import (
 	"github.com/ethselfish/ethselfish/internal/experiments"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/resultcache"
+	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
@@ -187,6 +188,38 @@ func BenchmarkSimulator1MBlocks(b *testing.B) {
 		}
 	}
 	b.ReportMetric(1000000, "blocks/op")
+}
+
+func BenchmarkSimulator100kBlocksNoDepthLimit(b *testing.B) {
+	// The paper's Fig. 8 schedule (flat Ku = 1/2 at any distance) runs the
+	// engine at its widest reference window, where uncle eligibility and
+	// the candidate purge are the costly layers.
+	b.ReportAllocs()
+	pop, err := mining.TwoAgent(0.35)
+	if err != nil {
+		b.Fatal(err)
+	}
+	schedule, err := rewards.Constant(0.5, rewards.NoDepthLimit)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		result, err := sim.Run(sim.Config{
+			Population: pop,
+			Gamma:      0.5,
+			Schedule:   schedule,
+			Blocks:     100000,
+			Seed:       uint64(i),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if result.RegularCount == 0 {
+			b.Fatal("no settled blocks")
+		}
+	}
+	b.ReportMetric(100000, "blocks/op")
 }
 
 func BenchmarkSimulator100kBlocks1000Miners(b *testing.B) {

@@ -46,6 +46,7 @@ import (
 	"github.com/ethselfish/ethselfish/internal/experiments"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/resultcache"
+	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
@@ -106,6 +107,32 @@ func benchmarks() []benchmark {
 					Population: pop,
 					Gamma:      0.5,
 					Blocks:     1000000,
+					Seed:       uint64(i),
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{name: "sim-100k-blocks-nodepth", run: func(b *testing.B, parallel int) {
+			// The paper's Fig. 8 schedule: flat Ku = 1/2 at any
+			// distance, which runs the engine at its widest reference
+			// window (64). Uncle eligibility and the candidate purge
+			// are the costly layers here, so this workload gates them.
+			pop, err := mining.TwoAgent(0.35)
+			if err != nil {
+				b.Fatal(err)
+			}
+			schedule, err := rewards.Constant(0.5, rewards.NoDepthLimit)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.Run(sim.Config{
+					Population: pop,
+					Gamma:      0.5,
+					Schedule:   schedule,
+					Blocks:     100000,
 					Seed:       uint64(i),
 				}); err != nil {
 					b.Fatal(err)

@@ -130,7 +130,11 @@
 // miners) with dense pool-label lookups, state occupancy is a dense
 // (Ls, Lh) grid increment per pool with a rare-overflow map, uncle
 // candidates are tracked as one incrementally maintained fork-child set
-// (visibility filtered per viewing pool) rather than rescanned, strategy
+// (visibility filtered per viewing pool) rather than rescanned, uncle
+// eligibility walks only the race segment above the consensus floor
+// (O(race depth), not O(reference window): a floor-anchored chain index —
+// per-block "decided" and "referenced on the decided chain" bits, set as
+// the floor advances — answers every test at or below the floor), strategy
 // decisions resolve through compiled decision tables (sim.DecisionTable —
 // one table load per event instead of interface dispatch plus validation;
 // sim.Config.NoDecisionTables restores the live path, bit-identically),

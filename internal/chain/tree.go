@@ -263,10 +263,12 @@ func (t *Tree) TimeOf(id BlockID) float64 {
 }
 
 // BlockInfo returns the parent, height, and uncle references of a block in
-// one record load — the chain-walking accessor for hot paths.
+// one record load — the chain-walking accessor for hot paths. It reads the
+// record's fields in place: copying the 20-byte record out first compiles to
+// overlapping stack stores that the field reads then stall on.
 func (t *Tree) BlockInfo(id BlockID) (parent BlockID, height int, uncles []BlockID) {
-	r := t.recs[int32(id)-t.base]
-	return BlockID(r.parent), int(r.height), t.uncles(r)
+	r := &t.recs[int32(id)-t.base]
+	return BlockID(r.parent), int(r.height), t.uncles(*r)
 }
 
 // ParentAndHeight returns the parent and height in one record load, without

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
+	"github.com/ethselfish/ethselfish/internal/mining"
 )
 
 // This file is the simulator's runtime invariant auditor: an opt-in
@@ -25,6 +27,11 @@ import (
 //     candidate set matches a brute-force rescan of the candidate window
 //     (same blocks, same heights, same order), with the floor-purge rules
 //     applied from scratch.
+//   - Floor-anchored chain index: the decided and referenced-on-decided-
+//     chain marks match a brute-force walk down from the floor, and
+//     eligibleUncles — which walks only the race segment above the floor —
+//     returns exactly what a full-depth eligibility scan of the candidate
+//     window returns, for every block the next event can build on.
 //
 // With Audit disabled (the zero Config) none of this code runs and the hot
 // path is untouched. The sampled mode (SampleEvery > 1) keeps the audit
@@ -72,6 +79,13 @@ type auditor struct {
 
 	// scratch backs the brute-force fork-child rescan.
 	scratch []windowBlock
+
+	// flagScratch, chainScratch, refScratch and uncleScratch back the
+	// brute-force chain-index and eligibility checks.
+	flagScratch  []uint8
+	chainScratch []chain.BlockID
+	refScratch   []chain.BlockID
+	uncleScratch []chain.BlockID
 
 	// streamScratch is the throwaway settler copy the conservation check
 	// advances to the consensus floor.
@@ -122,6 +136,12 @@ func (a *auditor) check(s *simulator) error {
 		return err
 	}
 	if err := a.checkForkChildren(s); err != nil {
+		return err
+	}
+	if err := a.checkChainIndex(s); err != nil {
+		return err
+	}
+	if err := a.checkEligibility(s); err != nil {
 		return err
 	}
 	if err := a.checkFastForward(s); err != nil {
@@ -247,6 +267,117 @@ func (a *auditor) checkForkChildren(s *simulator) error {
 			return a.violation("fork-child set diverges at entry %d: %+v, brute-force rescan finds %+v",
 				i, got[i], expected[i])
 		}
+	}
+	return nil
+}
+
+// checkChainIndex rebuilds the floor-anchored chain index by brute force —
+// the decided chain as the floor and its resident ancestors, and the
+// referenced-on-decided-chain marks from those blocks' own uncle lists —
+// and requires every resident block's index bits to match. (A resident
+// block's referencers are resident too: they have larger IDs, and eviction
+// drops an ID prefix.) The poolless engine's floor never advances and its
+// chain never forks, so it keeps no index.
+func (a *auditor) checkChainIndex(s *simulator) error {
+	if len(s.pools) == 0 {
+		return nil
+	}
+	t := s.tree
+	base := t.Base()
+	resident := t.Len() - int(base)
+	if len(s.flags) != resident {
+		return a.violation("%d per-block flags for %d resident blocks", len(s.flags), resident)
+	}
+	want := slices.Grow(a.flagScratch[:0], resident)[:resident]
+	clear(want)
+	for b := s.floor; ; {
+		want[b-base] |= flagDecided
+		for _, u := range t.UnclesOf(b) {
+			if u >= base {
+				want[u-base] |= flagRefDecided
+			}
+		}
+		parent := t.ParentOf(b)
+		if parent == chain.NoBlock || parent < base {
+			break
+		}
+		b = parent
+	}
+	a.flagScratch = want
+	const indexBits = flagDecided | flagRefDecided
+	for i, w := range want {
+		if got := s.flags[i] & indexBits; got != w {
+			return a.violation("chain index of block %d (height %d): bits %02b, brute-force walk from floor %d finds %02b",
+				base+chain.BlockID(i), t.HeightOf(base+chain.BlockID(i)), got, s.floor, w)
+		}
+	}
+	return nil
+}
+
+// checkEligibility compares eligibleUncles against a brute-force scan of the
+// whole candidate window for every block the next event can build on: the
+// public tip and each announced pool prefix for honest miners, and each
+// pool's private tip for that pool. The brute force maps the new block's
+// chain over the full reference window and collects every reference on it,
+// the full-depth walk the chain index replaces.
+func (a *auditor) checkEligibility(s *simulator) error {
+	if err := a.compareEligible(s, s.pubTip, mining.HonestPool); err != nil {
+		return err
+	}
+	for i := range s.pools {
+		p := &s.pools[i]
+		if p.published > 0 {
+			if err := a.compareEligible(s, p.publishedTip(), mining.HonestPool); err != nil {
+				return err
+			}
+		}
+		if !s.cfg.PoolOmitsUncleRefs {
+			if err := a.compareEligible(s, p.tip(), mining.PoolID(i+1)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// compareEligible checks eligibleUncles for one (parent, viewer) pair
+// against the uncle rules applied to every candidate-window entry from
+// scratch, in window (creation) order, truncated to the uncle cap the same
+// way eligibleUncles truncates.
+func (a *auditor) compareEligible(s *simulator, parent chain.BlockID, viewer mining.PoolID) error {
+	t := s.tree
+	newHeight := t.HeightOf(parent) + 1
+	lowest := max(newHeight-s.window, 1)
+	bottom := lowest - 1
+	chainAt := slices.Grow(a.chainScratch[:0], newHeight-bottom)[:newHeight-bottom]
+	refs := a.refScratch[:0]
+	cursor := parent
+	for h := newHeight - 1; h >= bottom; h-- {
+		chainAt[h-bottom] = cursor
+		refs = append(refs, t.UnclesOf(cursor)...)
+		cursor = t.ParentOf(cursor)
+	}
+	a.chainScratch, a.refScratch = chainAt, refs
+	want := a.uncleScratch[:0]
+	for _, wb := range s.recent[s.recentHead:] {
+		c := wb.id
+		switch {
+		case wb.height < lowest || wb.height >= newHeight:
+		case s.flags[int(c)-s.idBase]&flagPublished == 0 && (viewer == mining.HonestPool || s.poolOf(c) != viewer):
+		case chainAt[wb.height-bottom] == c:
+		case chainAt[wb.height-1-bottom] != t.ParentOf(c):
+		case containsBlock(refs, c):
+		default:
+			want = append(want, c)
+		}
+	}
+	a.uncleScratch = want
+	if limit := s.cfg.MaxUnclesPerBlock; limit > 0 && len(want) > limit {
+		want = want[len(want)-limit:]
+	}
+	if got := s.eligibleUncles(parent, viewer); !slices.Equal(got, want) {
+		return a.violation("eligible uncles on parent %d for viewer %d: %v, brute-force scan finds %v",
+			parent, viewer, got, want)
 	}
 	return nil
 }

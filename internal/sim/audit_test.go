@@ -30,12 +30,14 @@ func TestAuditValidation(t *testing.T) {
 // TestAuditCleanRuns: the full audit passes on healthy configurations
 // across the engine's feature matrix — single and multiple pools, mixed
 // strategies, both gamma extremes, capped uncles, the Bitcoin schedule,
-// and the continuous-time path.
+// the unbounded-depth schedule (the widest reference window, plain and
+// fast-forwarded), and the continuous-time path.
 func TestAuditCleanRuns(t *testing.T) {
 	multi, err := mining.MultiAgent(0.25, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	noDepth := noDepthSchedule()
 	honest, err := mining.Equal(10, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +58,15 @@ func TestAuditCleanRuns(t *testing.T) {
 		{"bitcoin schedule", Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 3000, Seed: 7, Schedule: rewards.Bitcoin()}},
 		{"no pool uncle refs", Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 3000, Seed: 8, PoolOmitsUncleRefs: true}},
 		{"timed", Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 3000, Seed: 9, Time: TimeConfig{Enabled: true}}},
+		{"no depth limit", Config{Population: twoAgent(t, 0.4), Gamma: 0.5, Blocks: 4000, Seed: 10, Schedule: noDepth}},
+		{"no depth limit two pools", Config{
+			Population: multi, Gamma: 0.5, Blocks: 4000, Seed: 12, Schedule: noDepth,
+			Strategies: []Strategy{Algorithm1{}, Stubborn{Lead: true}},
+		}},
+		{"no depth limit capped fast-forward", Config{
+			Population: twoAgent(t, 0.3), Gamma: 0.5, Blocks: 4000, Seed: 13, Schedule: noDepth,
+			MaxUnclesPerBlock: 2, FastForward: true,
+		}},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {
@@ -69,13 +80,15 @@ func TestAuditCleanRuns(t *testing.T) {
 // TestAuditDoesNotChangeResults: auditing observes; the audited Result must
 // be bit-identical to the unaudited one, at every sampling interval.
 func TestAuditDoesNotChangeResults(t *testing.T) {
-	cfg := Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 5000, Seed: 11, Time: TimeConfig{Enabled: true}}
-	want := run(t, cfg)
-	for _, every := range []int{1, 7, 1024} {
-		cfg.Audit = AuditConfig{Enabled: true, SampleEvery: every}
-		got := run(t, cfg)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("SampleEvery=%d: audited result differs from unaudited", every)
+	for _, schedule := range []rewards.Schedule{rewards.Ethereum(), noDepthSchedule()} {
+		cfg := Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Schedule: schedule, Blocks: 5000, Seed: 11, Time: TimeConfig{Enabled: true}}
+		want := run(t, cfg)
+		for _, every := range []int{1, 7, 1024} {
+			cfg.Audit = AuditConfig{Enabled: true, SampleEvery: every}
+			got := run(t, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, SampleEvery=%d: audited result differs from unaudited", schedule.Name(), every)
+			}
 		}
 	}
 }

@@ -178,6 +178,7 @@ func (s *simulator) fastForward(remaining int) (int, error) {
 			drained++
 		}
 	}
+	drainedTip := parent
 
 	tip := parent
 	bulk := k - drained
@@ -210,20 +211,25 @@ func (s *simulator) fastForward(remaining int) (int, error) {
 	// Candidate-window upkeep for the bulk remainder (the prefix blocks went
 	// through extend's own upkeep): first trim entries the final height
 	// pushes out — dropping any that were fork children, just as the
-	// per-event trim would — then enter the stretch's tail.
+	// per-event trim would — then enter the stretch's tail. The floor rides
+	// over the bulk blocks (below) and they reference nothing, so with
+	// pools present they enter the chain index decided directly.
 	finalHeight := s.pubHeight + k
 	minHeight := finalHeight - s.window - 1
 	s.trimRecent(minHeight)
+	bulkFlags := flagPublished
+	if len(s.pools) > 0 {
+		bulkFlags |= flagDecided
+	}
 	firstID := tip - chain.BlockID(bulk) + 1
 	for j := 0; j < bulk; j++ {
-		id := firstID + chain.BlockID(j)
 		h := s.pubHeight + drained + 1 + j
-		in := h >= minHeight
-		s.published = append(s.published, true)
-		s.inRecent = append(s.inRecent, in)
-		if in {
-			s.recent = append(s.recent, windowBlock{id: id, height: h})
+		if h < minHeight {
+			s.flags = append(s.flags, bulkFlags)
+			continue
 		}
+		s.flags = append(s.flags, bulkFlags|flagInRecent)
+		s.recent = append(s.recent, windowBlock{id: firstID + chain.BlockID(j), height: h})
 	}
 
 	s.pubTip = tip
@@ -243,11 +249,14 @@ func (s *simulator) fastForward(remaining int) (int, error) {
 				return 0, err
 			}
 		}
+		// The drained prefix carries references, so it enters the chain
+		// index through the walk; the bulk blocks entered decided above.
+		s.advanceFloor(drainedTip)
 		s.floor = tip
 		// Mirror resolve: a floor advance settles lingering candidates'
 		// fates, so purge the ones it decided for good.
 		if len(s.forkChildren) > 0 {
-			s.purgeForkChildren(tip)
+			s.purgeForkChildren()
 		}
 	}
 	return k, nil

@@ -8,6 +8,7 @@ import (
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
+	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/rng"
 )
 
@@ -100,13 +101,18 @@ func (s *randomReactor) react(ls, lh, published int) Reaction {
 // on, must keep timestamps monotone along every branch and elapsed time
 // positive, with the same conservation laws holding under retargeting. Its
 // Result must match the one-shot settlement oracle bit for bit, with and
-// without eviction.
+// without eviction. The reference depth is fuzzed too (see fuzzSchedule), so
+// the audited, evicting replay covers every reference window the engine
+// runs.
 func FuzzRandomLegalStrategySimulation(f *testing.F) {
-	f.Add(uint64(1), uint64(2), uint8(30), uint8(128), uint8(1), uint16(2000), uint8(0))
-	f.Add(uint64(7), uint64(11), uint8(45), uint8(0), uint8(2), uint16(1500), uint8(1))
-	f.Add(uint64(42), uint64(43), uint8(60), uint8(255), uint8(3), uint16(900), uint8(2))
-	f.Add(uint64(99), uint64(5), uint8(10), uint8(64), uint8(2), uint16(400), uint8(3))
-	f.Fuzz(func(t *testing.T, seed, strategySeed uint64, alphaByte, gammaByte, poolsByte uint8, blocksWord uint16, timeByte uint8) {
+	f.Add(uint64(1), uint64(2), uint8(30), uint8(128), uint8(1), uint16(2000), uint8(0), uint8(0))
+	f.Add(uint64(7), uint64(11), uint8(45), uint8(0), uint8(2), uint16(1500), uint8(1), uint8(0))
+	f.Add(uint64(42), uint64(43), uint8(60), uint8(255), uint8(3), uint16(900), uint8(2), uint8(0))
+	f.Add(uint64(99), uint64(5), uint8(10), uint8(64), uint8(2), uint16(400), uint8(3), uint8(0))
+	f.Add(uint64(3), uint64(8), uint8(35), uint8(128), uint8(0), uint16(3000), uint8(0), uint8(1))
+	f.Add(uint64(5), uint64(13), uint8(40), uint8(200), uint8(1), uint16(3500), uint8(0), uint8(2))
+	f.Add(uint64(77), uint64(21), uint8(25), uint8(90), uint8(2), uint16(2500), uint8(1), uint8(2))
+	f.Fuzz(func(t *testing.T, seed, strategySeed uint64, alphaByte, gammaByte, poolsByte uint8, blocksWord uint16, timeByte, depthByte uint8) {
 		pools := 1 + int(poolsByte)%3
 		totalAlpha := 0.10 + float64(alphaByte%50)/100 // 0.10 .. 0.59
 		alphas := make([]float64, pools)
@@ -128,6 +134,7 @@ func FuzzRandomLegalStrategySimulation(f *testing.F) {
 			Seed:       seed,
 			Strategies: strategies,
 			Time:       fuzzTimeConfig(timeByte),
+			Schedule:   fuzzSchedule(t, depthByte),
 		}.withDefaults()
 		if err := cfg.validate(); err != nil {
 			t.Fatal(err)
@@ -239,6 +246,28 @@ func FuzzRandomLegalStrategySimulation(f *testing.F) {
 			diffResults(t, result, evicted)
 		}
 	})
+}
+
+// fuzzSchedule maps one fuzz byte onto the reference depths the engine
+// distinguishes: Ethereum's (window 6), the shallowest window (1), and no
+// depth limit (the engine's widest window, 64).
+func fuzzSchedule(t *testing.T, b uint8) rewards.Schedule {
+	switch b % 3 {
+	case 1:
+		s, err := rewards.Constant(0.5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	case 2:
+		s, err := rewards.Constant(0.5, rewards.NoDepthLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	default:
+		return rewards.Ethereum()
+	}
 }
 
 // fuzzTimeConfig maps one fuzz byte onto the time-axis configuration space:

@@ -296,10 +296,7 @@ func (rn *Runner) Reset() {
 		s.pools[i].published = 0
 	}
 	s.pools = s.pools[:0]
-	if s.published != nil {
-		s.published = s.published[:0]
-		s.inRecent = s.inRecent[:0]
-	}
+	s.flags = s.flags[:0]
 	s.cfg = Config{}
 	s.aud = nil
 	s.ctrl = nil

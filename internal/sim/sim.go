@@ -20,8 +20,9 @@
 //
 // For long runs the simulator can audit itself: Config.Audit enables a
 // runtime invariant auditor (reward conservation, timestamp and
-// consensus-floor monotonicity, and the incremental uncle-candidate set
-// checked against a brute-force rescan) that never changes results; see
+// consensus-floor monotonicity, and the incremental uncle-candidate set,
+// the floor-anchored chain index and uncle eligibility each checked against
+// a brute-force rescan) that never changes results; see
 // AuditConfig. Batch entry points come in context-aware variants
 // (RunManyCtx) whose cancellation semantics — in-flight runs finish,
 // completed results are bit-identical to an uninterrupted batch — come
@@ -55,6 +56,25 @@ const maxReferenceWindow = 64
 // the rare-overflow map absorbs; everything else is a single array
 // increment per event instead of a map insertion.
 const occDim = 64
+
+// Per-block flag bits, one byte per resident block (simulator.flags).
+const (
+	// flagPublished: honest miners can see the block. Unpublished blocks
+	// are additionally visible to the pool that mined them.
+	flagPublished uint8 = 1 << iota
+
+	// flagInRecent: the block is in the uncle-candidate window.
+	flagInRecent
+
+	// flagDecided: the block is on the decided consensus chain — the
+	// consensus floor or one of its ancestors — and so on every future
+	// block's chain.
+	flagDecided
+
+	// flagRefDecided: a block on the decided consensus chain references
+	// this block as an uncle, so no future block may reference it again.
+	flagRefDecided
+)
 
 // windowBlock is one entry of the uncle-candidate window: a block ID with
 // its height denormalized next to it, so window maintenance stays within
@@ -155,9 +175,10 @@ type Config struct {
 	// Audit enables the runtime invariant auditor (see AuditConfig): the
 	// engine adversarially checks its own bookkeeping — reward
 	// conservation, timestamp and consensus-floor monotonicity, and the
-	// incremental fork-child set against a brute-force rescan — while the
-	// run executes. The zero value disables it; auditing never changes
-	// results, it can only fail the run with ErrAudit.
+	// incremental fork-child set, the floor-anchored chain index and uncle
+	// eligibility against brute-force rescans — while the run executes.
+	// The zero value disables it; auditing never changes results, it can
+	// only fail the run with ErrAudit.
 	Audit AuditConfig
 }
 
@@ -301,13 +322,20 @@ type simulator struct {
 	observedTo       chain.BlockID
 	obsScratch       []chain.BlockID
 
-	// published[id - idBase] reports whether honest miners can see the
-	// block. Unpublished blocks are additionally visible to the pool that
-	// mined them. idBase tracks the tree's eviction base, so both per-block
-	// arrays stay as dense ID indexes while the settled prefix is evicted
-	// out from under them.
-	published []bool
-	idBase    int
+	// flags[id - idBase] holds the block's flag bits (flagPublished and
+	// friends). idBase tracks the tree's eviction base, so the per-block
+	// array stays a dense ID index while the settled prefix is evicted out
+	// from under it.
+	//
+	// The flagDecided and flagRefDecided bits are the floor-anchored chain
+	// index: every future block's chain runs through the consensus floor,
+	// so at or below the floor it is the decided chain, and "is b on the
+	// new block's chain" or "does the new block's chain already reference
+	// b" is one bit test there. advanceFloor enters each newly decided
+	// segment into the index, so uncle eligibility walks only the race
+	// segment above the floor and the candidate purge walks nothing.
+	flags  []uint8
+	idBase int
 
 	// str is the streaming settlement (see stream.go); flushAt is the
 	// floor height at which it next settles a batch.
@@ -325,7 +353,7 @@ type simulator struct {
 
 	// recent is a sliding window of blocks used as uncle candidates;
 	// entries carry their height so trimming and filtering never touch
-	// the tree. inRecent[id] tracks membership (blocks leave only by
+	// the tree. flagInRecent tracks membership (blocks leave only by
 	// trimming). The live window is recent[recentHead:]: trimming
 	// advances the head cursor instead of compacting, and the rare
 	// compaction (once the dead prefix reaches recentCompactHead) keeps
@@ -333,7 +361,6 @@ type simulator struct {
 	// instead of a whole-window memmove per event.
 	recent     []windowBlock
 	recentHead int
-	inRecent   []bool
 
 	// forkChildren lists the blocks in recent whose parent has at least
 	// two children, sorted by ID (= creation order, the order recent
@@ -347,9 +374,9 @@ type simulator struct {
 	forkChildren []windowBlock
 
 	// referencedInWindow counts the forkChildren entries some block has
-	// referenced. While it is zero, no candidate can be rejected by the
-	// already-referenced rule, so the chain walk skips gathering
-	// ancestor references entirely.
+	// referenced. Fast-forward's reference-draining prefix reads it as an
+	// O(1) gate: while every candidate is referenced somewhere, the
+	// prefix stops draining.
 	referencedInWindow int
 
 	// pools holds the per-pool race state; pools[i] is PoolID i+1.
@@ -389,17 +416,16 @@ type simulator struct {
 	leaderScratch []int
 
 	// Scratch buffers reused by eligibleUncles so the per-event hot path
-	// stays allocation-free after warm-up. chainScratch maps window
-	// heights to chain ancestors (indexed by height offset), refScratch
-	// collects uncles those ancestors already reference, candScratch
-	// holds filter survivors, and uncleScratch backs the returned
-	// candidate list (safe to reuse: chain.Tree.Extend copies the uncle
-	// list it is given).
+	// stays allocation-free after warm-up. chainScratch maps the race
+	// segment's heights to the new block's ancestors (indexed by height
+	// offset), refScratch collects uncles those ancestors already
+	// reference, candScratch holds filter survivors, and uncleScratch
+	// backs the returned candidate list (safe to reuse: chain.Tree.Extend
+	// copies the uncle list it is given).
 	chainScratch []chain.BlockID
 	refScratch   []chain.BlockID
 	uncleScratch []chain.BlockID
 	candScratch  []windowBlock
-	purgeScratch []chain.BlockID
 
 	// aud is the runtime invariant auditor (see audit.go); nil unless
 	// cfg.Audit.Enabled, so the hot path pays one nil check per event.
@@ -468,15 +494,12 @@ func (s *simulator) init(cfg Config) {
 		s.random.Reseed(cfg.Seed)
 	}
 	s.random.SetAntithetic(cfg.Antithetic)
-	if cap(s.published) < blocksHint+1 {
-		s.published = make([]bool, 1, blocksHint+1)
-		s.inRecent = make([]bool, 1, blocksHint+1)
+	if cap(s.flags) < blocksHint+1 {
+		s.flags = make([]uint8, 1, blocksHint+1)
 	} else {
-		s.published = s.published[:1]
-		s.inRecent = s.inRecent[:1]
+		s.flags = s.flags[:1]
 	}
-	s.published[0] = true // genesis
-	s.inRecent[0] = false
+	s.flags[0] = flagPublished | flagDecided // genesis: public, and the first floor
 	s.recent = s.recent[:0]
 	s.recentHead = 0
 	s.forkChildren = s.forkChildren[:0]
@@ -524,9 +547,6 @@ func (s *simulator) init(cfg Config) {
 			clear(s.occ[i])
 		}
 		s.occOverflow[i] = nil
-	}
-	if cap(s.chainScratch) < window+2 {
-		s.chainScratch = make([]chain.BlockID, 0, window+2)
 	}
 	if cap(s.events) < numPools+1 {
 		s.events = make([]int64, numPools+1)
@@ -664,7 +684,7 @@ func (s *simulator) extend(parent chain.BlockID, miner chain.MinerID, uncles []c
 	}
 	height := s.tree.HeightOf(id)
 	if firstSibling != chain.NoBlock {
-		if s.tree.NextSiblingOf(firstSibling) == id && s.inRecent[int(firstSibling)-s.idBase] {
+		if s.tree.NextSiblingOf(firstSibling) == id && s.flags[int(firstSibling)-s.idBase]&flagInRecent != 0 {
 			// Siblings share a height, so the denormalized height
 			// of the promoted first child equals the newborn's.
 			s.addForkChild(windowBlock{id: firstSibling, height: height})
@@ -672,8 +692,11 @@ func (s *simulator) extend(parent chain.BlockID, miner chain.MinerID, uncles []c
 		// The newborn has the largest ID: appending stays sorted.
 		s.forkChildren = append(s.forkChildren, windowBlock{id: id, height: height})
 	}
-	s.published = append(s.published, visible)
-	s.inRecent = append(s.inRecent, true)
+	f := flagInRecent
+	if visible {
+		f |= flagPublished
+	}
+	s.flags = append(s.flags, f)
 	s.recent = append(s.recent, windowBlock{id: id, height: height})
 	// Trim the candidate window: drop blocks too old to ever be
 	// referenced again.
@@ -694,7 +717,7 @@ func (s *simulator) trimRecent(minHeight int) {
 	head := s.recentHead
 	for head < len(s.recent) && s.recent[head].height < minHeight {
 		old := s.recent[head].id
-		s.inRecent[int(old)-s.idBase] = false
+		s.flags[int(old)-s.idBase] &^= flagInRecent
 		// Scanning the tiny fork-child set directly is cheaper than
 		// asking the tree whether old is a fork child first.
 		if len(s.forkChildren) > 0 {
@@ -714,7 +737,7 @@ func (s *simulator) trimRecent(minHeight int) {
 // honest miners.
 func (s *simulator) publishPool(p *poolState, n int) {
 	for i := p.published; i < n && i < len(p.blocks); i++ {
-		s.published[int(p.blocks[i])-s.idBase] = true
+		s.flags[int(p.blocks[i])-s.idBase] |= flagPublished
 	}
 	if n > p.published {
 		p.published = n
@@ -753,71 +776,67 @@ func (s *simulator) resolve() error {
 			return err
 		}
 	}
-	s.floor = floor
+	s.advanceFloor(floor)
 	if len(s.forkChildren) > 0 {
-		s.purgeForkChildren(floor)
+		s.purgeForkChildren()
 	}
 	return nil
 }
 
-// purgeForkChildren drops candidates the consensus floor makes permanently
-// ineligible. Every future block descends from floor, so a candidate can be
-// discarded for good when the settled chain through floor decides its fate:
-// it is referenced by a block on that chain (always rejected by the
-// already-referenced rule), it is on that chain itself (an ancestor of every
-// future block), or its parent sits at or below the floor yet off that
-// chain (never attachable again). Candidates attached above the floor stay:
-// they may yet be referenced from a live private branch. Purging here keeps
-// the fork-child set down to genuine open candidates, so eligibleUncles'
-// fast path fires instead of re-rejecting dead candidates every event
-// until the window trims them.
-func (s *simulator) purgeForkChildren(floor chain.BlockID) {
-	t := s.tree
-	floorHeight := t.HeightOf(floor)
-	// One walk down floor's chain covers every check below; it spans
-	// from the lowest candidate's parent height (clamped to floor) up
-	// to floor.
-	base := floorHeight
-	for _, cand := range s.forkChildren {
-		if cand.height-1 < base {
-			base = cand.height - 1
+// advanceFloor moves the consensus floor up to floor, a descendant of the
+// current one, and enters the newly decided segment into the floor-anchored
+// chain index: each block between the two floors becomes decided, and each
+// uncle such a block references becomes referenced on the decided chain.
+// The walk covers exactly the floor's advance, so its cost is amortized one
+// block per event. The references it reads are resident: a decided block
+// references nothing more than a window below the old floor, far above the
+// eviction bound.
+func (s *simulator) advanceFloor(floor chain.BlockID) {
+	for b := floor; b != s.floor; {
+		parent, _, uncles := s.tree.BlockInfo(b)
+		s.flags[int(b)-s.idBase] |= flagDecided
+		for _, u := range uncles {
+			s.flags[int(u)-s.idBase] |= flagRefDecided
 		}
+		b = parent
 	}
-	if base < 0 {
-		base = 0
-	}
-	span := floorHeight - base + 1
-	if cap(s.purgeScratch) < span {
-		s.purgeScratch = make([]chain.BlockID, span)
-	}
-	onChain := s.purgeScratch[:span]
-	for i := range onChain {
-		onChain[i] = chain.NoBlock
-	}
-	cursor := floor
-	for {
-		up, h := t.ParentAndHeight(cursor)
-		onChain[h-base] = cursor
-		if h <= base || cursor == t.Genesis() {
-			break
-		}
-		cursor = up
-	}
-	isOn := func(b chain.BlockID, h int) bool {
-		return h >= base && h <= floorHeight && onChain[h-base] == b
-	}
+	s.floor = floor
+}
 
+// decided reports whether b is on the decided consensus chain (the floor or
+// one of its ancestors). b must be resident.
+func (s *simulator) decided(b chain.BlockID) bool {
+	return s.flags[int(b)-s.idBase]&flagDecided != 0
+}
+
+// purgeForkChildren drops candidates the consensus floor makes permanently
+// ineligible. Every future block descends from the floor, so a candidate can
+// be discarded for good when the decided chain decides its fate: the block
+// the tree records as its referencer is on that chain (the
+// already-referenced rule always rejects it), it is on that chain itself (an
+// ancestor of every future block), or its parent sits at or below the floor
+// yet off that chain (never attachable again). Candidates attached above the
+// floor stay: they may yet be referenced from a live private branch. Each
+// rule is a bit test against the floor-anchored chain index, so the purge
+// costs O(candidates) and walks nothing. Purging here keeps the fork-child
+// set down to genuine open candidates, so eligibleUncles' fast path fires
+// instead of re-rejecting dead candidates every event until the window
+// trims them — and eligibleUncles relies on the last two rules: it applies
+// its chain tests only above the floor.
+func (s *simulator) purgeForkChildren() {
+	t := s.tree
+	floorHeight := t.HeightOf(s.floor)
 	kept := s.forkChildren[:0]
 	for _, cand := range s.forkChildren {
 		c := cand.id
 		referencer := t.ReferencedBy(c)
 		remove := false
 		switch {
-		case referencer != chain.NoBlock && isOn(referencer, t.HeightOf(referencer)):
+		case referencer != chain.NoBlock && s.decided(referencer):
 			remove = true // referenced on the consensus chain
-		case isOn(c, cand.height):
+		case s.decided(c):
 			remove = true // on the consensus chain itself
-		case cand.height-1 <= floorHeight && !isOn(t.ParentOf(c), cand.height-1):
+		case cand.height-1 <= floorHeight && !s.decided(t.ParentOf(c)):
 			remove = true // parent off every future chain
 		}
 		if remove {
@@ -838,7 +857,14 @@ func (s *simulator) purgeForkChildren(floor chain.BlockID) {
 // a pool label: honest miners (0) see only published blocks; a pool
 // additionally sees its own unpublished blocks (visibility is per-camp —
 // referencing an own stale private block reveals it in the nephew's
-// header).
+// header). parent must descend from (or be) the consensus floor, which
+// every block an event builds on does.
+//
+// The new block's chain is the decided chain up to the floor plus the race
+// segment above it. Only the race segment is walked — O(race depth), a
+// handful of blocks, not O(reference window). At or below the floor the
+// already-referenced test reads the floor-anchored chain index, and the
+// floor purge has already settled the chain tests.
 //
 // The returned slice aliases a scratch buffer owned by the simulator; it is
 // only valid until the next eligibleUncles call. Callers hand it straight to
@@ -859,15 +885,14 @@ func (s *simulator) eligibleUncles(parent chain.BlockID, viewer mining.PoolID) [
 	}
 
 	// Cheap per-candidate filters first (height window, visibility); the
-	// chain walk below is only paid when something survives them, and
-	// only down to the lowest surviving height.
+	// race-segment walk below is only paid when something survives them.
 	cands := s.candScratch[:0]
 	minH := newHeight
 	for _, cand := range s.forkChildren {
 		if cand.height < lowest || cand.height >= newHeight {
 			continue
 		}
-		if !s.published[int(cand.id)-s.idBase] &&
+		if s.flags[int(cand.id)-s.idBase]&flagPublished == 0 &&
 			(viewer == mining.HonestPool || s.poolOf(cand.id) != viewer) {
 			continue // invisible to this viewer
 		}
@@ -880,70 +905,57 @@ func (s *simulator) eligibleUncles(parent chain.BlockID, viewer mining.PoolID) [
 	if len(cands) == 0 {
 		return nil
 	}
-	// Only a referenced-somewhere candidate can be rejected by the
-	// already-referenced rule; while the window holds none, the walk
-	// skips gathering ancestor references. (The rejection must scan the
+
+	// Map the race segment's heights to the new block's ancestors and
+	// collect the uncles they reference: from the parent down to just
+	// above the floor, and no deeper than the lowest survivor's parent
+	// height. base is the deepest height mapped; chainAt[h-base] holds the
+	// ancestor at height h. (The already-referenced rule must scan the
 	// ancestors' own reference lists: the tree's reverse index keeps one
 	// referencer per block, but competing private branches can each
-	// reference the same published candidate, so per-chain rejection
-	// cannot trust it.)
-	needRefs := s.referencedInWindow > 0
-
-	// Map each height from the lowest surviving candidate up to the new
-	// block's to its chain ancestor, and collect uncles those ancestors
-	// already reference. base is the deepest height mapped (the parent
-	// height of the lowest candidate); chainScratch[h-base] holds the
-	// ancestor at height h. Ancestors below base only reference uncles
-	// deeper than any candidate, so the shortened walk loses nothing —
-	// and only ancestors above minH can reference a candidate at all, so
-	// the reference gathering stops a step earlier than the mapping.
+	// reference the same published candidate.)
+	floorHeight := tree.HeightOf(s.floor)
 	base := minH - 1
+	if base <= floorHeight {
+		base = floorHeight + 1
+	}
 	span := newHeight - base
 	if cap(s.chainScratch) < span {
 		s.chainScratch = make([]chain.BlockID, span)
 	}
 	chainAt := s.chainScratch[:span]
-	for i := range chainAt {
-		chainAt[i] = chain.NoBlock
-	}
 	referenced := s.refScratch[:0]
 	cursor := parent
-	if needRefs {
-		for {
-			up, h, uncles := tree.BlockInfo(cursor)
-			chainAt[h-base] = cursor
-			referenced = append(referenced, uncles...)
-			if h <= base || cursor == tree.Genesis() {
-				break
-			}
-			cursor = up
-		}
-	} else {
-		for {
-			up, h := tree.ParentAndHeight(cursor)
-			chainAt[h-base] = cursor
-			if h <= base || cursor == tree.Genesis() {
-				break
-			}
-			cursor = up
-		}
+	for h := newHeight - 1; h >= base; h-- {
+		up, _, uncles := tree.BlockInfo(cursor)
+		chainAt[h-base] = cursor
+		referenced = append(referenced, uncles...)
+		cursor = up
 	}
 	s.refScratch = referenced
 
-	// Full eligibility on the survivors. cands is sorted by ID, i.e.
-	// creation order — the order the candidate window used to yield.
+	// Full eligibility on the survivors. The chain tests only ever fail
+	// in the race segment: a candidate at or below the floor is off the
+	// decided chain, and one whose parent is at or below the floor hangs
+	// off it, or the floor purge would have dropped it (a candidate
+	// created since the last purge builds on a descendant of the floor).
+	// cands is sorted by ID, i.e. creation order — the order the
+	// candidate window yields.
 	out := s.uncleScratch[:0]
 	for _, cand := range cands {
-		if chainAt[cand.height-base] == cand.id {
-			continue // on the new block's own chain
+		c := cand.id
+		if cand.height > floorHeight {
+			if chainAt[cand.height-base] == c {
+				continue // on the new block's own chain
+			}
+			if cand.height-1 > floorHeight && chainAt[cand.height-1-base] != tree.ParentOf(c) {
+				continue // not attached to the new block's chain
+			}
 		}
-		if chainAt[cand.height-1-base] != tree.ParentOf(cand.id) {
-			continue // not attached to the new block's chain
+		if s.flags[int(c)-s.idBase]&flagRefDecided != 0 || containsBlock(referenced, c) {
+			continue // already referenced on the new block's chain
 		}
-		if containsBlock(referenced, cand.id) {
-			continue
-		}
-		out = append(out, cand.id)
+		out = append(out, c)
 	}
 	s.uncleScratch = out
 	if limit := s.cfg.MaxUnclesPerBlock; limit > 0 && len(out) > limit {
@@ -1310,8 +1322,9 @@ func (s *simulator) run() error {
 				// path if the childless assumption ever fails.
 				id, leaf := s.tree.AppendLeaf(s.pubTip, miner.ID, s.clock)
 				if leaf {
-					s.published = append(s.published, true)
-					s.inRecent = append(s.inRecent, true)
+					// The floor rides up onto the new block (below), so it
+					// enters the chain index decided; it references nothing.
+					s.flags = append(s.flags, flagPublished|flagInRecent|flagDecided)
 					s.recent = append(s.recent, windowBlock{id: id, height: s.pubHeight + 1})
 					s.trimRecent(s.pubHeight - s.window)
 				} else {
@@ -1320,6 +1333,7 @@ func (s *simulator) run() error {
 					if err != nil {
 						return err
 					}
+					s.flags[int(id)-s.idBase] |= flagDecided
 				}
 				s.pubTip = id
 				s.pubHeight++

@@ -26,12 +26,15 @@ import (
 //   - Eviction boundary. Records below sH - window - 1 are evicted
 //     (chain.Tree.CompactBelow). No future block can reference anything
 //     that deep (a future block's height exceeds fH, putting the evicted
-//     prefix beyond the uncle depth limit), and no hot-path walk reads it:
-//     the candidate window, the uncle-eligibility chain walk, and the
-//     difficulty observation cursor all operate at heights above the bound,
-//     and the floor purge's walk bottoms out at the lowest candidate's
-//     parent, which the pre-eviction sweep (sweepDeadRecent) pins at or
-//     above sH - window - 1 for every window >= 1.
+//     prefix beyond the uncle depth limit), and no hot-path read reaches
+//     it: the uncle-eligibility walk covers only the race segment above
+//     the floor, the chain-index walk (advanceFloor) only the floor's
+//     advance and the uncles it references (at most a window below the
+//     old floor), and the difficulty observation cursor stays above the
+//     bound. The floor purge reads a candidate's parent and referencer,
+//     which the pre-eviction sweep (sweepDeadRecent) keeps resident: it
+//     drops every candidate below sH - window, so the lowest candidate's
+//     parent sits at or above sH - window - 1 for every window >= 1.
 //   - Bit-identity. The incremental tallies equal the one-shot
 //     chain.Tree.Settle walk over the full tree bit for bit (see
 //     chain.StreamSettler); Result assembly then sums them in miner-ID
@@ -207,18 +210,19 @@ func (s *simulator) armFlush() {
 }
 
 // evictSettled drops tree records the settle boundary has released and
-// rebases the published/inRecent arrays to the tree's new ID base.
+// rebases the per-block flags (visibility, window membership and the
+// floor-anchored chain index) to the tree's new ID base: one array shift.
 //
 // Before compacting it force-sweeps the candidate window below the keep
 // bound: the amortized trim scans in ID order and stops at the first tall
 // entry, so a deep fork block can linger in the window (and in the
 // fork-child set) long after its height makes it unreferenceable. Those
 // stragglers are semantically dead — every future nephew sits more than an
-// uncle window above them — but the floor purge and the window audit walk
-// the chain down to the lowest candidate's parent, so nothing the window
-// still tracks may be evicted. The sweep removes them first, and the
-// compaction keeps one extra height below the keep bound so that lowest
-// parent is always resident.
+// uncle window above them — but the floor purge reads each candidate's
+// parent and referencer flags, and the audits rescan the window, so
+// nothing the window still tracks may be evicted. The sweep removes them
+// first, and the compaction keeps one extra height below the keep bound so
+// that the lowest candidate's parent is always resident.
 func (s *simulator) evictSettled() {
 	minKeep := s.str.settler.SettledHeight() - s.window
 	s.sweepDeadRecent(minKeep)
@@ -226,11 +230,8 @@ func (s *simulator) evictSettled() {
 		return
 	}
 	base := int(s.tree.Base())
-	shift := base - s.idBase
-	n := copy(s.published, s.published[shift:])
-	s.published = s.published[:n]
-	n = copy(s.inRecent, s.inRecent[shift:])
-	s.inRecent = s.inRecent[:n]
+	n := copy(s.flags, s.flags[base-s.idBase:])
+	s.flags = s.flags[:n]
 	s.idBase = base
 }
 
@@ -238,14 +239,14 @@ func (s *simulator) evictSettled() {
 // regardless of position — the exhaustive counterpart of trimRecent's
 // early-exit scan. Entries this deep cannot change any future event (the
 // reference depth limit rejects them), so removing them preserves
-// bit-identity; the brute-force window audit recomputes its expected set
-// from the swept window and stays consistent.
+// bit-identity; the brute-force window audits recompute their expected
+// sets from the swept window and stay consistent.
 func (s *simulator) sweepDeadRecent(minHeight int) {
 	live := s.recent[s.recentHead:]
 	kept := live[:0]
 	for _, wb := range live {
 		if wb.height < minHeight {
-			s.inRecent[int(wb.id)-s.idBase] = false
+			s.flags[int(wb.id)-s.idBase] &^= flagInRecent
 			if len(s.forkChildren) > 0 {
 				s.removeForkChild(wb.id)
 			}

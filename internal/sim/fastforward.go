@@ -224,12 +224,12 @@ func (s *simulator) fastForward(remaining int) (int, error) {
 	firstID := tip - chain.BlockID(bulk) + 1
 	for j := 0; j < bulk; j++ {
 		h := s.pubHeight + drained + 1 + j
-		if h < minHeight {
-			s.flags = append(s.flags, bulkFlags)
-			continue
+		f := bulkFlags
+		if h >= minHeight {
+			f |= flagInRecent
+			s.recent = append(s.recent, windowBlock{id: firstID + chain.BlockID(j), height: h})
 		}
-		s.flags = append(s.flags, bulkFlags|flagInRecent)
-		s.recent = append(s.recent, windowBlock{id: firstID + chain.BlockID(j), height: h})
+		s.flags = append(s.flags, f)
 	}
 
 	s.pubTip = tip

@@ -319,7 +319,7 @@ func (a *auditor) checkChainIndex(s *simulator) error {
 // public tip and each announced pool prefix for honest miners, and each
 // pool's private tip for that pool. The brute force maps the new block's
 // chain over the full reference window and collects every reference on it,
-// the full-depth walk the chain index replaces.
+// reading nothing from the chain index.
 func (a *auditor) checkEligibility(s *simulator) error {
 	if err := a.compareEligible(s, s.pubTip, mining.HonestPool); err != nil {
 		return err

@@ -21,12 +21,19 @@
 // file with ErrCache rather than silently serving corrupt rows. Wipe the
 // directory to recover from that; the cache then simply refills.
 //
+// Rows are written with encoding/json but read back by parseRow, a
+// schema-specific decoder that accepts a strict subset of what
+// encoding/json would (the compact form json.Marshal writes) and decodes
+// it to the same values without reflection; encoding/json decoding of rows
+// survives only as its test oracle.
+//
 // The memory tier holds decoded rows under an LRU bound; the disk tier is
 // scanned once at Open into a key -> byte-offset index, so a disk hit is
-// one ReadAt plus one strict decode, promoted into memory. Writes append
-// under a lock through a single handle; the cache is safe for concurrent
-// use by the engine's workers but assumes a single writing process per
-// directory.
+// one ReadAt plus one parseRow, re-checked against the key and seed the
+// caller derived and promoted into memory. The read and decode run outside
+// the cache's lock, so workers' disk hits overlap. Writes append under the
+// lock through a single handle; the cache is safe for concurrent use by
+// the engine's workers but assumes a single writing process per directory.
 package resultcache
 
 import (
@@ -221,18 +228,16 @@ func (c *Cache) Stats() Stats {
 // closed with ErrCache. A disk hit is promoted into the memory tier.
 func (c *Cache) Get(key string, seed uint64) (sim.Result, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.mem[key]; ok {
-		e := el.Value.(*entry)
-		if e.seed != seed {
-			return sim.Result{}, false, fmt.Errorf(
-				"%w: row %.12s cached under seed %d, derived %d", ErrCache, key, e.seed, seed)
+		defer c.mu.Unlock()
+		e, err := c.memoryHitLocked(el, seed)
+		if err != nil {
+			return sim.Result{}, false, err
 		}
-		c.lru.MoveToFront(el)
-		c.stats.MemoryHits++
 		return e.result, true, nil
 	}
-	return c.getDiskLocked(key, seed)
+	c.mu.Unlock()
+	return c.getDisk(key, seed)
 }
 
 // GetRaw is Get for a raw content address: the hex encoding lives on the
@@ -243,18 +248,29 @@ func (c *Cache) GetRaw(key [AddrSize]byte, seed uint64) (sim.Result, bool, error
 	var buf [2 * AddrSize]byte
 	hex.Encode(buf[:], key[:])
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if el, ok := c.mem[string(buf[:])]; ok {
-		e := el.Value.(*entry)
-		if e.seed != seed {
-			return sim.Result{}, false, fmt.Errorf(
-				"%w: row %.12s cached under seed %d, derived %d", ErrCache, e.key, e.seed, seed)
+		defer c.mu.Unlock()
+		e, err := c.memoryHitLocked(el, seed)
+		if err != nil {
+			return sim.Result{}, false, err
 		}
-		c.lru.MoveToFront(el)
-		c.stats.MemoryHits++
 		return e.result, true, nil
 	}
-	return c.getDiskLocked(string(buf[:]), seed)
+	c.mu.Unlock()
+	return c.getDisk(string(buf[:]), seed)
+}
+
+// memoryHitLocked checks a memory-tier hit's seed and marks it most
+// recently used. Must be called with the lock held.
+func (c *Cache) memoryHitLocked(el *list.Element, seed uint64) (*entry, error) {
+	e := el.Value.(*entry)
+	if e.seed != seed {
+		return nil, fmt.Errorf(
+			"%w: row %.12s cached under seed %d, derived %d", ErrCache, e.key, e.seed, seed)
+	}
+	c.lru.MoveToFront(el)
+	c.stats.MemoryHits++
+	return e, nil
 }
 
 // PutRaw is Put for a raw content address (see GetRaw).
@@ -274,29 +290,46 @@ func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error
 	return c.putLocked(string(buf[:]), seed, result)
 }
 
-// getDiskLocked serves a Get that missed the memory tier. Must be called
-// with the lock held.
-func (c *Cache) getDiskLocked(key string, seed uint64) (sim.Result, bool, error) {
+// getDisk serves a Get that missed the memory tier. The lock covers the
+// index probe and the promotion but not the read and decode, so workers'
+// disk hits overlap. A concurrent Get may promote the same row in between;
+// both decoded the same bytes, and the first promotion stays.
+func (c *Cache) getDisk(key string, seed uint64) (sim.Result, bool, error) {
+	c.mu.Lock()
 	pos, ok := c.index[key]
 	if !ok {
 		c.stats.Misses++
+		c.mu.Unlock()
 		return sim.Result{}, false, nil
 	}
+	c.mu.Unlock()
 	if pos.seed != seed {
 		return sim.Result{}, false, fmt.Errorf(
 			"%w: row %.12s journaled under seed %d, derived %d", ErrCache, key, pos.seed, seed)
 	}
-	buf := make([]byte, pos.len)
-	if _, err := c.file.ReadAt(buf, pos.off); err != nil {
+	line := make([]byte, pos.len)
+	if _, err := c.file.ReadAt(line, pos.off); err != nil {
 		return sim.Result{}, false, fmt.Errorf("resultcache: reading row %.12s: %w", key, err)
 	}
 	var row journalRow
-	if err := strictUnmarshal(buf, &row); err != nil || row.Key != key || row.Seed != seed {
+	if err := parseRow(line, &row); err != nil {
 		return sim.Result{}, false, fmt.Errorf(
-			"%w: row %.12s changed on disk after open (%v)", ErrCache, key, err)
+			"%w: row %.12s changed on disk after open: parse error: %v", ErrCache, key, err)
+	}
+	if row.Key != key {
+		return sim.Result{}, false, fmt.Errorf(
+			"%w: row %.12s changed on disk after open: key mismatch (now %.12s)", ErrCache, key, row.Key)
+	}
+	if row.Seed != seed {
+		return sim.Result{}, false, fmt.Errorf(
+			"%w: row %.12s changed on disk after open: seed mismatch (now %d, derived %d)", ErrCache, key, row.Seed, seed)
 	}
 	row.Result.RestoreAliases()
-	c.insert(key, seed, row.Result)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.mem[key]; !ok {
+		c.insert(key, seed, row.Result)
+	}
 	c.stats.DiskHits++
 	return row.Result, true, nil
 }
@@ -365,10 +398,10 @@ func (c *Cache) writeLine(v any) error {
 }
 
 // decodeJournal strictly parses a journal's bytes into the key -> position
-// index, validating every row (including its Result payload) without
-// retaining the decoded rows — the memory tier fills on demand. Empty
-// input is a fresh journal; input not ending in a newline is rejected
-// (Open trims a torn tail before decoding).
+// index, validating every row (including its Result payload) with parseRow
+// without retaining the decoded rows — the memory tier fills on demand.
+// Empty input is a fresh journal; input not ending in a newline is
+// rejected (Open trims a torn tail before decoding).
 func decodeJournal(data []byte) (map[string]diskPos, error) {
 	index := make(map[string]diskPos)
 	if len(data) == 0 {
@@ -393,7 +426,7 @@ func decodeJournal(data []byte) (map[string]diskPos, error) {
 	for i, raw := range lines[1:] {
 		lineNo := i + 2
 		var row journalRow
-		if err := strictUnmarshal(raw, &row); err != nil {
+		if err := parseRow(raw, &row); err != nil {
 			return nil, fmt.Errorf("%w: line %d: %v", ErrCache, lineNo, err)
 		}
 		if len(row.Key) != 64 || !isHex(row.Key) {
@@ -409,7 +442,8 @@ func decodeJournal(data []byte) (map[string]diskPos, error) {
 }
 
 // strictUnmarshal decodes one JSON value rejecting unknown fields and
-// trailing garbage.
+// trailing garbage. It decodes the header line; rows go through parseRow,
+// for which it is the test oracle.
 func strictUnmarshal(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

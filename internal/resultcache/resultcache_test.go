@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/jobkey"
@@ -181,6 +182,122 @@ func TestDiskEvictionKeepsRowsReachable(t *testing.T) {
 		if !reflect.DeepEqual(got, r.result) {
 			t.Errorf("row %.12s served from disk differs", r.key)
 		}
+	}
+}
+
+// TestConcurrentDiskHits: workers racing to the same disk rows each get
+// the exact row, and each row is promoted once — the read and decode run
+// outside the lock, the promotion inside it.
+func TestConcurrentDiskHits(t *testing.T) {
+	rows := makeRows(t, 4)
+	dir := t.TempDir()
+	c, err := Open(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := c.Put(r.key, r.seed, r.result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c, err = Open(dir, 8); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8*len(rows))
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, r := range rows {
+				got, ok, err := c.Get(r.key, r.seed)
+				if err != nil || !ok || !reflect.DeepEqual(got, r.result) {
+					errs <- fmt.Errorf("Get(%.12s) = (%v, %v) or a differing row", r.key, ok, err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := c.lru.Len(); n != len(rows) || len(c.mem) != len(rows) {
+		t.Errorf("memory tier holds %d list entries and %d keys, want %d each", n, len(c.mem), len(rows))
+	}
+	if s := c.Stats(); s.Hits() != uint64(8*len(rows)) || s.DiskHits < uint64(len(rows)) {
+		t.Errorf("stats = %+v, want %d hits, at least %d from disk", s, 8*len(rows), len(rows))
+	}
+}
+
+// TestDiskHitRechecksRow: a row rewritten on disk between Open and Get
+// fails its disk hit closed with ErrCache, and the error names the check
+// that caught it.
+func TestDiskHitRechecksRow(t *testing.T) {
+	r := makeRows(t, 1)[0]
+	otherKey := "0" + r.key[1:]
+	if otherKey == r.key {
+		otherKey = "1" + r.key[1:]
+	}
+	for _, tc := range []struct {
+		check    string
+		old, new string
+	}{
+		{"parse error", `"Alpha":`, `"Alphx":`},
+		{"key mismatch", r.key, otherKey},
+		{"seed mismatch", fmt.Sprintf(`"seed":%d,`, r.seed), fmt.Sprintf(`"seed":%d,`, r.seed+1)},
+	} {
+		t.Run(tc.check, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := Open(dir, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Put(r.key, r.seed, r.result); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if c, err = Open(dir, 4); err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			// Rewrite the row in place, same length, after Open indexed it.
+			path := filepath.Join(dir, journalName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			header, row, _ := strings.Cut(string(data), "\n")
+			tampered := strings.Replace(row, tc.old, tc.new, 1)
+			if tampered == row || len(tampered) != len(row) {
+				t.Fatalf("tampering with %q did not rewrite the row in place", tc.old)
+			}
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt([]byte(tampered), int64(len(header)+1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			_, ok, err := c.Get(r.key, r.seed)
+			if ok || !errors.Is(err, ErrCache) {
+				t.Fatalf("Get of a tampered row = (%v, %v), want ErrCache", ok, err)
+			}
+			if !strings.Contains(err.Error(), tc.check) {
+				t.Errorf("error %q does not name the %s", err, tc.check)
+			}
+		})
 	}
 }
 

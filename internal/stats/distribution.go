@@ -110,8 +110,8 @@ func (c Counter) MarshalJSON() ([]byte, error) {
 	return json.Marshal(pairs)
 }
 
-// UnmarshalJSON decodes the MarshalJSON form, rejecting zero counts and
-// duplicate outcomes (which could not have been produced by observations).
+// UnmarshalJSON decodes the MarshalJSON form: null is the zero counter,
+// and a pair list goes through CounterFromPairs.
 func (c *Counter) UnmarshalJSON(data []byte) error {
 	*c = Counter{}
 	var pairs [][2]int64
@@ -121,19 +121,30 @@ func (c *Counter) UnmarshalJSON(data []byte) error {
 	if pairs == nil {
 		return nil
 	}
-	c.counts = make(map[int]int64, len(pairs))
+	var err error
+	*c, err = CounterFromPairs(pairs)
+	return err
+}
+
+// CounterFromPairs builds the counter whose MarshalJSON form is the given
+// [outcome, count] list, rejecting non-positive counts and duplicate
+// outcomes (which could not have been produced by observations). Like a
+// decoded [], an empty list yields an empty counter that is not the zero
+// (null) counter.
+func CounterFromPairs(pairs [][2]int64) (Counter, error) {
+	c := Counter{counts: make(map[int]int64, len(pairs))}
 	for _, p := range pairs {
 		k, n := int(p[0]), p[1]
 		if n <= 0 {
-			return fmt.Errorf("stats: counter outcome %d has non-positive count %d", k, n)
+			return Counter{}, fmt.Errorf("stats: counter outcome %d has non-positive count %d", k, n)
 		}
 		if _, dup := c.counts[k]; dup {
-			return fmt.Errorf("stats: counter outcome %d duplicated", k)
+			return Counter{}, fmt.Errorf("stats: counter outcome %d duplicated", k)
 		}
 		c.counts[k] = n
 		c.total += n
 	}
-	return nil
+	return c, nil
 }
 
 // Distribution is a probability mass function over outcomes 1..len(P),

@@ -111,11 +111,13 @@ kill-smoke:
 	echo "kill-smoke: killed after $${delay}s of a $${clean_ms}ms sweep ($$lines journal lines); resumed output bit-identical"
 
 # Short randomized passes over the simulator's fuzz targets (the strategy
-# gate and the random-legal-reaction property), the result-cache journal
-# decoder, and its row decoder against the encoding/json oracle; Go
-# allows one -fuzz target per invocation, hence the separate runs.
+# gate, the random-legal-reaction property and the strategy-spec grammar),
+# the result-cache journal decoder, and its row decoder against the
+# encoding/json oracle; Go allows one -fuzz target per invocation, hence
+# the separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzValidateReaction -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzStrategySpec -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTableCompile -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzRandomLegalStrategySimulation -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzCacheDecode -fuzztime=$(FUZZTIME) ./internal/resultcache

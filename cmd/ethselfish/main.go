@@ -15,8 +15,10 @@
 //
 //	-quick         reduced simulation effort (2 runs x 20k blocks);
 //	               explicit -runs/-blocks still apply on top
-//	-runs N        simulation runs per data point (default 10, as the paper)
-//	-blocks N      block events per run (default 100000, as the paper)
+//	-runs N        simulation runs per data point (default 10, as the paper;
+//	               at least 1)
+//	-blocks N      block events per run (default 100000, as the paper; at
+//	               least 1)
 //	-seed N        base RNG seed (default 1)
 //	-parallel N    worker goroutines for the experiment engine (default 0:
 //	               one per CPU); results are identical at any setting
@@ -31,9 +33,6 @@
 //	               uneventful stretches; results agree with the plain
 //	               engine in distribution, not bit-for-bit, so the two
 //	               modes' rows are cached under separate addresses
-//	-notables      keep every pool on the live Strategy interface path
-//	               instead of the compiled decision tables; diagnostic
-//	               only — results are bit-identical either way
 //	-timeout D     overall deadline for the invocation (e.g. 30m); on
 //	               expiry in-flight runs finish, then the sweep stops
 //	-cache         serve content-addressed rows from an in-memory result
@@ -48,7 +47,6 @@
 //	               interrupted sweep resumes: rerun the same command and
 //	               the output is bit-identical to an uninterrupted run. A
 //	               final line torn by a crash is trimmed with a warning
-//	-checkpoint D  deprecated alias for -cachedir D
 //	-audit         enable the simulator's runtime invariant auditor
 //	-audit-every N audit every Nth block event (default 1024; 1 checks
 //	               every event). Only meaningful with -audit
@@ -99,7 +97,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		parallel    = fs.Int("parallel", 0, "experiment engine workers (0: one per CPU)")
 		strategies  = fs.String("strategies", "", "comma-separated strategy specs for strategies/tournament (not bestresponse)")
 		fastforward = fs.Bool("fastforward", false, "fast-forward uneventful stretches (distribution-equivalent, different random stream)")
-		notables    = fs.Bool("notables", false, "disable compiled decision tables (diagnostic; results are identical either way)")
 		rule        = fs.String("rule", "", "comma-separated difficulty rules for profitability (static, bitcoin, eip100)")
 		timeout     = fs.Duration("timeout", 0, "overall deadline (0: none); in-flight runs finish on expiry")
 		cacheFlag   = fs.Bool("cache", false, "serve rows from an in-memory result cache for this invocation")
@@ -109,7 +106,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		list        = fs.Bool("list", false, "list experiments and registered strategy specs")
 		csv         = fs.Bool("csv", false, "emit CSV instead of aligned text")
 	)
-	fs.StringVar(cachedir, "checkpoint", "", "deprecated alias for -cachedir")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: ethselfish [flags] <experiment>\n")
 		fmt.Fprintf(fs.Output(), "experiments: %s\n", strings.Join(experimentNames(), ", "))
@@ -145,9 +141,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 			}
 		})
 	}
+	// Zero means "the default" to the experiments package; on the command
+	// line it is a mistake, rejected before any simulation runs.
+	if opts.Runs < 1 || opts.Blocks < 1 {
+		return fmt.Errorf("%w: -runs and -blocks must be at least 1", experiments.ErrBadOptions)
+	}
 	opts.Parallelism = *parallel
 	opts.FastForward = *fastforward
-	opts.NoDecisionTables = *notables
 	opts.Audit = sim.AuditConfig{Enabled: *audit, SampleEvery: *auditEvery}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -408,10 +408,8 @@ func build(name string, opts experiments.Options, specs []sim.StrategySpec, rule
 	case "precision":
 		// The variance-reduction study: adaptive runs-to-target-CI per
 		// estimator. It honors -fastforward through the options like every
-		// other sweep; the remaining knobs keep their defaults.
-		result, err := experiments.Precision(opts, experiments.PrecisionConfig{
-			FastForward: opts.FastForward,
-		})
+		// other sweep; its own knobs keep their defaults.
+		result, err := experiments.Precision(opts, experiments.PrecisionConfig{})
 		if err != nil {
 			return nil, err
 		}

@@ -206,46 +206,68 @@ func TestRunCancelledContext(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 	// The resume hint appears only when a disk cache holds the completed
-	// rows; -checkpoint is an alias for -cachedir.
-	for _, flag := range []string{"-cachedir", "-checkpoint"} {
-		dir := filepath.Join(t.TempDir(), "cache")
-		err = run(ctx, []string{"-quick", "-runs", "1", "-blocks", "2000", flag, dir, "table2"}, &b)
-		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "rerun the same command to resume") {
-			t.Errorf("%s: err = %v, want context.Canceled with a resume hint", flag, err)
-		}
+	// rows.
+	dir := filepath.Join(t.TempDir(), "cache")
+	err = run(ctx, []string{"-quick", "-runs", "1", "-blocks", "2000", "-cachedir", dir, "table2"}, &b)
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "rerun the same command to resume") {
+		t.Errorf("err = %v, want context.Canceled with a resume hint", err)
 	}
 }
 
-func TestRunCheckpointFlag(t *testing.T) {
+func TestRunCacheDirFlag(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cache")
-	args := []string{"-quick", "-runs", "1", "-blocks", "2000", "-checkpoint", dir, "table2"}
+	args := []string{"-quick", "-runs", "1", "-blocks", "2000", "-cachedir", dir, "table2"}
 	var first, second strings.Builder
 	if err := run(context.Background(), args, &first); err != nil {
 		t.Fatal(err)
 	}
-	// The second invocation is served from the cache directory the alias
-	// named instead of recomputing; output must be bit-identical.
+	// The second invocation is served from the cache directory instead of
+	// recomputing; output must be bit-identical.
 	if err := run(context.Background(), args, &second); err != nil {
 		t.Fatal(err)
 	}
 	if first.String() != second.String() {
-		t.Error("rerun over the -checkpoint cache produced different output")
+		t.Error("rerun over the -cachedir cache produced different output")
 	}
 	if _, err := os.Stat(filepath.Join(dir, "results.jsonl")); err != nil {
-		t.Errorf("-checkpoint did not write a cache journal: %v", err)
+		t.Errorf("-cachedir did not write a cache journal: %v", err)
 	}
-	// A checkpoint file from before the alias is not a cache directory: it
-	// fails closed, and is left as it was.
-	old := filepath.Join(t.TempDir(), "sweep.ckpt")
+	// A regular file is not a cache directory: it fails closed, and is
+	// left as it was.
+	file := filepath.Join(t.TempDir(), "sweep.ckpt")
 	const journal = `{"version":1}` + "\n"
-	if err := os.WriteFile(old, []byte(journal), 0o644); err != nil {
+	if err := os.WriteFile(file, []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(context.Background(), []string{"-quick", "-checkpoint", old, "table2"}, &second); err == nil {
-		t.Error("an old checkpoint file was accepted as a cache directory")
+	if err := run(context.Background(), []string{"-quick", "-cachedir", file, "table2"}, &second); err == nil {
+		t.Error("a regular file was accepted as a cache directory")
 	}
-	if data, err := os.ReadFile(old); err != nil || string(data) != journal {
-		t.Errorf("old checkpoint file was modified (%v)", err)
+	if data, err := os.ReadFile(file); err != nil || string(data) != journal {
+		t.Errorf("file passed as -cachedir was modified (%v)", err)
+	}
+}
+
+// TestRunRejectsZeroEffort: zero means "the default" inside the experiments
+// package, but on the command line -runs 0 or -blocks 0 is a mistake and
+// fails before any simulation, as negative values do. The context is
+// already cancelled, so an invocation that wrongly starts simulating
+// returns context.Canceled instead of the options error.
+func TestRunRejectsZeroEffort(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, args := range [][]string{
+		{"-runs", "0"},
+		{"-blocks", "0"},
+		{"-quick", "-runs", "0"},
+		{"-quick", "-blocks", "0"},
+		{"-runs", "-1"},
+		{"-quick", "-blocks", "-5"},
+	} {
+		var b strings.Builder
+		err := run(ctx, append(args, "table2"), &b)
+		if !errors.Is(err, experiments.ErrBadOptions) {
+			t.Errorf("%v: err = %v, want ErrBadOptions", args, err)
+		}
 	}
 }
 

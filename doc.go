@@ -136,8 +136,8 @@
 // per-block "decided" and "referenced on the decided chain" bits, set as
 // the floor advances — answers every test at or below the floor), strategy
 // decisions resolve through compiled decision tables (sim.DecisionTable —
-// one table load per event instead of interface dispatch plus validation;
-// sim.Config.NoDecisionTables restores the live path, bit-identically),
+// one table load per event instead of interface dispatch plus validation,
+// bit-identical to the live path),
 // and reward settlement tallies into dense per-miner slices indexed by
 // MinerID with the schedule's Ku/Kn pre-expanded into lookup tables. The hot path is
 // also allocation-free in steady state — including across run restarts:

@@ -103,9 +103,6 @@ func resolveJobs(opts Options, jobs []simJob) (configs []sim.Config, keys []jobk
 		if opts.FastForward {
 			cfg.FastForward = true
 		}
-		if opts.NoDecisionTables {
-			cfg.NoDecisionTables = true
-		}
 		if job.specs != nil {
 			// Strategy instances are pure frame functions, so one
 			// instance per job is safely shared by every worker that
@@ -116,11 +113,9 @@ func resolveJobs(opts Options, jobs []simJob) (configs []sim.Config, keys []jobk
 			}
 			cfg.Strategies = strategies
 		}
-		if !cfg.NoDecisionTables {
-			// Compile each strategy's decision table once, up front, so no
-			// worker pays the one-time compile inside its timed hot loop.
-			sim.WarmDecisionTables(cfg.Strategies)
-		}
+		// Compile each strategy's decision table once, up front, so no
+		// worker pays the one-time compile inside its timed hot loop.
+		sim.WarmDecisionTables(cfg.Strategies)
 		configs[j] = cfg
 		keys[j] = jobkey.ForConfig(cfg)
 		seedBases[j] = jobkey.SeedBase(opts.Seed, cfg)

@@ -80,12 +80,6 @@ type Options struct {
 	// mode participates in every row's content address: rows cached in one
 	// mode are never served to the other.
 	FastForward bool
-
-	// NoDecisionTables keeps every run on the live Strategy interface
-	// path instead of the compiled decision tables (see
-	// sim.Config.NoDecisionTables). The knob never changes results, so it
-	// does not participate in content addresses.
-	NoDecisionTables bool
 }
 
 func (o Options) withDefaults() Options {

@@ -126,10 +126,6 @@ type PrecisionConfig struct {
 	// BatchRuns is the number of runs between interval checks (zero:
 	// DefaultPrecisionBatch).
 	BatchRuns int
-
-	// FastForward runs every simulation with the analytic fast-forward
-	// enabled, compounding the two accelerations.
-	FastForward bool
 }
 
 func (pc PrecisionConfig) withDefaults() PrecisionConfig {
@@ -212,6 +208,8 @@ type PrecisionResult struct {
 // reduction alongside projected run counts. Cells are scheduled across the
 // engine's workers; within a cell, runs are sequential on one reused
 // simulator (the adaptive stopping rule is inherently serial).
+// Options.FastForward applies as in every sweep, compounding the two
+// accelerations.
 func Precision(opts Options, pc PrecisionConfig) (PrecisionResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -263,7 +261,7 @@ func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, 
 		Schedule:    schedule,
 		Blocks:      opts.Blocks,
 		Audit:       opts.Audit,
-		FastForward: pc.FastForward,
+		FastForward: opts.FastForward,
 	}
 	rn := sim.NewRunner()
 	seedBase := jobkey.SeedBase(opts.Seed, base)

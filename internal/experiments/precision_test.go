@@ -113,7 +113,7 @@ func TestPrecisionFastForward(t *testing.T) {
 	opts, pc := precisionTestConfig()
 	pc.MaxRuns = 24
 	pc.Estimators = []Estimator{EstimatorControlVariate}
-	pc.FastForward = true
+	opts.FastForward = true
 	res, err := Precision(opts, pc)
 	if err != nil {
 		t.Fatal(err)

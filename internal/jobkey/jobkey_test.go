@@ -29,7 +29,6 @@ var configFields = map[string]string{
 	"FastForward":        "encoded",
 	"Antithetic":         "encoded",
 	"Seed":               "excluded: joins per run via Key.Row",
-	"NoDecisionTables":   "excluded: table and interface paths are bit-identical (pinned by the equivalence suite), so the knob is result-neutral",
 	"Parallelism":        "excluded: scheduling knob, result-neutral by the RunMany contract",
 	"Audit":              "excluded: observer, can only fail a run, never change it",
 }

@@ -125,14 +125,6 @@ type Config struct {
 	// attack.
 	PoolOmitsUncleRefs bool
 
-	// NoDecisionTables keeps every pool on the live Strategy interface
-	// path instead of the compiled decision tables eligible strategies
-	// normally run on (see DecisionTable). Tables never change results —
-	// they are validated snapshots of the same reactions — so this is a
-	// diagnostic knob: equivalence tests flip it to compare the paths,
-	// and -notables exposes it on the CLI.
-	NoDecisionTables bool
-
 	// Time configures the continuous-time axis: exponential inter-arrival
 	// times paced by difficulty, per-block timestamps, and an optional
 	// engine-driven difficulty controller. The zero value keeps the
@@ -346,6 +338,12 @@ type simulator struct {
 	// the final tree holds every block. Only RunTrace sets it.
 	keepTree bool
 
+	// liveOnly keeps every pool on the live Strategy interface path
+	// instead of its compiled decision table. Tables are validated
+	// snapshots of the same reactions, so this never changes results;
+	// only the table equivalence tests set it, to compare the two paths.
+	liveOnly bool
+
 	// steadyEvent is the event index at which the loop records the Steady
 	// window's boundary (markSteadyStart); math.MaxInt once recorded or on
 	// timeless runs, so the per-event check is one comparison.
@@ -516,7 +514,7 @@ func (s *simulator) init(cfg Config) {
 		p := &s.pools[i]
 		p.strat = cfg.strategyFor(i + 1)
 		p.table = nil
-		if !cfg.NoDecisionTables {
+		if !s.liveOnly {
 			p.table = tableFor(p.strat)
 		}
 		p.root = genesis

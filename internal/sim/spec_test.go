@@ -7,23 +7,34 @@ import (
 	"testing"
 )
 
+// specRoundTrips pairs parseable specs with their canonical forms; it also
+// seeds FuzzStrategySpec.
+var specRoundTrips = []struct {
+	in        string
+	canonical string
+}{
+	{"algorithm1", "algorithm1"},
+	{"honest", "honest"},
+	{"stubborn", "stubborn"},
+	{"stubborn:lead=1", "stubborn:lead=1"},
+	{"stubborn:trail=2,lead=1", "stubborn:lead=1,trail=2"},
+	{"stubborn:fork=1,lead=0,trail=3", "stubborn:fork=1,lead=0,trail=3"},
+	{"eager-publish:lead=4", "eager-publish:lead=4"},
+	// Legacy aliases normalize into the grammar.
+	{"trail-stubborn", "stubborn:lead=1"},
+	{"eager-publish-3", "eager-publish:lead=3"},
+}
+
+// badSpecs are grammar violations ParseStrategySpec must reject; they also
+// seed FuzzStrategySpec.
+var badSpecs = []string{
+	"", ":", "Stubborn", "stubborn:", "stubborn:lead", "stubborn:lead=",
+	"stubborn:lead=x", "stubborn:lead=1,lead=2", "stubborn:LEAD=1",
+	"stubborn:lead=1,", "-stubborn", "stubborn-",
+}
+
 func TestParseStrategySpecRoundTrip(t *testing.T) {
-	tests := []struct {
-		in        string
-		canonical string
-	}{
-		{"algorithm1", "algorithm1"},
-		{"honest", "honest"},
-		{"stubborn", "stubborn"},
-		{"stubborn:lead=1", "stubborn:lead=1"},
-		{"stubborn:trail=2,lead=1", "stubborn:lead=1,trail=2"},
-		{"stubborn:fork=1,lead=0,trail=3", "stubborn:fork=1,lead=0,trail=3"},
-		{"eager-publish:lead=4", "eager-publish:lead=4"},
-		// Legacy aliases normalize into the grammar.
-		{"trail-stubborn", "stubborn:lead=1"},
-		{"eager-publish-3", "eager-publish:lead=3"},
-	}
-	for _, tt := range tests {
+	for _, tt := range specRoundTrips {
 		spec, err := ParseStrategySpec(tt.in)
 		if err != nil {
 			t.Errorf("ParseStrategySpec(%q): %v", tt.in, err)
@@ -43,15 +54,41 @@ func TestParseStrategySpecRoundTrip(t *testing.T) {
 }
 
 func TestParseStrategySpecErrors(t *testing.T) {
-	for _, in := range []string{
-		"", ":", "Stubborn", "stubborn:", "stubborn:lead", "stubborn:lead=",
-		"stubborn:lead=x", "stubborn:lead=1,lead=2", "stubborn:LEAD=1",
-		"stubborn:lead=1,", "-stubborn", "stubborn-",
-	} {
+	for _, in := range badSpecs {
 		if _, err := ParseStrategySpec(in); !errors.Is(err, ErrBadSpec) {
 			t.Errorf("ParseStrategySpec(%q) err = %v, want ErrBadSpec", in, err)
 		}
 	}
+}
+
+// FuzzStrategySpec pins the spec grammar as a user-input boundary (spec
+// strings arrive from -strategies): parsing never panics, every rejection
+// wraps ErrBadSpec, and every accepted spec formats to a canonical string
+// that parses back to an identical spec.
+func FuzzStrategySpec(f *testing.F) {
+	for _, tt := range specRoundTrips {
+		f.Add(tt.in)
+	}
+	for _, in := range badSpecs {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in string) {
+		spec, err := ParseStrategySpec(in)
+		if err != nil {
+			if !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ParseStrategySpec(%q) err = %v, want ErrBadSpec", in, err)
+			}
+			return
+		}
+		canonical := spec.String()
+		again, err := ParseStrategySpec(canonical)
+		if err != nil {
+			t.Fatalf("ParseStrategySpec(%q) = %+v, but its canonical form %q does not parse: %v", in, spec, canonical, err)
+		}
+		if !reflect.DeepEqual(spec, again) {
+			t.Fatalf("round trip of %q via %q: %+v != %+v", in, canonical, spec, again)
+		}
+	})
 }
 
 func TestNewStrategyFromSpec(t *testing.T) {

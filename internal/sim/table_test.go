@@ -13,8 +13,15 @@ import (
 // extensionally equal to the strategy it was compiled from — at every frame
 // of the dense window, at overflow frames beyond it (where the table falls
 // back to the live call), and across whole runs (tables on vs. off must be
-// bit-identical, which is also why Config.NoDecisionTables is excluded from
-// content addresses).
+// bit-identical, which is why the engine always runs tabled strategies on
+// their tables and no knob selects the live path).
+
+// runLive is Run with every pool on the live Strategy interface path
+// instead of its compiled decision table.
+func runLive(cfg Config) (Result, error) {
+	rn := &Runner{s: simulator{liveOnly: true}}
+	return rn.Run(cfg)
+}
 
 // sampleSpecs enumerates a covering sample of a definition's parameter
 // space: for each parameter its minimum, default, midpoint, and maximum,
@@ -97,11 +104,10 @@ func TestDecisionTableEquivalence(t *testing.T) {
 	}
 }
 
-// TestDecisionTableRunBitIdentity pins the claim Config.NoDecisionTables
-// documents (and the jobkey exclusion relies on): a full run with compiled
-// tables is bit-identical to the same run on the live interface path, for
-// every registered family and across the engine's modes (timeless, timed,
-// fast-forwarded).
+// TestDecisionTableRunBitIdentity pins the claim the table dispatch rests
+// on: a full run with compiled tables is bit-identical to the same run on
+// the live interface path, for every registered family and across the
+// engine's modes (timeless, timed, fast-forwarded).
 func TestDecisionTableRunBitIdentity(t *testing.T) {
 	pop, err := mining.MultiAgent(0.25, 0.15)
 	if err != nil {
@@ -140,8 +146,7 @@ func TestDecisionTableRunBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%s (tables): %v", field, mode.name, err)
 			}
-			cfg.NoDecisionTables = true
-			live, err := Run(cfg)
+			live, err := runLive(cfg)
 			if err != nil {
 				t.Fatalf("%v/%s (live): %v", field, mode.name, err)
 			}

@@ -65,10 +65,9 @@ agreement:
 	$(GO) test -run 'FastForward|Antithetic|Precision|Paired|Geometric|GammaInt|ExpUnit' \
 		./internal/rng ./internal/stats ./internal/sim ./internal/experiments
 
-# The chaos suite alone (adversarial strategies, injected worker
-# panics/errors, and corrupted trace decoding must all fail closed with
-# typed errors and leave Runners reusable), plus one sampled-audit
-# experiment end to end through the CLI.
+# The chaos suite alone (adversarial strategies and injected worker
+# panics/errors must all fail closed with typed errors and leave Runners
+# reusable), plus one sampled-audit experiment end to end through the CLI.
 chaos-smoke:
 	$(GO) test -race ./internal/chaos
 	$(GO) run ./cmd/ethselfish -quick -runs 1 -blocks 20000 -audit -audit-every 256 table2 >/dev/null
@@ -123,8 +122,10 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCacheDecode -fuzztime=$(FUZZTIME) ./internal/resultcache
 	$(GO) test -run=NONE -fuzz=FuzzJournalRow -fuzztime=$(FUZZTIME) ./internal/resultcache
 
+# Every ethbench workload as a sub-benchmark of BenchmarkWorkloads, under
+# go test's own timing and flags.
 bench:
-	$(GO) test -run=NONE -bench=. -benchmem .
+	$(GO) test -run=NONE -bench=. -benchmem ./cmd/ethbench
 
 # Machine-readable benchmark results (the BENCH_*.json trajectory).
 bench-json:
@@ -155,19 +156,21 @@ bench-gate:
 bench-record:
 	$(GO) run ./cmd/ethbench -record $(BENCH_HISTORY)
 
-# One-iteration pass over every benchmark so bench code cannot rot; used by
-# CI, where full benchmark timings would be noise anyway.
 # Where bench-smoke leaves its CPU/heap profiles (uploaded as CI
 # artifacts, so a slow CI run can be diagnosed without reproducing it).
 BENCH_PROFILE_DIR ?= bench-profiles
 
+# One-iteration pass over every benchmark so bench code cannot rot; used by
+# CI, where full benchmark timings would be noise anyway. The profile
+# passes cover the ethbench workloads: all of them, then the 1M-block
+# long-horizon workload alone for its heap profile.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	mkdir -p $(BENCH_PROFILE_DIR)
 	$(GO) test -run=NONE -bench=. -benchtime=1x \
 		-cpuprofile=$(BENCH_PROFILE_DIR)/cpu.pprof \
 		-memprofile=$(BENCH_PROFILE_DIR)/mem.pprof \
-		-o $(BENCH_PROFILE_DIR)/bench.test .
-	$(GO) test -run=NONE -bench=Simulator1MBlocks -benchtime=1x \
+		-o $(BENCH_PROFILE_DIR)/bench.test ./cmd/ethbench
+	$(GO) test -run=NONE -bench='Workloads/^sim-1m-blocks$$' -benchtime=1x \
 		-memprofile=$(BENCH_PROFILE_DIR)/longhorizon-heap.pprof \
-		-o $(BENCH_PROFILE_DIR)/longhorizon.test .
+		-o $(BENCH_PROFILE_DIR)/longhorizon.test ./cmd/ethbench

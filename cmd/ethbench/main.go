@@ -28,6 +28,11 @@
 // that simulates until the pool-revenue confidence interval closes under
 // its target half-width, so their ns/op is directly the wall-clock cost of
 // a fixed statistical precision under each estimator.
+//
+// The registry here is the one place a tracked workload is defined (layer
+// benchmarks stay beside their packages); `go test -bench=. ./cmd/ethbench`
+// runs it as sub-benchmarks of BenchmarkWorkloads, at one engine worker
+// per CPU.
 package main
 
 import (
@@ -42,12 +47,15 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ethselfish/ethselfish"
+	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/experiments"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/resultcache"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
+	"github.com/ethselfish/ethselfish/internal/table"
 )
 
 // Result is one benchmark measurement in the emitted JSON array.
@@ -69,272 +77,116 @@ type benchmark struct {
 }
 
 func benchmarks() []benchmark {
+	quick := experiments.Quick()
 	return []benchmark{
-		{name: "sim-100k-blocks", run: func(b *testing.B, parallel int) {
-			// The headline tracking workload. Settlement streams, so
-			// resident memory is O(uncle window) and bytes/op is the
-			// Result plus the window-bounded engine state, not a
-			// 100k-block tree.
+		// The headline tracking workload. Settlement streams, so resident
+		// memory is O(uncle window) and bytes/op is the Result plus the
+		// window-bounded engine state, not a 100k-block tree.
+		{name: "sim-100k-blocks", run: simBench(freshRun, func() (sim.Config, error) {
+			pop, err := mining.TwoAgent(0.35)
+			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000}, err
+		})},
+		// The long-horizon workload: a million blocks through one reused
+		// Runner. Heap stays flat at O(uncle window); `make bench-smoke`
+		// takes its longhorizon-heap.pprof artifact from this workload
+		// (BenchmarkWorkloads/sim-1m-blocks).
+		{name: "sim-1m-blocks", run: simBench(reuseRunner, func() (sim.Config, error) {
+			pop, err := mining.TwoAgent(0.35)
+			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 1000000}, err
+		})},
+		// The paper's Fig. 8 schedule: flat Ku = 1/2 at any distance, which
+		// runs the engine at its widest reference window (64). Uncle
+		// eligibility and the candidate purge are the costly layers here,
+		// so this workload gates them.
+		{name: "sim-100k-blocks-nodepth", run: simBench(freshRun, func() (sim.Config, error) {
 			pop, err := mining.TwoAgent(0.35)
 			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-1m-blocks", run: func(b *testing.B, parallel int) {
-			// The long-horizon workload: a million blocks through one
-			// reused Runner. Heap stays flat at O(uncle window); the
-			// bench-smoke heap profile artifact is taken from this
-			// workload.
-			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn := sim.NewRunner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rn.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     1000000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-nodepth", run: func(b *testing.B, parallel int) {
-			// The paper's Fig. 8 schedule: flat Ku = 1/2 at any
-			// distance, which runs the engine at its widest reference
-			// window (64). Uncle eligibility and the candidate purge
-			// are the costly layers here, so this workload gates them.
-			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
+				return sim.Config{}, err
 			}
 			schedule, err := rewards.Constant(0.5, rewards.NoDepthLimit)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Schedule:   schedule,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-1000-miners", run: func(b *testing.B, parallel int) {
-			// The paper's actual Sec. V population (1000 equal
-			// miners); alias-table sampling keeps it within a small
-			// factor of the two-agent run above.
+			return sim.Config{Population: pop, Gamma: 0.5, Schedule: schedule, Blocks: 100000}, err
+		})},
+		// The paper's actual Sec. V population (1000 equal miners);
+		// alias-table sampling keeps it within a small factor of the
+		// two-agent run above.
+		{name: "sim-100k-blocks-1000-miners", run: simBench(freshRun, func() (sim.Config, error) {
 			pop, err := mining.Equal(1000, 350)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-2pools", run: func(b *testing.B, parallel int) {
-			// Two Algorithm-1 pools racing each other: the K-pool
-			// engine's tracking workload. Per-event cost is O(K) on
-			// top of the O(1) population sampling, so it must stay
-			// within a small factor of the single-pool benchmarks.
+			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000}, err
+		})},
+		// Two Algorithm-1 pools racing each other: the K-pool engine's
+		// tracking workload. Per-event cost is O(K) on top of the O(1)
+		// population sampling, so it must stay within a small factor of
+		// the single-pool benchmarks.
+		{name: "sim-100k-blocks-2pools", run: simBench(freshRun, func() (sim.Config, error) {
 			pop, err := mining.MultiAgent(0.25, 0.2)
-			if err != nil {
-				b.Fatal(err)
+			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000}, err
+		})},
+		// Two parametric pools from the registry racing each other: the
+		// strategy-space engine's tracking workload. Must stay
+		// allocation-free in steady state and within a small factor of the
+		// Algorithm-1 2-pool bench.
+		{name: "sim-100k-blocks-2pools-stubborn", run: simBench(freshRun, func() (sim.Config, error) {
+			return twoPools("stubborn:fork=1,lead=1", "stubborn:trail=2")
+		})},
+		// The decision-table showcase: two deep-racing parametric pools
+		// whose reactions all resolve inside the compiled table window.
+		// Tables are warmed before timing, as the experiment engine does
+		// before fanning a sweep out.
+		{name: "sim-100k-blocks-2pools-table", run: simBench(freshRun, func() (sim.Config, error) {
+			cfg, err := twoPools("eager-publish:lead=3", "stubborn:lead=1,trail=2")
+			if err == nil {
+				sim.WarmDecisionTables(cfg.Strategies)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-2pools-stubborn", run: func(b *testing.B, parallel int) {
-			// Two parametric pools from the registry racing each
-			// other: the strategy-space engine's tracking workload.
-			// Must stay allocation-free in steady state and within a
-			// small factor of the Algorithm-1 2-pool bench.
-			pop, err := mining.MultiAgent(0.25, 0.2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			strategies, err := sim.NewStrategies([]sim.StrategySpec{
-				sim.MustStrategySpec("stubborn:fork=1,lead=1"),
-				sim.MustStrategySpec("stubborn:trail=2"),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Strategies: strategies,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-2pools-table", run: func(b *testing.B, parallel int) {
-			// The decision-table showcase: two deep-racing parametric
-			// pools whose reactions all resolve inside the compiled table
-			// window. Tables are warmed before timing, as the experiment
-			// engine does before fanning a sweep out.
-			pop, err := mining.MultiAgent(0.25, 0.2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			strategies, err := sim.NewStrategies([]sim.StrategySpec{
-				sim.MustStrategySpec("eager-publish:lead=3"),
-				sim.MustStrategySpec("stubborn:lead=1,trail=2"),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim.WarmDecisionTables(strategies)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Strategies: strategies,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-eip100", run: func(b *testing.B, parallel int) {
-			// The continuous-time engine with the difficulty feedback
-			// loop closed: exponential inter-arrival sampling, per-block
-			// timestamps, and per-settled-block EIP100 stepping. Must
-			// stay allocation-free in steady state and within a small
-			// factor of the timeless 100k bench.
+			return cfg, err
+		})},
+		// The continuous-time engine with the difficulty feedback loop
+		// closed: exponential inter-arrival sampling, per-block timestamps,
+		// and per-settled-block EIP100 stepping. Must stay allocation-free
+		// in steady state and within a small factor of the timeless 100k
+		// bench.
+		{name: "sim-100k-blocks-eip100", run: simBench(freshRun, func() (sim.Config, error) {
 			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Time: sim.TimeConfig{
-						Enabled:    true,
-						Difficulty: difficulty.Params{Rule: difficulty.EIP100},
-					},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-alpha05", run: func(b *testing.B, parallel int) {
-			// The plain half of the fast-forward speedup pair: a small
-			// attacker from the low end of the Fig. 8 sweep, where the race
-			// spends nearly all of its events at the empty-branch origin —
-			// exactly the regime the fast-forward collapses. The reused
-			// Runner keeps both halves of the pair at steady state.
+			return sim.Config{
+				Population: pop,
+				Gamma:      0.5,
+				Blocks:     100000,
+				Time: sim.TimeConfig{
+					Enabled:    true,
+					Difficulty: difficulty.Params{Rule: difficulty.EIP100},
+				},
+			}, err
+		})},
+		// The plain half of the fast-forward speedup pair: a small attacker
+		// from the low end of the Fig. 8 sweep, where the race spends nearly
+		// all of its events at the empty-branch origin — exactly the regime
+		// the fast-forward collapses. The reused Runner keeps both halves of
+		// the pair at steady state.
+		{name: "sim-100k-blocks-alpha05", run: simBench(reuseRunner, func() (sim.Config, error) {
 			pop, err := mining.TwoAgent(0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn := sim.NewRunner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rn.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-fastforward", run: func(b *testing.B, parallel int) {
-			// The same workload with the analytic fast-forward engaged:
-			// uneventful honest stretches collapse to one geometric draw
-			// plus a bulk append. Gated against sim-100k-blocks-alpha05
-			// in the CI baseline to keep the speedup honest.
+			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000}, err
+		})},
+		// The same workload with the analytic fast-forward engaged:
+		// uneventful honest stretches collapse to one geometric draw plus a
+		// bulk append. Gated against sim-100k-blocks-alpha05 in the CI
+		// baseline to keep the speedup honest.
+		{name: "sim-100k-blocks-fastforward", run: simBench(reuseRunner, func() (sim.Config, error) {
 			pop, err := mining.TwoAgent(0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rn := sim.NewRunner()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rn.Run(sim.Config{
-					Population:  pop,
-					Gamma:       0.5,
-					Blocks:      100000,
-					Seed:        uint64(i),
-					FastForward: true,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "sim-100k-blocks-audit-sampled", run: func(b *testing.B, parallel int) {
-			// The invariant auditor at its CI-friendly sampling rate.
-			// The fork-child rescan and conservation settle make audited
-			// events expensive, so sampling must amortize them to a
-			// small overhead on top of the plain 100k bench (the audit
-			// itself allocates; only the unaudited path is gated
-			// allocation-free).
+			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000, FastForward: true}, err
+		})},
+		// The invariant auditor at its CI-friendly sampling rate. The
+		// fork-child rescan and conservation settle make audited events
+		// expensive, so sampling must amortize them to a small overhead on
+		// top of the plain 100k bench (the audit itself allocates; only the
+		// unaudited path is gated allocation-free).
+		{name: "sim-100k-blocks-audit-sampled", run: simBench(freshRun, func() (sim.Config, error) {
 			pop, err := mining.TwoAgent(0.35)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sim.Run(sim.Config{
-					Population: pop,
-					Gamma:      0.5,
-					Blocks:     100000,
-					Seed:       uint64(i),
-					Audit:      sim.AuditConfig{Enabled: true, SampleEvery: 1024},
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+			return sim.Config{
+				Population: pop,
+				Gamma:      0.5,
+				Blocks:     100000,
+				Audit:      sim.AuditConfig{Enabled: true, SampleEvery: 1024},
+			}, err
+		})},
 		{name: "runmany-10x20k", run: func(b *testing.B, parallel int) {
 			pop, err := mining.TwoAgent(0.35)
 			if err != nil {
@@ -353,80 +205,32 @@ func benchmarks() []benchmark {
 				}
 			}
 		}},
-		{name: "fig8-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Fig8(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "table2-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Table2(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "strategies-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Strategies(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "poolwars-quick", run: func(b *testing.B, parallel int) {
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.PoolWars(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "profitability-quick", run: func(b *testing.B, parallel int) {
-			// The (rule x gamma x alpha) profitability grid on the
-			// engine-integrated difficulty loop.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Profitability(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{name: "tournament-quick", run: func(b *testing.B, parallel int) {
-			// The round-robin engine over registry specs; part of the
-			// -baseline regression gate alongside the 2-pool sims.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				if _, err := experiments.Tournament(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		{name: "fig8-quick", run: driverBench(quick, experiments.Fig8)},
+		{name: "table2-quick", run: driverBench(quick, experiments.Table2)},
+		{name: "strategies-quick", run: driverBench(quick, func(o experiments.Options) (experiments.StrategiesResult, error) {
+			return experiments.Strategies(o)
+		})},
+		{name: "poolwars-quick", run: driverBench(quick, experiments.PoolWars)},
+		// The (rule x gamma x alpha) profitability grid on the
+		// engine-integrated difficulty loop.
+		{name: "profitability-quick", run: driverBench(quick, func(o experiments.Options) (experiments.ProfitabilityResult, error) {
+			return experiments.Profitability(o)
+		})},
+		// The round-robin engine over registry specs; part of the -baseline
+		// regression gate alongside the 2-pool sims.
+		{name: "tournament-quick", run: driverBench(quick, func(o experiments.Options) (experiments.TournamentResult, error) {
+			return experiments.Tournament(o)
+		})},
 		{name: "precision-plain-quick", run: precisionBench(experiments.EstimatorPlain)},
 		{name: "precision-cv-quick", run: precisionBench(experiments.EstimatorControlVariate)},
 		{name: "precision-antithetic-quick", run: precisionBench(experiments.EstimatorAntithetic)},
-		{name: "poolwars-cache-cold", run: func(b *testing.B, parallel int) {
-			// Cold path: a fresh cache every op, so ns/op carries the full
-			// address/miss/store overhead on top of poolwars-quick — the
-			// pair bounds what the cache costs when it never hits.
-			opts := experiments.Quick()
-			opts.Parallelism = parallel
-			for i := 0; i < b.N; i++ {
-				opts.Cache = resultcache.NewMemory(0)
-				if _, err := experiments.PoolWars(opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		// Cold path: a fresh cache every op, so ns/op carries the full
+		// address/miss/store overhead on top of poolwars-quick — the pair
+		// bounds what the cache costs when it never hits.
+		{name: "poolwars-cache-cold", run: driverBench(quick, func(o experiments.Options) (experiments.PoolWarsResult, error) {
+			o.Cache = resultcache.NewMemory(0)
+			return experiments.PoolWars(o)
+		})},
 		{name: "poolwars-cache-warm", run: func(b *testing.B, parallel int) {
 			// Warm path: one prewarmed cache serves every op, so ns/op is
 			// the cost of a fully cached sweep — the speedup over
@@ -444,6 +248,101 @@ func benchmarks() []benchmark {
 				}
 			}
 		}},
+		// The analytic paper artifacts: closed-form drivers that take only
+		// the engine parallelism from their options.
+		{name: "fig9", run: driverBench(experiments.Options{}, experiments.Fig9)},
+		{name: "fig10", run: driverBench(experiments.Options{}, experiments.Fig10)},
+		{name: "secvi", run: driverBench(experiments.Options{}, experiments.SecVI)},
+		{name: "fig7-dump", run: driverBench(experiments.Options{}, func(o experiments.Options) (*table.Table, error) {
+			return experiments.Fig7(0.3, 0.5, 8, o)
+		})},
+		{name: "diffablation-quick", run: driverBench(quick, experiments.DiffAblation)},
+		// One run per point keeps the full (gamma x alpha x candidate) grid
+		// affordable as a tracked workload.
+		{name: "bestresponse-1x4k", run: driverBench(experiments.Options{Runs: 1, Blocks: 4000}, experiments.BestResponse)},
+		// Building blocks of the closed-form model; they ignore the options.
+		{name: "closedform-revenue", run: func(b *testing.B, _ int) {
+			m, err := core.New(core.Params{Alpha: 0.35, Gamma: 0.5})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if m.Revenue().PoolStatic <= 0 {
+					b.Fatal("degenerate revenue")
+				}
+			}
+		}},
+		{name: "stationary-numeric-lead80", run: driverBench(experiments.Options{}, func(experiments.Options) (*core.NumericModel, error) {
+			return core.NewNumeric(core.Params{Alpha: 0.35, Gamma: 0.5, MaxLead: 80})
+		})},
+		{name: "threshold-search", run: driverBench(experiments.Options{}, func(experiments.Options) (float64, error) {
+			return core.Threshold(core.ThresholdParams{Gamma: 0.5})
+		})},
+		{name: "analyze-facade", run: driverBench(experiments.Options{}, func(experiments.Options) (ethselfish.Revenue, error) {
+			a, err := ethselfish.Analyze(0.3, 0.5)
+			if err != nil {
+				return ethselfish.Revenue{}, err
+			}
+			return a.Revenue(), nil
+		})},
+	}
+}
+
+// How a simBench workload executes its ops: a fresh sim.Run each, or one
+// Runner reused across them (the engine at steady state).
+const (
+	freshRun    = false
+	reuseRunner = true
+)
+
+// simBench times one simulation per op of the config setup builds, seeded
+// with the op index. Setup runs before the timer starts.
+func simBench(reuse bool, setup func() (sim.Config, error)) func(*testing.B, int) {
+	return func(b *testing.B, _ int) {
+		cfg, err := setup()
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := sim.Run
+		if reuse {
+			run = sim.NewRunner().Run
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cfg.Seed = uint64(i)
+			if _, err := run(cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// twoPools is the 2-pool race (pools of 0.25 and 0.2 at gamma 0.5 over
+// 100k blocks) with each pool running the given registry spec.
+func twoPools(spec1, spec2 string) (sim.Config, error) {
+	pop, err := mining.MultiAgent(0.25, 0.2)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	strategies, err := sim.NewStrategies([]sim.StrategySpec{
+		sim.MustStrategySpec(spec1),
+		sim.MustStrategySpec(spec2),
+	})
+	return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000, Strategies: strategies}, err
+}
+
+// driverBench times one call of driver per op under opts at the engine
+// parallelism ethbench was given; analytic drivers use nothing else.
+func driverBench[R any](opts experiments.Options, driver func(experiments.Options) (R, error)) func(*testing.B, int) {
+	return func(b *testing.B, parallel int) {
+		o := opts
+		o.Parallelism = parallel
+		for i := 0; i < b.N; i++ {
+			if _, err := driver(o); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
@@ -453,21 +352,15 @@ func benchmarks() []benchmark {
 // the variance-adjusted cost of a fixed precision — lower for estimators
 // with a real variance reduction.
 func precisionBench(est experiments.Estimator) func(b *testing.B, parallel int) {
-	return func(b *testing.B, parallel int) {
-		opts := experiments.Options{Blocks: experiments.QuickBlocks, Parallelism: parallel}
-		pc := experiments.PrecisionConfig{
-			Alphas:       []float64{0.3},
-			Estimators:   []experiments.Estimator{est},
-			TargetRadius: 0.0015,
-			MaxRuns:      64,
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := experiments.Precision(opts, pc); err != nil {
-				b.Fatal(err)
-			}
-		}
+	pc := experiments.PrecisionConfig{
+		Alphas:       []float64{0.3},
+		Estimators:   []experiments.Estimator{est},
+		TargetRadius: 0.0015,
+		MaxRuns:      64,
 	}
+	return driverBench(experiments.Options{Blocks: experiments.QuickBlocks}, func(o experiments.Options) (experiments.PrecisionResult, error) {
+		return experiments.Precision(o, pc)
+	})
 }
 
 func main() {
@@ -531,7 +424,6 @@ func run(args []string, w io.Writer) error {
 			}
 			continue
 		}
-		bench := bench
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			bench.run(b, *parallel)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -18,6 +19,29 @@ func TestListBenchmarks(t *testing.T) {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("list output missing %s:\n%s", name, out.String())
 		}
+	}
+}
+
+// BenchmarkWorkloads runs every registry workload as a sub-benchmark, so
+// `go test -bench` times the same code as ethbench -baseline and -record.
+func BenchmarkWorkloads(b *testing.B) {
+	for _, w := range benchmarks() {
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			w.run(b, 0)
+		})
+	}
+}
+
+func TestWorkloadNamesUnique(t *testing.T) {
+	// compareBaseline keys rows by name, so a duplicate would silently
+	// overwrite one workload's baseline with another's.
+	seen := make(map[string]bool)
+	for _, w := range benchmarks() {
+		if seen[w.name] {
+			t.Errorf("duplicate workload name %q", w.name)
+		}
+		seen[w.name] = true
 	}
 }
 
@@ -98,6 +122,56 @@ func TestRejectsPositionalArguments(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"extra"}, &out); err == nil {
 		t.Error("positional arguments should fail")
+	}
+}
+
+func TestRecordAppendsHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "history.json")
+	first := []Result{{Name: "a", Iterations: 3, NsPerOp: 100, BytesPerOp: 64, AllocsPerOp: 2, Parallelism: 1, GOMAXPROCS: 1}}
+	second := []Result{{Name: "a", Iterations: 4, NsPerOp: 90}, {Name: "b", Iterations: 1, NsPerOp: 7}}
+	for _, results := range [][]Result{first, second} {
+		if err := appendHistory(path, results); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var history []historyEntry
+	if err := json.Unmarshal(raw, &history); err != nil {
+		t.Fatalf("history is not valid JSON: %v\n%s", err, raw)
+	}
+	if len(history) != 2 {
+		t.Fatalf("got %d history entries, want 2", len(history))
+	}
+	for i, want := range [][]Result{first, second} {
+		if !reflect.DeepEqual(history[i].Results, want) {
+			t.Errorf("entry %d results = %+v, want %+v", i, history[i].Results, want)
+		}
+		if history[i].Date == "" || history[i].GoVersion == "" {
+			t.Errorf("entry %d lacks date or Go version: %+v", i, history[i])
+		}
+	}
+}
+
+func TestRecordRejectsCorruptHistory(t *testing.T) {
+	// A history that does not parse must fail the record and stay
+	// byte-identical, rather than be replaced by a one-entry file.
+	path := filepath.Join(t.TempDir(), "history.json")
+	corrupt := []byte(`[{"date": "2026-01-01", "results": [`)
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendHistory(path, []Result{{Name: "a", NsPerOp: 1}}); err == nil {
+		t.Fatal("appending to a corrupt history should fail")
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, corrupt) {
+		t.Errorf("corrupt history was rewritten:\n%s", raw)
 	}
 }
 

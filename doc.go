@@ -144,10 +144,11 @@
 // each worker reuses one simulator (block tree, uncle arena, candidate
 // window, per-pool branches and occupancy grids, scratch buffers) for
 // every run it executes, resetting rather than re-allocating.
-// cmd/ethbench emits machine-readable benchmark results, a -baseline
-// compare mode (gating ns/op, bytes/op, and allocs/op), a -record mode
-// appending dated entries to the committed benchmark history, and
-// -cpuprofile/-memprofile for pprof output.
+// cmd/ethbench holds the one registry of tracked workloads (go test -bench
+// runs the same registry as BenchmarkWorkloads). It emits machine-readable
+// benchmark results, a -baseline compare mode (gating ns/op, bytes/op, and
+// allocs/op), a -record mode appending dated entries to the committed
+// benchmark history, and -cpuprofile/-memprofile for pprof output.
 //
 // # Streaming settlement
 //

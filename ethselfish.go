@@ -3,6 +3,7 @@ package ethselfish
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/eyalsirer"
@@ -334,7 +335,9 @@ func Simulate(alpha, gamma float64, blocks int, opts ...Option) (SimResult, erro
 		err error
 	)
 	if o.miners > 0 {
-		pop, err = mining.Equal(o.miners, int(float64(o.miners)*alpha))
+		// Floor with an epsilon: 100*0.29 is 28.999999999999996 in
+		// float64, and a plain truncation would drop a selfish miner.
+		pop, err = mining.Equal(o.miners, int(math.Floor(float64(o.miners)*alpha+1e-9)))
 	} else {
 		pop, err = mining.TwoAgent(alpha)
 	}

@@ -2,6 +2,7 @@ package ethselfish
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -129,12 +130,27 @@ func TestSimulateMatchesAnalyze(t *testing.T) {
 }
 
 func TestSimulateWithMiners(t *testing.T) {
-	result, err := Simulate(0.3, 0.5, 20000, WithMiners(1000), WithSeed(1))
-	if err != nil {
-		t.Fatal(err)
+	// The pool gets floor(n*alpha) miners, so an alpha that is a multiple
+	// of 1/n is realized exactly even where n*alpha rounds below an
+	// integer in float64 (100*0.29 and 100*0.57 do).
+	tests := []struct {
+		alpha  float64
+		miners int
+	}{
+		{0.3, 1000},
+		{0.29, 100},
+		{0.57, 100},
 	}
-	if math.Abs(result.Alpha-0.3) > 1e-9 {
-		t.Errorf("realized alpha = %v, want 0.3", result.Alpha)
+	for _, tt := range tests {
+		t.Run(fmt.Sprintf("%vx%d", tt.alpha, tt.miners), func(t *testing.T) {
+			result, err := Simulate(tt.alpha, 0.5, 20000, WithMiners(tt.miners), WithSeed(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(result.Alpha-tt.alpha) > 1e-9 {
+				t.Errorf("realized alpha = %v, want %v", result.Alpha, tt.alpha)
+			}
+		})
 	}
 }
 

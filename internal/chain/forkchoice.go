@@ -23,47 +23,3 @@ func (t *Tree) LongestTips() []BlockID {
 	}
 	return tips
 }
-
-// HeaviestTip implements the GHOST fork-choice rule: starting from genesis,
-// repeatedly descend into the child whose subtree contains the most blocks,
-// breaking ties by lowest sequence number (first seen). Ethereum's
-// documentation describes GHOST while its implementation follows the longest
-// chain (see footnote 2 of the paper); both are provided so the difference
-// can be measured. It requires the full history (the walk starts at genesis)
-// and panics on a compacted tree.
-func (t *Tree) HeaviestTip() BlockID {
-	weights := t.SubtreeWeights()
-	cursor := t.Genesis()
-	for {
-		first := t.links[t.mustIndex(cursor)].firstChild
-		if first == noBlock32 {
-			return cursor
-		}
-		best := first
-		for kid := t.links[first-t.base].nextSibling; kid != noBlock32; kid = t.links[kid-t.base].nextSibling {
-			if weights[kid] > weights[best] {
-				best = kid
-			}
-		}
-		cursor = BlockID(best)
-	}
-}
-
-// SubtreeWeights returns, for every block, the number of blocks in its
-// subtree (itself included). Blocks are indexed by BlockID, so it requires
-// the full history (a compacted tree has no records for IDs below Base()).
-func (t *Tree) SubtreeWeights() []int {
-	if t.base != 0 {
-		panic("chain: SubtreeWeights requires an uncompacted tree")
-	}
-	weights := make([]int, len(t.recs))
-	// Children always have larger IDs than parents (append-only tree),
-	// so a single reverse sweep accumulates subtree sizes bottom-up.
-	for id := len(t.recs) - 1; id >= 0; id-- {
-		weights[id]++
-		if p := t.recs[id].parent; p != noBlock32 {
-			weights[p] += weights[id]
-		}
-	}
-	return weights
-}

@@ -232,42 +232,6 @@ func TestLongestTips(t *testing.T) {
 	}
 }
 
-func TestHeaviestTipPrefersBiggerSubtree(t *testing.T) {
-	// genesis -> x (subtree size 2: x, x1)
-	//         -> y (subtree size 3: y, y1, y2) but same max height
-	tree := NewTree(Config{}, minerGenesis)
-	x := mustExtend(t, tree, tree.Genesis(), minerPool)
-	mustExtend(t, tree, x, minerPool)
-	y := mustExtend(t, tree, tree.Genesis(), minerHonest)
-	y1 := mustExtend(t, tree, y, minerHonest)
-	y2 := mustExtend(t, tree, y, minerHonest)
-
-	got := tree.HeaviestTip()
-	if got != y1 && got != y2 {
-		t.Errorf("HeaviestTip = %d, want a leaf under y", got)
-	}
-	// GHOST picks y's subtree even though both branches have height 2;
-	// the longest rule would consider x1 equally good.
-	weights := tree.SubtreeWeights()
-	if weights[tree.Genesis()] != tree.Len() {
-		t.Errorf("genesis weight = %d, want %d", weights[tree.Genesis()], tree.Len())
-	}
-	if weights[y] != 3 || weights[x] != 2 {
-		t.Errorf("weights: x=%d y=%d, want 2 and 3", weights[x], weights[y])
-	}
-}
-
-func TestHeaviestTipLinearChain(t *testing.T) {
-	tree := NewTree(Config{}, minerGenesis)
-	prev := tree.Genesis()
-	for i := 0; i < 4; i++ {
-		prev = mustExtend(t, tree, prev, minerHonest)
-	}
-	if got := tree.HeaviestTip(); got != prev {
-		t.Errorf("HeaviestTip = %d, want %d", got, prev)
-	}
-}
-
 func TestRewardAddAndTotal(t *testing.T) {
 	a := Reward{Static: 1, Uncle: 0.5, Nephew: 0.25}
 	b := Reward{Static: 2, Uncle: 0.5, Nephew: 0.75}

@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -197,96 +196,4 @@ func TestResetAfterCompaction(t *testing.T) {
 	if settlement.RegularCount != 15 {
 		t.Fatalf("reused tree settled %d regular blocks, want 15", settlement.RegularCount)
 	}
-}
-
-// TestCompactedEncodeDecodeRoundTrip pins the v2 wire format: a compacted
-// tree round-trips through Encode/Decode preserving the ID base, residency,
-// dangling parent IDs, uncle references, and re-encodes byte-identically.
-func TestCompactedEncodeDecodeRoundTrip(t *testing.T) {
-	tree := NewTree(Config{}, minerGenesis)
-	tip := buildUncledChain(t, tree, 40)
-	if tree.CompactBelow(25) == 0 {
-		t.Fatal("compaction evicted nothing")
-	}
-
-	var buf bytes.Buffer
-	if err := tree.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	raw := append([]byte(nil), buf.Bytes()...)
-	decoded, err := Decode(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if decoded.Len() != tree.Len() || decoded.Base() != tree.Base() {
-		t.Fatalf("decoded len=%d base=%d, want %d %d", decoded.Len(), decoded.Base(), tree.Len(), tree.Base())
-	}
-	for id := int(tree.Base()); id < tree.Len(); id++ {
-		b := BlockID(id)
-		wp, wh, wu := tree.BlockInfo(b)
-		gp, gh, gu := decoded.BlockInfo(b)
-		if wp != gp || wh != gh || len(wu) != len(gu) {
-			t.Fatalf("block %d: decoded (%d, %d, %v), want (%d, %d, %v)", id, gp, gh, gu, wp, wh, wu)
-		}
-		for i := range wu {
-			if wu[i] != gu[i] {
-				t.Fatalf("block %d uncle %d: decoded %d, want %d", id, i, gu[i], wu[i])
-			}
-		}
-		if tree.ReferencedBy(b) != decoded.ReferencedBy(b) {
-			t.Errorf("block %d: decoded referencedBy %d, want %d", id, decoded.ReferencedBy(b), tree.ReferencedBy(b))
-		}
-	}
-	if decoded.Contains(tree.Base() - 1) {
-		t.Error("decoded tree claims an evicted block is resident")
-	}
-
-	// The decoded tree keeps growing from where the original left off.
-	if _, err := decoded.Extend(tip, minerHonest, nil); err != nil {
-		t.Fatalf("extending a decoded compacted tree: %v", err)
-	}
-
-	var again bytes.Buffer
-	if err := tree.Encode(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, again.Bytes()) {
-		t.Error("re-encoding a compacted tree is not byte-identical")
-	}
-}
-
-// TestCompactedDecodeRejectsForwardDangles pins v2 validation: a compacted
-// document whose resident records point at out-of-range structure is
-// rejected rather than rebuilt.
-func TestCompactedDecodeRejectsForwardDangles(t *testing.T) {
-	tree := NewTree(Config{}, minerGenesis)
-	buildUncledChain(t, tree, 12)
-	tree.CompactBelow(6)
-	var buf bytes.Buffer
-	if err := tree.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	// A v1 document must never carry a nonzero base.
-	bad := bytes.Replace(buf.Bytes(), []byte(`"version": 2`), []byte(`"version": 1`), 1)
-	if bytes.Equal(bad, buf.Bytes()) {
-		t.Fatal("version marker not found in encoded document")
-	}
-	if _, err := Decode(bytes.NewReader(bad)); err == nil {
-		t.Error("decode accepted a v1 document with a nonzero base")
-	}
-}
-
-// TestSubtreeWeightsPanicsCompacted pins the full-tree-only guard on the
-// weight aggregation (its recursion crosses the evicted prefix).
-func TestSubtreeWeightsPanicsCompacted(t *testing.T) {
-	tree := NewTree(Config{}, minerGenesis)
-	buildUncledChain(t, tree, 12)
-	tree.CompactBelow(6)
-	defer func() {
-		if recover() == nil {
-			t.Error("SubtreeWeights on a compacted tree did not panic")
-		}
-	}()
-	tree.SubtreeWeights()
 }

@@ -308,7 +308,7 @@ func TestResetRestoresGenesisState(t *testing.T) {
 	}
 
 	// The reused tree must behave exactly like a fresh one: rebuild the
-	// same structure and compare the full encoded form.
+	// same structure and check its links, heights and uncle references.
 	p1 = mustExtend(t, tree, tree.Genesis(), minerPool)
 	u = mustExtend(t, tree, tree.Genesis(), minerHonest)
 	p2 := mustExtend(t, tree, p1, minerPool, u)

@@ -1,11 +1,10 @@
 // Package chaos is the engine's fault-injection harness: adversarial
-// strategy wrappers that emit protocol-violating reactions, deterministic
-// error/panic injectors for worker pools, and a generator of corrupted
-// serialized trees. The package exists to prove — in tests and in the CI
-// chaos-smoke job — that the engine fails closed: every injected fault must
-// surface as a typed error (sim.ErrBadReaction, parallel.ErrPanic,
-// chain.ErrDecode) without crashing the process or poisoning reusable
-// state.
+// strategy wrappers that emit protocol-violating reactions and
+// deterministic error/panic injectors for worker pools. The package exists
+// to prove — in tests and in the CI chaos-smoke job — that the engine fails
+// closed: every injected fault must surface as a typed error
+// (sim.ErrBadReaction, parallel.ErrPanic) without crashing the process or
+// poisoning reusable state.
 //
 // All injection is deterministic. Strategies must be pure functions of the
 // race frame (instances are shared across worker goroutines), so faults

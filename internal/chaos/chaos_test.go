@@ -1,12 +1,10 @@
 package chaos
 
 import (
-	"bytes"
 	"errors"
 	"reflect"
 	"testing"
 
-	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/sim"
@@ -153,45 +151,5 @@ func TestInjectorWrap(t *testing.T) {
 	}
 	if !errors.Is(err, ErrInjectedPanic) {
 		t.Errorf("error chain %v lacks ErrInjectedPanic", err)
-	}
-}
-
-// TestCorruptionsRejected: every corrupted variant of a serialized tree is
-// rejected by chain.Decode with chain.ErrDecode — never accepted, never a
-// panic.
-func TestCorruptionsRejected(t *testing.T) {
-	cfg := cleanConfig(t)
-	cfg.Blocks = 500
-	_, tree, err := sim.RunTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tree.Encode(&buf); err != nil {
-		t.Fatal(err)
-	}
-	pristine := buf.Bytes()
-	if _, err := chain.Decode(bytes.NewReader(pristine)); err != nil {
-		t.Fatalf("pristine trace rejected: %v", err)
-	}
-	for i, corrupt := range Corruptions(pristine, 17, 64) {
-		if _, err := chain.Decode(bytes.NewReader(corrupt)); !errors.Is(err, chain.ErrDecode) {
-			t.Errorf("corruption %d (%d bytes): err = %v, want chain.ErrDecode", i, len(corrupt), err)
-		}
-	}
-}
-
-// TestCorruptionsDeterministic: the corruption set is a pure function of
-// (data, seed, n).
-func TestCorruptionsDeterministic(t *testing.T) {
-	data := []byte(`{"version":1,"blocks":[{"id":0,"height":0}]}`)
-	a := Corruptions(data, 3, 16)
-	b := Corruptions(data, 3, 16)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("same seed produced different corruption sets")
-	}
-	c := Corruptions(data, 4, 16)
-	if reflect.DeepEqual(a, c) {
-		t.Error("different seeds produced identical corruption sets")
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -184,50 +183,6 @@ func TestRunManyParallelDeterminismTwoPools(t *testing.T) {
 	for i := range sequential.Runs {
 		if !reflect.DeepEqual(sequential.Runs[i], parallel.Runs[i]) {
 			t.Errorf("run %d: parallel two-pool result differs from sequential", i)
-		}
-	}
-}
-
-// TestRunManyCtx pins the batch-cancellation contract: a nil or live
-// context behaves exactly like RunMany, and a cancelled context returns
-// context.Canceled with a done mask whose completed runs are bit-identical
-// to the uninterrupted batch.
-func TestRunManyCtx(t *testing.T) {
-	pop, err := mining.TwoAgent(0.35)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Population: pop, Gamma: 0.5, Blocks: 3000, Seed: 42, Parallelism: 4}
-	want, err := RunMany(cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, done, err := RunManyCtx(context.Background(), cfg, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ok := range done {
-		if !ok {
-			t.Fatalf("run %d not done under a live context", i)
-		}
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Error("RunManyCtx with a live context differs from RunMany")
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	partial, done, err := RunManyCtx(ctx, cfg, 6)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	for i, ok := range done {
-		if !ok {
-			continue
-		}
-		if !reflect.DeepEqual(partial.Runs[i], want.Runs[i]) {
-			t.Errorf("run %d: partial result differs from the uninterrupted batch", i)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
@@ -309,9 +308,9 @@ func Run(cfg Config) (Result, error) {
 }
 
 // RunTrace executes one simulation and additionally returns the full block
-// tree, for trace export and post-hoc analysis. The tree retains every
-// block including losers of resolved races and the pool's never-published
-// blocks: eviction is off for this run, so its memory is O(Blocks).
+// tree, for post-hoc analysis. The tree retains every block including
+// losers of resolved races and the pool's never-published blocks: eviction
+// is off for this run, so its memory is O(Blocks).
 func RunTrace(cfg Config) (Result, *chain.Tree, error) {
 	s, result, err := traceRun(cfg)
 	if err != nil {
@@ -388,25 +387,6 @@ func RunMany(cfg Config, runs int) (Series, error) {
 		return Series{}, err
 	}
 	return Series{Runs: results}, nil
-}
-
-// RunManyCtx is RunMany under a context: cancellation (or an expired
-// deadline) stops dispatching pending runs while in-flight runs finish.
-// Unlike RunMany it returns the partial Series alongside a non-nil error —
-// done[i] reports whether run i completed, and every completed run's Result
-// is bit-identical to what an uninterrupted batch would have produced (runs
-// are independently seeded via DeriveSeed).
-func RunManyCtx(ctx context.Context, cfg Config, runs int) (Series, []bool, error) {
-	if runs <= 0 {
-		return Series{}, nil, fmt.Errorf("%w: runs %d must be positive", ErrBadConfig, runs)
-	}
-	results, done, err := parallel.MapWithCtx(ctx, cfg.Parallelism, runs, NewRunner,
-		func(rn *Runner, i int) (Result, error) {
-			runCfg := cfg
-			runCfg.Seed = DeriveSeed(cfg.Seed, i)
-			return rn.Run(runCfg)
-		})
-	return Series{Runs: results}, done, err
 }
 
 // Mean aggregates a metric over the runs and returns its accumulator. The

@@ -23,10 +23,7 @@
 // consensus-floor monotonicity, and the incremental uncle-candidate set,
 // the floor-anchored chain index and uncle eligibility each checked against
 // a brute-force rescan) that never changes results; see
-// AuditConfig. Batch entry points come in context-aware variants
-// (RunManyCtx) whose cancellation semantics — in-flight runs finish,
-// completed results are bit-identical to an uninterrupted batch — come
-// from the internal/parallel pool.
+// AuditConfig.
 package sim
 
 import (

@@ -10,7 +10,9 @@ BENCH_BASELINE ?= bench-baseline.json
 # repo carries its own performance trajectory).
 BENCH_HISTORY ?= BENCH_HISTORY.json
 
-# The workloads gated against a same-machine baseline: the K-pool races,
+# The workloads gated against a same-machine baseline: the K-pool races
+# (2pools includes the deep-fork 0.33/0.33 race, which guards the
+# O(log race depth) consensus-floor recompute),
 # the tournament engine, the continuous-time workloads, the fast-forward
 # speedup pair, the result-cache cold/warm pair (cold bounds the cache's
 # miss-path overhead; warm pins the fully cached sweep), the long-horizon
@@ -109,12 +111,14 @@ kill-smoke:
 	cmp "$$dir/clean.out" "$$dir/resumed.out"; \
 	echo "kill-smoke: killed after $${delay}s of a $${clean_ms}ms sweep ($$lines journal lines); resumed output bit-identical"
 
-# Short randomized passes over the simulator's fuzz targets (the strategy
-# gate, the random-legal-reaction property and the strategy-spec grammar),
-# the result-cache journal decoder, and its row decoder against the
+# Short randomized passes over the block tree's ancestor queries against
+# parent-walk oracles, the simulator's fuzz targets (the strategy gate, the
+# random-legal-reaction property and the strategy-spec grammar), the
+# result-cache journal decoder, and its row decoder against the
 # encoding/json oracle; Go allows one -fuzz target per invocation, hence
 # the separate runs.
 fuzz-smoke:
+	$(GO) test -run=NONE -fuzz=FuzzTreeAncestors -fuzztime=$(FUZZTIME) ./internal/chain
 	$(GO) test -run=NONE -fuzz=FuzzValidateReaction -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzStrategySpec -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTableCompile -fuzztime=$(FUZZTIME) ./internal/sim

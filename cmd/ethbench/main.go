@@ -16,8 +16,10 @@
 //	                 allocs/op) and exit non-zero on a >20% regression in
 //	                 any of the three
 //	-record FILE     append this run as a dated entry to a JSON history
-//	                 file (the BENCH_HISTORY.json trajectory), in addition
-//	                 to the normal stdout output
+//	                 file (the BENCH_HISTORY.json trajectory), stamped with
+//	                 the Go version and the machine's CPU count,
+//	                 GOMAXPROCS and CPU model, in addition to the normal
+//	                 stdout output
 //	-cpuprofile FILE write a CPU profile covering the benchmark runs
 //	-memprofile FILE write a heap profile taken after the benchmark runs
 //
@@ -119,6 +121,14 @@ func benchmarks() []benchmark {
 		// the single-pool benchmarks.
 		{name: "sim-100k-blocks-2pools", run: simBench(freshRun, func() (sim.Config, error) {
 			pop, err := mining.MultiAgent(0.25, 0.2)
+			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000}, err
+		})},
+		// Two equal Algorithm-1 pools at 0.33 each, the top row of the
+		// paper-scale tournament: their public forks race side by side for
+		// hundreds of heights above a consensus floor that stays put, so
+		// this workload gates the O(log race depth) floor recompute.
+		{name: "sim-100k-blocks-2pools-deepfork", run: simBench(freshRun, func() (sim.Config, error) {
+			pop, err := mining.MultiAgent(0.33, 0.33)
 			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000}, err
 		})},
 		// Two parametric pools from the registry racing each other: the
@@ -468,11 +478,31 @@ func run(args []string, w io.Writer) error {
 }
 
 // historyEntry is one dated run in the benchmark history file: the full
-// result set plus enough environment to compare rows honestly.
+// result set plus enough environment to compare rows honestly. The machine
+// fingerprint (CPU count, GOMAXPROCS, CPU model) tells a new host from a
+// regression; entries recorded before it existed simply lack the fields.
 type historyEntry struct {
-	Date      string   `json:"date"`
-	GoVersion string   `json:"go_version"`
-	Results   []Result `json:"results"`
+	Date       string   `json:"date"`
+	GoVersion  string   `json:"go_version"`
+	NProc      int      `json:"nproc,omitempty"`
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	CPUModel   string   `json:"cpu_model,omitempty"`
+	Results    []Result `json:"results"`
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" where
+// the file or the field is absent (non-Linux hosts, some ARM kernels).
+func cpuModel() string {
+	raw, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if key, value, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(value)
+		}
+	}
+	return ""
 }
 
 // appendHistory appends this run as a dated entry to the JSON history at
@@ -492,9 +522,12 @@ func appendHistory(path string, results []Result) error {
 		return fmt.Errorf("reading history: %w", err)
 	}
 	history = append(history, historyEntry{
-		Date:      time.Now().UTC().Format(time.RFC3339),
-		GoVersion: runtime.Version(),
-		Results:   results,
+		Date:       time.Now().UTC().Format(time.RFC3339),
+		GoVersion:  runtime.Version(),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		CPUModel:   cpuModel(),
+		Results:    results,
 	})
 	out, err := json.MarshalIndent(history, "", "  ")
 	if err != nil {

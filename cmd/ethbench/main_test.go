@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -126,7 +127,14 @@ func TestRejectsPositionalArguments(t *testing.T) {
 }
 
 func TestRecordAppendsHistory(t *testing.T) {
+	// The file starts with an entry recorded before the machine
+	// fingerprint existed: it must still parse, and survive the rewrite
+	// without gaining a fingerprint.
 	path := filepath.Join(t.TempDir(), "history.json")
+	old := `[{"date": "2026-08-01T00:00:00Z", "go_version": "go1.24.0", "results": []}]`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	first := []Result{{Name: "a", Iterations: 3, NsPerOp: 100, BytesPerOp: 64, AllocsPerOp: 2, Parallelism: 1, GOMAXPROCS: 1}}
 	second := []Result{{Name: "a", Iterations: 4, NsPerOp: 90}, {Name: "b", Iterations: 1, NsPerOp: 7}}
 	for _, results := range [][]Result{first, second} {
@@ -142,15 +150,23 @@ func TestRecordAppendsHistory(t *testing.T) {
 	if err := json.Unmarshal(raw, &history); err != nil {
 		t.Fatalf("history is not valid JSON: %v\n%s", err, raw)
 	}
-	if len(history) != 2 {
-		t.Fatalf("got %d history entries, want 2", len(history))
+	if len(history) != 3 {
+		t.Fatalf("got %d history entries, want 3", len(history))
+	}
+	if h := history[0]; h.Date != "2026-08-01T00:00:00Z" || h.NProc != 0 || h.GOMAXPROCS != 0 || h.CPUModel != "" {
+		t.Errorf("pre-fingerprint entry = %+v", h)
 	}
 	for i, want := range [][]Result{first, second} {
-		if !reflect.DeepEqual(history[i].Results, want) {
-			t.Errorf("entry %d results = %+v, want %+v", i, history[i].Results, want)
+		h := history[i+1]
+		if !reflect.DeepEqual(h.Results, want) {
+			t.Errorf("entry %d results = %+v, want %+v", i+1, h.Results, want)
 		}
-		if history[i].Date == "" || history[i].GoVersion == "" {
-			t.Errorf("entry %d lacks date or Go version: %+v", i, history[i])
+		if h.Date == "" || h.GoVersion == "" {
+			t.Errorf("entry %d lacks date or Go version: %+v", i+1, h)
+		}
+		if h.NProc != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) || h.CPUModel != cpuModel() {
+			t.Errorf("entry %d machine fingerprint = (%d, %d, %q), want (%d, %d, %q)", i+1,
+				h.NProc, h.GOMAXPROCS, h.CPUModel, runtime.NumCPU(), runtime.GOMAXPROCS(0), cpuModel())
 		}
 	}
 }

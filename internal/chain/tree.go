@@ -31,7 +31,10 @@ type Config struct {
 // garbage collector never scans block storage. ID and Seq are implicit (a
 // record's ID is its index plus the eviction base); uncle references live in
 // the shared arena, addressed by [uncleStart, uncleEnd). The public Block
-// view is synthesized on demand.
+// view is synthesized on demand. Timestamps and jump pointers live in their
+// own parallel slices (times, jumps), not here: the uncle-validation and
+// settlement walks read rec alone, and keeping it at 20 bytes keeps those
+// walks cache-dense.
 type rec struct {
 	parent     int32
 	height     int32
@@ -62,6 +65,35 @@ type links struct {
 	referencedBy int32
 }
 
+// jump is a block's skew-binary jump pointer (Myers, "An applicative
+// random-access stack"; Bitcoin Core's CBlockIndex::pskip plays the same
+// role): to is a strict ancestor n heights down, so the target's height is
+// known without reading its record. Built in O(1) per block from the
+// parent's jump, the pointers let AncestorAt and CommonAncestor cross a race
+// of depth d in O(log d) hops instead of d parent steps.
+type jump struct {
+	to int32
+	n  int32
+}
+
+// jumpFor returns the jump pointer of a new child of parent, whose own jump
+// is p. If p and its target's jump have equal lengths, the child spans both
+// plus its own parent edge; otherwise it jumps to the parent. A parent
+// whose target has been evicted falls back to the parent edge: the rule
+// would read the evicted record, and any resulting jump would land below
+// every block a query may reach anyway. Callers pass p rather than have it
+// re-read, so ExtendRun can carry it in a register from block to block.
+func (t *Tree) jumpFor(parent int32, p jump) jump {
+	to, n := parent, int32(1)
+	if p.to >= t.base {
+		// A plain select: the merge compiles to conditional moves.
+		if q := t.jumps[p.to-t.base]; q.n == p.n {
+			to, n = q.to, 2*p.n+1
+		}
+	}
+	return jump{to: to, n: n}
+}
+
 // noBlock32 is NoBlock in the internal int32 representation.
 const noBlock32 = int32(NoBlock)
 
@@ -85,11 +117,18 @@ var noLinks = links{
 // can only leave two kinds of dangling backward edges: a resident block's
 // parent ID and a resident nephew's uncle IDs may name evicted blocks.
 // Callers that compact guarantee no accessor dereferences below Base();
-// dangling IDs are only ever compared.
+// dangling IDs are only ever compared. Jump pointers may dangle the same
+// way: the ancestor queries follow a jump only to a block at or above
+// their answer, so a resident answer never leads them below Base().
 type Tree struct {
 	cfg   Config
 	recs  []rec
 	links []links
+
+	// jumps holds each block's skew-binary jump pointer, parallel to recs
+	// (genesis jumps to itself with length zero). A separate SoA slice for
+	// the same reason as times: only the ancestor queries read it.
+	jumps []jump
 
 	// base is the ID of recs[0]: zero until CompactBelow evicts a decided
 	// prefix, after which record index = ID - base. It only ever grows.
@@ -138,10 +177,12 @@ func (t *Tree) Reset(cfg Config, genesisMiner MinerID) {
 		n := hint + 1 // plus genesis
 		t.recs = make([]rec, 0, n)
 		t.links = make([]links, 0, n)
+		t.jumps = make([]jump, 0, n)
 		t.times = make([]float64, 0, n)
 	} else {
 		t.recs = t.recs[:0]
 		t.links = t.links[:0]
+		t.jumps = t.jumps[:0]
 		t.times = t.times[:0]
 	}
 	t.uncleArena = t.uncleArena[:0]
@@ -149,6 +190,7 @@ func (t *Tree) Reset(cfg Config, genesisMiner MinerID) {
 	t.arenaOff = 0
 	t.recs = append(t.recs, rec{parent: noBlock32, miner: int32(genesisMiner)})
 	t.links = append(t.links, noLinks)
+	t.jumps = append(t.jumps, jump{})
 }
 
 // Genesis returns the genesis block's ID (always 0, whether or not the
@@ -200,6 +242,8 @@ func (t *Tree) CompactBelow(minHeight int) int {
 	t.recs = t.recs[:k]
 	kl := copy(t.links, t.links[n:])
 	t.links = t.links[:kl]
+	kj := copy(t.jumps, t.jumps[n:])
+	t.jumps = t.jumps[:kj]
 	if len(t.times) > 0 {
 		kt := copy(t.times, t.times[n:])
 		t.times = t.times[:kt]
@@ -391,6 +435,7 @@ func (t *Tree) ExtendAt(parent BlockID, miner MinerID, uncles []BlockID, at floa
 		t.uncleArena = append(t.uncleArena, uncles...)
 	}
 	id := BlockID(t.Len())
+	j := t.jumpFor(int32(parent), t.jumps[int32(parent)-t.base])
 	t.recs = append(t.recs, rec{
 		parent:     int32(parent),
 		height:     newHeight,
@@ -399,6 +444,7 @@ func (t *Tree) ExtendAt(parent BlockID, miner MinerID, uncles []BlockID, at floa
 		uncleEnd:   t.arenaOff + int32(len(t.uncleArena)),
 	})
 	t.links = append(t.links, noLinks)
+	t.jumps = append(t.jumps, j)
 	if at != 0 || len(t.times) != 0 {
 		t.stamp(at)
 	}
@@ -440,6 +486,7 @@ func (t *Tree) AppendLeaf(parent BlockID, miner MinerID, at float64) (id BlockID
 	}
 	ue := t.arenaOff + int32(len(t.uncleArena))
 	id = BlockID(t.Len())
+	j := t.jumpFor(int32(parent), t.jumps[int32(parent)-t.base])
 	t.recs = append(t.recs, rec{
 		parent:     int32(parent),
 		height:     t.recs[int32(parent)-t.base].height + 1,
@@ -448,6 +495,7 @@ func (t *Tree) AppendLeaf(parent BlockID, miner MinerID, at float64) (id BlockID
 		uncleEnd:   ue,
 	})
 	t.links = append(t.links, noLinks)
+	t.jumps = append(t.jumps, j)
 	if at != 0 || len(t.times) != 0 {
 		t.stamp(at)
 	}
@@ -483,12 +531,13 @@ func (t *Tree) ExtendRun(parent BlockID, miner MinerID, count int, start, step f
 	m32 := int32(miner)
 	ue := t.arenaOff + int32(len(t.uncleArena))
 	at := start
-	// Grow all three arenas once up front, then fill by index: the loop
-	// body runs without append's per-element capacity checks, which is
-	// where a naive per-block loop spends most of its time.
+	// Grow the arenas once up front, then fill by index: the loop body
+	// runs without append's per-element capacity checks, which is where a
+	// naive per-block loop spends most of its time.
 	n := len(t.recs)
 	t.recs = slices.Grow(t.recs, count)[:n+count]
 	t.links = slices.Grow(t.links, count)[:n+count]
+	t.jumps = slices.Grow(t.jumps, count)[:n+count]
 	// Timestamps are stored only once one is nonzero (see the times field):
 	// a timeless run's bulk append skips the third arena entirely.
 	storeTimes := len(t.times) != 0 || start != 0 || step != 0
@@ -504,6 +553,7 @@ func (t *Tree) ExtendRun(parent BlockID, miner MinerID, count int, start, step f
 	// formed, instead of initialized empty and patched back by the next
 	// iteration.
 	head := t.base + int32(n)
+	pj := t.jumps[p32-t.base]
 	lp := &t.links[p32-t.base]
 	if lp.firstChild == noBlock32 {
 		lp.firstChild = head
@@ -523,6 +573,8 @@ func (t *Tree) ExtendRun(parent BlockID, miner MinerID, count int, start, step f
 			uncleStart: ue,
 			uncleEnd:   ue,
 		}
+		pj = t.jumpFor(p32, pj)
+		t.jumps[idx] = pj
 		if storeTimes {
 			t.times[idx] = at
 		}
@@ -606,35 +658,55 @@ func (t *Tree) IsAncestor(a, b BlockID) bool {
 
 // AncestorAt returns b's ancestor at the given height (or b itself when
 // height equals b's height). It panics if height is negative or exceeds b's
-// height.
+// height. The walk follows jump pointers, O(log(b's height - height)) hops.
 func (t *Tree) AncestorAt(b BlockID, height int) BlockID {
 	bi := t.mustIndex(b)
 	if height < 0 || height > int(t.recs[bi].height) {
 		panic(fmt.Sprintf("chain: AncestorAt height %d out of range for block at height %d",
 			height, t.recs[bi].height))
 	}
-	cursor := int32(b)
-	for int(t.recs[cursor-t.base].height) > height {
-		cursor = t.recs[cursor-t.base].parent
-	}
-	return BlockID(cursor)
+	return BlockID(t.ancestorAt(int32(b), t.recs[bi].height, int32(height)))
 }
 
-// CommonAncestor returns the deepest common ancestor of a and b.
+// ancestorAt returns the ancestor at height target of block b at height h
+// (target <= h): it takes b's jump when that lands at or above target and
+// steps to the parent otherwise. Every block it reads lies between b and
+// the answer, so a resident answer keeps the whole walk resident.
+func (t *Tree) ancestorAt(b, h, target int32) int32 {
+	for h > target {
+		if j := t.jumps[b-t.base]; h-j.n >= target {
+			b, h = j.to, h-j.n
+		} else {
+			b, h = t.recs[b-t.base].parent, h-1
+		}
+	}
+	return b
+}
+
+// CommonAncestor returns the deepest common ancestor of a and b. After
+// lifting the deeper block to the other's height, both climb in lockstep:
+// two jumps of equal length whose targets still differ both land above the
+// answer, so they are taken together; otherwise both step to their parents.
+// Jump lengths depend only on height (up to the eviction fallback), so the
+// climb is O(log depth) hops.
 func (t *Tree) CommonAncestor(a, b BlockID) BlockID {
-	t.mustIndex(a)
-	t.mustIndex(b)
-	ha, hb := t.HeightOf(a), t.HeightOf(b)
+	ha := t.recs[t.mustIndex(a)].height
+	hb := t.recs[t.mustIndex(b)].height
+	x, y := int32(a), int32(b)
 	if ha > hb {
-		a = t.AncestorAt(a, hb)
+		x = t.ancestorAt(x, ha, hb)
 	} else if hb > ha {
-		b = t.AncestorAt(b, ha)
+		y = t.ancestorAt(y, hb, ha)
 	}
-	for a != b {
-		a = t.ParentOf(a)
-		b = t.ParentOf(b)
+	for x != y {
+		jx, jy := t.jumps[x-t.base], t.jumps[y-t.base]
+		if jx.to != jy.to && jx.n == jy.n {
+			x, y = jx.to, jy.to
+		} else {
+			x, y = t.recs[x-t.base].parent, t.recs[y-t.base].parent
+		}
 	}
-	return a
+	return BlockID(x)
 }
 
 // PathTo returns the chain from genesis to tip, inclusive. It requires the

@@ -23,6 +23,9 @@ import (
 //     timestamp is at or after its parent's, on every branch.
 //   - Consensus-floor monotonicity: the floor only ever advances along the
 //     settled chain — each new floor descends from the previous one.
+//   - Consensus-floor value: the maintained floor is the common ancestor of
+//     the public tip and every pool's branch, recomputed by plain parent
+//     walks that read none of the tree's jump pointers.
 //   - Fork-child candidate set: the incrementally maintained uncle
 //     candidate set matches a brute-force rescan of the candidate window
 //     (same blocks, same heights, same order), with the floor-purge rules
@@ -135,6 +138,9 @@ func (a *auditor) check(s *simulator) error {
 	if err := a.checkTimestamps(s); err != nil {
 		return err
 	}
+	if err := a.checkFloor(s); err != nil {
+		return err
+	}
 	if err := a.checkForkChildren(s); err != nil {
 		return err
 	}
@@ -215,6 +221,33 @@ func (a *auditor) auditFloor(s *simulator, from, to chain.BlockID) error {
 	if to != from && !s.tree.IsAncestor(from, to) {
 		return a.violation("consensus floor moved off its own chain: %d (height %d) -> %d (height %d)",
 			from, s.tree.HeightOf(from), to, s.tree.HeightOf(to))
+	}
+	return nil
+}
+
+// checkFloor recomputes the consensus floor from scratch, as the common
+// ancestor of the public tip and every pool's branch found by plain parent
+// steps, and requires the maintained floor to equal it. The walk is the
+// independent oracle for chain.Tree.CommonAncestor's jump-pointer climb,
+// so it must not call it. A poolless population keeps no floor.
+func (a *auditor) checkFloor(s *simulator) error {
+	if len(s.pools) == 0 {
+		return nil
+	}
+	t := s.tree
+	want := s.pubTip
+	for i := range s.pools {
+		for b := s.pools[i].tip(); want != b; {
+			if t.HeightOf(want) >= t.HeightOf(b) {
+				want = t.ParentOf(want)
+			} else {
+				b = t.ParentOf(b)
+			}
+		}
+	}
+	if want != s.floor {
+		return a.violation("consensus floor %d (height %d), parent walk from the tips finds %d (height %d)",
+			s.floor, t.HeightOf(s.floor), want, t.HeightOf(want))
 	}
 	return nil
 }

@@ -156,3 +156,29 @@ func BenchmarkPurgeForkChildren(b *testing.B) {
 		})
 	}
 }
+
+// TestAuditCatchesDeeperFloor: with two equal pools racing on separate
+// public forks, a floor one block deeper than the tips' common ancestor —
+// what a CommonAncestor that overshoots would maintain — must fail the
+// next audit: the auditor recomputes the floor by parent walks alone.
+func TestAuditCatchesDeeperFloor(t *testing.T) {
+	pop, err := mining.MultiAgent(0.33, 0.33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Population: pop, Gamma: 0.5, Blocks: 1 << 30, Seed: 5,
+		Audit: AuditConfig{Enabled: true, SampleEvery: 1}}
+	s := midRace(t, cfg, 2000, func(s *simulator) bool {
+		return s.pubHeight-s.tree.HeightOf(s.floor) >= 16
+	})
+	if err := s.aud.check(s); err != nil {
+		t.Fatalf("clean state failed the audit: %v", err)
+	}
+	s.floor = s.tree.ParentOf(s.floor)
+	if err := s.aud.checkFloor(s); !errors.Is(err, ErrAudit) {
+		t.Errorf("err = %v, want ErrAudit after moving the floor one block deeper", err)
+	}
+	if err := s.aud.check(s); !errors.Is(err, ErrAudit) {
+		t.Errorf("err = %v, want ErrAudit from the full audit", err)
+	}
+}

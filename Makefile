@@ -22,7 +22,7 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # the CI workflow both read this list, so the two cannot drift.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m nodepth
 
-.PHONY: check build vet test race agreement staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
+.PHONY: check build vet test race agreement staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke examples-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
 
 # How long each fuzz target runs in fuzz-smoke; CI uses the default.
 FUZZTIME ?= 10s
@@ -110,6 +110,15 @@ kill-smoke:
 	cat "$$dir/resumed.err"; \
 	cmp "$$dir/clean.out" "$$dir/resumed.out"; \
 	echo "kill-smoke: killed after $${delay}s of a $${clean_ms}ms sweep ($$lines journal lines); resumed output bit-identical"
+
+# Every example program end to end; any non-zero exit fails the target.
+# `build` only compiles them, and quickstart and stubborn run the library
+# facade's Simulate, whose configuration a compile cannot check.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "examples-smoke: $${d%/}"; \
+		$(GO) run "./$${d%/}" > /dev/null; \
+	done
 
 # Short randomized passes over the block tree's ancestor queries against
 # parent-walk oracles, the simulator's fuzz targets (the strategy gate, the

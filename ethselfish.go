@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/eyalsirer"
@@ -347,6 +348,10 @@ func Simulate(alpha, gamma float64, blocks int, opts ...Option) (SimResult, erro
 	if bad, isBad := o.strategy.(badStrategy); isBad {
 		return SimResult{}, fmt.Errorf("%w: %q", ErrUnknownStrategy, string(bad))
 	}
+	var strategies []sim.Strategy
+	if o.strategy != nil {
+		strategies = slices.Repeat([]sim.Strategy{o.strategy}, pop.NumPools())
+	}
 	series, err := sim.RunMany(sim.Config{
 		Population:        pop,
 		Gamma:             gamma,
@@ -354,7 +359,7 @@ func Simulate(alpha, gamma float64, blocks int, opts ...Option) (SimResult, erro
 		Blocks:            blocks,
 		Seed:              o.seed,
 		MaxUnclesPerBlock: o.uncleLimit,
-		Strategy:          o.strategy,
+		Strategies:        strategies,
 	}, o.runs)
 	if err != nil {
 		return SimResult{}, err

@@ -71,7 +71,7 @@ func buildForks(t testing.TB, trunkLen, forkLen, evictEvery, lag int) (tree *Tre
 	fork = tree.Genesis()
 	for h := 1; h <= trunkLen; h++ {
 		var err error
-		if fork, err = tree.Extend(fork, minerHonest, nil); err != nil {
+		if fork, err = tree.ExtendAt(fork, minerHonest, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 		if evictEvery > 0 && h%evictEvery == 0 {
@@ -81,10 +81,10 @@ func buildForks(t testing.TB, trunkLen, forkLen, evictEvery, lag int) (tree *Tre
 	tipA, tipB = fork, fork
 	for i := 0; i < forkLen; i++ {
 		var err error
-		if tipA, err = tree.Extend(tipA, minerHonest, nil); err != nil {
+		if tipA, err = tree.ExtendAt(tipA, minerHonest, nil, 0); err != nil {
 			t.Fatal(err)
 		}
-		if tipB, err = tree.Extend(tipB, minerPool, nil); err != nil {
+		if tipB, err = tree.ExtendAt(tipB, minerPool, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestAncestorQueriesOnDeepForks(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tree, fork, tipA, tipB := buildForks(t, tc.trunkLen, forkLen, tc.evictEvery, tc.lag)
-			if tc.wantEvicted && tree.Evicted() == 0 {
+			if tc.wantEvicted && tree.Base() == 0 {
 				t.Fatal("compacted variant evicted nothing")
 			}
 			if got := tree.CommonAncestor(tipA, tipB); got != fork {
@@ -176,7 +176,7 @@ func FuzzTreeAncestors(f *testing.F) {
 		for step := 0; pos < len(in) && step < 512; step++ {
 			switch op := next() % 4; op {
 			case 0:
-				if _, err := tree.Extend(recent(next()), minerHonest, nil); err != nil {
+				if _, err := tree.ExtendAt(recent(next()), minerHonest, nil, 0); err != nil {
 					t.Fatal(err)
 				}
 			case 1:
@@ -196,7 +196,7 @@ func FuzzTreeAncestors(f *testing.F) {
 		}
 		// Finally every pair of resident leaves, the shape the consensus
 		// floor queries.
-		tips := tree.Tips()
+		tips := leaves(tree)
 		if len(tips) > 32 {
 			tips = tips[len(tips)-32:]
 		}

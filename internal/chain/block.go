@@ -25,32 +25,6 @@ type BlockID int
 // NoBlock is the null block handle (parent of the genesis block).
 const NoBlock BlockID = -1
 
-// Block is a node of the block tree. Fields are immutable once added.
-type Block struct {
-	// ID is the block's handle in the tree.
-	ID BlockID
-
-	// Parent is the block this one extends, or NoBlock for genesis.
-	Parent BlockID
-
-	// Height is the distance from genesis (genesis is 0).
-	Height int
-
-	// Miner produced the block.
-	Miner MinerID
-
-	// Seq is the global creation sequence number (genesis is 0); it
-	// stands in for the timestamp in timeless runs.
-	Seq int
-
-	// Time is the block's timestamp: the simulation clock at its creation
-	// event. Timeless runs leave it zero for every block.
-	Time float64
-
-	// Uncles lists the stale blocks this block references.
-	Uncles []BlockID
-}
-
 // Classification of a block relative to a chosen main chain.
 type Classification int
 
@@ -80,7 +54,7 @@ func (c Classification) String() string {
 	}
 }
 
-// Validation errors returned by Tree.Extend.
+// Validation errors returned by Tree.ExtendAt.
 var (
 	// ErrUnknownBlock is returned when a referenced block does not exist.
 	ErrUnknownBlock = errors.New("chain: unknown block")

@@ -21,9 +21,6 @@ type Reward struct {
 // Total returns the sum of all reward components.
 func (r Reward) Total() float64 { return r.Static + r.Uncle + r.Nephew }
 
-// IsZero reports whether every component is zero.
-func (r Reward) IsZero() bool { return r == Reward{} }
-
 // Add returns the component-wise sum of two reward tallies.
 func (r Reward) Add(other Reward) Reward {
 	return Reward{
@@ -47,8 +44,7 @@ type UncleRef struct {
 
 // Settlement is the outcome of settling rewards over a finished tree with
 // respect to a chosen main-chain tip. Per-miner tallies are stored densely,
-// indexed by MinerID, so settling never hashes; the PerMiner map is
-// available as a compatibility view.
+// indexed by MinerID, so settling never hashes.
 type Settlement struct {
 	// Tip is the main-chain tip the settlement was computed against.
 	Tip BlockID
@@ -59,9 +55,8 @@ type Settlement struct {
 	MinerRewards []Reward
 
 	// MinerSeen marks the IDs that appeared in the settlement (mined a
-	// regular block or were referenced as an uncle), mirroring which
-	// miners the map view contains — an uncle referenced at a
-	// zero-paying distance appears with a zero tally.
+	// regular block or were referenced as an uncle) — an uncle
+	// referenced at a zero-paying distance is seen with a zero tally.
 	MinerSeen []bool
 
 	// RegularCount is the number of reward-earning main-chain blocks
@@ -78,39 +73,6 @@ type Settlement struct {
 
 	// Refs lists every realized uncle reference.
 	Refs []UncleRef
-}
-
-// MinerRewardAt indexes a dense per-miner tally, returning zero for IDs
-// outside it. Shared by every dense-tally holder (Settlement, sim.Result).
-func MinerRewardAt(rewards []Reward, id MinerID) Reward {
-	if id < 0 || int(id) >= len(rewards) {
-		return Reward{}
-	}
-	return rewards[id]
-}
-
-// PerMinerView builds the map view of a dense per-miner tally: every miner
-// marked in seen, keyed by ID.
-func PerMinerView(rewards []Reward, seen []bool) map[MinerID]Reward {
-	out := make(map[MinerID]Reward)
-	for id, ok := range seen {
-		if ok {
-			out[MinerID(id)] = rewards[id]
-		}
-	}
-	return out
-}
-
-// MinerReward returns the tally of one miner (zero if it earned nothing).
-func (s Settlement) MinerReward(id MinerID) Reward {
-	return MinerRewardAt(s.MinerRewards, id)
-}
-
-// PerMiner returns the map view of the per-miner tallies: every miner that
-// appeared in the settlement, keyed by ID. It is built on demand; iteration-
-// heavy callers should use the dense MinerRewards directly.
-func (s Settlement) PerMiner() map[MinerID]Reward {
-	return PerMinerView(s.MinerRewards, s.MinerSeen)
 }
 
 // see marks a miner as appearing in the settlement, growing the dense
@@ -137,7 +99,7 @@ func (t *Tree) Classify(tip BlockID) []Classification {
 	for _, id := range t.PathTo(tip) {
 		for _, u := range t.UnclesOf(id) {
 			if out[u] == Regular {
-				// A main-chain block cannot be an uncle; Extend
+				// A main-chain block cannot be an uncle; ExtendAt
 				// prevents referencing ancestors, so this would
 				// mean the reference crossed chains.
 				continue
@@ -218,13 +180,4 @@ func (t *Tree) Settle(tip BlockID, schedule rewards.Schedule) (Settlement, error
 	// from the other two without marking and rescanning the whole tree.
 	s.StaleCount = t.Len() - 1 - s.RegularCount - s.UncleCount
 	return s, nil
-}
-
-// TotalReward returns the sum of all miners' rewards in the settlement.
-func (s Settlement) TotalReward() Reward {
-	var total Reward
-	for _, r := range s.MinerRewards {
-		total = total.Add(r)
-	}
-	return total
 }

@@ -117,12 +117,10 @@ func TestSettleRewardValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := s.MinerReward(minerPool)
-	honest := s.MinerReward(minerHonest)
-
-	// The map view must agree with the dense tallies.
-	if view := s.PerMiner(); view[minerPool] != pool || view[minerHonest] != honest {
-		t.Errorf("PerMiner map view %v disagrees with dense tallies", view)
+	pool := s.MinerRewards[minerPool]
+	honest := s.MinerRewards[minerHonest]
+	if !s.MinerSeen[minerPool] || !s.MinerSeen[minerHonest] || s.MinerSeen[minerGenesis] {
+		t.Errorf("MinerSeen = %v, want both miners and not genesis", s.MinerSeen)
 	}
 
 	if pool.Static != 3 {
@@ -139,7 +137,10 @@ func TestSettleRewardValues(t *testing.T) {
 	if honest.Static != 0 || honest.Nephew != 0 || pool.Uncle != 0 {
 		t.Errorf("unexpected components: pool=%+v honest=%+v", pool, honest)
 	}
-	total := s.TotalReward()
+	var total Reward
+	for _, r := range s.MinerRewards {
+		total = total.Add(r)
+	}
 	if got, want := total.Total(), 3+7.0/8+1.0/32; math.Abs(got-want) > 1e-12 {
 		t.Errorf("total = %v, want %v", got, want)
 	}
@@ -157,7 +158,7 @@ func TestSettleSelfReferenceSameMiner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := s.MinerReward(minerPool)
+	pool := s.MinerRewards[minerPool]
 	if pool.Static != 2 {
 		t.Errorf("static = %v, want 2", pool.Static)
 	}
@@ -177,10 +178,10 @@ func TestSettleZeroSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.MinerReward(minerHonest).Total(); got != 0 {
+	if got := s.MinerRewards[minerHonest].Total(); got != 0 {
 		t.Errorf("honest total = %v, want 0 under Bitcoin schedule", got)
 	}
-	if got := s.MinerReward(minerPool).Static; got != 3 {
+	if got := s.MinerRewards[minerPool].Static; got != 3 {
 		t.Errorf("pool static = %v, want 3", got)
 	}
 }
@@ -201,8 +202,8 @@ func TestSettleGenesisOnly(t *testing.T) {
 	if s.RegularCount != 0 || s.UncleCount != 0 || s.StaleCount != 0 {
 		t.Errorf("counts = %d/%d/%d, want all zero", s.RegularCount, s.UncleCount, s.StaleCount)
 	}
-	if view := s.PerMiner(); len(view) != 0 {
-		t.Errorf("PerMiner = %v, want empty", view)
+	if len(s.MinerRewards) != 0 || len(s.MinerSeen) != 0 {
+		t.Errorf("tallies = %v (seen %v), want empty", s.MinerRewards, s.MinerSeen)
 	}
 }
 

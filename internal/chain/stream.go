@@ -76,10 +76,6 @@ func (ss *StreamSettler) Reset(schedule rewards.Schedule) {
 	ss.mintedNephew = 0
 }
 
-// SettledTip returns the last settled chain block (genesis before the first
-// Advance).
-func (ss *StreamSettler) SettledTip() BlockID { return ss.tip }
-
 // SettledHeight returns the settled prefix's height.
 func (ss *StreamSettler) SettledHeight() int { return ss.height }
 

@@ -55,8 +55,8 @@ func TestStreamSettlerMatchesSettle(t *testing.T) {
 		}
 	}
 
-	if ss.SettledTip() != tip || ss.SettledHeight() != 60 {
-		t.Fatalf("settled to %d (height %d), want %d (60)", ss.SettledTip(), ss.SettledHeight(), ss.SettledHeight())
+	if ss.SettledHeight() != 60 {
+		t.Fatalf("settled to height %d, want 60", ss.SettledHeight())
 	}
 	if ss.RegularCount() != want.RegularCount || ss.UncleCount() != want.UncleCount {
 		t.Errorf("counts regular=%d uncles=%d, one-shot regular=%d uncles=%d",
@@ -94,8 +94,13 @@ func TestStreamSettlerRejectsNonDescendant(t *testing.T) {
 	if err := ss.Advance(tree, a1, SettleHooks{}); err == nil {
 		t.Error("advance backwards succeeded")
 	}
-	if ss.SettledTip() != a2 || ss.RegularCount() != 2 {
-		t.Errorf("failed advances disturbed the settler: tip %d, regular %d", ss.SettledTip(), ss.RegularCount())
+	if ss.SettledHeight() != 2 || ss.RegularCount() != 2 {
+		t.Errorf("failed advances disturbed the settler: height %d, regular %d", ss.SettledHeight(), ss.RegularCount())
+	}
+	// The settled tip is still a2: advancing to it is the no-op case.
+	settled := 0
+	if err := ss.Advance(tree, a2, SettleHooks{OnBlock: func(BlockID, int) { settled++ }}); err != nil || settled != 0 {
+		t.Errorf("advance to the settled tip: err %v, settled %d blocks, want a no-op", err, settled)
 	}
 }
 
@@ -117,8 +122,8 @@ func TestCompactBelowBoundaryAtUnclesParent(t *testing.T) {
 	if got := tree.CompactBelow(2); got != 2 {
 		t.Fatalf("evicted %d records, want 2", got)
 	}
-	if tree.Base() != c2 || tree.Evicted() != 2 || tree.Len() != 6 {
-		t.Fatalf("base %d evicted %d len %d, want %d 2 6", tree.Base(), tree.Evicted(), tree.Len(), c2)
+	if tree.Base() != c2 || tree.Len() != 6 {
+		t.Fatalf("base %d len %d, want %d 6", tree.Base(), tree.Len(), c2)
 	}
 	if tree.Contains(c1) || !tree.Contains(c2) || !tree.Contains(cand) {
 		t.Fatal("residency flips on the wrong side of the boundary")
@@ -128,13 +133,13 @@ func TestCompactBelowBoundaryAtUnclesParent(t *testing.T) {
 		t.Errorf("boundary record: parent %d height %d, want %d 2", tree.ParentOf(c2), tree.HeightOf(c2), c1)
 	}
 	// The candidate's sibling links survive the copy-down.
-	if !tree.IsForkChild(cand) || tree.ParentOf(cand) != c2 {
+	if tree.FirstChildOf(c2) != c3 || tree.NextSiblingOf(c3) != cand || tree.ParentOf(cand) != c2 {
 		t.Error("fork-child structure lost across compaction")
 	}
 	// The candidate is still referenceable: a block on the main chain can
 	// take it as an uncle at distance 2, and the reference lands in the
 	// rebased arena.
-	c5, err := tree.Extend(c4, minerHonest, []BlockID{cand})
+	c5, err := tree.ExtendAt(c4, minerHonest, []BlockID{cand}, 0)
 	if err != nil {
 		t.Fatalf("referencing a resident candidate after compaction: %v", err)
 	}
@@ -145,7 +150,7 @@ func TestCompactBelowBoundaryAtUnclesParent(t *testing.T) {
 		t.Errorf("ReferencedBy(%d) = %d, want %d", cand, tree.ReferencedBy(cand), c5)
 	}
 	// An evicted block is gone for good: not containable, not extendable.
-	if _, err := tree.Extend(c1, minerHonest, nil); !errors.Is(err, ErrUnknownBlock) {
+	if _, err := tree.ExtendAt(c1, minerHonest, nil, 0); !errors.Is(err, ErrUnknownBlock) {
 		t.Errorf("extending an evicted block: err = %v, want ErrUnknownBlock", err)
 	}
 }
@@ -185,8 +190,8 @@ func TestResetAfterCompaction(t *testing.T) {
 	_ = tip
 
 	tree.Reset(Config{}, minerGenesis)
-	if tree.Len() != 1 || tree.Base() != 0 || tree.Evicted() != 0 || tree.TotalUncleRefs() != 0 {
-		t.Fatalf("reset left len=%d base=%d evicted=%d refs=%d", tree.Len(), tree.Base(), tree.Evicted(), tree.TotalUncleRefs())
+	if tree.Len() != 1 || tree.Base() != 0 || tree.TotalUncleRefs() != 0 {
+		t.Fatalf("reset left len=%d base=%d refs=%d", tree.Len(), tree.Base(), tree.TotalUncleRefs())
 	}
 	tip = buildUncledChain(t, tree, 15)
 	settlement, err := tree.Settle(tip, rewards.Ethereum())

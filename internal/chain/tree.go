@@ -26,12 +26,11 @@ type Config struct {
 }
 
 // rec is the tree's internal per-block record. It is deliberately compact
-// and pointer-free: 20 bytes per block instead of a 64-byte Block with a
-// slice header, so appends copy less, chain walks stay cache-dense, and the
-// garbage collector never scans block storage. ID and Seq are implicit (a
-// record's ID is its index plus the eviction base); uncle references live in
-// the shared arena, addressed by [uncleStart, uncleEnd). The public Block
-// view is synthesized on demand. Timestamps and jump pointers live in their
+// and pointer-free: 20 bytes per block, so appends copy less, chain walks
+// stay cache-dense, and the garbage collector never scans block storage. The
+// ID is implicit (a record's ID is its index plus the eviction base); uncle
+// references live in the shared arena, addressed by [uncleStart, uncleEnd),
+// and are read through UnclesOf. Timestamps and jump pointers live in their
 // own parallel slices (times, jumps), not here: the uncle-validation and
 // settlement walks read rec alone, and keeping it at 20 bytes keeps those
 // walks cache-dense.
@@ -59,7 +58,7 @@ type links struct {
 	// NoBlock. The protocol guarantees at most one referencing block per
 	// chain; across competing chains a block could in principle be
 	// referenced twice, which the simulator never does because losers of
-	// a fork stop being extended. Extend enforces per-chain uniqueness
+	// a fork stop being extended. ExtendAt enforces per-chain uniqueness
 	// exactly; this index additionally gives O(1) "is referenced"
 	// queries for the single evolving chain.
 	referencedBy int32
@@ -151,7 +150,7 @@ type Tree struct {
 	// time.
 	times []float64
 
-	// uncleArena backs every block's Uncles slice. Extend appends the
+	// uncleArena backs every block's uncle list. ExtendAt appends the
 	// validated references here and hands out capacity-clamped
 	// subslices, so uncle storage amortizes to zero allocations instead
 	// of one copy per referencing block.
@@ -206,9 +205,6 @@ func (t *Tree) Len() int { return int(t.base) + len(t.recs) }
 // CompactBelow evicts a prefix; accessors must not be asked about blocks
 // below it.
 func (t *Tree) Base() BlockID { return BlockID(t.base) }
-
-// Evicted returns the number of records CompactBelow has evicted so far.
-func (t *Tree) Evicted() int { return int(t.base) }
 
 // CompactBelow evicts the longest prefix of records whose height is below
 // minHeight, compacting the backing arrays in place (one copy-down of the
@@ -265,24 +261,6 @@ func (t *Tree) uncles(r rec) []BlockID {
 	return t.uncleArena[s:e:e]
 }
 
-// Block returns the block with the given ID, synthesized from the compact
-// internal record. It panics on an invalid (or evicted) ID, which indicates
-// a programming error (IDs are only produced by this tree). Hot paths should
-// prefer the single-field accessors (ParentOf, HeightOf, MinerOf,
-// UnclesOf), which avoid materializing the record.
-func (t *Tree) Block(id BlockID) Block {
-	r := t.recs[t.mustIndex(id)]
-	return Block{
-		ID:     id,
-		Parent: BlockID(r.parent),
-		Height: int(r.height),
-		Miner:  MinerID(r.miner),
-		Seq:    int(id),
-		Time:   t.TimeOf(id),
-		Uncles: t.uncles(r),
-	}
-}
-
 // ParentOf returns the block's parent (NoBlock for genesis).
 func (t *Tree) ParentOf(id BlockID) BlockID { return BlockID(t.recs[int32(id)-t.base].parent) }
 
@@ -315,13 +293,6 @@ func (t *Tree) BlockInfo(id BlockID) (parent BlockID, height int, uncles []Block
 	return BlockID(r.parent), int(r.height), t.uncles(*r)
 }
 
-// ParentAndHeight returns the parent and height in one record load, without
-// touching the uncle arena — for chain walks that do not need references.
-func (t *Tree) ParentAndHeight(id BlockID) (parent BlockID, height int) {
-	r := t.recs[int32(id)-t.base]
-	return BlockID(r.parent), int(r.height)
-}
-
 // FirstChildOf returns the block's first child in creation order, or
 // NoBlock.
 func (t *Tree) FirstChildOf(id BlockID) BlockID {
@@ -333,49 +304,6 @@ func (t *Tree) FirstChildOf(id BlockID) BlockID {
 func (t *Tree) NextSiblingOf(id BlockID) BlockID {
 	return BlockID(t.links[int32(id)-t.base].nextSibling)
 }
-
-// IsForkChild reports whether the block's parent has more than one child,
-// i.e. whether the block sits at a fork. Only such blocks can ever become
-// uncles: an eligible uncle is off the referencing chain while its parent is
-// on it, so the parent necessarily has a second, on-chain child.
-func (t *Tree) IsForkChild(id BlockID) bool {
-	parent := t.recs[int32(id)-t.base].parent
-	if parent == noBlock32 {
-		return false
-	}
-	lp := &t.links[parent-t.base]
-	return lp.firstChild != lp.lastChild
-}
-
-// Children returns the direct children of a block in creation order. The
-// returned slice is freshly allocated; hot paths should use VisitChildren.
-func (t *Tree) Children(id BlockID) []BlockID {
-	var out []BlockID
-	t.VisitChildren(id, func(kid BlockID) bool {
-		out = append(out, kid)
-		return true
-	})
-	return out
-}
-
-// VisitChildren calls fn for each direct child of id in creation order,
-// stopping early if fn returns false. It is the no-copy counterpart of
-// Children for allocation-sensitive traversals.
-func (t *Tree) VisitChildren(id BlockID, fn func(BlockID) bool) {
-	for kid := t.links[t.mustIndex(id)].firstChild; kid != noBlock32; kid = t.links[kid-t.base].nextSibling {
-		if !fn(BlockID(kid)) {
-			return
-		}
-	}
-}
-
-// HasChildren reports whether the block has at least one child.
-func (t *Tree) HasChildren(id BlockID) bool {
-	return t.links[t.mustIndex(id)].firstChild != noBlock32
-}
-
-// Height returns the block's height.
-func (t *Tree) Height(id BlockID) int { return int(t.recs[t.mustIndex(id)].height) }
 
 // Contains reports whether id names a resident block of this tree (evicted
 // IDs once named blocks, but their records are gone).
@@ -393,20 +321,14 @@ func (t *Tree) ReferencedBy(id BlockID) BlockID {
 // uses it to presize its realized-reference list.
 func (t *Tree) TotalUncleRefs() int { return int(t.arenaOff) + len(t.uncleArena) }
 
-// Extend appends a new block on the given parent, referencing the given
+// ExtendAt appends a new block on the given parent, referencing the given
 // uncles, and returns its ID. The uncle list is validated against the
-// protocol rules; the slice is copied, so the caller may reuse it. The
-// miner ID must be non-negative (IDs index dense settlement tallies). The
-// block's timestamp is zero; timed simulations use ExtendAt.
-func (t *Tree) Extend(parent BlockID, miner MinerID, uncles []BlockID) (BlockID, error) {
-	return t.ExtendAt(parent, miner, uncles, 0)
-}
-
-// ExtendAt is Extend with an explicit timestamp: the continuous-time
-// simulator stamps each block with its creation event's clock. The tree
-// records the value without interpreting it (monotonicity along branches is
-// the caller's invariant; the simulator's globally increasing clock supplies
-// it for free).
+// protocol rules; the slice is copied, so the caller may reuse it. The miner
+// ID must be non-negative (IDs index dense settlement tallies). The block is
+// stamped at: the continuous-time simulator passes its creation event's
+// clock, timeless callers zero. The tree records the value without
+// interpreting it (monotonicity along branches is the caller's invariant; the
+// simulator's globally increasing clock supplies it for free).
 func (t *Tree) ExtendAt(parent BlockID, miner MinerID, uncles []BlockID, at float64) (BlockID, error) {
 	if !t.Contains(parent) {
 		return NoBlock, fmt.Errorf("parent %d: %w", parent, ErrUnknownBlock)
@@ -514,7 +436,7 @@ func (t *Tree) AppendLeaf(parent BlockID, miner MinerID, at float64) (id BlockID
 //
 // This is the fast-forward bulk-append: one bounds check up front, then a
 // tight loop of record appends with none of the per-block uncle validation
-// Extend pays, because a run by construction can neither reference nor
+// ExtendAt pays, because a run by construction can neither reference nor
 // create an eligible uncle (no forks are introduced anywhere along it).
 func (t *Tree) ExtendRun(parent BlockID, miner MinerID, count int, start, step float64) (BlockID, error) {
 	if !t.Contains(parent) {
@@ -720,21 +642,6 @@ func (t *Tree) PathTo(tip BlockID) []BlockID {
 		cursor = BlockID(t.recs[t.mustIndex(cursor)].parent)
 	}
 	return path
-}
-
-// Tips returns all resident leaves (blocks without children) in creation
-// order. Evicted blocks are never leaves: eviction requires every record
-// below the cut to be decided, and a decided block on the settled chain has
-// a child by construction while an off-chain one can no longer be extended —
-// but even a childless evicted record is simply no longer reported.
-func (t *Tree) Tips() []BlockID {
-	var tips []BlockID
-	for i := range t.recs {
-		if t.links[i].firstChild == noBlock32 {
-			tips = append(tips, BlockID(t.base+int32(i)))
-		}
-	}
-	return tips
 }
 
 func (t *Tree) mustIndex(id BlockID) int {

@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -13,11 +14,32 @@ const (
 
 func mustExtend(t *testing.T, tree *Tree, parent BlockID, miner MinerID, uncles ...BlockID) BlockID {
 	t.Helper()
-	id, err := tree.Extend(parent, miner, uncles)
+	id, err := tree.ExtendAt(parent, miner, uncles, 0)
 	if err != nil {
-		t.Fatalf("Extend(parent=%d): %v", parent, err)
+		t.Fatalf("ExtendAt(parent=%d): %v", parent, err)
 	}
 	return id
+}
+
+// children lists a block's direct children in creation order through the
+// intrusive child links.
+func children(tree *Tree, id BlockID) []BlockID {
+	var out []BlockID
+	for kid := tree.FirstChildOf(id); kid != NoBlock; kid = tree.NextSiblingOf(kid) {
+		out = append(out, kid)
+	}
+	return out
+}
+
+// leaves lists the resident blocks without children, in creation order.
+func leaves(tree *Tree) []BlockID {
+	var out []BlockID
+	for id := tree.Base(); int(id) < tree.Len(); id++ {
+		if tree.FirstChildOf(id) == NoBlock {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func TestNewTreeGenesis(t *testing.T) {
@@ -25,12 +47,12 @@ func TestNewTreeGenesis(t *testing.T) {
 	if tree.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", tree.Len())
 	}
-	g := tree.Block(tree.Genesis())
-	if g.Height != 0 || g.Parent != NoBlock || g.ID != 0 {
-		t.Errorf("genesis = %+v", g)
+	g := tree.Genesis()
+	if g != 0 || tree.HeightOf(g) != 0 || tree.ParentOf(g) != NoBlock || tree.MinerOf(g) != minerGenesis {
+		t.Errorf("genesis %d: height %d parent %d miner %d", g, tree.HeightOf(g), tree.ParentOf(g), tree.MinerOf(g))
 	}
-	if got := tree.Tips(); len(got) != 1 || got[0] != tree.Genesis() {
-		t.Errorf("Tips = %v, want [genesis]", got)
+	if got := tree.LongestTips(); len(got) != 1 || got[0] != g {
+		t.Errorf("LongestTips = %v, want [genesis]", got)
 	}
 }
 
@@ -39,7 +61,7 @@ func TestExtendLinearChain(t *testing.T) {
 	prev := tree.Genesis()
 	for h := 1; h <= 5; h++ {
 		prev = mustExtend(t, tree, prev, minerHonest)
-		if got := tree.Height(prev); got != h {
+		if got := tree.HeightOf(prev); got != h {
 			t.Fatalf("height = %d, want %d", got, h)
 		}
 	}
@@ -48,18 +70,18 @@ func TestExtendLinearChain(t *testing.T) {
 		t.Fatalf("path length %d, want 6", len(path))
 	}
 	for i, id := range path {
-		if tree.Height(id) != i {
-			t.Errorf("path[%d] has height %d", i, tree.Height(id))
+		if tree.HeightOf(id) != i {
+			t.Errorf("path[%d] has height %d", i, tree.HeightOf(id))
 		}
 	}
 }
 
 func TestExtendUnknownParent(t *testing.T) {
 	tree := NewTree(Config{}, minerGenesis)
-	if _, err := tree.Extend(99, minerHonest, nil); !errors.Is(err, ErrUnknownBlock) {
+	if _, err := tree.ExtendAt(99, minerHonest, nil, 0); !errors.Is(err, ErrUnknownBlock) {
 		t.Errorf("err = %v, want ErrUnknownBlock", err)
 	}
-	if _, err := tree.Extend(NoBlock, minerHonest, nil); !errors.Is(err, ErrUnknownBlock) {
+	if _, err := tree.ExtendAt(NoBlock, minerHonest, nil, 0); !errors.Is(err, ErrUnknownBlock) {
 		t.Errorf("err = %v, want ErrUnknownBlock", err)
 	}
 }
@@ -77,25 +99,25 @@ func fork(t *testing.T) (tree *Tree, a1, a2, b1 BlockID) {
 func TestUncleReferenceValid(t *testing.T) {
 	tree, _, a2, b1 := fork(t)
 	// a3 on top of a2 references b1 (a sibling of a2, distance 2).
-	a3, err := tree.Extend(a2, minerPool, []BlockID{b1})
+	a3, err := tree.ExtendAt(a2, minerPool, []BlockID{b1}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := tree.ReferencedBy(b1); got != a3 {
 		t.Errorf("ReferencedBy(b1) = %d, want %d", got, a3)
 	}
-	if got := tree.Block(a3).Uncles; len(got) != 1 || got[0] != b1 {
+	if got := tree.UnclesOf(a3); len(got) != 1 || got[0] != b1 {
 		t.Errorf("Uncles = %v, want [b1]", got)
 	}
 }
 
 func TestUncleCannotBeAncestor(t *testing.T) {
 	tree, a1, a2, _ := fork(t)
-	if _, err := tree.Extend(a2, minerPool, []BlockID{a1}); !errors.Is(err, ErrUncleIsAncestor) {
+	if _, err := tree.ExtendAt(a2, minerPool, []BlockID{a1}, 0); !errors.Is(err, ErrUncleIsAncestor) {
 		t.Errorf("err = %v, want ErrUncleIsAncestor", err)
 	}
 	// The direct parent is also an ancestor (distance 1, but on-chain).
-	if _, err := tree.Extend(a2, minerPool, []BlockID{a2}); !errors.Is(err, ErrUncleIsAncestor) {
+	if _, err := tree.ExtendAt(a2, minerPool, []BlockID{a2}, 0); !errors.Is(err, ErrUncleIsAncestor) {
 		t.Errorf("parent-reference err = %v, want ErrUncleIsAncestor", err)
 	}
 }
@@ -112,10 +134,10 @@ func TestUncleMustAttachToChain(t *testing.T) {
 	c1 := mustExtend(t, tree, tree.Genesis(), minerHonest)
 	c2 := mustExtend(t, tree, c1, minerHonest)
 
-	if _, err := tree.Extend(a2, minerPool, []BlockID{c2}); !errors.Is(err, ErrUncleNotAttached) {
+	if _, err := tree.ExtendAt(a2, minerPool, []BlockID{c2}, 0); !errors.Is(err, ErrUncleNotAttached) {
 		t.Errorf("c2 err = %v, want ErrUncleNotAttached", err)
 	}
-	if _, err := tree.Extend(a2, minerPool, []BlockID{c1}); err != nil {
+	if _, err := tree.ExtendAt(a2, minerPool, []BlockID{c1}, 0); err != nil {
 		t.Errorf("c1 should be a valid uncle: %v", err)
 	}
 }
@@ -132,7 +154,7 @@ func TestUncleDepthLimit(t *testing.T) {
 		prev = mustExtend(t, tree, prev, minerPool)
 	}
 	// prev is at height 6; a child is at height 7, distance 7-1 = 6: ok.
-	child, err := tree.Extend(prev, minerPool, []BlockID{u})
+	child, err := tree.ExtendAt(prev, minerPool, []BlockID{u}, 0)
 	if err != nil {
 		t.Fatalf("distance-6 reference should be valid: %v", err)
 	}
@@ -144,7 +166,7 @@ func TestUncleDepthLimit(t *testing.T) {
 		prev2 = mustExtend(t, tree2, prev2, minerPool)
 	}
 	// prev2 at height 7; child at height 8, distance 7: too deep.
-	if _, err := tree2.Extend(prev2, minerPool, []BlockID{u2}); !errors.Is(err, ErrUncleTooDeep) {
+	if _, err := tree2.ExtendAt(prev2, minerPool, []BlockID{u2}, 0); !errors.Is(err, ErrUncleTooDeep) {
 		t.Errorf("err = %v, want ErrUncleTooDeep", err)
 	}
 	_ = child
@@ -157,7 +179,7 @@ func TestUncleDepthUnlimitedByDefault(t *testing.T) {
 	for h := 2; h <= 30; h++ {
 		prev = mustExtend(t, tree, prev, minerPool)
 	}
-	if _, err := tree.Extend(prev, minerPool, []BlockID{u}); err != nil {
+	if _, err := tree.ExtendAt(prev, minerPool, []BlockID{u}, 0); err != nil {
 		t.Errorf("unlimited depth tree rejected deep uncle: %v", err)
 	}
 }
@@ -165,7 +187,7 @@ func TestUncleDepthUnlimitedByDefault(t *testing.T) {
 func TestUncleDoubleReferenceRejected(t *testing.T) {
 	tree, _, a2, b1 := fork(t)
 	a3 := mustExtend(t, tree, a2, minerPool, b1)
-	if _, err := tree.Extend(a3, minerPool, []BlockID{b1}); !errors.Is(err, ErrUncleAlreadyReferenced) {
+	if _, err := tree.ExtendAt(a3, minerPool, []BlockID{b1}, 0); !errors.Is(err, ErrUncleAlreadyReferenced) {
 		t.Errorf("err = %v, want ErrUncleAlreadyReferenced", err)
 	}
 }
@@ -177,14 +199,14 @@ func TestUncleReferenceOnCompetingChainAllowed(t *testing.T) {
 	mustExtend(t, tree, a2, minerPool, b1) // chain A references b1
 	// Chain B: b2 extends b1's sibling... build genesis->a1->c2->c3
 	c2 := mustExtend(t, tree, a1, minerHonest)
-	if _, err := tree.Extend(c2, minerHonest, []BlockID{b1}); err != nil {
+	if _, err := tree.ExtendAt(c2, minerHonest, []BlockID{b1}, 0); err != nil {
 		t.Errorf("cross-chain second reference should be allowed: %v", err)
 	}
 }
 
 func TestDuplicateUncleInOneBlock(t *testing.T) {
 	tree, _, a2, b1 := fork(t)
-	if _, err := tree.Extend(a2, minerPool, []BlockID{b1, b1}); !errors.Is(err, ErrDuplicateUncle) {
+	if _, err := tree.ExtendAt(a2, minerPool, []BlockID{b1, b1}, 0); !errors.Is(err, ErrDuplicateUncle) {
 		t.Errorf("err = %v, want ErrDuplicateUncle", err)
 	}
 }
@@ -195,10 +217,10 @@ func TestMaxUnclesPerBlock(t *testing.T) {
 	u1 := mustExtend(t, tree, tree.Genesis(), minerHonest)
 	u2 := mustExtend(t, tree, tree.Genesis(), minerHonest)
 	u3 := mustExtend(t, tree, tree.Genesis(), minerHonest)
-	if _, err := tree.Extend(a1, minerPool, []BlockID{u1, u2, u3}); !errors.Is(err, ErrTooManyUncles) {
+	if _, err := tree.ExtendAt(a1, minerPool, []BlockID{u1, u2, u3}, 0); !errors.Is(err, ErrTooManyUncles) {
 		t.Errorf("err = %v, want ErrTooManyUncles", err)
 	}
-	if _, err := tree.Extend(a1, minerPool, []BlockID{u1, u2}); err != nil {
+	if _, err := tree.ExtendAt(a1, minerPool, []BlockID{u1, u2}, 0); err != nil {
 		t.Errorf("two uncles should be allowed: %v", err)
 	}
 }
@@ -258,34 +280,33 @@ func TestAncestorAtPanicsOutOfRange(t *testing.T) {
 
 func TestChildrenAndTips(t *testing.T) {
 	tree, a1, a2, b1 := fork(t)
-	kids := tree.Children(a1)
-	if len(kids) != 2 || kids[0] != a2 || kids[1] != b1 {
-		t.Errorf("Children(a1) = %v, want [a2 b1]", kids)
+	if kids := children(tree, a1); len(kids) != 2 || kids[0] != a2 || kids[1] != b1 {
+		t.Errorf("children(a1) = %v, want [a2 b1]", kids)
 	}
-	tips := tree.Tips()
-	if len(tips) != 2 {
-		t.Errorf("Tips = %v, want two tips", tips)
+	if kids := children(tree, a2); len(kids) != 0 {
+		t.Errorf("children(a2) = %v, want none", kids)
 	}
-	// Mutating the returned slice must not affect the tree.
-	kids[0] = 999
-	if tree.Children(a1)[0] != a2 {
-		t.Error("Children returned internal storage")
+	if tips := leaves(tree); len(tips) != 2 || tips[0] != a2 || tips[1] != b1 {
+		t.Errorf("leaves = %v, want [a2 b1]", tips)
 	}
 }
 
+// TestBlockPanicsOnInvalidID: a block accessor that validates its ID
+// (through mustIndex) panics on one the tree never issued, which indicates
+// a programming error.
 func TestBlockPanicsOnInvalidID(t *testing.T) {
 	tree := NewTree(Config{}, minerGenesis)
 	defer func() {
 		if recover() == nil {
-			t.Error("Block(99) should panic")
+			t.Error("ReferencedBy(99) should panic")
 		}
 	}()
-	tree.Block(99)
+	tree.ReferencedBy(99)
 }
 
 func TestExtendRejectsNegativeMinerID(t *testing.T) {
 	tree := NewTree(Config{}, minerGenesis)
-	if _, err := tree.Extend(tree.Genesis(), -1, nil); !errors.Is(err, ErrBadMinerID) {
+	if _, err := tree.ExtendAt(tree.Genesis(), -1, nil, 0); !errors.Is(err, ErrBadMinerID) {
 		t.Errorf("negative miner: err = %v, want ErrBadMinerID", err)
 	}
 }
@@ -303,7 +324,7 @@ func TestResetRestoresGenesisState(t *testing.T) {
 	if tree.TotalUncleRefs() != 0 {
 		t.Errorf("TotalUncleRefs after Reset = %d, want 0", tree.TotalUncleRefs())
 	}
-	if tree.HasChildren(tree.Genesis()) {
+	if tree.FirstChildOf(tree.Genesis()) != NoBlock {
 		t.Error("genesis has children after Reset")
 	}
 
@@ -315,36 +336,39 @@ func TestResetRestoresGenesisState(t *testing.T) {
 	if got := tree.ReferencedBy(u); got != p2 {
 		t.Errorf("ReferencedBy(u) = %d, want %d", got, p2)
 	}
-	if got := tree.Height(p2); got != 2 {
+	if got := tree.HeightOf(p2); got != 2 {
 		t.Errorf("Height(p2) = %d, want 2", got)
 	}
-	if kids := tree.Children(tree.Genesis()); len(kids) != 2 {
+	if kids := children(tree, tree.Genesis()); len(kids) != 2 {
 		t.Errorf("genesis children = %v, want two", kids)
 	}
 }
 
 func TestBlockInfoAccessorsAgree(t *testing.T) {
-	tree, _, a2, b1 := fork(t)
+	tree, a1, a2, b1 := fork(t)
 	a3 := mustExtend(t, tree, a2, minerPool, b1)
-	for _, id := range []BlockID{tree.Genesis(), a2, b1, a3} {
-		b := tree.Block(id)
+	want := map[BlockID]struct {
+		parent BlockID
+		height int
+		miner  MinerID
+		uncles []BlockID
+	}{
+		tree.Genesis(): {NoBlock, 0, minerGenesis, nil},
+		a2:             {a1, 2, minerPool, nil},
+		b1:             {a1, 2, minerHonest, nil},
+		a3:             {a2, 3, minerPool, []BlockID{b1}},
+	}
+	for id, w := range want {
 		parent, height, uncles := tree.BlockInfo(id)
-		p2, h2 := tree.ParentAndHeight(id)
-		if parent != b.Parent || height != b.Height || len(uncles) != len(b.Uncles) {
-			t.Errorf("BlockInfo(%d) = (%d,%d,%v), Block = %+v", id, parent, height, uncles, b)
+		if parent != w.parent || height != w.height || !slices.Equal(uncles, w.uncles) {
+			t.Errorf("BlockInfo(%d) = (%d,%d,%v), want (%d,%d,%v)", id, parent, height, uncles, w.parent, w.height, w.uncles)
 		}
-		if p2 != b.Parent || h2 != b.Height {
-			t.Errorf("ParentAndHeight(%d) = (%d,%d), Block = %+v", id, p2, h2, b)
+		if tree.ParentOf(id) != parent || tree.HeightOf(id) != height || !slices.Equal(tree.UnclesOf(id), uncles) {
+			t.Errorf("single-field accessors disagree with BlockInfo(%d)", id)
 		}
-		if tree.MinerOf(id) != b.Miner || tree.HeightOf(id) != b.Height {
-			t.Errorf("accessors disagree with Block(%d)", id)
+		if tree.MinerOf(id) != w.miner {
+			t.Errorf("MinerOf(%d) = %d, want %d", id, tree.MinerOf(id), w.miner)
 		}
-	}
-	if !tree.IsForkChild(b1) {
-		t.Error("b1 shares a parent with a2; IsForkChild should be true")
-	}
-	if tree.IsForkChild(a3) || tree.IsForkChild(tree.Genesis()) {
-		t.Error("only child and genesis must not be fork children")
 	}
 }
 
@@ -364,13 +388,13 @@ func TestExtendAtRecordsTimestamps(t *testing.T) {
 	if got := tree.TimeOf(a); got != 1.5 {
 		t.Errorf("TimeOf(a) = %v, want 1.5", got)
 	}
-	if got := tree.Block(b).Time; got != 2.25 {
-		t.Errorf("Block(b).Time = %v, want 2.25", got)
+	if got := tree.TimeOf(b); got != 2.25 {
+		t.Errorf("TimeOf(b) = %v, want 2.25", got)
 	}
-	// The plain Extend path stamps zero, the timeless convention.
+	// A zero stamp is the timeless convention.
 	c := mustExtend(t, tree, b, minerHonest)
 	if got := tree.TimeOf(c); got != 0 {
-		t.Errorf("TimeOf(c) = %v, want 0 from Extend", got)
+		t.Errorf("TimeOf(c) = %v, want 0", got)
 	}
 }
 
@@ -433,10 +457,11 @@ func TestExtendRunMatchesExtendAt(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", bulk.Len(), single.Len())
 	}
 	for id := BlockID(0); int(id) < bulk.Len(); id++ {
-		bb, sb := bulk.Block(id), single.Block(id)
-		if bb.Parent != sb.Parent || bb.Height != sb.Height || bb.Miner != sb.Miner ||
-			len(bb.Uncles) != len(sb.Uncles) {
-			t.Errorf("block %d: bulk %+v, single %+v", id, bb, sb)
+		bp, bh, bu := bulk.BlockInfo(id)
+		sp, sh, su := single.BlockInfo(id)
+		if bp != sp || bh != sh || bulk.MinerOf(id) != single.MinerOf(id) || len(bu) != len(su) {
+			t.Errorf("block %d: bulk (%d,%d,%d,%v), single (%d,%d,%d,%v)",
+				id, bp, bh, bulk.MinerOf(id), bu, sp, sh, single.MinerOf(id), su)
 		}
 		if bulk.TimeOf(id) != single.TimeOf(id) {
 			t.Errorf("block %d: time %v, want %v", id, bulk.TimeOf(id), single.TimeOf(id))
@@ -447,8 +472,8 @@ func TestExtendRunMatchesExtendAt(t *testing.T) {
 	}
 	// The run introduces no forks: every run block is the sole child.
 	for id := tip - count + 1; id <= tip; id++ {
-		if bulk.IsForkChild(id) {
-			t.Errorf("run block %d is a fork child", id)
+		if bulk.NextSiblingOf(id) != NoBlock {
+			t.Errorf("run block %d has a sibling", id)
 		}
 	}
 }

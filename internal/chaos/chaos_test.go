@@ -27,7 +27,7 @@ func cleanConfig(t *testing.T) sim.Config {
 // guaranteed to fire within the run.
 func faultConfig(t *testing.T, f Fault) sim.Config {
 	cfg := cleanConfig(t)
-	cfg.Strategy = Strategy{Fault: f, Rate: 1, Seed: 99}
+	cfg.Strategies = []sim.Strategy{Strategy{Fault: f, Rate: 1, Seed: 99}}
 	return cfg
 }
 
@@ -70,7 +70,7 @@ func TestSparseFaultsFailClosed(t *testing.T) {
 		for seed := uint64(1); seed <= 20 && !fired; seed++ {
 			cfg := cleanConfig(t)
 			cfg.Blocks = 10000
-			cfg.Strategy = Strategy{Fault: fault, Rate: 0.05, Seed: seed}
+			cfg.Strategies = []sim.Strategy{Strategy{Fault: fault, Rate: 0.05, Seed: seed}}
 			_, err := sim.Run(cfg)
 			if err == nil {
 				continue
@@ -91,7 +91,7 @@ func TestSparseFaultsFailClosed(t *testing.T) {
 func TestFaultDeterminism(t *testing.T) {
 	cfg := cleanConfig(t)
 	for seed := uint64(1); seed <= 20; seed++ {
-		cfg.Strategy = Strategy{Fault: FaultConflict, Rate: 0.05, Seed: seed}
+		cfg.Strategies = []sim.Strategy{Strategy{Fault: FaultConflict, Rate: 0.05, Seed: seed}}
 		_, errA := sim.Run(cfg)
 		if errA == nil {
 			continue

@@ -106,23 +106,6 @@ func Threshold(p ThresholdParams) (float64, error) {
 	return hi, nil
 }
 
-// ProfitableAt reports whether selfish mining strictly beats honest mining
-// at the given parameters.
-func ProfitableAt(alpha float64, p ThresholdParams) (bool, error) {
-	if p.Scenario == 0 {
-		p.Scenario = Scenario1
-	}
-	m, err := New(Params{
-		Alpha:    alpha,
-		Gamma:    p.Gamma,
-		Schedule: p.Schedule,
-	})
-	if err != nil {
-		return false, err
-	}
-	return m.Revenue().PoolAbsolute(p.Scenario) > alpha, nil
-}
-
 // thresholdIsFinite is a tiny helper used in tests.
 func thresholdIsFinite(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0)

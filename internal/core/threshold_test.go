@@ -139,21 +139,21 @@ func TestSecVIRedesignRaisesThreshold(t *testing.T) {
 	}
 }
 
+// TestProfitableAt: selfish mining strictly beats honest mining (pool
+// revenue above alpha) on either side of the threshold as expected.
 func TestProfitableAt(t *testing.T) {
 	// gamma=0.5 Ethereum scenario 1: threshold ~0.054.
-	profitable, err := ProfitableAt(0.10, ThresholdParams{Gamma: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !profitable {
-		t.Error("alpha=0.10 should be profitable (threshold ~0.054)")
-	}
-	profitable, err = ProfitableAt(0.03, ThresholdParams{Gamma: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if profitable {
-		t.Error("alpha=0.03 should not be profitable (threshold ~0.054)")
+	for _, tt := range []struct {
+		alpha      float64
+		profitable bool
+	}{{0.10, true}, {0.03, false}} {
+		m, err := New(Params{Alpha: tt.alpha, Gamma: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Revenue().PoolAbsolute(Scenario1) > tt.alpha; got != tt.profitable {
+			t.Errorf("alpha=%v: profitable = %v, want %v (threshold ~0.054)", tt.alpha, got, tt.profitable)
+		}
 	}
 }
 

@@ -171,18 +171,14 @@ func writePopulation(w *writer, pop *mining.Population) {
 // Algorithm 1 everywhere — so a defaulted config and an explicit
 // [algorithm1] share an address.
 func writeStrategies(w *writer, cfg *sim.Config) {
-	if cfg.Strategies != nil {
-		w.U64(uint64(len(cfg.Strategies)))
-		for _, s := range cfg.Strategies {
-			w.Str(s.Name())
-		}
+	if cfg.Strategies == nil {
+		w.U64(1)
+		w.Str(sim.Algorithm1{}.Name())
 		return
 	}
-	w.U64(1)
-	if cfg.Strategy != nil {
-		w.Str(cfg.Strategy.Name())
-	} else {
-		w.Str(sim.Algorithm1{}.Name())
+	w.U64(uint64(len(cfg.Strategies)))
+	for _, s := range cfg.Strategies {
+		w.Str(s.Name())
 	}
 }
 

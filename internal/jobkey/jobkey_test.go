@@ -22,7 +22,6 @@ var configFields = map[string]string{
 	"Schedule":           "encoded",
 	"Blocks":             "encoded",
 	"MaxUnclesPerBlock":  "encoded",
-	"Strategy":           "encoded",
 	"Strategies":         "encoded",
 	"PoolOmitsUncleRefs": "encoded",
 	"Time":               "encoded",
@@ -98,7 +97,6 @@ func TestKeySensitivity(t *testing.T) {
 		"Time.Difficulty": func(c *sim.Config) {
 			c.Time = sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.EIP100}}
 		},
-		"Strategy":   func(c *sim.Config) { c.Strategy = sim.Stubborn{Lead: true} },
 		"Strategies": func(c *sim.Config) { c.Strategies = []sim.Strategy{sim.Stubborn{Trail: 1}} },
 		"Schedule": func(c *sim.Config) {
 			sched, err := rewards.Constant(0.5, rewards.NoDepthLimit)
@@ -137,18 +135,26 @@ func TestKeySensitivity(t *testing.T) {
 	}
 }
 
-// TestAddressContinuity pins addresses across the removal of the
-// settlement-mode flag: a timeless row keeps the exact address it had while
-// the flag existed (its slot still encodes false, so warm caches stay
-// valid), while a timed row, whose Steady window moved to the midpoint-floor
-// boundary, must not resolve to the address of the old definition.
+// TestAddressContinuity pins addresses across encoder changes: a timeless
+// row keeps the exact address it had while the settlement-mode flag existed
+// (its slot still encodes false, so warm caches stay valid); a timed row,
+// whose Steady window moved to the midpoint-floor boundary, must not
+// resolve to the address of the old definition; and a one-pool Strategies
+// list keeps the address the retired single-Strategy field gave it, so the
+// strategies driver's cached rows stay valid.
 func TestAddressContinuity(t *testing.T) {
 	const (
 		timeless = "22b9ddc9924614da0b8ba4d317b51ff7b4f9abd4ade21ac121cd709dffb66c8e"
 		oldTimed = "4fb94762c1504d16a70ea61dcdf5f2cdcbe96dbba90bc15779eacf1c47221552"
+		stubborn = "a5009b80120f0d75d1e2ac3d171561a2727bafcee612e632746078eccbaa99cd"
 	)
 	if got := ForConfig(baseConfig(t)).Row(7).String(); got != timeless {
 		t.Errorf("timeless row address %s, want the pinned %s", got, timeless)
+	}
+	lead := baseConfig(t)
+	lead.Strategies = []sim.Strategy{sim.Stubborn{Lead: true}}
+	if got := ForConfig(lead).String(); got != stubborn {
+		t.Errorf("stubborn:lead=1 config address %s, want the pinned %s", got, stubborn)
 	}
 	timed := baseConfig(t)
 	timed.Time = sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.EIP100}}
@@ -171,12 +177,6 @@ func TestKeyCanonicalization(t *testing.T) {
 
 	if ForConfig(implicit) != ForConfig(explicit) {
 		t.Error("defaulted config and its explicit spelling have different keys")
-	}
-
-	named := baseConfig(t)
-	named.Strategy = sim.Algorithm1{}
-	if ForConfig(implicit) != ForConfig(named) {
-		t.Error("nil Strategy and explicit Algorithm1 have different keys")
 	}
 }
 

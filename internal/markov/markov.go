@@ -405,13 +405,3 @@ func clampAndNormalize(pi []float64) {
 		pi[i] /= sum
 	}
 }
-
-// ExpectedReward computes the long-run average per-step reward
-// sum_s pi(s) * reward(s) for a stationary distribution pi.
-func ExpectedReward[S comparable](pi map[S]float64, reward func(S) float64) float64 {
-	var total float64
-	for s, p := range pi {
-		total += p * reward(s)
-	}
-	return total
-}

@@ -307,19 +307,6 @@ func TestIterativeConvergenceFailure(t *testing.T) {
 	}
 }
 
-func TestExpectedReward(t *testing.T) {
-	pi := map[string]float64{"a": 0.25, "b": 0.75}
-	got := ExpectedReward(pi, func(s string) float64 {
-		if s == "a" {
-			return 4
-		}
-		return 8
-	})
-	if !almostEqual(got, 7, 1e-12) {
-		t.Errorf("ExpectedReward = %v, want 7", got)
-	}
-}
-
 func TestLargeChainIterative(t *testing.T) {
 	// A 2000-state ring with a drift home; exercises the sparse iterative
 	// path (above the dense cutoff).

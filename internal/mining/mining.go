@@ -70,9 +70,6 @@ type Miner struct {
 	Pool PoolID
 }
 
-// Selfish reports whether the miner belongs to any colluding pool.
-func (m Miner) Selfish() bool { return m.Pool != HonestPool }
-
 // Population is a fixed set of miners with normalized hash powers. The
 // query structures (the dense pool index, per-pool power sums, per-pool
 // member lists) are precomputed at construction; the sampling structures
@@ -88,7 +85,7 @@ type Population struct {
 
 	// poolByID indexes the pool label by MinerID (dense; unknown IDs are
 	// honest), replacing the per-run membership map the simulator used to
-	// rebuild from Miners().
+	// rebuild from the miner list.
 	poolByID []PoolID
 
 	// poolPower[p] is the total normalized hash power of pool p; index 0
@@ -96,7 +93,7 @@ type Population struct {
 	poolPower []float64
 
 	// poolMembers[p] lists the miner indices of pool p in input order —
-	// the dense member index backing PoolMiners and the per-pool alias
+	// the dense member index backing SoleMember and the per-pool alias
 	// tables.
 	poolMembers [][]int32
 
@@ -380,32 +377,11 @@ func (p *Population) PoolOf(id chain.MinerID) PoolID {
 	return p.poolByID[id]
 }
 
-// PoolMiners returns pool's members with normalized powers, in input order.
-func (p *Population) PoolMiners(pool PoolID) []Miner {
-	if pool < 0 || int(pool) >= len(p.poolMembers) {
-		return nil
-	}
-	out := make([]Miner, 0, len(p.poolMembers[pool]))
-	for _, i := range p.poolMembers[pool] {
-		out = append(out, p.Miner(int(i)))
-	}
-	return out
-}
-
 // Miner returns the i-th miner (0-based) with its normalized power.
 func (p *Population) Miner(i int) Miner {
 	m := p.miners[i]
 	m.Power = p.weights[i]
 	return m
-}
-
-// Miners returns all miners with normalized powers.
-func (p *Population) Miners() []Miner {
-	out := make([]Miner, p.Len())
-	for i := range out {
-		out[i] = p.Miner(i)
-	}
-	return out
 }
 
 // IsSelfish reports whether the miner with the given ID belongs to any
@@ -457,29 +433,6 @@ func (p *Population) SoleMember(pool PoolID) (Miner, bool) {
 		return Miner{}, false
 	}
 	return p.Miner(int(p.poolMembers[pool][0])), true
-}
-
-// NextEvent draws the next block event under a Poisson race at the given
-// total rate: the winning miner and the exponentially distributed waiting
-// time since the previous event.
-func (p *Population) NextEvent(r *rng.Source, totalRate float64) (Miner, float64) {
-	return p.Sample(r), r.Exp(totalRate)
-}
-
-// BernoulliDelay simulates the un-approximated mining model: repeated
-// Bernoulli trials with per-trial success probability prob, returning the
-// number of trials until the first success (geometric, support 1,2,...).
-// As prob -> 0 with trials per unit time 1/prob, the normalized delay
-// converges to Exp(1) — the Poisson approximation the paper invokes.
-func BernoulliDelay(r *rng.Source, prob float64) int {
-	if prob <= 0 || prob > 1 {
-		panic(fmt.Sprintf("mining: Bernoulli probability %v out of (0, 1]", prob))
-	}
-	trials := 1
-	for !r.Bernoulli(prob) {
-		trials++
-	}
-	return trials
 }
 
 // PoolShare is one entry of the 2018 Ethereum mining-pool snapshot.

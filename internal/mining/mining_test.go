@@ -10,6 +10,15 @@ import (
 	"github.com/ethselfish/ethselfish/internal/rng"
 )
 
+// allMiners lists the population's miners in index order.
+func allMiners(p *Population) []Miner {
+	out := make([]Miner, p.Len())
+	for i := range out {
+		out[i] = p.Miner(i)
+	}
+	return out
+}
+
 func TestNewPopulationNormalizes(t *testing.T) {
 	p, err := NewPopulation([]Miner{
 		{ID: 1, Power: 30, Pool: 1},
@@ -62,11 +71,11 @@ func TestEqualPopulation(t *testing.T) {
 		t.Errorf("Len = %d, want 1000", p.Len())
 	}
 	// IDs 1..n, no ID 0 (reserved for genesis).
-	for i, m := range p.Miners() {
+	for i, m := range allMiners(p) {
 		if m.ID != chain.MinerID(i+1) {
 			t.Fatalf("miner %d has ID %d, want %d", i, m.ID, i+1)
 		}
-		if got := m.Selfish(); got != (i < 450) {
+		if got := m.Pool != HonestPool; got != (i < 450) {
 			t.Fatalf("miner %d selfish = %v", i, got)
 		}
 	}
@@ -111,7 +120,7 @@ func TestSampleFrequencies(t *testing.T) {
 	const n = 100000
 	selfish := 0
 	for i := 0; i < n; i++ {
-		if p.Sample(r).Selfish() {
+		if p.Sample(r).Pool != HonestPool {
 			selfish++
 		}
 	}
@@ -131,9 +140,9 @@ func TestIsSelfishMatchesMinerFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range p.Miners() {
-		if got := p.IsSelfish(m.ID); got != m.Selfish() {
-			t.Errorf("IsSelfish(%d) = %v, want %v", m.ID, got, m.Selfish())
+	for _, m := range allMiners(p) {
+		if got := p.IsSelfish(m.ID); got != (m.Pool != HonestPool) {
+			t.Errorf("IsSelfish(%d) = %v, want %v", m.ID, got, !got)
 		}
 	}
 	// Unknown and out-of-range IDs are honest.
@@ -181,93 +190,13 @@ func TestSampleMatchesCategoricalDistribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		counts[p.Sample(r).ID]++
 	}
-	for _, m := range p.Miners() {
+	for _, m := range allMiners(p) {
 		got := float64(counts[m.ID]) / n
-		want := m.Power // Miners() returns normalized powers
+		want := m.Power // Miner returns normalized powers
 		sigma := math.Sqrt(want * (1 - want) / n)
 		if math.Abs(got-want) > 5*sigma+1e-9 {
 			t.Errorf("miner %d: frequency %v, want %v +/- 5 sigma", m.ID, got, want)
 		}
-	}
-}
-
-func TestNextEventTiming(t *testing.T) {
-	p, err := TwoAgent(0.4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(7)
-	const (
-		n    = 100000
-		rate = 2.0
-	)
-	var sum float64
-	for i := 0; i < n; i++ {
-		_, dt := p.NextEvent(r, rate)
-		if dt < 0 {
-			t.Fatal("negative waiting time")
-		}
-		sum += dt
-	}
-	mean := sum / n
-	if math.Abs(mean-1/rate) > 0.01 {
-		t.Errorf("mean waiting time %v, want %v", mean, 1/rate)
-	}
-}
-
-func TestBernoulliDelayGeometric(t *testing.T) {
-	r := rng.New(55)
-	const (
-		prob = 0.01
-		n    = 50000
-	)
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += float64(BernoulliDelay(r, prob))
-	}
-	mean := sum / n
-	want := 1 / prob
-	if math.Abs(mean-want) > 0.05*want {
-		t.Errorf("mean trials %v, want %v +/- 5%%", mean, want)
-	}
-}
-
-func TestBernoulliDelayPoissonApproximation(t *testing.T) {
-	// Normalized geometric delays (trials * prob) converge to Exp(1):
-	// compare the empirical survival function at a few points.
-	r := rng.New(77)
-	const (
-		prob = 1e-3
-		n    = 20000
-	)
-	exceed1, exceed2 := 0, 0
-	for i := 0; i < n; i++ {
-		x := float64(BernoulliDelay(r, prob)) * prob
-		if x > 1 {
-			exceed1++
-		}
-		if x > 2 {
-			exceed2++
-		}
-	}
-	if got, want := float64(exceed1)/n, math.Exp(-1); math.Abs(got-want) > 0.02 {
-		t.Errorf("P(X>1) = %v, want %v +/- 0.02", got, want)
-	}
-	if got, want := float64(exceed2)/n, math.Exp(-2); math.Abs(got-want) > 0.02 {
-		t.Errorf("P(X>2) = %v, want %v +/- 0.02", got, want)
-	}
-}
-
-func TestBernoulliDelayPanics(t *testing.T) {
-	for _, p := range []float64{0, -0.5, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("BernoulliDelay(%v) did not panic", p)
-				}
-			}()
-			BernoulliDelay(rng.New(1), p)
-		}()
 	}
 }
 
@@ -297,18 +226,6 @@ func TestEthereum2018Pools(t *testing.T) {
 	}
 	if top5 <= 0.81 {
 		t.Errorf("top-5 share = %v, want > 0.81", top5)
-	}
-}
-
-func TestMinersReturnsCopy(t *testing.T) {
-	p, err := TwoAgent(0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms := p.Miners()
-	ms[0].Power = 99
-	if p.Miner(0).Power == 99 {
-		t.Error("Miners exposed internal state")
 	}
 }
 
@@ -345,13 +262,6 @@ func TestPoolIndexesAndPowerSums(t *testing.T) {
 		if got := p.PoolOf(id); got != want {
 			t.Errorf("PoolOf(%d) = %d, want %d", id, got, want)
 		}
-	}
-	members := p.PoolMiners(1)
-	if len(members) != 2 || members[0].ID != 1 || members[1].ID != 3 {
-		t.Errorf("PoolMiners(1) = %+v, want miners 1 and 3", members)
-	}
-	if got := p.PoolMiners(7); got != nil {
-		t.Errorf("PoolMiners(7) = %+v, want nil", got)
 	}
 }
 
@@ -394,8 +304,8 @@ func TestMultiAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(multi.Miners(), two.Miners()) {
-		t.Errorf("MultiAgent(0.3) miners %+v differ from TwoAgent %+v", multi.Miners(), two.Miners())
+	if !reflect.DeepEqual(allMiners(multi), allMiners(two)) {
+		t.Errorf("MultiAgent(0.3) miners %+v differ from TwoAgent %+v", allMiners(multi), allMiners(two))
 	}
 }
 
@@ -405,7 +315,7 @@ func TestEqualPools(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantPools := []PoolID{1, 1, 1, 2, 2, 0, 0, 0, 0, 0}
-	for i, m := range p.Miners() {
+	for i, m := range allMiners(p) {
 		if m.Pool != wantPools[i] {
 			t.Errorf("miner %d pool = %d, want %d", i, m.Pool, wantPools[i])
 		}

@@ -7,8 +7,8 @@
 // allocations (simulators, arenas) across a batch without affecting
 // results.
 //
-// The pool is hardened for service use: the context-aware variants
-// (MapCtx, MapWithCtx) propagate deadlines and cancellation — in-flight
+// The pool is hardened for service use: the context-aware variant
+// (MapWithCtx) propagates deadlines and cancellation — in-flight
 // items finish, pending items are skipped — and every variant isolates a
 // panicking work item into a *PanicError instead of taking down the
 // process.
@@ -57,7 +57,7 @@ func (e *PanicError) Unwrap() error {
 	return ErrPanic
 }
 
-// ErrSkipped is the sentinel wrapped by the error MapCtx/MapWithCtx return
+// ErrSkipped is the sentinel wrapped by the error MapWithCtx returns
 // when cancellation struck items from the batch before they could run. The
 // context's cause is in the same chain, so errors.Is(err, context.Canceled)
 // (or DeadlineExceeded) works as well.
@@ -86,14 +86,6 @@ func MapWith[S, T any](workers, n int, newState func() S, fn func(state S, i int
 		return nil, err
 	}
 	return results, nil
-}
-
-// MapCtx is Map under a context: no new work item starts once ctx is done.
-// See MapWithCtx for the cancellation contract.
-func MapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, []bool, error) {
-	return MapWithCtx(ctx, workers, n,
-		func() struct{} { return struct{}{} },
-		func(_ struct{}, i int) (T, error) { return fn(i) })
 }
 
 // MapWithCtx is MapWith under a context. Cancellation (or an expired

@@ -143,6 +143,14 @@ func TestMapRecoversPanic(t *testing.T) {
 	}
 }
 
+// mapCtx runs a stateless batch through MapWithCtx, the pool's
+// context-aware entry point.
+func mapCtx[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, []bool, error) {
+	return MapWithCtx(ctx, workers, n,
+		func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) (T, error) { return fn(i) })
+}
+
 // TestMapCtxCancelSkipsPending: cancelling mid-batch returns promptly, the
 // done mask exactly partitions finished from never-started items, and every
 // finished item's result is bit-identical to an uncancelled run.
@@ -150,7 +158,7 @@ func TestMapCtxCancelSkipsPending(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int32
-		results, done, err := MapCtx(ctx, workers, 100, func(i int) (int, error) {
+		results, done, err := mapCtx(ctx, workers, 100, func(i int) (int, error) {
 			if ran.Add(1) == 5 {
 				cancel()
 			}
@@ -185,7 +193,7 @@ func TestMapCtxCancelSkipsPending(t *testing.T) {
 func TestMapCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), -time.Second)
 	defer cancel()
-	_, done, err := MapCtx(ctx, 4, 10, func(i int) (int, error) { return i, nil })
+	_, done, err := mapCtx(ctx, 4, 10, func(i int) (int, error) { return i, nil })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want DeadlineExceeded in the chain", err)
 	}
@@ -199,7 +207,7 @@ func TestMapCtxDeadline(t *testing.T) {
 // TestMapCtxComplete: with an un-cancelled context the ctx variant matches
 // Map exactly and reports every item done.
 func TestMapCtxComplete(t *testing.T) {
-	results, done, err := MapCtx(context.Background(), 4, 30, func(i int) (int, error) { return i + 1, nil })
+	results, done, err := mapCtx(context.Background(), 4, 30, func(i int) (int, error) { return i + 1, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +237,7 @@ func TestMapCtxCancelPromptAndLeakFree(t *testing.T) {
 		close(release)
 	}()
 	begun := time.Now()
-	_, done, err := MapCtx(ctx, 4, 1000, func(i int) (int, error) {
+	_, done, err := mapCtx(ctx, 4, 1000, func(i int) (int, error) {
 		started <- struct{}{}
 		<-release
 		return i, nil

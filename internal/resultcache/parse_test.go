@@ -2,6 +2,7 @@ package resultcache
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -69,9 +70,13 @@ func TestJournalWrittenWithEncodingJSONServesOracleRows(t *testing.T) {
 			t.Errorf("row %d: re-encoding differs from the journaled line (%v)", i, err)
 		}
 		want.Result.RestoreAliases()
-		got, ok, err := c.Get(want.Key, want.Seed)
+		var addr [AddrSize]byte
+		if _, err := hex.Decode(addr[:], []byte(want.Key)); err != nil {
+			t.Fatalf("row %d: address %q: %v", i, want.Key, err)
+		}
+		got, ok, err := c.GetRaw(addr, want.Seed)
 		if err != nil || !ok {
-			t.Fatalf("row %d: Get = (%v, %v), want hit", i, ok, err)
+			t.Fatalf("row %d: GetRaw = (%v, %v), want hit", i, ok, err)
 		}
 		if !reflect.DeepEqual(got, want.Result) {
 			t.Errorf("row %d (%.12s): served row differs from the oracle's", i, want.Key)

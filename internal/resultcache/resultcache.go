@@ -63,7 +63,8 @@ const journalVersion = 1
 const journalName = "results.jsonl"
 
 // AddrSize is the length of a raw row address in bytes (a sha256 digest;
-// string-keyed entry points take its 2*AddrSize-char hex form).
+// the journal and the memory tier key rows by its 2*AddrSize-char hex
+// form).
 const AddrSize = 32
 
 // DefaultMemoryEntries bounds the memory tier when the caller passes a
@@ -222,28 +223,13 @@ func (c *Cache) Stats() Stats {
 	return c.stats
 }
 
-// Get returns the cached row at key, checking memory then disk. The seed
-// is a redundancy check: the address already commits to it, so a stored
-// row under a different seed means hash collision or tampering and fails
-// closed with ErrCache. A disk hit is promoted into the memory tier.
-func (c *Cache) Get(key string, seed uint64) (sim.Result, bool, error) {
-	c.mu.Lock()
-	if el, ok := c.mem[key]; ok {
-		defer c.mu.Unlock()
-		e, err := c.memoryHitLocked(el, seed)
-		if err != nil {
-			return sim.Result{}, false, err
-		}
-		return e.result, true, nil
-	}
-	c.mu.Unlock()
-	return c.getDisk(key, seed)
-}
-
-// GetRaw is Get for a raw content address: the hex encoding lives on the
-// stack and the memory probe converts it in place, so a memory hit — the
-// steady state of a warmed sweep — allocates nothing. The two entry points
-// address identical rows: GetRaw(k) ≡ Get(hex(k)).
+// GetRaw returns the cached row at a raw content address, checking memory
+// then disk. The seed is a redundancy check: the address already commits to
+// it, so a stored row under a different seed means hash collision or
+// tampering and fails closed with ErrCache. A disk hit is promoted into the
+// memory tier. The address's hex encoding lives on the stack and the memory
+// probe converts it in place, so a memory hit — the steady state of a
+// warmed sweep — allocates nothing.
 func (c *Cache) GetRaw(key [AddrSize]byte, seed uint64) (sim.Result, bool, error) {
 	var buf [2 * AddrSize]byte
 	hex.Encode(buf[:], key[:])
@@ -273,7 +259,9 @@ func (c *Cache) memoryHitLocked(el *list.Element, seed uint64) (*entry, error) {
 	return e, nil
 }
 
-// PutRaw is Put for a raw content address (see GetRaw).
+// PutRaw stores one computed row under its raw content address (see
+// GetRaw). An address already cached (in either tier) is left untouched —
+// by content addressing the stored row is already the one being offered.
 func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error {
 	var buf [2 * AddrSize]byte
 	hex.Encode(buf[:], key[:])
@@ -290,9 +278,9 @@ func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error
 	return c.putLocked(string(buf[:]), seed, result)
 }
 
-// getDisk serves a Get that missed the memory tier. The lock covers the
+// getDisk serves a GetRaw that missed the memory tier. The lock covers the
 // index probe and the promotion but not the read and decode, so workers'
-// disk hits overlap. A concurrent Get may promote the same row in between;
+// disk hits overlap. A concurrent GetRaw may promote the same row in between;
 // both decoded the same bytes, and the first promotion stays.
 func (c *Cache) getDisk(key string, seed uint64) (sim.Result, bool, error) {
 	c.mu.Lock()
@@ -332,21 +320,6 @@ func (c *Cache) getDisk(key string, seed uint64) (sim.Result, bool, error) {
 	}
 	c.stats.DiskHits++
 	return row.Result, true, nil
-}
-
-// Put stores one computed row under its address. A key already cached (in
-// either tier) is left untouched — by content addressing the stored row is
-// already the one being offered.
-func (c *Cache) Put(key string, seed uint64, result sim.Result) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.mem[key]; ok {
-		return nil
-	}
-	if _, ok := c.index[key]; ok {
-		return nil
-	}
-	return c.putLocked(key, seed, result)
 }
 
 // putLocked journals and inserts a row known to be absent from both tiers.

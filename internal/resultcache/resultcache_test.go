@@ -18,10 +18,11 @@ import (
 )
 
 // testRow is one (address, seed, expected result) triple; the expectation
-// comes from a real simulation so every Get can be checked against
+// comes from a real simulation so every GetRaw can be checked against
 // recomputation.
 type testRow struct {
 	key    string
+	addr   [AddrSize]byte
 	seed   uint64
 	result sim.Result
 }
@@ -50,8 +51,8 @@ func makeRows(t testing.TB, n int) []testRow {
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := jobkey.ForConfig(cfg).Row(cfg.Seed).String()
-		rows = append(rows, testRow{key: key, seed: cfg.Seed, result: res})
+		addr := jobkey.ForConfig(cfg).Row(cfg.Seed)
+		rows = append(rows, testRow{key: addr.String(), addr: addr, seed: cfg.Seed, result: res})
 	}
 	return rows
 }
@@ -59,25 +60,25 @@ func makeRows(t testing.TB, n int) []testRow {
 func TestMemoryPutGet(t *testing.T) {
 	rows := makeRows(t, 3)
 	c := NewMemory(8)
-	if _, ok, err := c.Get(rows[0].key, rows[0].seed); err != nil || ok {
-		t.Fatalf("Get on empty cache = (%v, %v), want miss", ok, err)
+	if _, ok, err := c.GetRaw(rows[0].addr, rows[0].seed); err != nil || ok {
+		t.Fatalf("GetRaw on empty cache = (%v, %v), want miss", ok, err)
 	}
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range rows {
-		got, ok, err := c.Get(r.key, r.seed)
+		got, ok, err := c.GetRaw(r.addr, r.seed)
 		if err != nil || !ok {
-			t.Fatalf("Get(%0.12s) = (%v, %v), want hit", r.key, ok, err)
+			t.Fatalf("GetRaw(%0.12s) = (%v, %v), want hit", r.key, ok, err)
 		}
 		if !reflect.DeepEqual(got, r.result) {
 			t.Errorf("row %.12s differs from the stored result", r.key)
 		}
 	}
-	// Duplicate Put of a cached key is a no-op, not a second store.
-	if err := c.Put(rows[0].key, rows[0].seed, rows[0].result); err != nil {
+	// Duplicate PutRaw of a cached key is a no-op, not a second store.
+	if err := c.PutRaw(rows[0].addr, rows[0].seed, rows[0].result); err != nil {
 		t.Fatal(err)
 	}
 	s := c.Stats()
@@ -85,8 +86,8 @@ func TestMemoryPutGet(t *testing.T) {
 		t.Errorf("stats = %+v, want 3 stores, 3 memory hits, 1 miss", s)
 	}
 	// A seed disagreeing with the content address fails closed.
-	if _, _, err := c.Get(rows[0].key, rows[0].seed+1); !errors.Is(err, ErrCache) {
-		t.Errorf("seed-mismatch Get err = %v, want ErrCache", err)
+	if _, _, err := c.GetRaw(rows[0].addr, rows[0].seed+1); !errors.Is(err, ErrCache) {
+		t.Errorf("seed-mismatch GetRaw err = %v, want ErrCache", err)
 	}
 }
 
@@ -94,7 +95,7 @@ func TestMemoryEviction(t *testing.T) {
 	rows := makeRows(t, 4)
 	c := NewMemory(2)
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,10 +107,10 @@ func TestMemoryEviction(t *testing.T) {
 	}
 	// The oldest rows are gone (memory-only: a miss, not an error); the
 	// newest survive.
-	if _, ok, _ := c.Get(rows[0].key, rows[0].seed); ok {
+	if _, ok, _ := c.GetRaw(rows[0].addr, rows[0].seed); ok {
 		t.Error("evicted row still served")
 	}
-	if _, ok, _ := c.Get(rows[3].key, rows[3].seed); !ok {
+	if _, ok, _ := c.GetRaw(rows[3].addr, rows[3].seed); !ok {
 		t.Error("fresh row evicted out of order")
 	}
 }
@@ -122,7 +123,7 @@ func TestDiskReloadServesRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -139,9 +140,9 @@ func TestDiskReloadServesRows(t *testing.T) {
 		t.Fatalf("reloaded Len = %d, want %d", c2.Len(), len(rows))
 	}
 	for _, r := range rows {
-		got, ok, err := c2.Get(r.key, r.seed)
+		got, ok, err := c2.GetRaw(r.addr, r.seed)
 		if err != nil || !ok {
-			t.Fatalf("reloaded Get(%.12s) = (%v, %v), want hit", r.key, ok, err)
+			t.Fatalf("reloaded GetRaw(%.12s) = (%v, %v), want hit", r.key, ok, err)
 		}
 		if !reflect.DeepEqual(got, r.result) {
 			t.Errorf("reloaded row %.12s differs from the computed result", r.key)
@@ -152,7 +153,7 @@ func TestDiskReloadServesRows(t *testing.T) {
 		t.Errorf("disk hits = %d, want %d", s.DiskHits, len(rows))
 	}
 	// The promoted rows now serve from memory.
-	if _, ok, _ := c2.Get(rows[0].key, rows[0].seed); !ok {
+	if _, ok, _ := c2.GetRaw(rows[0].addr, rows[0].seed); !ok {
 		t.Fatal("promoted row missed")
 	}
 	if s := c2.Stats(); s.MemoryHits != 1 {
@@ -161,7 +162,7 @@ func TestDiskReloadServesRows(t *testing.T) {
 }
 
 // TestDiskEvictionKeepsRowsReachable: the memory tier evicting a
-// disk-backed row must not lose it — the next Get is a disk hit.
+// disk-backed row must not lose it — the next GetRaw is a disk hit.
 func TestDiskEvictionKeepsRowsReachable(t *testing.T) {
 	rows := makeRows(t, 4)
 	c, err := Open(t.TempDir(), 2)
@@ -170,14 +171,14 @@ func TestDiskEvictionKeepsRowsReachable(t *testing.T) {
 	}
 	defer c.Close()
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, r := range rows {
-		got, ok, err := c.Get(r.key, r.seed)
+		got, ok, err := c.GetRaw(r.addr, r.seed)
 		if err != nil || !ok {
-			t.Fatalf("Get(%.12s) after eviction = (%v, %v), want disk hit", r.key, ok, err)
+			t.Fatalf("GetRaw(%.12s) after eviction = (%v, %v), want disk hit", r.key, ok, err)
 		}
 		if !reflect.DeepEqual(got, r.result) {
 			t.Errorf("row %.12s served from disk differs", r.key)
@@ -196,7 +197,7 @@ func TestConcurrentDiskHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,9 +215,9 @@ func TestConcurrentDiskHits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, r := range rows {
-				got, ok, err := c.Get(r.key, r.seed)
+				got, ok, err := c.GetRaw(r.addr, r.seed)
 				if err != nil || !ok || !reflect.DeepEqual(got, r.result) {
-					errs <- fmt.Errorf("Get(%.12s) = (%v, %v) or a differing row", r.key, ok, err)
+					errs <- fmt.Errorf("GetRaw(%.12s) = (%v, %v) or a differing row", r.key, ok, err)
 				}
 			}
 		}()
@@ -234,7 +235,7 @@ func TestConcurrentDiskHits(t *testing.T) {
 	}
 }
 
-// TestDiskHitRechecksRow: a row rewritten on disk between Open and Get
+// TestDiskHitRechecksRow: a row rewritten on disk between Open and GetRaw
 // fails its disk hit closed with ErrCache, and the error names the check
 // that caught it.
 func TestDiskHitRechecksRow(t *testing.T) {
@@ -257,7 +258,7 @@ func TestDiskHitRechecksRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Put(r.key, r.seed, r.result); err != nil {
+			if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 				t.Fatal(err)
 			}
 			if err := c.Close(); err != nil {
@@ -290,9 +291,9 @@ func TestDiskHitRechecksRow(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			_, ok, err := c.Get(r.key, r.seed)
+			_, ok, err := c.GetRaw(r.addr, r.seed)
 			if ok || !errors.Is(err, ErrCache) {
-				t.Fatalf("Get of a tampered row = (%v, %v), want ErrCache", ok, err)
+				t.Fatalf("GetRaw of a tampered row = (%v, %v), want ErrCache", ok, err)
 			}
 			if !strings.Contains(err.Error(), tc.check) {
 				t.Errorf("error %q does not name the %s", err, tc.check)
@@ -313,7 +314,7 @@ func TestCacheFailsClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range rows {
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,15 +385,15 @@ func TestCacheTrimsTornTail(t *testing.T) {
 	}
 	put := func(c *Cache, r testRow) {
 		t.Helper()
-		if err := c.Put(r.key, r.seed, r.result); err != nil {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 			t.Fatal(err)
 		}
 	}
 	hit := func(c *Cache, r testRow, want bool) {
 		t.Helper()
-		got, ok, err := c.Get(r.key, r.seed)
+		got, ok, err := c.GetRaw(r.addr, r.seed)
 		if err != nil || ok != want {
-			t.Fatalf("Get(%.12s) = (%v, %v), want hit=%v", r.key, ok, err, want)
+			t.Fatalf("GetRaw(%.12s) = (%v, %v), want hit=%v", r.key, ok, err, want)
 		}
 		if ok && !reflect.DeepEqual(got, r.result) {
 			t.Fatalf("row %.12s differs from the computed result", r.key)
@@ -463,7 +464,7 @@ func TestCacheTrimsTornTail(t *testing.T) {
 }
 
 // TestCachePropertySequence is the satellite property test: any sequence
-// of Put / Get / evict (via a tiny capacity) / reload yields rows
+// of PutRaw / GetRaw / evict (via a tiny capacity) / reload yields rows
 // DeepEqual to recomputation — the cache can serve stale nothing, because
 // its only failure mode is a miss.
 func TestCachePropertySequence(t *testing.T) {
@@ -494,12 +495,12 @@ func TestCachePropertySequence(t *testing.T) {
 				r := rows[rng.Intn(len(rows))]
 				switch op := rng.Intn(10); {
 				case op < 4:
-					if err := c.Put(r.key, r.seed, r.result); err != nil {
+					if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
 						t.Fatal(err)
 					}
 					put[r.key] = true
 				case op < 9:
-					got, ok, err := c.Get(r.key, r.seed)
+					got, ok, err := c.GetRaw(r.addr, r.seed)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -517,15 +518,15 @@ func TestCachePropertySequence(t *testing.T) {
 					c = open()
 				}
 			}
-			// Every row ever Put into a disk-backed cache is still exact.
+			// Every row ever stored in a disk-backed cache is still exact.
 			if disk {
 				for _, r := range rows {
 					if !put[r.key] {
 						continue
 					}
-					got, ok, err := c.Get(r.key, r.seed)
+					got, ok, err := c.GetRaw(r.addr, r.seed)
 					if err != nil || !ok {
-						t.Fatalf("final Get(%.12s) = (%v, %v), want hit", r.key, ok, err)
+						t.Fatalf("final GetRaw(%.12s) = (%v, %v), want hit", r.key, ok, err)
 					}
 					if !reflect.DeepEqual(got, r.result) {
 						t.Errorf("final row %.12s differs from recomputation", r.key)

@@ -197,21 +197,6 @@ func (s Schedule) Nephew(distance int) float64 {
 	return s.nephew(distance)
 }
 
-// IsZero reports whether the schedule pays no uncle or nephew rewards at any
-// referenceable distance (i.e. Bitcoin-like).
-func (s Schedule) IsZero() bool {
-	probe := s.maxDepth
-	if probe > 64 {
-		probe = 64
-	}
-	for l := 1; l <= probe; l++ {
-		if s.Uncle(l) != 0 || s.Nephew(l) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // String implements fmt.Stringer.
 func (s Schedule) String() string {
 	return fmt.Sprintf("schedule(%s, maxDepth=%d)", s.name, s.maxDepth)

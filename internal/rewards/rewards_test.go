@@ -103,14 +103,13 @@ func TestConstantRejectsNegative(t *testing.T) {
 
 func TestBitcoinScheduleIsZero(t *testing.T) {
 	s := Bitcoin()
-	if !s.IsZero() {
-		t.Error("Bitcoin schedule should be zero")
+	for l := 1; l <= s.MaxDepth(); l++ {
+		if s.Uncle(l) != 0 || s.Nephew(l) != 0 {
+			t.Errorf("Bitcoin schedule pays at distance %d", l)
+		}
 	}
-	if s.Uncle(1) != 0 || s.Nephew(1) != 0 {
-		t.Error("Bitcoin schedule pays rewards")
-	}
-	if Ethereum().IsZero() {
-		t.Error("Ethereum schedule reported zero")
+	if e := Ethereum(); e.Uncle(1) == 0 || e.Nephew(1) == 0 {
+		t.Error("Ethereum schedule pays nothing at distance 1")
 	}
 }
 

@@ -30,7 +30,7 @@ const (
 const bufSize = 128
 
 // Source is a deterministic xoshiro256** generator. It is not safe for
-// concurrent use; create one Source per goroutine (see Split).
+// concurrent use; create one Source per goroutine.
 //
 // Outputs are produced in blocks: the generator refills buf with the next
 // bufSize values of the sequence at once and Uint64 pops them in order, so
@@ -65,12 +65,6 @@ func New(seed uint64) *Source {
 	return &src
 }
 
-// Split derives an independent child generator from the current state. The
-// parent advances, so successive Split calls return distinct streams.
-func (r *Source) Split() *Source {
-	return New(r.Uint64())
-}
-
 // SetAntithetic switches the Source between its normal stream and the
 // antithetic mirror of that stream. The antithetic stream complements every
 // Uint64 output bitwise, so each uniform Float64 draw u becomes exactly
@@ -94,9 +88,6 @@ func (r *Source) SetAntithetic(on bool) {
 		r.anti = want
 	}
 }
-
-// Antithetic reports whether the Source is producing the antithetic stream.
-func (r *Source) Antithetic() bool { return r.anti != 0 }
 
 // Reseed resets the generator in place to the state New(seed) produces,
 // without allocating. Batch runners use it to reuse one Source per worker
@@ -160,48 +151,6 @@ func (r *Source) Float64() float64 {
 	return float64(r.buf[r.pos]>>11) * float64Unit
 }
 
-// Intn returns a uniform integer in [0, n). It panics if n <= 0; this mirrors
-// math/rand and signals a programming error rather than a runtime condition.
-func (r *Source) Intn(n int) int {
-	if n <= 0 {
-		panic("rng: Intn called with non-positive n")
-	}
-	return int(r.boundedUint64(uint64(n)))
-}
-
-// boundedUint64 returns a uniform value in [0, bound) using Lemire's
-// multiply-shift rejection method, which avoids modulo bias.
-func (r *Source) boundedUint64(bound uint64) uint64 {
-	for {
-		v := r.Uint64()
-		hi, lo := bits.Mul64(v, bound)
-		if lo >= bound || lo >= -bound%bound {
-			return hi
-		}
-	}
-}
-
-// Bernoulli reports true with probability p. Values of p outside [0, 1] are
-// clamped: p <= 0 never fires and p >= 1 always fires.
-func (r *Source) Bernoulli(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return r.Float64() < p
-}
-
-// Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate). It panics if rate <= 0.
-func (r *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp called with non-positive rate")
-	}
-	return r.ExpUnit() / rate
-}
-
 // ExpUnit returns a unit-mean exponentially distributed value. It is the
 // simulator's inter-arrival sampler: allocation-free, and it consumes
 // exactly one generator output per draw (a fixed consumption pattern, like
@@ -215,26 +164,18 @@ func (r *Source) ExpUnit() float64 {
 	return -math.Log(1 - r.Float64())
 }
 
-// Geometric returns the number of failures before the first success in a
+// GeometricLog returns the number of failures before the first success in a
 // Bernoulli(p) sequence: a geometrically distributed integer on {0, 1, 2, ...}
-// with P(X = k) = (1-p)^k * p. It is the fast-forward sampler for the length
-// of an uneventful stretch, and like ExpUnit it consumes exactly one
-// generator output per draw, so enabling stretch skipping perturbs no other
-// consumer's view of the stream. It panics if p is not in (0, 1].
+// with P(X = k) = (1-p)^k * p, given negLogQ = -Log1p(-p) for p in (0, 1].
+// The caller precomputes the denominator, so hot loops drawing at a fixed p
+// hoist the logarithm out of every draw. It is the fast-forward sampler for
+// the length of an uneventful stretch, and like ExpUnit it consumes exactly
+// one generator output per draw, so enabling stretch skipping perturbs no
+// other consumer's view of the stream.
 //
 // The draw inverts the CDF through the exponential representation
-// X = floor(E / -ln(1-p)) with E ~ Exp(1): one draw, one log, one divide.
-// For p == 1 the divisor is +Inf and the result is always 0, as required.
-func (r *Source) Geometric(p float64) int {
-	if !(p > 0 && p <= 1) { // negated form also rejects NaN
-		panic("rng: Geometric called with p outside (0, 1]")
-	}
-	return r.GeometricLog(-math.Log1p(-p))
-}
-
-// GeometricLog is Geometric with the denominator -Log1p(-p) precomputed by
-// the caller: hot loops drawing at a fixed p hoist the logarithm out of
-// every draw. It consumes exactly one generator output.
+// X = floor(E / -ln(1-p)) with E ~ Exp(1): one draw and one divide. For
+// p == 1 the denominator is +Inf and the result is always 0, as required.
 func (r *Source) GeometricLog(negLogQ float64) int {
 	k := r.ExpUnit() / negLogQ
 	// Guard the conversion: for tiny p the ratio can exceed what an int
@@ -245,7 +186,7 @@ func (r *Source) GeometricLog(negLogQ float64) int {
 	return int(k)
 }
 
-// maxGeometric caps Geometric's return value so the float-to-int conversion
+// maxGeometric caps GeometricLog's return value so the float-to-int conversion
 // is always defined. 2^62 failures is beyond any simulable horizon; callers
 // clamp to their remaining budget anyway.
 const maxGeometric = 1 << 62
@@ -265,7 +206,7 @@ func (r *Source) Normal() float64 {
 // independent unit-mean exponentials. The fast-forward path uses it to bulk
 // the total duration of a skipped stretch in O(1) instead of k ExpUnit draws.
 // GammaInt(0) is exactly 0 (an empty sum) and consumes no generator output.
-// Unlike ExpUnit and Geometric, large shapes consume a variable number of
+// Unlike ExpUnit and GeometricLog, large shapes consume a variable number of
 // outputs (Marsaglia–Tsang rejection), so GammaInt belongs on streams whose
 // consumption pattern is already mode-specific, like the fast-forward time
 // axis. It panics if k < 0.
@@ -439,19 +380,6 @@ func (t *AliasTable) Draw(r *Source) int {
 		return i
 	}
 	return int(t.alias[i])
-}
-
-// Perm returns a random permutation of [0, n) using Fisher–Yates.
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }
 
 // splitmix64 is the finalizer of the splitmix64 generator; it is a strong

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -40,21 +39,6 @@ func TestNewZeroSeedUsable(t *testing.T) {
 	}
 }
 
-func TestSplitIndependence(t *testing.T) {
-	parent := New(7)
-	child1 := parent.Split()
-	child2 := parent.Split()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if child1.Uint64() == child2.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("split children produced %d identical draws out of 1000", same)
-	}
-}
-
 func TestFloat64Range(t *testing.T) {
 	r := New(3)
 	for i := 0; i < 100000; i++ {
@@ -81,105 +65,6 @@ func TestFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1.0/12) > 0.005 {
 		t.Errorf("variance = %v, want 1/12 +/- 0.005", variance)
-	}
-}
-
-func TestIntnRange(t *testing.T) {
-	r := New(5)
-	for _, n := range []int{1, 2, 3, 7, 100, 1 << 20} {
-		for i := 0; i < 1000; i++ {
-			v := r.Intn(n)
-			if v < 0 || v >= n {
-				t.Fatalf("Intn(%d) = %d out of range", n, v)
-			}
-		}
-	}
-}
-
-func TestIntnUniform(t *testing.T) {
-	r := New(9)
-	const (
-		buckets = 10
-		n       = 100000
-	)
-	counts := make([]int, buckets)
-	for i := 0; i < n; i++ {
-		counts[r.Intn(buckets)]++
-	}
-	want := float64(n) / buckets
-	for b, c := range counts {
-		if math.Abs(float64(c)-want) > 5*math.Sqrt(want) {
-			t.Errorf("bucket %d: count %d deviates more than 5 sigma from %v", b, c, want)
-		}
-	}
-}
-
-func TestIntnPanicsOnNonPositive(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Intn(%d) did not panic", n)
-				}
-			}()
-			New(1).Intn(n)
-		}()
-	}
-}
-
-func TestBernoulliEdgeCases(t *testing.T) {
-	r := New(13)
-	for i := 0; i < 100; i++ {
-		if r.Bernoulli(0) {
-			t.Fatal("Bernoulli(0) fired")
-		}
-		if !r.Bernoulli(1) {
-			t.Fatal("Bernoulli(1) did not fire")
-		}
-		if r.Bernoulli(-0.5) {
-			t.Fatal("Bernoulli(-0.5) fired")
-		}
-		if !r.Bernoulli(1.5) {
-			t.Fatal("Bernoulli(1.5) did not fire")
-		}
-	}
-}
-
-func TestBernoulliFrequency(t *testing.T) {
-	r := New(17)
-	for _, p := range []float64{0.1, 0.25, 0.5, 0.9} {
-		const n = 100000
-		hits := 0
-		for i := 0; i < n; i++ {
-			if r.Bernoulli(p) {
-				hits++
-			}
-		}
-		got := float64(hits) / n
-		sigma := math.Sqrt(p * (1 - p) / n)
-		if math.Abs(got-p) > 5*sigma {
-			t.Errorf("Bernoulli(%v): frequency %v deviates more than 5 sigma", p, got)
-		}
-	}
-}
-
-func TestExpMoments(t *testing.T) {
-	r := New(19)
-	for _, rate := range []float64{0.5, 1, 2, 10} {
-		const n = 200000
-		var sum float64
-		for i := 0; i < n; i++ {
-			x := r.Exp(rate)
-			if x < 0 {
-				t.Fatalf("Exp(%v) returned negative %v", rate, x)
-			}
-			sum += x
-		}
-		mean := sum / n
-		want := 1 / rate
-		if math.Abs(mean-want) > 0.02*want {
-			t.Errorf("Exp(%v): mean %v, want %v +/- 2%%", rate, mean, want)
-		}
 	}
 }
 
@@ -227,15 +112,6 @@ func TestExpUnitAllocationFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() { _ = r.ExpUnit() }); allocs != 0 {
 		t.Errorf("ExpUnit allocates %v per draw, want 0", allocs)
 	}
-}
-
-func TestExpPanicsOnNonPositiveRate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Exp(0) did not panic")
-		}
-	}()
-	New(1).Exp(0)
 }
 
 func TestCategoricalDistribution(t *testing.T) {
@@ -397,46 +273,6 @@ func TestReseedMatchesNew(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(31)
-	for _, n := range []int{0, 1, 2, 10, 100} {
-		p := r.Perm(n)
-		if len(p) != n {
-			t.Fatalf("Perm(%d) has length %d", n, len(p))
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				t.Fatalf("Perm(%d) = %v is not a permutation", n, p)
-			}
-			seen[v] = true
-		}
-	}
-}
-
-func TestPermShuffles(t *testing.T) {
-	r := New(37)
-	identity := 0
-	const trials = 1000
-	for i := 0; i < trials; i++ {
-		p := r.Perm(5)
-		isIdentity := true
-		for j, v := range p {
-			if v != j {
-				isIdentity = false
-				break
-			}
-		}
-		if isIdentity {
-			identity++
-		}
-	}
-	// P(identity) = 1/120; expect ~8 of 1000. 40 is > 10 sigma away.
-	if identity > 40 {
-		t.Errorf("identity permutation occurred %d/%d times; shuffle is biased", identity, trials)
-	}
-}
-
 func TestSplitmix64Avalanche(t *testing.T) {
 	// The splitmix64 finalizer is a strong mixer: flipping a single input
 	// bit should flip close to half of the 64 output bits on average.
@@ -476,19 +312,6 @@ func popcount(x uint64) int {
 	return n
 }
 
-func TestBoundedUint64Property(t *testing.T) {
-	r := New(41)
-	f := func(bound uint64) bool {
-		if bound == 0 {
-			return true
-		}
-		return r.boundedUint64(bound) < bound
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkUint64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
@@ -500,13 +323,6 @@ func BenchmarkFloat64(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = r.Float64()
-	}
-}
-
-func BenchmarkExp(b *testing.B) {
-	r := New(1)
-	for i := 0; i < b.N; i++ {
-		_ = r.Exp(1)
 	}
 }
 

@@ -316,7 +316,7 @@ func (inertStrategy) ReactToHonest(ls, lh, published int) Reaction { return Reac
 
 func TestFastForwardDisabledForNonAdoptiveStrategy(t *testing.T) {
 	cfg := ffConfig(t, 0.3, 5000, 6161)
-	cfg.Strategy = inertStrategy{}
+	cfg.Strategies = []Strategy{inertStrategy{}}
 	plain, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

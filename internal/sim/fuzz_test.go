@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -63,6 +64,13 @@ type randomReactor struct {
 	r *rng.Source
 }
 
+// intn draws a uniform integer in [0, n) from one generator output by
+// multiply-shift reduction (bias below n/2^64).
+func intn(r *rng.Source, n int) int {
+	hi, _ := bits.Mul64(r.Uint64(), uint64(n))
+	return int(hi)
+}
+
 func (s *randomReactor) Name() string { return "random-legal" }
 
 func (s *randomReactor) ReactToPool(ls, lh, published int) Reaction {
@@ -74,7 +82,7 @@ func (s *randomReactor) ReactToHonest(ls, lh, published int) Reaction {
 }
 
 func (s *randomReactor) react(ls, lh, published int) Reaction {
-	switch s.r.Intn(4) {
+	switch intn(s.r, 4) {
 	case 0:
 		return Reaction{}
 	case 1:
@@ -89,7 +97,7 @@ func (s *randomReactor) react(ls, lh, published int) Reaction {
 			return Reaction{}
 		}
 		// Any prefix from the announced count up to the whole branch.
-		return Reaction{PublishTo: published + s.r.Intn(ls-published+1)}
+		return Reaction{PublishTo: published + intn(s.r, ls-published+1)}
 	}
 }
 

@@ -20,9 +20,9 @@ func multiAgent(t *testing.T, alphas ...float64) *mining.Population {
 }
 
 // TestSinglePoolEquivalenceSweep pins the K=1 special case of the K-pool
-// engine: across an alpha sweep, a single pool configured through the
-// per-pool Strategies list, through the legacy Strategy field, and through
-// the MultiAgent constructor must produce bit-identical results. Together
+// engine: across an alpha sweep, the default (nil) assignment and an
+// explicit [algorithm1] must produce bit-identical results, and so must a
+// single pool built by TwoAgent and by the MultiAgent constructor. Together
 // with the distribution and model-agreement tests (which pin the absolute
 // semantics against the paper's closed forms), this fixes the single-pool
 // path to the pre-refactor engine.
@@ -34,25 +34,23 @@ func TestSinglePoolEquivalenceSweep(t *testing.T) {
 				Gamma:      0.5,
 				Blocks:     20000,
 				Seed:       uint64(1000 * alpha),
-				Strategy:   strat,
 			}
-			legacy := run(t, cfg)
+			if strat != nil {
+				cfg.Strategies = []Strategy{strat}
+			}
+			want := run(t, cfg)
 
-			perPool := cfg
-			perPool.Strategy = nil
 			if strat == nil {
-				perPool.Strategies = []Strategy{Algorithm1{}}
-			} else {
-				perPool.Strategies = []Strategy{strat}
-			}
-			viaList := run(t, perPool)
-			if !reflect.DeepEqual(legacy, viaList) {
-				t.Errorf("alpha=%v strategy=%v: Strategies list result differs from Strategy field", alpha, strat)
+				explicit := cfg
+				explicit.Strategies = []Strategy{Algorithm1{}}
+				if got := run(t, explicit); !reflect.DeepEqual(want, got) {
+					t.Errorf("alpha=%v: explicit [algorithm1] result differs from the default", alpha)
+				}
 			}
 
 			viaMulti := cfg
 			viaMulti.Population = multiAgent(t, alpha)
-			if got := run(t, viaMulti); !reflect.DeepEqual(legacy, got) {
+			if got := run(t, viaMulti); !reflect.DeepEqual(want, got) {
 				t.Errorf("alpha=%v strategy=%v: MultiAgent population result differs from TwoAgent", alpha, strat)
 			}
 		}
@@ -118,7 +116,7 @@ func TestErrBadReactionSurfacesFromRun(t *testing.T) {
 			Gamma:      0.5,
 			Blocks:     20000,
 			Seed:       3,
-			Strategy:   strat,
+			Strategies: []Strategy{strat},
 		})
 		if !errors.Is(err, ErrBadReaction) {
 			t.Errorf("%s: err = %v, want ErrBadReaction", strat.Name(), err)
@@ -130,7 +128,7 @@ func TestErrBadReactionSurfacesFromRun(t *testing.T) {
 		Gamma:      0.5,
 		Blocks:     20000,
 		Seed:       3,
-		Strategy:   commitBehindStrategy{},
+		Strategies: []Strategy{commitBehindStrategy{}},
 	}, 4)
 	if !errors.Is(err, ErrBadReaction) {
 		t.Errorf("RunMany: err = %v, want ErrBadReaction", err)

@@ -202,7 +202,7 @@ func TestRunnerResetAfterFailure(t *testing.T) {
 	}
 	// conflictStrategy fails mid-run once the pool holds a private lead.
 	bad := clean
-	bad.Strategy = conflictStrategy{}
+	bad.Strategies = []Strategy{conflictStrategy{}}
 
 	for _, reset := range []bool{false, true} {
 		rn := NewRunner()

@@ -41,7 +41,7 @@ type Result struct {
 
 	// MinerRewards is the dense per-miner tally, indexed by MinerID
 	// (IDs at or beyond its length earned nothing); MinerSeen marks the
-	// IDs that appeared in the settlement. PerMiner is the map view.
+	// IDs that appeared in the settlement.
 	MinerRewards []chain.Reward
 	MinerSeen    []bool
 
@@ -123,19 +123,6 @@ func (r *Result) RestoreAliases() {
 	} else {
 		r.Occupancy = nil
 	}
-}
-
-// MinerReward returns one miner's settled tally (zero if it earned
-// nothing).
-func (r *Result) MinerReward(id chain.MinerID) chain.Reward {
-	return chain.MinerRewardAt(r.MinerRewards, id)
-}
-
-// PerMiner returns the map view of the per-miner tallies: every miner that
-// appeared in the settlement, keyed by ID. It is built on demand;
-// iteration-heavy callers should use the dense MinerRewards directly.
-func (r *Result) PerMiner() map[chain.MinerID]chain.Reward {
-	return chain.PerMinerView(r.MinerRewards, r.MinerSeen)
 }
 
 // SelfishEventShare returns the fraction of block-creation events produced
@@ -240,15 +227,6 @@ func (r *Result) RateOf(pool mining.PoolID) float64 {
 // supposed to keep bounded.
 func (r *Result) TotalRate() float64 {
 	return safeRate(r.Pool.Total()+r.Honest.Total(), r.SettledTime)
-}
-
-// StateProbability estimates the stationary probability of state s from the
-// occupancy counts.
-func (r *Result) StateProbability(s core.State) float64 {
-	if r.Blocks == 0 {
-		return 0
-	}
-	return float64(r.Occupancy[s]) / float64(r.Blocks)
 }
 
 // Runner executes simulations while reusing one simulator's storage — the

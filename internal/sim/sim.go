@@ -108,13 +108,10 @@ type Config struct {
 	// unlimited (the paper's model); Ethereum uses 2.
 	MaxUnclesPerBlock int
 
-	// Strategy selects the behavior every pool runs when Strategies is
-	// not set. Nil means Algorithm1 (the paper's strategy).
-	Strategy Strategy
-
 	// Strategies assigns one strategy per pool, indexed by PoolID-1
 	// (pool 1 first). When set, its length must equal the population's
-	// pool count and every entry must be non-nil; it overrides Strategy.
+	// pool count and every entry must be non-nil. Nil means Algorithm1
+	// (the paper's strategy) for every pool.
 	Strategies []Strategy
 
 	// PoolOmitsUncleRefs stops the pools from referencing uncles in
@@ -175,9 +172,6 @@ func (c Config) withDefaults() Config {
 	if c.Schedule.MaxDepth() == 0 {
 		c.Schedule = rewards.Ethereum()
 	}
-	if c.Strategy == nil {
-		c.Strategy = Algorithm1{}
-	}
 	if c.Time.Enabled {
 		c.Time.Difficulty = c.Time.Difficulty.WithDefaults()
 	}
@@ -225,13 +219,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// strategyFor resolves the strategy pool p (1-based) runs. Defaults must
-// already be applied.
+// strategyFor resolves the strategy pool p (1-based) runs.
 func (c Config) strategyFor(p int) Strategy {
 	if c.Strategies != nil {
 		return c.Strategies[p-1]
 	}
-	return c.Strategy
+	return Algorithm1{}
 }
 
 // poolState is one pool's view of the race: a private branch of blocks
@@ -415,7 +408,7 @@ type simulator struct {
 	// segment's heights to the new block's ancestors (indexed by height
 	// offset), refScratch collects uncles those ancestors already
 	// reference, candScratch holds filter survivors, and uncleScratch
-	// backs the returned candidate list (safe to reuse: chain.Tree.Extend
+	// backs the returned candidate list (safe to reuse: chain.Tree.ExtendAt
 	// copies the uncle list it is given).
 	chainScratch []chain.BlockID
 	refScratch   []chain.BlockID

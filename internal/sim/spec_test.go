@@ -214,9 +214,9 @@ func TestSpecRunMatchesDirectConstruction(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 10000, Seed: 7}
-		cfg.Strategy = tt.direct
+		cfg.Strategies = []Strategy{tt.direct}
 		want := run(t, cfg)
-		cfg.Strategy = parsed
+		cfg.Strategies = []Strategy{parsed}
 		if got := run(t, cfg); !reflect.DeepEqual(want, got) {
 			t.Errorf("%s: spec-built run differs from direct construction", tt.spec)
 		}

@@ -83,7 +83,7 @@ func TestHonestStrategyEarnsAlpha(t *testing.T) {
 		Gamma:      0.5,
 		Blocks:     50000,
 		Seed:       101,
-		Strategy:   HonestStrategy{},
+		Strategies: []Strategy{HonestStrategy{}},
 	})
 	if r.UncleCount != 0 || r.StaleCount != 0 {
 		t.Errorf("honest pool produced %d uncles, %d stale blocks", r.UncleCount, r.StaleCount)
@@ -103,7 +103,7 @@ func TestEagerPublishNeverRacesDeep(t *testing.T) {
 		Gamma:      0.5,
 		Blocks:     50000,
 		Seed:       103,
-		Strategy:   EagerPublish{Lead: 2},
+		Strategies: []Strategy{EagerPublish{Lead: 2}},
 	})
 	for state, count := range r.Occupancy {
 		if state.Lead() > 2 && count > 0 {
@@ -123,7 +123,7 @@ func TestEagerPublishBeatsHonestButTrailsAlgorithm1(t *testing.T) {
 
 	algorithm1 := run(t, cfg)
 	eagerCfg := cfg
-	eagerCfg.Strategy = EagerPublish{Lead: 2}
+	eagerCfg.Strategies = []Strategy{EagerPublish{Lead: 2}}
 	eager := run(t, eagerCfg)
 
 	a1 := algorithm1.PoolAbsolute(core.Scenario1)
@@ -145,7 +145,7 @@ func TestLeadStubbornRuns(t *testing.T) {
 		Gamma:      0.5,
 		Blocks:     100000,
 		Seed:       109,
-		Strategy:   Stubborn{Lead: true},
+		Strategies: []Strategy{Stubborn{Lead: true}},
 	})
 	if got := r.Pool.Static + r.Honest.Static; math.Abs(got-float64(r.RegularCount)) > 1e-9 {
 		t.Errorf("static rewards %v != regular blocks %d", got, r.RegularCount)
@@ -163,7 +163,7 @@ func TestLeadStubbornDiffersFromAlgorithm1(t *testing.T) {
 	cfg := Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 50000, Seed: 113}
 	a1 := run(t, cfg)
 	stubbornCfg := cfg
-	stubbornCfg.Strategy = Stubborn{Lead: true}
+	stubbornCfg.Strategies = []Strategy{Stubborn{Lead: true}}
 	stubborn := run(t, stubbornCfg)
 	if a1.Pool == stubborn.Pool {
 		t.Error("lead-stubborn produced identical rewards to Algorithm 1")
@@ -177,7 +177,7 @@ func TestStubbornZeroValueMatchesAlgorithm1(t *testing.T) {
 		cfg := Config{Population: twoAgent(t, alpha), Gamma: 0.5, Blocks: 20000, Seed: 131}
 		a1 := run(t, cfg)
 		zero := cfg
-		zero.Strategy = Stubborn{}
+		zero.Strategies = []Strategy{Stubborn{}}
 		if got := run(t, zero); !reflect.DeepEqual(a1, got) {
 			t.Errorf("alpha=%v: Stubborn{} run differs from Algorithm1", alpha)
 		}
@@ -193,7 +193,7 @@ func TestStubbornBeatsAlgorithm1AtHighAlphaAndGamma(t *testing.T) {
 	cfg := Config{Population: twoAgent(t, alpha), Gamma: gamma, Blocks: 50000, Seed: 12345}
 	runMean := func(s Strategy) float64 {
 		c := cfg
-		c.Strategy = s
+		c.Strategies = []Strategy{s}
 		series, err := RunMany(c, 4)
 		if err != nil {
 			t.Fatal(err)
@@ -212,7 +212,7 @@ func TestStubbornBeatsAlgorithm1AtHighAlphaAndGamma(t *testing.T) {
 	zeroGamma.Gamma = 0
 	zeroCfg := func(s Strategy) float64 {
 		c := zeroGamma
-		c.Strategy = s
+		c.Strategies = []Strategy{s}
 		series, err := RunMany(c, 4)
 		if err != nil {
 			t.Fatal(err)

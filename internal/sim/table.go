@@ -204,9 +204,6 @@ func decodeReaction(e int8) Reaction {
 // Name implements Strategy.
 func (t *DecisionTable) Name() string { return t.strat.Name() }
 
-// Strategy returns the strategy the table was compiled from.
-func (t *DecisionTable) Strategy() Strategy { return t.strat }
-
 // AdoptsAtOrigin reports whether the compiled strategy plainly adopts at
 // the (0, 1, 0) frame — the fast-forward engagement condition, as a table
 // property.

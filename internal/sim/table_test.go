@@ -87,11 +87,11 @@ func TestDecisionTableEquivalence(t *testing.T) {
 			// Overflow frames: at least one coordinate beyond the window,
 			// where the table must route to the live strategy.
 			for i := 0; i < 256; i++ {
-				ls, lh := r.Intn(4*tableDim), r.Intn(4*tableDim)
+				ls, lh := intn(r, 4*tableDim), intn(r, 4*tableDim)
 				if ls < tableDim && lh < tableDim {
 					ls += tableDim
 				}
-				check(ls, lh, r.Intn(ls+1))
+				check(ls, lh, intn(r, ls+1))
 			}
 			// The precomputed engagement probe matches the live reaction at
 			// the fast-forward origin frame.

@@ -35,14 +35,6 @@ func (c *Counter) Total() int64 { return c.total }
 // Count returns the number of occurrences of outcome k.
 func (c *Counter) Count(k int) int64 { return c.counts[k] }
 
-// Probability returns the empirical probability of outcome k.
-func (c *Counter) Probability(k int) float64 {
-	if c.total == 0 {
-		return 0
-	}
-	return float64(c.counts[k]) / float64(c.total)
-}
-
 // Outcomes returns the observed outcomes in increasing order.
 func (c *Counter) Outcomes() []int {
 	keys := make([]int, 0, len(c.counts))

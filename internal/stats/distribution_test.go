@@ -19,11 +19,8 @@ func TestCounterBasics(t *testing.T) {
 	if c.Count(1) != 2 || c.Count(2) != 1 || c.Count(3) != 2 {
 		t.Errorf("counts = %d/%d/%d, want 2/1/2", c.Count(1), c.Count(2), c.Count(3))
 	}
-	if got := c.Probability(1); !almostEqual(got, 0.4, 1e-12) {
-		t.Errorf("Probability(1) = %v, want 0.4", got)
-	}
-	if got := c.Probability(99); got != 0 {
-		t.Errorf("Probability(99) = %v, want 0", got)
+	if got := c.Count(99); got != 0 {
+		t.Errorf("Count(99) = %v, want 0", got)
 	}
 	wantMean := (1.0*2 + 2.0*1 + 3.0*2) / 5
 	if got := c.Mean(); !almostEqual(got, wantMean, 1e-12) {
@@ -33,7 +30,7 @@ func TestCounterBasics(t *testing.T) {
 
 func TestCounterEmpty(t *testing.T) {
 	var c Counter
-	if c.Total() != 0 || c.Mean() != 0 || c.Probability(1) != 0 {
+	if c.Total() != 0 || c.Mean() != 0 || c.Count(1) != 0 {
 		t.Error("empty counter should report zeros")
 	}
 	d := c.Distribution(6)

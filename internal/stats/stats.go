@@ -42,13 +42,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN incorporates the observation x with multiplicity n.
-func (a *Accumulator) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		a.Add(x)
-	}
-}
-
 // N returns the number of observations.
 func (a Accumulator) N() int { return a.n }
 
@@ -141,13 +134,23 @@ func (a Accumulator) ConfidenceInterval(level float64) (Interval, error) {
 	}, nil
 }
 
-// studentT approximates the two-sided Student-t critical value for the given
-// confidence level and degrees of freedom, via the normal quantile plus the
-// Cornish–Fisher-style expansion (Peiser). Accuracy is better than 1% for
-// df >= 3, which is ample for reporting simulation error bars.
+// studentT returns the two-sided Student-t critical value for the given
+// confidence level and degrees of freedom. One and two degrees of freedom
+// have closed forms, used exactly: the expansion below is 24% (df = 1) and
+// 3% (df = 2) too small at 95%, which would narrow the intervals of the
+// smallest samples. From df >= 3 it approximates via the normal quantile
+// plus the Cornish–Fisher-style expansion (Peiser), which errs low: by
+// under 1% at levels up to 95%, and at 99% by 3.3% for df = 3, 1.2% for
+// df = 4 and under 1% from df >= 5 — ample for simulation error bars.
 func studentT(level float64, df int) float64 {
-	if df <= 0 {
+	switch {
+	case df <= 0:
 		return math.Inf(1)
+	case df == 1:
+		return math.Tan(math.Pi * level / 2)
+	case df == 2:
+		p := 0.5 + level/2
+		return level / math.Sqrt(2*p*(1-p))
 	}
 	z := normalQuantile(0.5 + level/2)
 	d := float64(df)

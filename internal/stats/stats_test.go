@@ -53,17 +53,6 @@ func TestAccumulatorSingleObservation(t *testing.T) {
 	}
 }
 
-func TestAccumulatorAddN(t *testing.T) {
-	var a, b Accumulator
-	a.AddN(2.5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(2.5)
-	}
-	if a.N() != b.N() || a.Mean() != b.Mean() || a.Variance() != b.Variance() {
-		t.Error("AddN disagrees with repeated Add")
-	}
-}
-
 func TestAccumulatorMerge(t *testing.T) {
 	xs := []float64{1.5, -2, 3.25, 0, 8, -1, 4.5, 2}
 	var whole Accumulator
@@ -158,6 +147,11 @@ func TestStudentTKnownValues(t *testing.T) {
 		want  float64
 		tol   float64
 	}{
+		// One and two degrees of freedom take the closed forms, exact.
+		{0.95, 1, 12.706, 0.001},
+		{0.95, 2, 4.303, 0.001},
+		{0.99, 1, 63.657, 0.001},
+		{0.99, 2, 9.925, 0.001},
 		{0.95, 9, 2.262, 0.01},
 		{0.95, 30, 2.042, 0.01},
 		{0.99, 9, 3.250, 0.03},

@@ -37,12 +37,6 @@ func (p *Paired) Add(y, x float64) {
 // N returns the number of paired observations.
 func (p Paired) N() int { return p.n }
 
-// MeanY returns the sample mean of the estimand.
-func (p Paired) MeanY() float64 { return p.meanY }
-
-// MeanX returns the sample mean of the control statistic.
-func (p Paired) MeanX() float64 { return p.meanX }
-
 // VarianceY returns the unbiased sample variance of the estimand, or 0 for
 // fewer than two observations.
 func (p Paired) VarianceY() float64 {

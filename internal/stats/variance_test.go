@@ -48,8 +48,8 @@ func TestPairedMatchesTwoPass(t *testing.T) {
 			t.Errorf("%s: streaming %v vs two-pass %v", name, got, want)
 		}
 	}
-	close("meanX", p.MeanX(), mx)
-	close("meanY", p.MeanY(), my)
+	// The control-variate mean reads both streaming means.
+	close("cvMean", p.ControlVariateMean(0.5), my-(cxy/vx)*(mx-0.5))
 	close("varX", p.VarianceX(), vx)
 	close("varY", p.VarianceY(), vy)
 	close("cov", p.Covariance(), cxy)
@@ -71,10 +71,12 @@ func TestControlVariateReducesVariance(t *testing.T) {
 		truth = 1.0 // E[y] = E[x] + 0.5
 	)
 	var p Paired
+	var plain Accumulator
 	for i := 0; i < 500; i++ {
 		x := r.Float64()
 		y := x + 0.5 + 0.05*(r.Float64()-0.5)
 		p.Add(y, x)
+		plain.Add(y)
 	}
 
 	rho := p.Correlation()
@@ -87,7 +89,7 @@ func TestControlVariateReducesVariance(t *testing.T) {
 	}
 
 	cv := p.ControlVariateMean(mu)
-	plainErr := math.Abs(p.MeanY() - truth)
+	plainErr := math.Abs(plain.Mean() - truth)
 	cvErr := math.Abs(cv - truth)
 	if cvErr > plainErr {
 		t.Errorf("control variate error %v exceeds plain error %v", cvErr, plainErr)
@@ -112,14 +114,17 @@ func TestControlVariateReducesVariance(t *testing.T) {
 func TestPairedDegenerateControl(t *testing.T) {
 	r := rng.New(43)
 	var p Paired
+	var plain Accumulator
 	for i := 0; i < 100; i++ {
-		p.Add(r.Float64(), 0.25)
+		y := r.Float64()
+		p.Add(y, 0.25)
+		plain.Add(y)
 	}
 	if beta := p.Beta(); beta != 0 {
 		t.Errorf("Beta = %v on a constant control, want 0", beta)
 	}
-	if cv := p.ControlVariateMean(0.25); cv != p.MeanY() {
-		t.Errorf("ControlVariateMean %v, want plain mean %v", cv, p.MeanY())
+	if cv := p.ControlVariateMean(0.25); math.Abs(cv-plain.Mean()) > 1e-12 {
+		t.Errorf("ControlVariateMean %v, want plain mean %v", cv, plain.Mean())
 	}
 	if vrf := p.VarianceReductionFactor(); vrf != 1 {
 		t.Errorf("VRF = %v on a constant control, want 1", vrf)

@@ -165,9 +165,11 @@ bench-gate:
 
 # Append the current benchmark numbers as a dated entry to the committed
 # history file (satisfying curiosity about the performance trajectory
-# without digging through git history of baselines).
+# without digging through git history of baselines). -buildvcs=true stamps
+# the git revision into the binary, which a plain `go run` leaves out, so
+# the entry records the code it measured.
 bench-record:
-	$(GO) run ./cmd/ethbench -record $(BENCH_HISTORY)
+	$(GO) run -buildvcs=true ./cmd/ethbench -record $(BENCH_HISTORY)
 
 # Where bench-smoke leaves its CPU/heap profiles (uploaded as CI
 # artifacts, so a slow CI run can be diagnosed without reproducing it).

@@ -17,9 +17,10 @@
 //	                 any of the three
 //	-record FILE     append this run as a dated entry to a JSON history
 //	                 file (the BENCH_HISTORY.json trajectory), stamped with
-//	                 the Go version and the machine's CPU count,
-//	                 GOMAXPROCS and CPU model, in addition to the normal
-//	                 stdout output
+//	                 the Go version, the machine's CPU count, GOMAXPROCS
+//	                 and CPU model, and the git revision the binary was
+//	                 built from (when built with -buildvcs=true), in
+//	                 addition to the normal stdout output
 //	-cpuprofile FILE write a CPU profile covering the benchmark runs
 //	-memprofile FILE write a heap profile taken after the benchmark runs
 //
@@ -44,6 +45,7 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -480,14 +482,37 @@ func run(args []string, w io.Writer) error {
 // historyEntry is one dated run in the benchmark history file: the full
 // result set plus enough environment to compare rows honestly. The machine
 // fingerprint (CPU count, GOMAXPROCS, CPU model) tells a new host from a
-// regression; entries recorded before it existed simply lack the fields.
+// regression, and the git revision names the code measured; entries
+// recorded before these existed simply lack the fields.
 type historyEntry struct {
 	Date       string   `json:"date"`
 	GoVersion  string   `json:"go_version"`
+	GitRev     string   `json:"git_rev,omitempty"`
 	NProc      int      `json:"nproc,omitempty"`
 	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
 	CPUModel   string   `json:"cpu_model,omitempty"`
 	Results    []Result `json:"results"`
+}
+
+// gitRevision returns the VCS revision stamped into a build, suffixed with
+// "-dirty" when the working tree had uncommitted changes, or "" when the
+// build carries no VCS settings (a plain `go run`, or a build outside a
+// repository).
+func gitRevision(info *debug.BuildInfo) string {
+	var rev string
+	var dirty bool
+	for _, setting := range info.Settings {
+		switch setting.Key {
+		case "vcs.revision":
+			rev = setting.Value
+		case "vcs.modified":
+			dirty = setting.Value == "true"
+		}
+	}
+	if rev != "" && dirty {
+		rev += "-dirty"
+	}
+	return rev
 }
 
 // cpuModel returns the first "model name" of /proc/cpuinfo, or "" where
@@ -521,9 +546,14 @@ func appendHistory(path string, results []Result) error {
 	default:
 		return fmt.Errorf("reading history: %w", err)
 	}
+	var rev string
+	if info, ok := debug.ReadBuildInfo(); ok {
+		rev = gitRevision(info)
+	}
 	history = append(history, historyEntry{
 		Date:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:  runtime.Version(),
+		GitRev:     rev,
 		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		CPUModel:   cpuModel(),

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -167,6 +168,24 @@ func TestRecordAppendsHistory(t *testing.T) {
 		if h.NProc != runtime.NumCPU() || h.GOMAXPROCS != runtime.GOMAXPROCS(0) || h.CPUModel != cpuModel() {
 			t.Errorf("entry %d machine fingerprint = (%d, %d, %q), want (%d, %d, %q)", i+1,
 				h.NProc, h.GOMAXPROCS, h.CPUModel, runtime.NumCPU(), runtime.GOMAXPROCS(0), cpuModel())
+		}
+	}
+}
+
+func TestGitRevision(t *testing.T) {
+	const rev = "6874fda9b7706db7bcf6f3e3f4104882f75e45e6"
+	for _, tc := range []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{"clean", []debug.BuildSetting{{Key: "vcs", Value: "git"}, {Key: "vcs.revision", Value: rev}, {Key: "vcs.modified", Value: "false"}}, rev},
+		{"dirty", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}, {Key: "vcs.revision", Value: rev}}, rev + "-dirty"},
+		{"no vcs", []debug.BuildSetting{{Key: "GOOS", Value: "linux"}}, ""},
+		{"modified without revision", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+	} {
+		if got := gitRevision(&debug.BuildInfo{Settings: tc.settings}); got != tc.want {
+			t.Errorf("%s: gitRevision = %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

@@ -134,7 +134,9 @@
 // eligibility walks only the race segment above the consensus floor
 // (O(race depth), not O(reference window): a floor-anchored chain index —
 // per-block "decided" and "referenced on the decided chain" bits, set as
-// the floor advances — answers every test at or below the floor), strategy
+// the floor advances — answers every test at or below the floor, and the
+// floor purge drops a candidate the decided chain references by reading
+// that candidate's "referenced on the decided chain" bit), strategy
 // decisions resolve through compiled decision tables (sim.DecisionTable —
 // one table load per event instead of interface dispatch plus validation,
 // bit-identical to the live path),

@@ -54,13 +54,14 @@ type links struct {
 	lastChild   int32
 	nextSibling int32
 
-	// referencedBy is the block referencing this one as an uncle, or
-	// NoBlock. The protocol guarantees at most one referencing block per
-	// chain; across competing chains a block could in principle be
-	// referenced twice, which the simulator never does because losers of
-	// a fork stop being extended. ExtendAt enforces per-chain uniqueness
-	// exactly; this index additionally gives O(1) "is referenced"
-	// queries for the single evolving chain.
+	// referencedBy is the latest block to reference this one as an
+	// uncle, or NoBlock. The protocol allows one referencing block per
+	// chain, and ExtendAt enforces that exactly; competing chains may
+	// each reference the same block (a selfish race routinely does), and
+	// each new reference overwrites the link. So the link answers "is
+	// this block referenced anywhere" in O(1), but not "by which chain":
+	// the simulator keeps "referenced on the decided chain" as its own
+	// per-block index bit (sim's flagRefDecided).
 	referencedBy int32
 }
 
@@ -311,7 +312,8 @@ func (t *Tree) Contains(id BlockID) bool {
 	return int32(id) >= t.base && int(id) < t.Len()
 }
 
-// ReferencedBy returns the block referencing id as an uncle, or NoBlock.
+// ReferencedBy returns the latest block to reference id as an uncle, or
+// NoBlock.
 func (t *Tree) ReferencedBy(id BlockID) BlockID {
 	return BlockID(t.links[t.mustIndex(id)].referencedBy)
 }

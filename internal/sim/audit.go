@@ -261,7 +261,10 @@ func onSettledChain(t *chain.Tree, b, floor chain.BlockID) bool {
 // checkForkChildren rebuilds the uncle-candidate set by brute force — a
 // full rescan of the recent window with the floor-purge rules applied from
 // scratch — and requires the incrementally maintained set to match block
-// for block, height for height, in the same (creation) order.
+// for block, height for height, in the same (creation) order. Whether the
+// settled chain references a candidate is read from the settled blocks'
+// own uncle lists, never from the chain index or the tree's
+// referenced-by links.
 func (a *auditor) checkForkChildren(s *simulator) error {
 	t := s.tree
 	// The floor settlement runs against: a poolless population's
@@ -269,15 +272,28 @@ func (a *auditor) checkForkChildren(s *simulator) error {
 	// never forks, so the purge rules are vacuous there either way).
 	floor := s.streamFloor()
 	floorHeight := t.HeightOf(floor)
+	window := s.recent[s.recentHead:]
+	// Every uncle the settled chain references above the window's lowest
+	// height: a referencer sits above its uncle, so the walk down from the
+	// floor stops there.
+	minHeight := floorHeight
+	for _, wb := range window {
+		minHeight = min(minHeight, wb.height)
+	}
+	settledRefs := a.refScratch[:0]
+	for b := floor; t.HeightOf(b) > minHeight; b = t.ParentOf(b) {
+		settledRefs = append(settledRefs, t.UnclesOf(b)...)
+	}
+	a.refScratch = settledRefs
 	expected := a.scratch[:0]
-	for _, wb := range s.recent[s.recentHead:] {
+	for _, wb := range window {
 		parent := t.ParentOf(wb.id)
 		if t.NextSiblingOf(t.FirstChildOf(parent)) == chain.NoBlock {
 			continue // only child: can never be an uncle
 		}
 		// The floor-purge rules, evaluated from scratch: a candidate is
 		// dead once the settled chain through the floor decides it.
-		if ref := t.ReferencedBy(wb.id); ref != chain.NoBlock && onSettledChain(t, ref, floor) {
+		if slices.Contains(settledRefs, wb.id) {
 			continue // referenced on the consensus chain
 		}
 		if onSettledChain(t, wb.id, floor) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/mining"
@@ -37,10 +38,9 @@ func stepEvent(s *simulator) error {
 	return nil
 }
 
-// midRace initializes a simulator for cfg and plays events until ready
-// reports the state wanted (after at least warmup events, so the streaming
-// settlement has evicted a prefix), failing after a generous budget.
-func midRace(tb testing.TB, cfg Config, warmup int, ready func(*simulator) bool) *simulator {
+// newSimulator returns a simulator initialized for cfg, before its first
+// event.
+func newSimulator(tb testing.TB, cfg Config) *simulator {
 	tb.Helper()
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
@@ -48,6 +48,15 @@ func midRace(tb testing.TB, cfg Config, warmup int, ready func(*simulator) bool)
 	}
 	s := &simulator{}
 	s.init(cfg)
+	return s
+}
+
+// midRace initializes a simulator for cfg and plays events until ready
+// reports the state wanted (after at least warmup events, so the streaming
+// settlement has evicted a prefix), failing after a generous budget.
+func midRace(tb testing.TB, cfg Config, warmup int, ready func(*simulator) bool) *simulator {
+	tb.Helper()
+	s := newSimulator(tb, cfg)
 	for i := 0; i < warmup+1_000_000; i++ {
 		if i >= warmup && ready(s) {
 			return s
@@ -69,15 +78,22 @@ func raceUnderway(s *simulator) bool {
 		len(s.eligibleUncles(p.tip(), 1)) > 0
 }
 
-// indexConfig is the single-pool configuration the index tests and
-// benchmarks run at a given reference depth.
-func indexConfig(tb testing.TB, depth int) Config {
+// indexCase is a single-pool configuration the index tests and benchmarks
+// run: the pool's share and the reference depth.
+type indexCase struct {
+	name  string
+	alpha float64
+	depth int
+}
+
+// config returns the case's configuration.
+func (c indexCase) config(tb testing.TB) Config {
 	tb.Helper()
-	pop, err := mining.TwoAgent(0.35)
+	pop, err := mining.TwoAgent(c.alpha)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	schedule, err := rewards.Constant(0.5, depth)
+	schedule, err := rewards.Constant(0.5, c.depth)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -86,24 +102,46 @@ func indexConfig(tb testing.TB, depth int) Config {
 
 // indexDepths are the reference windows the index is exercised at: the
 // Ethereum depth and the engine's widest window (the paper's Fig. 8).
-var indexDepths = []struct {
-	name  string
-	depth int
-}{
-	{"window=6", 6},
-	{"window=64", rewards.NoDepthLimit},
+var indexDepths = []indexCase{
+	{"window=6", 0.35, 6},
+	{"window=64", 0.35, rewards.NoDepthLimit},
 }
 
-// TestAuditCatchesCorruptedChainIndex: clearing the floor's decided bit, or
-// marking an open candidate as already referenced, must fail the next audit
-// — the auditor genuinely rebuilds the index and rescans eligibility.
+// fig8Top is the top of the paper's Fig. 8 sweep: the widest window at the
+// largest pool share, where races run deepest and the candidate set is
+// largest.
+var fig8Top = indexCase{"fig8-top", 0.45, rewards.NoDepthLimit}
+
+// indexBenchCases are the states the layer benchmarks time.
+var indexBenchCases = append(slices.Clone(indexDepths), fig8Top)
+
+// decidedReferenced returns a candidate-window block the decided chain
+// references as an uncle, if there is one: a fork child the floor purge has
+// dropped from the candidate set.
+func decidedReferenced(s *simulator) (windowBlock, bool) {
+	for _, wb := range s.recent[s.recentHead:] {
+		if s.flags[int(wb.id)-s.idBase]&flagRefDecided != 0 {
+			return wb, true
+		}
+	}
+	return windowBlock{}, false
+}
+
+// TestAuditCatchesCorruptedChainIndex: clearing the floor's decided bit,
+// marking an open candidate as already referenced, or putting a candidate
+// the decided chain references back into the fork-child set must fail the
+// next audit — the auditor genuinely rebuilds the index, the candidate set
+// and eligibility.
 func TestAuditCatchesCorruptedChainIndex(t *testing.T) {
 	for _, d := range indexDepths {
 		t.Run(d.name, func(t *testing.T) {
-			cfg := indexConfig(t, d.depth)
+			cfg := d.config(t)
 			cfg.Audit = AuditConfig{Enabled: true, SampleEvery: 1}
 
-			s := midRace(t, cfg, 2000, raceUnderway)
+			s := midRace(t, cfg, 2000, func(s *simulator) bool {
+				_, ok := decidedReferenced(s)
+				return ok && raceUnderway(s)
+			})
 			if err := s.aud.check(s); err != nil {
 				t.Fatalf("clean state failed the audit: %v", err)
 			}
@@ -112,6 +150,14 @@ func TestAuditCatchesCorruptedChainIndex(t *testing.T) {
 				t.Errorf("err = %v, want ErrAudit after clearing the floor's decided bit", err)
 			}
 			s.flags[int(s.floor)-s.idBase] |= flagDecided
+
+			dead, _ := decidedReferenced(s)
+			live := slices.Clone(s.forkChildren)
+			s.addForkChild(dead)
+			if err := s.aud.checkForkChildren(s); !errors.Is(err, ErrAudit) {
+				t.Errorf("err = %v, want ErrAudit after restoring decided-referenced candidate %d", err, dead.id)
+			}
+			s.forkChildren = live
 
 			p := &s.pools[0]
 			open := s.eligibleUncles(p.tip(), 1)[0]
@@ -123,12 +169,33 @@ func TestAuditCatchesCorruptedChainIndex(t *testing.T) {
 	}
 }
 
+// TestForkChildSetHoldsNoDecidedReference: after every event of a Fig. 8
+// run, no uncle candidate is one the decided chain already references. The
+// floor purge must read the referenced-on-decided bit itself: the tree's
+// referenced-by link names only the latest referencer, often a losing
+// public block that referenced the candidate after the winning private
+// branch did.
+func TestForkChildSetHoldsNoDecidedReference(t *testing.T) {
+	s := newSimulator(t, fig8Top.config(t))
+	for i := 0; i < 20_000; i++ {
+		if err := stepEvent(s); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range s.forkChildren {
+			if s.flags[int(c.id)-s.idBase]&flagRefDecided != 0 {
+				t.Fatalf("event %d: candidate %d (height %d) is referenced on the decided chain but still in the fork-child set %v",
+					i, c.id, c.height, s.forkChildren)
+			}
+		}
+	}
+}
+
 // BenchmarkEligibleUncles times one uncle-eligibility query for each side
 // of a race in flight: the pool's private tip and the public tip.
 func BenchmarkEligibleUncles(b *testing.B) {
-	for _, d := range indexDepths {
+	for _, d := range indexBenchCases {
 		b.Run(d.name, func(b *testing.B) {
-			s := midRace(b, indexConfig(b, d.depth), 2000, raceUnderway)
+			s := midRace(b, d.config(b), 2000, raceUnderway)
 			p := &s.pools[0]
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -144,9 +211,9 @@ func BenchmarkEligibleUncles(b *testing.B) {
 // over the candidate set of a race in flight. The pass is idempotent at a
 // fixed floor, so every iteration evaluates the same set.
 func BenchmarkPurgeForkChildren(b *testing.B) {
-	for _, d := range indexDepths {
+	for _, d := range indexBenchCases {
 		b.Run(d.name, func(b *testing.B) {
-			s := midRace(b, indexConfig(b, d.depth), 2000, raceUnderway)
+			s := midRace(b, d.config(b), 2000, raceUnderway)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -799,28 +799,31 @@ func (s *simulator) decided(b chain.BlockID) bool {
 
 // purgeForkChildren drops candidates the consensus floor makes permanently
 // ineligible. Every future block descends from the floor, so a candidate can
-// be discarded for good when the decided chain decides its fate: the block
-// the tree records as its referencer is on that chain (the
-// already-referenced rule always rejects it), it is on that chain itself (an
-// ancestor of every future block), or its parent sits at or below the floor
-// yet off that chain (never attachable again). Candidates attached above the
-// floor stay: they may yet be referenced from a live private branch. Each
-// rule is a bit test against the floor-anchored chain index, so the purge
-// costs O(candidates) and walks nothing. Purging here keeps the fork-child
-// set down to genuine open candidates, so eligibleUncles' fast path fires
-// instead of re-rejecting dead candidates every event until the window
-// trims them — and eligibleUncles relies on the last two rules: it applies
-// its chain tests only above the floor.
+// be discarded for good when the decided chain decides its fate: a block on
+// that chain references it (flagRefDecided; the already-referenced rule
+// always rejects it), it is on that chain itself (an ancestor of every
+// future block), or its parent sits at or below the floor yet off that
+// chain (never attachable again). The first rule reads the index bit, not
+// the tree's referenced-by link: that link names only the latest
+// referencer, and in a race the same stale block is often referenced first
+// from the winning private branch and then from the losing public one.
+// Candidates attached above the floor stay: they may yet be referenced
+// from a live private branch. Each rule is a bit test against the
+// floor-anchored chain index, so the purge costs O(candidates) and walks
+// nothing. Purging here keeps the fork-child set down to genuine open
+// candidates, so eligibleUncles' fast path fires instead of re-rejecting
+// dead candidates every event until the window trims them — and
+// eligibleUncles relies on the last two rules: it applies its chain tests
+// only above the floor.
 func (s *simulator) purgeForkChildren() {
 	t := s.tree
 	floorHeight := t.HeightOf(s.floor)
 	kept := s.forkChildren[:0]
 	for _, cand := range s.forkChildren {
 		c := cand.id
-		referencer := t.ReferencedBy(c)
 		remove := false
 		switch {
-		case referencer != chain.NoBlock && s.decided(referencer):
+		case s.flags[int(c)-s.idBase]&flagRefDecided != 0:
 			remove = true // referenced on the consensus chain
 		case s.decided(c):
 			remove = true // on the consensus chain itself
@@ -828,7 +831,7 @@ func (s *simulator) purgeForkChildren() {
 			remove = true // parent off every future chain
 		}
 		if remove {
-			if referencer != chain.NoBlock {
+			if t.ReferencedBy(c) != chain.NoBlock {
 				s.referencedInWindow--
 			}
 			continue

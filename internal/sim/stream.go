@@ -31,10 +31,11 @@ import (
 //     the floor, the chain-index walk (advanceFloor) only the floor's
 //     advance and the uncles it references (at most a window below the
 //     old floor), and the difficulty observation cursor stays above the
-//     bound. The floor purge reads a candidate's parent and referencer,
-//     which the pre-eviction sweep (sweepDeadRecent) keeps resident: it
-//     drops every candidate below sH - window, so the lowest candidate's
-//     parent sits at or above sH - window - 1 for every window >= 1.
+//     bound. The floor purge reads a candidate's own index bits and its
+//     parent's decided bit, which the pre-eviction sweep
+//     (sweepDeadRecent) keeps resident: it drops every candidate below
+//     sH - window, so the lowest candidate's parent sits at or above
+//     sH - window - 1 for every window >= 1.
 //   - Bit-identity. The incremental tallies equal the one-shot
 //     chain.Tree.Settle walk over the full tree bit for bit (see
 //     chain.StreamSettler); Result assembly then sums them in miner-ID
@@ -219,7 +220,7 @@ func (s *simulator) armFlush() {
 // fork-child set) long after its height makes it unreferenceable. Those
 // stragglers are semantically dead — every future nephew sits more than an
 // uncle window above them — but the floor purge reads each candidate's
-// parent and referencer flags, and the audits rescan the window, so
+// and its parent's index bits, and the audits rescan the window, so
 // nothing the window still tracks may be evicted. The sweep removes them
 // first, and the compaction keeps one extra height below the keep bound so
 // that the lowest candidate's parent is always resident.

@@ -77,16 +77,28 @@ chaos-smoke:
 # The result cache end to end through the CLI: a cold run populates a disk
 # journal, a warm rerun must serve at least one hit and reproduce the
 # figure bit for bit (invariant 3 makes hits exact, so cmp — not a fuzzy
-# diff — is the right check).
+# diff — is the right check). The partial-group case caches only the
+# EIP100 rows of the profitability grid; the full sweep must serve them as
+# hits while simulating the other rules' overlays on the shared race walks,
+# and match a run without a cache.
 cache-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) run ./cmd/ethselfish -quick -cachedir "$$dir/cache" fig8 \
+	$(GO) build -o "$$dir/ethselfish" ./cmd/ethselfish; \
+	"$$dir/ethselfish" -quick -cachedir "$$dir/cache" fig8 \
 		> "$$dir/cold.out" 2> "$$dir/cold.err"; \
-	$(GO) run ./cmd/ethselfish -quick -cachedir "$$dir/cache" fig8 \
+	"$$dir/ethselfish" -quick -cachedir "$$dir/cache" fig8 \
 		> "$$dir/warm.out" 2> "$$dir/warm.err"; \
 	cmp "$$dir/cold.out" "$$dir/warm.out"; \
 	grep -Eq 'cache: [1-9][0-9]* hits' "$$dir/warm.err"; \
-	echo "cache-smoke: warm rerun bit-identical and served from cache"
+	echo "cache-smoke: warm rerun bit-identical and served from cache"; \
+	"$$dir/ethselfish" -quick profitability > "$$dir/profit-clean.out"; \
+	"$$dir/ethselfish" -quick -cachedir "$$dir/profit" -rule eip100 profitability \
+		> /dev/null 2> "$$dir/profit-eip100.err"; \
+	"$$dir/ethselfish" -quick -cachedir "$$dir/profit" profitability \
+		> "$$dir/profit-partial.out" 2> "$$dir/profit-partial.err"; \
+	cmp "$$dir/profit-clean.out" "$$dir/profit-partial.out"; \
+	grep -Eq 'cache: [1-9][0-9]* hits' "$$dir/profit-partial.err"; \
+	echo "cache-smoke: partially cached profitability grid bit-identical, cached rule served from cache"
 
 # Crash safety end to end: SIGKILL a cached sweep after a random delay
 # (somewhere between its first and last row), rerun it to completion over

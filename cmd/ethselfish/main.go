@@ -27,8 +27,8 @@
 //	               strategies and tournament experiments (bestresponse
 //	               searches its own fixed candidate grid)
 //	-rule R        comma-separated difficulty rules (static, bitcoin,
-//	               eip100) restricting the profitability experiment's rule
-//	               axis (default: all three)
+//	               eip100), each at most once, restricting the
+//	               profitability experiment's rule axis (default: all three)
 //	-fastforward   run simulations with the analytic fast-forward of
 //	               uneventful stretches; results agree with the plain
 //	               engine in distribution, not bit-for-bit, so the two
@@ -65,6 +65,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 
 	"github.com/ethselfish/ethselfish/internal/difficulty"
@@ -224,8 +225,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	return finish(emit(w, name, opts, specs, rules, *csv))
 }
 
-// parseRuleList parses a comma-separated list of difficulty rule names,
-// failing before any simulation starts.
+// parseRuleList parses a comma-separated list of distinct difficulty rule
+// names, failing before any simulation starts.
 func parseRuleList(s string) ([]difficulty.Rule, error) {
 	if s == "" {
 		return nil, nil
@@ -235,6 +236,9 @@ func parseRuleList(s string) ([]difficulty.Rule, error) {
 		rule, err := difficulty.ParseRule(strings.TrimSpace(frag))
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(rules, rule) {
+			return nil, fmt.Errorf("-rule lists %v twice", rule)
 		}
 		rules = append(rules, rule)
 	}

@@ -309,3 +309,16 @@ func TestRunProfitabilityRuleFlag(t *testing.T) {
 		t.Error("-rule with a non-profitability experiment should fail")
 	}
 }
+
+// TestParseRuleListRejectsDuplicates: a rule listed twice (under either of
+// its names) fails before any simulation instead of printing its rows twice.
+func TestParseRuleListRejectsDuplicates(t *testing.T) {
+	for _, list := range []string{"eip100,eip100", "bitcoin,static,bitcoin-style"} {
+		if _, err := parseRuleList(list); err == nil {
+			t.Errorf("parseRuleList(%q) accepted a repeated rule", list)
+		}
+	}
+	if rules, err := parseRuleList("static,bitcoin,eip100"); err != nil || len(rules) != 3 {
+		t.Errorf("parseRuleList of three distinct rules = %v, %v", rules, err)
+	}
+}

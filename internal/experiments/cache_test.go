@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/resultcache"
 	"github.com/ethselfish/ethselfish/internal/sim"
@@ -131,6 +132,70 @@ func TestCacheWarmRerunBitIdentical(t *testing.T) {
 	}
 	if s := c2.Stats(); s.DiskHits != rows || s.Misses != 0 {
 		t.Errorf("disk-warm stats = %+v, want %d disk hits and 0 misses", s, rows)
+	}
+}
+
+// TestCacheProfitabilityPartialGroups: the three difficulty rules at one
+// grid point and run share one race walk. A cache holding only the EIP100
+// rows serves them as hits to the full sweep, which simulates each shared
+// walk once for the two missing rules, reproduces a cold run bit for bit,
+// and journals every address exactly once.
+func TestCacheProfitabilityPartialGroups(t *testing.T) {
+	opts := Options{Runs: 2, Blocks: 3000, Seed: 9, Parallelism: 2}
+	want, err := Profitability(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cache, err := resultcache.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copts := opts
+	copts.Cache = cache
+	if _, err := Profitability(copts, difficulty.EIP100); err != nil {
+		t.Fatal(err)
+	}
+	perRule := uint64(len(profitabilityGammas) * len(profitabilityAlphas) * opts.Runs)
+	before := cache.Stats()
+	got, err := Profitability(copts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("profitability over a partially cached grid differs from a cold run")
+	}
+	s := cache.Stats()
+	if hits := s.Hits() - before.Hits(); hits != perRule {
+		t.Errorf("full sweep took %d cache hits, want the %d cached EIP100 rows", hits, perRule)
+	}
+	if stores := s.Stores - before.Stores; stores != 2*perRule {
+		t.Errorf("full sweep stored %d rows, want the %d missing ones", stores, 2*perRule)
+	}
+	if err := cache.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, "results.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")[1:] // past the header
+	seen := make(map[string]bool, len(lines))
+	for _, line := range lines {
+		var row struct {
+			Key string `json:"key"`
+		}
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatal(err)
+		}
+		if seen[row.Key] {
+			t.Errorf("journal holds address %.12s twice", row.Key)
+		}
+		seen[row.Key] = true
+	}
+	if uint64(len(seen)) != 3*perRule {
+		t.Errorf("journal holds %d addresses, want %d", len(seen), 3*perRule)
 	}
 }
 

@@ -24,11 +24,13 @@ import (
 //     individually addressed rows. Rows whose addresses coincide within the
 //     sweep are computed once and scattered; the remaining unique rows are
 //     served from the result cache when present, and simulated across the
-//     worker pool (and stored) otherwise. Per-run seeds are derived
-//     exactly as the sequential sim.RunMany would derive them, so the
-//     assembled Series are bit-identical to a sequential sweep — which is
-//     also why a cached row is exact: by determinism invariant 3, a row is
-//     a pure function of its content address.
+//     worker pool (and stored) otherwise. Timed rows that differ only in
+//     the difficulty rule, target rate or initial difficulty share one
+//     race walk (sim.Runner.RunGroup), so they are one work item. Per-run
+//     seeds are derived exactly as the sequential sim.RunMany would derive
+//     them, so the assembled Series are bit-identical to a sequential
+//     sweep — which is also why a cached row is exact: by determinism
+//     invariant 3, a row is a pure function of its content address.
 
 // grid evaluates fn at grid points 0..n-1 across at most workers
 // goroutines (zero or negative workers: GOMAXPROCS) and returns the results
@@ -131,8 +133,10 @@ func resolveJobs(opts Options, jobs []simJob) (configs []sim.Config, keys []jobk
 //
 // Rows flow through the pipeline: each is content-addressed; addresses
 // repeated within the sweep are computed once and the result scattered to
-// every duplicate; each unique address goes through cachedRun, so a sweep
-// interrupted over a disk cache resumes by simply running again.
+// every duplicate; the unique rows are gathered into work items of rows
+// sharing one race walk (see raceGroups), and each item goes through
+// cachedGroup, so a sweep interrupted over a disk cache resumes by simply
+// running again.
 func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 	configs, keys, seedBases, err := resolveJobs(opts, jobs)
 	if err != nil {
@@ -160,33 +164,44 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 		repOf[k] = k
 		unique = append(unique, k)
 	}
+	items := raceGroups(opts, configs, seeds, unique)
 
 	// Each worker reuses one simulator (tree, arena, scratch) across all
 	// the work items it processes; reuse never changes results, so the
-	// grid stays bit-identical to sequential fresh-simulator runs.
-	uniqueResults, _, err := parallel.MapWithCtx(opts.Ctx, opts.Parallelism, len(unique), sim.NewRunner,
-		func(rn *sim.Runner, u int) (sim.Result, error) {
-			k := unique[u]
-			j := k / opts.Runs
-			cfg := configs[j]
-			cfg.Seed = seeds[k]
-			res, err := cachedRun(rn, cfg, rowKeys[k], opts.Cache)
-			if err != nil {
-				return sim.Result{}, &JobError{Point: j, Alpha: jobs[j].alpha, Run: k % opts.Runs, Seed: cfg.Seed, Err: err}
+	// grid stays bit-identical to sequential fresh-simulator runs. Items
+	// write disjoint rows of results.
+	results := make([]sim.Result, n)
+	_, _, err = parallel.MapWithCtx(opts.Ctx, opts.Parallelism, len(items), sim.NewRunner,
+		func(rn *sim.Runner, i int) (struct{}, error) {
+			members := items[i]
+			// Stack buffers cover the profitability grid's three rules;
+			// larger groups spill to the heap.
+			var cfgBuf [4]sim.Config
+			var addrBuf [4]jobkey.Key
+			var outBuf [4]sim.Result
+			cfgs, addrs, out := cfgBuf[:0], addrBuf[:0], outBuf[:0]
+			for _, k := range members {
+				cfg := configs[k/opts.Runs]
+				cfg.Seed = seeds[k]
+				cfgs = append(cfgs, cfg)
+				addrs = append(addrs, rowKeys[k])
+				out = append(out, sim.Result{})
 			}
-			return res, nil
+			if m, err := cachedGroup(rn, cfgs, addrs, opts.Cache, out); err != nil {
+				k := members[m]
+				return struct{}{}, &JobError{Point: k / opts.Runs, Alpha: jobs[k/opts.Runs].alpha, Run: k % opts.Runs, Seed: seeds[k], Err: err}
+			}
+			for m, k := range members {
+				results[k] = out[m]
+			}
+			return struct{}{}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
 
-	// Scatter: place each unique result, then alias every duplicate to its
-	// representative. repOf always points at an earlier (already placed)
-	// index, so one forward pass suffices.
-	results := make([]sim.Result, n)
-	for u, k := range unique {
-		results[k] = uniqueResults[u]
-	}
+	// Alias every duplicate to its representative. repOf always points at
+	// an earlier (already placed) index, so one forward pass suffices.
 	for k := 0; k < n; k++ {
 		if repOf[k] != k {
 			results[k] = results[repOf[k]]
@@ -202,32 +217,106 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 	return series, nil
 }
 
-// cachedRun is the pipeline's single-row step, shared by runSimGrid and the
-// drivers that adaptively run simulations outside a fixed grid (the
-// precision study): one run at row address addr (cfg's key joined with
-// cfg.Seed), served from cache when possible and stored after a miss — the
-// store happens before the row is returned, so a cancellation arriving
-// while later rows drain still keeps it. A nil cache degenerates to a plain
-// run.
-func cachedRun(rn *sim.Runner, cfg sim.Config, addr jobkey.Key, cache *resultcache.Cache) (sim.Result, error) {
+// raceGroups gathers the unique rows into work items, in order of each
+// item's first row. Timed, non-fast-forward rows at the same run seed whose
+// configs differ only in the difficulty rule, target rate and initial
+// difficulty drive the same race walk (the time axis draws from its own
+// stream and the race never reads the clock), so they form one item that
+// sim.Runner.RunGroup simulates once. Every other row is an item of its
+// own, at the cost of no extra hashing.
+func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int) [][]int {
+	type groupKey struct {
+		race jobkey.Key
+		seed uint64
+	}
+	raceKeys := make(map[int]jobkey.Key)
+	itemOf := make(map[groupKey]int)
+	items := make([][]int, 0, len(unique))
+	for _, k := range unique {
+		j := k / opts.Runs
+		cfg := configs[j]
+		if !cfg.Time.Enabled || cfg.FastForward {
+			items = append(items, []int{k})
+			continue
+		}
+		race, ok := raceKeys[j]
+		if !ok {
+			cfg.Time.Difficulty.Rule = 0
+			cfg.Time.Difficulty.TargetRate = 0
+			cfg.Time.Difficulty.Initial = 0
+			race = jobkey.ForConfig(cfg)
+			raceKeys[j] = race
+		}
+		key := groupKey{race: race, seed: seeds[k]}
+		if i, ok := itemOf[key]; ok {
+			items[i] = append(items[i], k)
+			continue
+		}
+		itemOf[key] = len(items)
+		items = append(items, []int{k})
+	}
+	return items
+}
+
+// cachedGroup is the pipeline's step for one work item: rows sharing one
+// race walk (cfgs, at row addresses addrs), settled into out. Every row is
+// probed in the cache first; the rows that missed are simulated together in
+// one sim.Runner.RunGroup walk and stored before returning — so a
+// cancellation arriving while later items drain still keeps them. A nil
+// cache degenerates to a plain run. On error it also reports which row
+// failed (a failed walk is reported at its first row).
+func cachedGroup(rn *sim.Runner, cfgs []sim.Config, addrs []jobkey.Key, cache *resultcache.Cache, out []sim.Result) (int, error) {
 	if cache == nil {
-		return rn.Run(cfg)
+		return 0, rn.RunGroup(cfgs, out)
 	}
-	res, ok, err := cache.GetRaw(addr, cfg.Seed)
-	if err != nil {
-		return sim.Result{}, err
+	var missBuf [4]int
+	missed := missBuf[:0]
+	for i := range cfgs {
+		res, ok, err := cache.GetRaw(addrs[i], cfgs[i].Seed)
+		if err != nil {
+			return i, err
+		}
+		if ok {
+			out[i] = res
+		} else {
+			missed = append(missed, i)
+		}
 	}
-	if ok {
-		return res, nil
+	switch len(missed) {
+	case 0:
+		return 0, nil
+	case len(cfgs):
+		if err := rn.RunGroup(cfgs, out); err != nil {
+			return 0, err
+		}
+	default:
+		runCfgs := make([]sim.Config, len(missed))
+		runOut := make([]sim.Result, len(missed))
+		for m, i := range missed {
+			runCfgs[m] = cfgs[i]
+		}
+		if err := rn.RunGroup(runCfgs, runOut); err != nil {
+			return missed[0], err
+		}
+		for m, i := range missed {
+			out[i] = runOut[m]
+		}
 	}
-	res, err = rn.Run(cfg)
-	if err != nil {
-		return sim.Result{}, err
+	for _, i := range missed {
+		if err := cache.PutRaw(addrs[i], cfgs[i].Seed, out[i]); err != nil {
+			return i, err
+		}
 	}
-	if err := cache.PutRaw(addr, cfg.Seed, res); err != nil {
-		return sim.Result{}, err
-	}
-	return res, nil
+	return 0, nil
+}
+
+// cachedRun is cachedGroup for one row at address addr, for the drivers
+// that adaptively run simulations outside a fixed grid (the precision
+// study).
+func cachedRun(rn *sim.Runner, cfg sim.Config, addr jobkey.Key, cache *resultcache.Cache) (sim.Result, error) {
+	var out [1]sim.Result
+	_, err := cachedGroup(rn, []sim.Config{cfg}, []jobkey.Key{addr}, cache, out[:])
+	return out[0], err
 }
 
 // sweep materializes an inclusive arithmetic parameter sweep as a grid.

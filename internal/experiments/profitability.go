@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
@@ -74,7 +75,8 @@ type ProfitabilityResult struct {
 }
 
 // Profitability sweeps the profitability grid under the given difficulty
-// rules (default: static, bitcoin-style, and EIP100). Every
+// rules (default: static, bitcoin-style, and EIP100; a rule listed twice is
+// an error). Every
 // (grid-point × run) work item is scheduled on the experiment engine; grid
 // points at the same alpha share per-run seed families, so the event/race
 // streams are identical across rules and the rows differ only through the
@@ -86,6 +88,11 @@ func Profitability(opts Options, rules ...difficulty.Rule) (ProfitabilityResult,
 	}
 	if len(rules) == 0 {
 		rules = difficulty.Rules()
+	}
+	for i, rule := range rules {
+		if slices.Contains(rules[:i], rule) {
+			return ProfitabilityResult{}, fmt.Errorf("experiments: difficulty rule %v listed twice", rule)
+		}
 	}
 
 	type point struct {

@@ -134,3 +134,12 @@ func TestProfitabilityRuleSubset(t *testing.T) {
 		}
 	}
 }
+
+// TestProfitabilityRejectsDuplicateRules: a rule listed twice would print
+// its rows twice; the driver refuses it before simulating anything.
+func TestProfitabilityRejectsDuplicateRules(t *testing.T) {
+	opts := Options{Runs: 1, Blocks: 4000, Seed: 1}
+	if _, err := Profitability(opts, difficulty.EIP100, difficulty.Static, difficulty.EIP100); err == nil {
+		t.Error("a repeated rule should fail")
+	}
+}

@@ -20,7 +20,9 @@ import (
 //     settled rewards equal what the schedule mints for those blocks and
 //     references (the uncle/nephew bookkeeping of Niu-Feng's schedule).
 //   - Timestamp monotonicity: on the continuous-time axis, every block's
-//     timestamp is at or after its parent's, on every branch.
+//     timestamp is at or after its parent's, on every branch, and never
+//     ahead of the clock — under every clock overlay, each against its
+//     own stamps and clock.
 //   - Consensus-floor monotonicity: the floor only ever advances along the
 //     settled chain — each new floor descends from the previous one.
 //   - Consensus-floor value: the maintained floor is the common ancestor of
@@ -180,12 +182,18 @@ func (a *auditor) violation(format string, args ...any) error {
 	return fmt.Errorf("%w: at event %d: %s", ErrAudit, a.event, fmt.Sprintf(format, args...))
 }
 
-// checkTimestamps verifies per-branch timestamp monotonicity incrementally:
-// every block created since the last audit must be stamped at or after its
-// parent, which covers every branch of the tree exactly once per run. A
-// timeless run stamps every block zero and passes trivially.
+// checkTimestamps verifies per-branch timestamp monotonicity incrementally
+// under every clock overlay: every block created since the last audit must
+// be stamped at or after its parent and no later than the overlay's clock,
+// which covers every branch of the tree exactly once per run. A timeless
+// run stamps every block zero and passes trivially.
 func (a *auditor) checkTimestamps(s *simulator) error {
 	t := s.tree
+	for k := range s.overlays {
+		if n := len(s.overlays[k].stamps); n != len(s.flags) {
+			return a.violation("overlay %d holds %d stamps for %d resident blocks", k+1, n, len(s.flags))
+		}
+	}
 	start := a.timeChecked + 1
 	if base := t.Base(); start < base {
 		// Streaming eviction outran the sweep: resume at the resident
@@ -200,13 +208,16 @@ func (a *auditor) checkTimestamps(s *simulator) error {
 			a.timeChecked = id
 			continue
 		}
-		if t.TimeOf(id) < t.TimeOf(parent) {
-			return a.violation("timestamp regression: block %d at %v before parent %d at %v",
-				id, t.TimeOf(id), parent, t.TimeOf(parent))
-		}
-		if s.timing && t.TimeOf(id) > s.clock {
-			return a.violation("timestamp ahead of clock: block %d at %v, clock %v",
-				id, t.TimeOf(id), s.clock)
+		for k := 0; k <= len(s.overlays); k++ {
+			at, parentAt := s.stampOf(k, id), s.stampOf(k, parent)
+			if at < parentAt {
+				return a.violation("overlay %d: timestamp regression: block %d at %v before parent %d at %v",
+					k, id, at, parent, parentAt)
+			}
+			if clock := s.overlay(k).clock; s.timing && at > clock {
+				return a.violation("overlay %d: timestamp ahead of clock: block %d at %v, clock %v",
+					k, id, at, clock)
+			}
 		}
 		a.timeChecked = id
 	}

@@ -237,6 +237,9 @@ func (r *Result) TotalRate() float64 {
 // and reseeds the generator. A Runner is not safe for concurrent use.
 type Runner struct {
 	s simulator
+
+	// group holds the defaulted configs of the current run.
+	group []Config
 }
 
 // NewRunner returns an empty Runner; the first Run sizes its storage.
@@ -245,15 +248,45 @@ func NewRunner() *Runner {
 }
 
 // Run executes one simulation, reusing the Runner's storage, and settles
-// it. The returned Result owns all of its data (nothing aliases the reused
-// buffers).
+// it: the one-config case of RunGroup. The returned Result owns all of its
+// data (nothing aliases the reused buffers).
 func (rn *Runner) Run(cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return Result{}, err
+	var out [1]Result
+	err := rn.RunGroup([]Config{cfg}, out[:])
+	return out[0], err
+}
+
+// RunGroup executes one race walk carrying a clock overlay per config (see
+// time.go) and settles it into out, which must have one slot per config:
+// out[i] is bit-identical to what Run(cfgs[i]) returns, and owns all of its
+// data. The configs may differ only in Time.Difficulty's Rule, TargetRate
+// and Initial; any other difference, including the Epoch, is rejected with
+// ErrBadConfig, as is a group of several fast-forward configs. On error
+// out is left as it was.
+func (rn *Runner) RunGroup(cfgs []Config, out []Result) error {
+	if len(cfgs) == 0 || len(out) != len(cfgs) {
+		return fmt.Errorf("%w: %d configs for %d results", ErrBadConfig, len(cfgs), len(out))
 	}
-	rn.s.init(cfg)
-	return settleRun(&rn.s)
+	group := rn.group[:0]
+	for _, cfg := range cfgs {
+		cfg = cfg.withDefaults()
+		if err := cfg.validate(); err != nil {
+			return err
+		}
+		group = append(group, cfg)
+	}
+	rn.group = group
+	if len(group) > 1 && group[0].FastForward {
+		return fmt.Errorf("%w: a fast-forward run carries one clock overlay", ErrBadConfig)
+	}
+	for i := 1; i < len(group); i++ {
+		if !sameRace(group[0], group[i]) {
+			return fmt.Errorf("%w: config %d differs from config 0 beyond the difficulty rule, target rate and initial difficulty",
+				ErrBadConfig, i)
+		}
+	}
+	rn.s.init(group...)
+	return settleRun(&rn.s, out)
 }
 
 // Reset clears every trace of the previous run — including one that failed
@@ -277,6 +310,7 @@ func (rn *Runner) Reset() {
 	s.cfg = Config{}
 	s.aud = nil
 	s.ctrl = nil
+	s.overlays = s.overlays[:0]
 	s.idBase = 0
 }
 
@@ -306,25 +340,25 @@ func traceRun(cfg Config) (*simulator, Result, error) {
 	}
 	s := &simulator{keepTree: true}
 	s.init(cfg)
-	result, err := settleRun(s)
-	if err != nil {
+	var out [1]Result
+	if err := settleRun(s, out[:]); err != nil {
 		return nil, Result{}, err
 	}
-	return s, result, nil
+	return s, out[0], nil
 }
 
 // settleRun drives an initialized simulator through its run and settles it
-// into a self-contained Result. The chain is settled at the consensus
-// floor, so every race still in flight is excluded.
-func settleRun(s *simulator) (Result, error) {
+// into self-contained Results, one per clock overlay. The chain is settled
+// at the consensus floor, so every race still in flight is excluded.
+func settleRun(s *simulator, out []Result) error {
 	if err := s.run(); err != nil {
-		return Result{}, err
+		return err
 	}
 	// A sparse audit sample still checks the exact state being settled.
 	if err := s.auditFinal(); err != nil {
-		return Result{}, err
+		return err
 	}
-	return settleStream(s)
+	return settleStream(s, out)
 }
 
 // Series summarizes repeated runs of one configuration: per-metric

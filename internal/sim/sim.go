@@ -289,20 +289,21 @@ type simulator struct {
 	tree   *chain.Tree
 
 	// Continuous-time state (see time.go). timing mirrors
-	// cfg.Time.Enabled; clock is the simulation time, advanced by one
-	// exponential draw from the dedicated timeRandom stream per event so
-	// the event/race stream is identical with time on or off. ctrl is the
-	// engine-driven difficulty controller (nil when disabled or static;
-	// staticDifficulty paces the clock then), observedTo the deepest
-	// settled block already fed to it, and obsScratch the reusable
+	// cfg.Time.Enabled. The embedded clockOverlay is overlay 0 (clock,
+	// controller, stamps in the tree) and overlays the rest of a
+	// RunGroup's; every clock advances by the same exponential draw from
+	// the dedicated timeRandom stream per event, so the event/race stream
+	// is identical with time on or off. observing reports that some
+	// overlay runs a controller, observedTo is the deepest settled block
+	// already fed to the controllers, and obsScratch the reusable
 	// settled-segment buffer.
-	timing           bool
-	clock            float64
-	staticDifficulty float64
-	timeRandom       *rng.Source
-	ctrl             *difficulty.Controller
-	observedTo       chain.BlockID
-	obsScratch       []chain.BlockID
+	timing bool
+	clockOverlay
+	overlays   []clockOverlay
+	observing  bool
+	timeRandom *rng.Source
+	observedTo chain.BlockID
+	obsScratch []chain.BlockID
 
 	// flags[id - idBase] holds the block's flag bits (flagPublished and
 	// friends). idBase tracks the tree's eviction base, so the per-block
@@ -446,10 +447,12 @@ type simulator struct {
 	events []int64
 }
 
-// init prepares the simulator for one run of cfg, reusing any storage left
-// over from previous runs. cfg must already have defaults applied and be
-// validated.
-func (s *simulator) init(cfg Config) {
+// init prepares the simulator for one run of group[0]'s race, carrying one
+// clock overlay per config (see time.go), reusing any storage left over
+// from previous runs. The configs must already have defaults applied and
+// be validated, and may differ only as RunGroup allows.
+func (s *simulator) init(group ...Config) {
+	cfg := group[0]
 	window := cfg.Schedule.MaxDepth()
 	if window > maxReferenceWindow {
 		window = maxReferenceWindow
@@ -542,7 +545,7 @@ func (s *simulator) init(cfg Config) {
 		s.events = s.events[:numPools+1]
 		clear(s.events)
 	}
-	s.initTime(cfg)
+	s.initTime(group)
 	s.initStream(cfg)
 	s.initFastForward(cfg)
 	s.initOriginFast()
@@ -1348,7 +1351,7 @@ func (s *simulator) run() error {
 					return err
 				}
 			}
-			if s.ctrl != nil {
+			if s.observing {
 				s.observeSettled()
 			}
 			if s.flushDue() {
@@ -1381,7 +1384,7 @@ func (s *simulator) run() error {
 		if err := s.flushFloor(); err != nil {
 			return err
 		}
-		if s.ctrl != nil {
+		if s.observing {
 			s.observeSettled()
 		}
 		if s.flushDue() {

@@ -71,10 +71,12 @@ type streamState struct {
 	// Time-window accumulation (timed runs only). steadyHeight is the
 	// Steady window's boundary height, math.MaxInt until the loop records
 	// it.
+	// The windows' tallies are shared by every clock overlay; their time
+	// bounds are stamped per overlay (clockOverlay.bounds).
 	epoch        int
 	steadyHeight int
-	early        Window // heights <= epoch; End stamped when height epoch settles
-	steady       Window // heights > steadyHeight; Start stamped when steadyHeight settles
+	early        Window // heights <= epoch
+	steady       Window // heights > steadyHeight
 }
 
 // initStream prepares the streaming settlement for one run.
@@ -125,7 +127,7 @@ func (s *simulator) streamBlock(id chain.BlockID, height int) {
 		st.early.Regular++
 		st.early.ByPool[minerPool].Static++
 		if height == st.epoch {
-			st.early.End = s.tree.TimeOf(id)
+			s.stampBound(id, earlyEnd)
 		}
 	}
 	switch {
@@ -133,7 +135,7 @@ func (s *simulator) streamBlock(id chain.BlockID, height int) {
 		st.steady.Regular++
 		st.steady.ByPool[minerPool].Static++
 	case height == st.steadyHeight:
-		st.steady.Start = s.tree.TimeOf(id)
+		s.stampBound(id, steadyStart)
 	}
 }
 
@@ -212,7 +214,8 @@ func (s *simulator) armFlush() {
 
 // evictSettled drops tree records the settle boundary has released and
 // rebases the per-block flags (visibility, window membership and the
-// floor-anchored chain index) to the tree's new ID base: one array shift.
+// floor-anchored chain index) and the extra clock overlays' stamp columns
+// to the tree's new ID base: one array shift each.
 //
 // Before compacting it force-sweeps the candidate window below the keep
 // bound: the amortized trim scans in ID order and stops at the first tall
@@ -233,6 +236,10 @@ func (s *simulator) evictSettled() {
 	base := int(s.tree.Base())
 	n := copy(s.flags, s.flags[base-s.idBase:])
 	s.flags = s.flags[:n]
+	for k := range s.overlays {
+		o := &s.overlays[k]
+		o.stamps = o.stamps[:copy(o.stamps, o.stamps[base-s.idBase:])]
+	}
 	s.idBase = base
 }
 
@@ -258,17 +265,26 @@ func (s *simulator) sweepDeadRecent(minHeight int) {
 	s.recent = s.recent[:s.recentHead+len(kept)]
 }
 
-// settleStream assembles the Result of a run: advance the settler over the
-// still-unsettled suffix up to the final consensus floor, then read the
-// Result fields off the accumulated tallies.
-func settleStream(s *simulator) (Result, error) {
+// settleStream settles a run into out, one Result per clock overlay:
+// advance the settler over the still-unsettled suffix up to the final
+// consensus floor, then read each Result off the shared tallies and its
+// overlay's clock.
+func settleStream(s *simulator, out []Result) error {
+	floor := s.consensusFloor()
+	if err := s.str.settler.Advance(s.tree, floor, s.str.hooks); err != nil {
+		return fmt.Errorf("sim: streaming settle: %w", err)
+	}
+	for k := range out {
+		out[k] = s.assembleResult(k, floor)
+	}
+	return nil
+}
+
+// assembleResult reads overlay k's Result off the settled tallies. Every
+// call builds its own slices and maps, so no two Results of a group alias.
+func (s *simulator) assembleResult(k int, floor chain.BlockID) Result {
 	cfg := s.cfg
 	st := s.str
-	floor := s.consensusFloor()
-	if err := st.settler.Advance(s.tree, floor, st.hooks); err != nil {
-		return Result{}, fmt.Errorf("sim: streaming settle: %w", err)
-	}
-
 	pop := cfg.Population
 	regular := st.settler.RegularCount()
 	uncles := st.settler.UncleCount()
@@ -304,21 +320,23 @@ func settleStream(s *simulator) (Result, error) {
 	result.PoolUncleDistances.Merge(&st.poolDist)
 	result.HonestUncleDistances.Merge(&st.honestDist)
 	if s.timing {
-		result.Elapsed = s.clock
-		result.SettledTime = s.tree.TimeOf(floor)
-		result.InitialDifficulty = cfg.Time.Difficulty.Initial
-		result.FinalDifficulty = s.currentDifficulty()
-		if s.ctrl != nil {
-			result.Retargets = s.ctrl.Retargets()
+		o := s.overlay(k)
+		result.Elapsed = o.clock
+		result.SettledTime = s.stampOf(k, floor)
+		result.InitialDifficulty = o.staticDifficulty
+		result.FinalDifficulty = o.currentDifficulty()
+		if o.ctrl != nil {
+			result.Retargets = o.ctrl.Retargets()
 		}
-		st.assembleWindows(&result)
+		st.assembleWindows(&result, o)
 	}
-	return result, nil
+	return result
 }
 
-// assembleWindows finalizes the Early and Steady windows.
-func (st *streamState) assembleWindows(result *Result) {
+// assembleWindows finalizes the Early and Steady windows under overlay o.
+func (st *streamState) assembleWindows(result *Result, o *clockOverlay) {
 	early := st.early
+	early.End = o.bounds[earlyEnd]
 	if result.RegularCount < st.epoch {
 		// The settled chain never reached the epoch boundary: the early
 		// window is the whole settled chain, ending at the floor's stamp.
@@ -328,6 +346,7 @@ func (st *streamState) assembleWindows(result *Result) {
 	result.Early = early
 
 	steady := st.steady
+	steady.Start = o.bounds[steadyStart]
 	steady.End = result.SettledTime
 	steady.ByPool = append([]chain.Reward(nil), steady.ByPool...)
 	result.Steady = steady

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
@@ -23,6 +25,18 @@ import (
 // a timed run is bit-identical to the timeless run at the same seed. The
 // timeless path is in turn bit-identical to the pre-time engine (pinned by
 // TestGoldenTimeless).
+//
+// Because the race never reads the clock, one race walk can carry several
+// clock overlays at once (Runner.RunGroup): configs that differ only in the
+// difficulty rule, target rate or initial difficulty share the walk, the
+// settlement and the one unit-exponential draw per event, which each
+// overlay scales by its own difficulty. Each overlay keeps its own clock,
+// controller, block stamps and window bounds, and one walk of each newly
+// settled segment feeds every controller, so every overlay's Result is
+// bit-identical to a run of its config alone. Overlay 0 is the simulator's
+// own clock and stamps into the tree's time column; overlays 1..N-1 keep
+// their stamps in a column of their own, indexed and compacted like the
+// per-block flags.
 
 // timeStreamSalt derives the time stream's seed from the run seed. Any
 // fixed non-zero constant works: rng.New expands the seed through
@@ -34,7 +48,9 @@ const timeStreamSalt = 0xD1B54A32D192ED03
 // TimeConfig configures the continuous-time axis. The zero value disables
 // it: the simulator stays the timeless block-count engine, consuming no
 // extra randomness and producing bit-identical results to the pre-time
-// engine.
+// engine. Configs that differ only in Difficulty's Rule, TargetRate and
+// Initial share one race walk and one exponential draw per event under
+// Runner.RunGroup.
 type TimeConfig struct {
 	// Enabled turns the time axis on.
 	Enabled bool
@@ -47,31 +63,119 @@ type TimeConfig struct {
 	Difficulty difficulty.Params
 }
 
-// currentDifficulty returns the difficulty pacing the next inter-arrival
-// draw: the controller's when the feedback loop is closed, the static
-// initial value otherwise.
-func (s *simulator) currentDifficulty() float64 {
-	if s.ctrl != nil {
-		return s.ctrl.Difficulty()
+// clockOverlay is one difficulty regime riding the race walk: its clock,
+// its difficulty (a controller's, or the static initial value), its block
+// stamps and its settlement-window time bounds.
+type clockOverlay struct {
+	// clock is the overlay's simulation time; staticDifficulty paces it
+	// when ctrl is nil (static rule) and is the run's initial difficulty.
+	clock            float64
+	staticDifficulty float64
+	ctrl             *difficulty.Controller
+
+	// bounds holds the stamps of the Early window's last block and of the
+	// Steady window's boundary block, recorded as settlement passes them.
+	bounds [2]float64
+
+	// stamps[id-idBase] is the block's timestamp under this overlay, for
+	// overlays 1..N-1 (overlay 0 stamps into the tree's time column).
+	stamps []float64
+}
+
+// Indices into clockOverlay.bounds.
+const (
+	earlyEnd = iota
+	steadyStart
+)
+
+// init resets the overlay for one run under the (defaulted) params, reusing
+// its controller when the params match.
+func (o *clockOverlay) init(p difficulty.Params) {
+	o.clock = 0
+	o.bounds = [2]float64{}
+	o.staticDifficulty = p.Initial
+	if p.Rule == difficulty.Static {
+		// Static difficulty needs no feedback: skip controller stepping
+		// (and the per-event floor computation it requires) entirely.
+		o.ctrl = nil
+		return
 	}
-	return s.staticDifficulty
+	if o.ctrl == nil || o.ctrl.Params() != p {
+		// The params were validated with the config; rebuilding cannot
+		// fail.
+		ctrl, err := difficulty.NewController(p)
+		if err != nil {
+			panic("sim: validated difficulty params rejected: " + err.Error())
+		}
+		o.ctrl = ctrl
+	} else {
+		o.ctrl.Reset()
+	}
 }
 
-// advanceClock samples one exponential inter-arrival and moves the
-// simulation clock: mean spacing equals the current difficulty (unit total
-// hash power), one draw from the dedicated time stream per event.
+// currentDifficulty returns the difficulty pacing the overlay's next
+// inter-arrival: the controller's when the feedback loop is closed, the
+// static initial value otherwise.
+func (o *clockOverlay) currentDifficulty() float64 {
+	if o.ctrl != nil {
+		return o.ctrl.Difficulty()
+	}
+	return o.staticDifficulty
+}
+
+// overlay returns clock overlay k (0: the simulator's own).
+func (s *simulator) overlay(k int) *clockOverlay {
+	if k == 0 {
+		return &s.clockOverlay
+	}
+	return &s.overlays[k-1]
+}
+
+// stampOf returns resident block id's timestamp under overlay k.
+func (s *simulator) stampOf(k int, id chain.BlockID) float64 {
+	if k == 0 {
+		return s.tree.TimeOf(id)
+	}
+	return s.overlays[k-1].stamps[int(id)-s.idBase]
+}
+
+// advanceClock samples one unit exponential from the dedicated time stream
+// and moves every overlay's clock by it scaled to the overlay's current
+// difficulty (mean spacing equals the difficulty at unit total hash power).
+// The event then creates exactly one block, stamped with these clocks: the
+// tree takes overlay 0's stamp, and the extra overlays' stamps are appended
+// here, so their columns stay aligned with the per-block flags while the
+// timeless path carries no overlay code at all. (Fast-forward's bulk
+// stretches create many blocks per event; they run a single overlay.)
 func (s *simulator) advanceClock() {
-	s.clock += s.timeRandom.ExpUnit() * s.currentDifficulty()
+	u := s.timeRandom.ExpUnit()
+	s.clock += u * s.currentDifficulty()
+	for k := range s.overlays {
+		o := &s.overlays[k]
+		o.clock += u * o.currentDifficulty()
+		o.stamps = append(o.stamps, o.clock)
+	}
 }
 
-// observeSettled feeds the difficulty controller every block the consensus
+// stampBound records block id's stamp, under every overlay, as window
+// bound b (earlyEnd or steadyStart).
+func (s *simulator) stampBound(id chain.BlockID, b int) {
+	s.bounds[b] = s.tree.TimeOf(id)
+	for k := range s.overlays {
+		o := &s.overlays[k]
+		o.bounds[b] = o.stamps[int(id)-s.idBase]
+	}
+}
+
+// observeSettled feeds the difficulty controllers every block the consensus
 // floor has newly settled, in chain order. The floor only ever advances
 // along the settled chain (every live branch descends from it), so the walk
 // from the new floor down to the last observed block is exactly the newly
-// settled segment. Uncle counts are read off the tree — only references the
-// schedule can realize count, matching the settlement's UncleCount — so the
-// controller sees the protocol's actual uncle production, not a model
-// approximation.
+// settled segment; one walk serves every overlay, each controller reading
+// the block's stamp under its own overlay. Uncle counts are read off the
+// tree — only references the schedule can realize count, matching the
+// settlement's UncleCount — so the controllers see the protocol's actual
+// uncle production, not a model approximation.
 func (s *simulator) observeSettled() {
 	// The end-of-event flushFloor guarantees s.floor equals
 	// consensusFloor() here, so the observation reads the maintained floor
@@ -100,7 +204,14 @@ func (s *simulator) observeSettled() {
 				counted++
 			}
 		}
-		s.ctrl.ObserveBlock(tree.TimeOf(b), counted)
+		if s.ctrl != nil {
+			s.ctrl.ObserveBlock(tree.TimeOf(b), counted)
+		}
+		for k := range s.overlays {
+			if o := &s.overlays[k]; o.ctrl != nil {
+				o.ctrl.ObserveBlock(o.stamps[int(b)-s.idBase], counted)
+			}
+		}
 	}
 	s.obsScratch = seg
 	s.observedTo = floor
@@ -163,15 +274,20 @@ func safeRate(amount, duration float64) float64 {
 // timeSeed derives the dedicated time-stream seed for a run.
 func timeSeed(seed uint64) uint64 { return seed ^ timeStreamSalt }
 
-// initTime prepares the simulator's time axis for one run (cfg defaults
-// already applied): reseed or create the dedicated time stream, reset or
-// rebuild the difficulty controller, and rewind the clock and the settled
-// observation cursor.
-func (s *simulator) initTime(cfg Config) {
-	s.clock = 0
+// initTime prepares the simulator's time axis for one run of group (cfg
+// defaults already applied; group[0] is the race, every config one clock
+// overlay): reseed or create the dedicated time stream, reset each overlay
+// (rebuilding controllers only when their params changed), and rewind the
+// settled observation cursor.
+func (s *simulator) initTime(group []Config) {
+	cfg := group[0]
 	s.timing = cfg.Time.Enabled
+	s.observing = false
+	s.observedTo = s.tree.Genesis()
+	s.clock = 0
 	if !s.timing {
 		s.ctrl = nil
+		s.overlays = s.overlays[:0]
 		return
 	}
 	if s.timeRandom == nil {
@@ -180,24 +296,62 @@ func (s *simulator) initTime(cfg Config) {
 		s.timeRandom.Reseed(timeSeed(cfg.Seed))
 	}
 	s.timeRandom.SetAntithetic(cfg.Antithetic)
-	p := cfg.Time.Difficulty
-	s.staticDifficulty = p.Initial
-	if p.Rule == difficulty.Static {
-		// Static difficulty needs no feedback: skip controller stepping
-		// (and the per-event floor computation it requires) entirely.
-		s.ctrl = nil
-		return
+	s.clockOverlay.init(cfg.Time.Difficulty)
+	s.observing = s.ctrl != nil
+	// Reslicing within capacity keeps earlier runs' controllers and stamp
+	// columns for reuse.
+	extra := group[1:]
+	s.overlays = s.overlays[:min(len(extra), cap(s.overlays))]
+	for len(s.overlays) < len(extra) {
+		s.overlays = append(s.overlays, clockOverlay{})
 	}
-	if s.ctrl == nil || s.ctrl.Params() != p {
-		// The params were validated with the config; rebuilding cannot
-		// fail.
-		ctrl, err := difficulty.NewController(p)
-		if err != nil {
-			panic("sim: validated difficulty params rejected: " + err.Error())
+	for k := range s.overlays {
+		o := &s.overlays[k]
+		o.init(extra[k].Time.Difficulty)
+		o.stamps = append(o.stamps[:0], 0) // genesis
+		s.observing = s.observing || o.ctrl != nil
+	}
+}
+
+// sameRace reports whether two defaulted, validated configs drive the same
+// race walk: they may differ only in the difficulty rule, target rate and
+// initial difficulty, which pace a clock the race never reads. A different
+// Epoch moves the Early window, so it counts as a different race.
+// Populations and schedules compare by content, strategies by value (a
+// strategy whose dynamic type is not comparable never matches).
+func sameRace(a, b Config) bool {
+	a.Time.Difficulty.Rule = b.Time.Difficulty.Rule
+	a.Time.Difficulty.TargetRate = b.Time.Difficulty.TargetRate
+	a.Time.Difficulty.Initial = b.Time.Difficulty.Initial
+	if a.Gamma != b.Gamma || a.Blocks != b.Blocks || a.Seed != b.Seed ||
+		a.MaxUnclesPerBlock != b.MaxUnclesPerBlock || a.PoolOmitsUncleRefs != b.PoolOmitsUncleRefs ||
+		a.Time != b.Time || a.FastForward != b.FastForward || a.Antithetic != b.Antithetic ||
+		a.Parallelism != b.Parallelism || a.Audit != b.Audit {
+		return false
+	}
+	pa, pb := a.Population, b.Population
+	if pa.Len() != pb.Len() {
+		return false
+	}
+	for i := 0; i < pa.Len(); i++ {
+		if pa.Miner(i) != pb.Miner(i) {
+			return false
 		}
-		s.ctrl = ctrl
-	} else {
-		s.ctrl.Reset()
 	}
-	s.observedTo = s.tree.Genesis()
+	sa, sb := a.Schedule, b.Schedule
+	if sa.Name() != sb.Name() || sa.MaxDepth() != sb.MaxDepth() {
+		return false
+	}
+	for d := 1; d <= min(sa.MaxDepth(), maxReferenceWindow); d++ {
+		if sa.Uncle(d) != sb.Uncle(d) || sa.Nephew(d) != sb.Nephew(d) {
+			return false
+		}
+	}
+	for p := 1; p <= pa.NumPools(); p++ {
+		x, y := a.strategyFor(p), b.strategyFor(p)
+		if reflect.TypeOf(x) != reflect.TypeOf(y) || !reflect.TypeOf(x).Comparable() || x != y {
+			return false
+		}
+	}
+	return true
 }

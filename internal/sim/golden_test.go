@@ -29,7 +29,7 @@ import (
 //
 // only when a deliberate, documented stream change is made (none so far
 // since the alias-table sampler landed).
-var updateGolden = flag.Bool("update", false, "regenerate golden timeless fingerprints")
+var updateGolden = flag.Bool("update", false, "regenerate golden fingerprints")
 
 const goldenPath = "testdata/golden_timeless.json"
 

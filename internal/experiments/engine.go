@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/jobkey"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/parallel"
@@ -174,20 +175,21 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 	_, _, err = parallel.MapWithCtx(opts.Ctx, opts.Parallelism, len(items), sim.NewRunner,
 		func(rn *sim.Runner, i int) (struct{}, error) {
 			members := items[i]
+			// The first row is the race; every row rides it as a clock.
 			// Stack buffers cover the profitability grid's three rules;
 			// larger groups spill to the heap.
-			var cfgBuf [4]sim.Config
+			race := configs[members[0]/opts.Runs]
+			race.Seed = seeds[members[0]]
+			var clockBuf [4]difficulty.Params
 			var addrBuf [4]jobkey.Key
 			var outBuf [4]sim.Result
-			cfgs, addrs, out := cfgBuf[:0], addrBuf[:0], outBuf[:0]
+			clocks, addrs, out := clockBuf[:0], addrBuf[:0], outBuf[:0]
 			for _, k := range members {
-				cfg := configs[k/opts.Runs]
-				cfg.Seed = seeds[k]
-				cfgs = append(cfgs, cfg)
+				clocks = append(clocks, configs[k/opts.Runs].Time.Difficulty)
 				addrs = append(addrs, rowKeys[k])
 				out = append(out, sim.Result{})
 			}
-			if m, err := cachedGroup(rn, cfgs, addrs, opts.Cache, out); err != nil {
+			if m, err := cachedGroup(rn, race, clocks, addrs, opts.Cache, out); err != nil {
 				k := members[m]
 				return struct{}{}, &JobError{Point: k / opts.Runs, Alpha: jobs[k/opts.Runs].alpha, Run: k % opts.Runs, Seed: seeds[k], Err: err}
 			}
@@ -258,21 +260,22 @@ func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int
 	return items
 }
 
-// cachedGroup is the pipeline's step for one work item: rows sharing one
-// race walk (cfgs, at row addresses addrs), settled into out. Every row is
-// probed in the cache first; the rows that missed are simulated together in
-// one sim.Runner.RunGroup walk and stored before returning — so a
-// cancellation arriving while later items drain still keeps them. A nil
-// cache degenerates to a plain run. On error it also reports which row
-// failed (a failed walk is reported at its first row).
-func cachedGroup(rn *sim.Runner, cfgs []sim.Config, addrs []jobkey.Key, cache *resultcache.Cache, out []sim.Result) (int, error) {
+// cachedGroup is the pipeline's step for one work item: the rows riding
+// one walk of race, one clock each (at row addresses addrs), settled into
+// out. Every row is probed in the cache first; the rows that missed are
+// simulated together in one sim.Runner.RunGroup walk and stored before
+// returning — so a cancellation arriving while later items drain still
+// keeps them. A nil cache degenerates to a plain run. On error it also
+// reports which row failed (a failed walk is reported at its first
+// simulated row).
+func cachedGroup(rn *sim.Runner, race sim.Config, clocks []difficulty.Params, addrs []jobkey.Key, cache *resultcache.Cache, out []sim.Result) (int, error) {
 	if cache == nil {
-		return 0, rn.RunGroup(cfgs, out)
+		return 0, rn.RunGroup(race, clocks, out)
 	}
 	var missBuf [4]int
 	missed := missBuf[:0]
-	for i := range cfgs {
-		res, ok, err := cache.GetRaw(addrs[i], cfgs[i].Seed)
+	for i := range clocks {
+		res, ok, err := cache.GetRaw(addrs[i], race.Seed)
 		if err != nil {
 			return i, err
 		}
@@ -282,28 +285,22 @@ func cachedGroup(rn *sim.Runner, cfgs []sim.Config, addrs []jobkey.Key, cache *r
 			missed = append(missed, i)
 		}
 	}
-	switch len(missed) {
-	case 0:
+	if len(missed) == 0 {
 		return 0, nil
-	case len(cfgs):
-		if err := rn.RunGroup(cfgs, out); err != nil {
-			return 0, err
-		}
-	default:
-		runCfgs := make([]sim.Config, len(missed))
-		runOut := make([]sim.Result, len(missed))
+	}
+	runClocks, runOut := clocks, out
+	if len(missed) < len(clocks) {
+		runClocks, runOut = make([]difficulty.Params, len(missed)), make([]sim.Result, len(missed))
 		for m, i := range missed {
-			runCfgs[m] = cfgs[i]
-		}
-		if err := rn.RunGroup(runCfgs, runOut); err != nil {
-			return missed[0], err
-		}
-		for m, i := range missed {
-			out[i] = runOut[m]
+			runClocks[m] = clocks[i]
 		}
 	}
-	for _, i := range missed {
-		if err := cache.PutRaw(addrs[i], cfgs[i].Seed, out[i]); err != nil {
+	if err := rn.RunGroup(race, runClocks, runOut); err != nil {
+		return missed[0], err
+	}
+	for m, i := range missed {
+		out[i] = runOut[m]
+		if err := cache.PutRaw(addrs[i], race.Seed, out[i]); err != nil {
 			return i, err
 		}
 	}
@@ -315,7 +312,7 @@ func cachedGroup(rn *sim.Runner, cfgs []sim.Config, addrs []jobkey.Key, cache *r
 // study).
 func cachedRun(rn *sim.Runner, cfg sim.Config, addr jobkey.Key, cache *resultcache.Cache) (sim.Result, error) {
 	var out [1]sim.Result
-	_, err := cachedGroup(rn, []sim.Config{cfg}, []jobkey.Key{addr}, cache, out[:])
+	_, err := cachedGroup(rn, cfg, []difficulty.Params{cfg.Time.Difficulty}, []jobkey.Key{addr}, cache, out[:])
 	return out[0], err
 }
 

@@ -73,8 +73,8 @@ func (k Key) Row(seed uint64) Key {
 }
 
 // SeedBase derives the stream-family base seed of one grid point from the
-// sweep seed and the point's environment: population, gamma, schedule,
-// uncle cap, and uncle-reference policy. Strategy assignment, run length,
+// sweep seed and the point's environment: population, gamma, schedule and
+// uncle cap. Strategy assignment, run length,
 // time/difficulty configuration, and the statistical modes are deliberately
 // excluded — candidates compared at one point share its streams (paired
 // comparisons), and a point keeps its seeds across any sweep that contains
@@ -87,7 +87,9 @@ func SeedBase(sweepSeed uint64, cfg sim.Config) uint64 {
 	w.U64(sweepSeed)
 	w.F64(cfg.Gamma)
 	w.U64(uint64(cfg.MaxUnclesPerBlock))
-	w.Bool(cfg.PoolOmitsUncleRefs)
+	// The slot of the retired pool uncle-reference flag: always false,
+	// so every seed base stays what it was while the flag existed.
+	w.Bool(false)
 	writeSchedule(w, cfg.Schedule)
 	writePopulation(w, cfg.Population)
 	sum := putWriter(w)
@@ -107,7 +109,9 @@ func writeConfig(w *writer, cfg *sim.Config) {
 	w.U64(uint64(cfg.Blocks))
 	w.F64(cfg.Gamma)
 	w.U64(uint64(cfg.MaxUnclesPerBlock))
-	w.Bool(cfg.PoolOmitsUncleRefs)
+	// The slot of the retired pool uncle-reference flag: always false,
+	// so addresses stay byte-identical to those cached while it existed.
+	w.Bool(false)
 	// The statistical modes change which draws a run consumes, so each
 	// separates the address space.
 	w.Bool(cfg.FastForward)

@@ -17,19 +17,18 @@ import (
 // handles it (or its exclusion is argued here) — the guarantee that cache
 // identity can never silently miss a field.
 var configFields = map[string]string{
-	"Population":         "encoded",
-	"Gamma":              "encoded",
-	"Schedule":           "encoded",
-	"Blocks":             "encoded",
-	"MaxUnclesPerBlock":  "encoded",
-	"Strategies":         "encoded",
-	"PoolOmitsUncleRefs": "encoded",
-	"Time":               "encoded",
-	"FastForward":        "encoded",
-	"Antithetic":         "encoded",
-	"Seed":               "excluded: joins per run via Key.Row",
-	"Parallelism":        "excluded: scheduling knob, result-neutral by the RunMany contract",
-	"Audit":              "excluded: observer, can only fail a run, never change it",
+	"Population":        "encoded",
+	"Gamma":             "encoded",
+	"Schedule":          "encoded",
+	"Blocks":            "encoded",
+	"MaxUnclesPerBlock": "encoded",
+	"Strategies":        "encoded",
+	"Time":              "encoded",
+	"FastForward":       "encoded",
+	"Antithetic":        "encoded",
+	"Seed":              "excluded: joins per run via Key.Row",
+	"Parallelism":       "excluded: scheduling knob, result-neutral by the RunMany contract",
+	"Audit":             "excluded: observer, can only fail a run, never change it",
 }
 
 // timeFields and difficultyFields extend the coverage check into the
@@ -87,13 +86,12 @@ func TestKeySensitivity(t *testing.T) {
 	base := ForConfig(baseConfig(t))
 
 	mutants := map[string]func(*sim.Config){
-		"Gamma":              func(c *sim.Config) { c.Gamma = 0.6 },
-		"Blocks":             func(c *sim.Config) { c.Blocks = 40000 },
-		"MaxUnclesPerBlock":  func(c *sim.Config) { c.MaxUnclesPerBlock = 2 },
-		"PoolOmitsUncleRefs": func(c *sim.Config) { c.PoolOmitsUncleRefs = true },
-		"FastForward":        func(c *sim.Config) { c.FastForward = true },
-		"Antithetic":         func(c *sim.Config) { c.Antithetic = true },
-		"Time":               func(c *sim.Config) { c.Time = sim.TimeConfig{Enabled: true} },
+		"Gamma":             func(c *sim.Config) { c.Gamma = 0.6 },
+		"Blocks":            func(c *sim.Config) { c.Blocks = 40000 },
+		"MaxUnclesPerBlock": func(c *sim.Config) { c.MaxUnclesPerBlock = 2 },
+		"FastForward":       func(c *sim.Config) { c.FastForward = true },
+		"Antithetic":        func(c *sim.Config) { c.Antithetic = true },
+		"Time":              func(c *sim.Config) { c.Time = sim.TimeConfig{Enabled: true} },
 		"Time.Difficulty": func(c *sim.Config) {
 			c.Time = sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.EIP100}}
 		},

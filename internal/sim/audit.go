@@ -391,10 +391,8 @@ func (a *auditor) checkEligibility(s *simulator) error {
 				return err
 			}
 		}
-		if !s.cfg.PoolOmitsUncleRefs {
-			if err := a.compareEligible(s, p.tip(), mining.PoolID(i+1)); err != nil {
-				return err
-			}
+		if err := a.compareEligible(s, p.tip(), mining.PoolID(i+1)); err != nil {
+			return err
 		}
 	}
 	return nil

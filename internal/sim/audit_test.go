@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 )
@@ -56,7 +57,6 @@ func TestAuditCleanRuns(t *testing.T) {
 		{"honest only", Config{Population: honest, Gamma: 0.5, Blocks: 2000, Seed: 5}},
 		{"capped uncles", Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 3000, Seed: 6, MaxUnclesPerBlock: 2}},
 		{"bitcoin schedule", Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 3000, Seed: 7, Schedule: rewards.Bitcoin()}},
-		{"no pool uncle refs", Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 3000, Seed: 8, PoolOmitsUncleRefs: true}},
 		{"timed", Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 3000, Seed: 9, Time: TimeConfig{Enabled: true}}},
 		{"no depth limit", Config{Population: twoAgent(t, 0.4), Gamma: 0.5, Blocks: 4000, Seed: 10, Schedule: noDepth}},
 		{"no depth limit two pools", Config{
@@ -136,7 +136,7 @@ func TestAuditCatchesCorruptedForkChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s simulator
-	s.init(cfg)
+	s.init(cfg, []difficulty.Params{cfg.Time.Difficulty})
 	// Run a prefix of events by hand, then inject a phantom candidate.
 	pop := cfg.Population
 	for i := 0; i < 50; i++ {

@@ -232,32 +232,12 @@ func (s *simulator) fastForward(remaining int) (int, error) {
 		s.flags = append(s.flags, f)
 	}
 
-	s.pubTip = tip
-	s.pubHeight = finalHeight
-	for i := range s.pools {
-		p := &s.pools[i]
-		p.root = tip
-		p.rootHeight = finalHeight
-	}
 	// Every pool re-adopted at every skipped block, so the consensus floor
-	// rode the tip through the whole stretch; audit the one batched
-	// advance. (The poolless engine never advances its floor — resolve is
-	// pool-triggered — so mirror that.)
-	if len(s.pools) > 0 {
-		if s.aud != nil {
-			if err := s.aud.auditFloor(s, s.floor, tip); err != nil {
-				return 0, err
-			}
-		}
-		// The drained prefix carries references, so it enters the chain
-		// index through the walk; the bulk blocks entered decided above.
-		s.advanceFloor(drainedTip)
-		s.floor = tip
-		// Mirror resolve: a floor advance settles lingering candidates'
-		// fates, so purge the ones it decided for good.
-		if len(s.forkChildren) > 0 {
-			s.purgeForkChildren()
-		}
+	// rode the tip through the whole stretch: one audited, batched advance.
+	// The drained prefix carries references, so it enters the chain index
+	// through the walk; the bulk blocks entered decided above.
+	if err := s.rideTip(tip, finalHeight, drainedTip); err != nil {
+		return 0, err
 	}
 	return k, nil
 }

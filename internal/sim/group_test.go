@@ -18,22 +18,20 @@ var groupOverlays = []difficulty.Params{
 	{Rule: difficulty.EIP100, Initial: 2, TargetRate: 0.5},
 }
 
-// groupConfigs returns one timed config per overlay in groupOverlays,
-// rotated by shift so every overlay takes a turn as overlay 0 (the one that
-// stamps into the tree).
-func groupConfigs(base Config, shift int) []Config {
-	cfgs := make([]Config, len(groupOverlays))
-	for i := range cfgs {
-		cfgs[i] = base
-		cfgs[i].Time = TimeConfig{Enabled: true, Difficulty: groupOverlays[(i+shift)%len(groupOverlays)]}
+// groupClocks returns groupOverlays rotated by shift, so every overlay takes
+// a turn as overlay 0 (the one that stamps into the tree).
+func groupClocks(shift int) []difficulty.Params {
+	clocks := make([]difficulty.Params, len(groupOverlays))
+	for i := range clocks {
+		clocks[i] = groupOverlays[(i+shift)%len(groupOverlays)]
 	}
-	return cfgs
+	return clocks
 }
 
 // TestRunGroupMatchesRun pins the shared walk: every Result of a grouped run
-// equals, under reflect.DeepEqual, the Result of running its config alone,
-// across attack sizes, tie-breaking, auditing, and one Runner reused for
-// grouped and single runs alike.
+// equals, under reflect.DeepEqual, the Result of running the race under its
+// clock alone, across attack sizes, tie-breaking, auditing, and one Runner
+// reused for grouped and single runs alike.
 func TestRunGroupMatchesRun(t *testing.T) {
 	rn := NewRunner()
 	shift := 0
@@ -42,23 +40,26 @@ func TestRunGroupMatchesRun(t *testing.T) {
 			for _, gamma := range []float64{0, 0.5, 1} {
 				name := fmt.Sprintf("audit=%v/alpha=%.3f/gamma=%v", audit, alpha, gamma)
 				t.Run(name, func(t *testing.T) {
-					base := Config{Population: twoAgent(t, alpha), Gamma: gamma, Blocks: 10000, Seed: 17 + uint64(shift)}
+					race := Config{Population: twoAgent(t, alpha), Gamma: gamma, Blocks: 10000, Seed: 17 + uint64(shift),
+						Time: TimeConfig{Enabled: true}}
 					if audit {
-						base.Audit = AuditConfig{Enabled: true, SampleEvery: 5}
+						race.Audit = AuditConfig{Enabled: true, SampleEvery: 5}
 					}
-					cfgs := groupConfigs(base, shift)
+					clocks := groupClocks(shift)
 					shift++
-					grouped := make([]Result, len(cfgs))
-					if err := rn.RunGroup(cfgs, grouped); err != nil {
+					grouped := make([]Result, len(clocks))
+					if err := rn.RunGroup(race, clocks, grouped); err != nil {
 						t.Fatal(err)
 					}
-					for i, cfg := range cfgs {
+					for i, clock := range clocks {
+						cfg := race
+						cfg.Time.Difficulty = clock
 						single, err := rn.Run(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if !reflect.DeepEqual(grouped[i], single) {
-							t.Errorf("overlay %d (%+v): grouped result differs from its single run", i, cfg.Time.Difficulty)
+							t.Errorf("overlay %d (%+v): grouped result differs from its single run", i, clock)
 							diffResults(t, single, grouped[i])
 						}
 					}
@@ -68,44 +69,39 @@ func TestRunGroupMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunGroupRejectsForeignConfigs: a group may differ only in the
-// difficulty rule, target rate and initial difficulty.
-func TestRunGroupRejectsForeignConfigs(t *testing.T) {
-	base := Config{Population: twoAgent(t, 0.3), Gamma: 0.5, Blocks: 500, Seed: 3}
-	cases := map[string]func(cfgs []Config){
-		"gamma": func(cfgs []Config) { cfgs[1].Gamma = 0.4 },
-		"epoch": func(cfgs []Config) { cfgs[2].Time.Difficulty.Epoch = 64 },
-		"seed":  func(cfgs []Config) { cfgs[1].Seed++ },
-		"population": func(cfgs []Config) {
-			cfgs[3].Population = twoAgent(t, 0.31)
-		},
-		"fast-forward": func(cfgs []Config) {
-			for i := range cfgs {
-				cfgs[i].FastForward = true
-				cfgs[i].Time.Difficulty = difficulty.Params{Initial: float64(i + 1)}
-			}
-		},
+// TestRunGroupRejectsBadClocks: RunGroup rejects what its signature cannot
+// rule out — a result slice of the wrong length, an invalid clock, a clock
+// whose Epoch (which moves the Early window) differs from the race's, and
+// more than one clock, or a feedback clock, under fast-forward.
+func TestRunGroupRejectsBadClocks(t *testing.T) {
+	race := Config{Population: twoAgent(t, 0.3), Gamma: 0.5, Blocks: 500, Seed: 3, Time: TimeConfig{Enabled: true}}
+	ffwd := race
+	ffwd.FastForward = true
+	cases := map[string]struct {
+		race   Config
+		clocks []difficulty.Params
+		out    int
+	}{
+		"short out":                   {race, groupOverlays, 1},
+		"no clocks":                   {race, nil, 0},
+		"epoch":                       {race, []difficulty.Params{{}, {Rule: difficulty.EIP100, Epoch: 64}}, 2},
+		"invalid clock":               {race, []difficulty.Params{{}, {Rule: difficulty.BitcoinStyle, TargetRate: -1}}, 2},
+		"fast-forward":                {ffwd, []difficulty.Params{{Initial: 1}, {Initial: 2}}, 2},
+		"fast-forward feedback clock": {ffwd, []difficulty.Params{{Rule: difficulty.EIP100}}, 1},
 	}
 	rn := NewRunner()
-	for name, mutate := range cases {
+	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			cfgs := groupConfigs(base, 0)
-			mutate(cfgs)
-			if err := rn.RunGroup(cfgs, make([]Result, len(cfgs))); !errors.Is(err, ErrBadConfig) {
+			if err := rn.RunGroup(c.race, c.clocks, make([]Result, c.out)); !errors.Is(err, ErrBadConfig) {
 				t.Errorf("err = %v, want ErrBadConfig", err)
 			}
 		})
 	}
-	if err := rn.RunGroup(groupConfigs(base, 0), make([]Result, 1)); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("err = %v for a short result slice, want ErrBadConfig", err)
-	}
-	// The same population rebuilt, and an explicit default strategy, are
-	// still the same race.
-	cfgs := groupConfigs(base, 0)
-	cfgs[1].Population = twoAgent(t, 0.3)
-	cfgs[2].Strategies = []Strategy{Algorithm1{}}
-	if err := rn.RunGroup(cfgs, make([]Result, len(cfgs))); err != nil {
-		t.Errorf("equal races rejected: %v", err)
+	// Epochs compare after defaults: an explicit default epoch on the race
+	// matches clocks that leave it zero.
+	race.Time.Difficulty.Epoch = difficulty.DefaultEpoch
+	if err := rn.RunGroup(race, groupOverlays, make([]Result, len(groupOverlays))); err != nil {
+		t.Errorf("clocks of the race's defaulted epoch rejected: %v", err)
 	}
 }
 
@@ -113,23 +109,16 @@ func TestRunGroupRejectsForeignConfigs(t *testing.T) {
 // stamps against that overlay's own clock, so swapping two overlays' stamp
 // columns behind the engine's back must fail the next audit.
 func TestAuditCatchesSwappedOverlayStamps(t *testing.T) {
-	base := Config{
-		Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 400, Seed: 5,
+	race := Config{
+		Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 400, Seed: 5, Time: TimeConfig{Enabled: true},
 		// Sampled past the run's end: the run itself audits nothing, so
 		// the final audit sweeps every block.
 		Audit: AuditConfig{Enabled: true, SampleEvery: 1 << 20},
-	}
+	}.withDefaults()
+	clocks := []difficulty.Params{{Initial: 1}, {Initial: 3}, {Initial: 5}}
 	for _, swap := range []bool{false, true} {
-		cfgs := make([]Config, 3)
-		for i := range cfgs {
-			cfgs[i] = base
-			cfgs[i].Time = TimeConfig{Enabled: true, Difficulty: difficulty.Params{Initial: float64(1 + 2*i)}}
-		}
-		for i := range cfgs {
-			cfgs[i] = cfgs[i].withDefaults()
-		}
 		var s simulator
-		s.init(cfgs...)
+		s.init(race, clocks)
 		if err := s.run(); err != nil {
 			t.Fatal(err)
 		}

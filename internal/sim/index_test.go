@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 )
@@ -47,7 +48,7 @@ func newSimulator(tb testing.TB, cfg Config) *simulator {
 		tb.Fatal(err)
 	}
 	s := &simulator{}
-	s.init(cfg)
+	s.init(cfg, []difficulty.Params{cfg.Time.Difficulty})
 	return s
 }
 

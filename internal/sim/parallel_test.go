@@ -189,7 +189,7 @@ func TestRunManyParallelDeterminismTwoPools(t *testing.T) {
 
 // TestRunnerResetAfterFailure: a Runner whose run failed partway (here on a
 // strategy's invalid reaction) must produce bit-identical clean runs
-// afterwards, with or without an explicit Reset in between.
+// afterwards, because init rewinds all run state.
 func TestRunnerResetAfterFailure(t *testing.T) {
 	pop, err := mining.TwoAgent(0.35)
 	if err != nil {
@@ -204,24 +204,16 @@ func TestRunnerResetAfterFailure(t *testing.T) {
 	bad := clean
 	bad.Strategies = []Strategy{conflictStrategy{}}
 
-	for _, reset := range []bool{false, true} {
-		rn := NewRunner()
-		if _, err := rn.Run(bad); !errors.Is(err, ErrBadReaction) {
-			t.Fatalf("reset=%v: err = %v, want ErrBadReaction", reset, err)
-		}
-		if reset {
-			rn.Reset()
-			if rn.s.str == nil {
-				t.Error("Reset dropped the reusable settlement state")
-			}
-		}
-		got, err := rn.Run(clean)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("reset=%v: rerun after a failed run differs from a fresh run", reset)
-		}
+	rn := NewRunner()
+	if _, err := rn.Run(bad); !errors.Is(err, ErrBadReaction) {
+		t.Fatalf("err = %v, want ErrBadReaction", err)
+	}
+	got, err := rn.Run(clean)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("rerun after a failed run differs from a fresh run")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/core"
+	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/stats"
@@ -234,12 +235,10 @@ func (r *Result) TotalRate() float64 {
 // buffers — across runs. Batch drivers hold one Runner per worker so run
 // restarts stop re-allocating (and re-zeroing) ~100k-block storage; results
 // are bit-identical to fresh Run calls because init resets all run state
-// and reseeds the generator. A Runner is not safe for concurrent use.
+// and reseeds the generator, even after a failed run. A Runner is not safe
+// for concurrent use.
 type Runner struct {
 	s simulator
-
-	// group holds the defaulted configs of the current run.
-	group []Config
 }
 
 // NewRunner returns an empty Runner; the first Run sizes its storage.
@@ -248,70 +247,49 @@ func NewRunner() *Runner {
 }
 
 // Run executes one simulation, reusing the Runner's storage, and settles
-// it: the one-config case of RunGroup. The returned Result owns all of its
+// it: the one-clock case of RunGroup. The returned Result owns all of its
 // data (nothing aliases the reused buffers).
 func (rn *Runner) Run(cfg Config) (Result, error) {
 	var out [1]Result
-	err := rn.RunGroup([]Config{cfg}, out[:])
+	clocks := [1]difficulty.Params{cfg.Time.Difficulty}
+	err := rn.RunGroup(cfg, clocks[:], out[:])
 	return out[0], err
 }
 
-// RunGroup executes one race walk carrying a clock overlay per config (see
-// time.go) and settles it into out, which must have one slot per config:
-// out[i] is bit-identical to what Run(cfgs[i]) returns, and owns all of its
-// data. The configs may differ only in Time.Difficulty's Rule, TargetRate
-// and Initial; any other difference, including the Epoch, is rejected with
-// ErrBadConfig, as is a group of several fast-forward configs. On error
-// out is left as it was.
-func (rn *Runner) RunGroup(cfgs []Config, out []Result) error {
-	if len(cfgs) == 0 || len(out) != len(cfgs) {
-		return fmt.Errorf("%w: %d configs for %d results", ErrBadConfig, len(cfgs), len(out))
+// RunGroup executes one walk of race carrying a clock overlay per entry of
+// clocks (see time.go) and settles it into out, one slot per clock: out[i]
+// is bit-identical to what Run returns for race with Time.Difficulty set to
+// clocks[i], and owns all of its data. The race's own Time.Difficulty
+// serves only to validate it and to fix the Epoch, which moves the Early
+// window, so every clock's defaulted Epoch must equal the race's; a
+// fast-forward race carries its one static clock. A timeless race ignores
+// the clocks' values and settles the same Result into every slot. Anything
+// else is rejected with ErrBadConfig, and on error out is left as it was.
+func (rn *Runner) RunGroup(race Config, clocks []difficulty.Params, out []Result) error {
+	if len(clocks) == 0 || len(out) != len(clocks) {
+		return fmt.Errorf("%w: %d clocks for %d results", ErrBadConfig, len(clocks), len(out))
 	}
-	group := rn.group[:0]
-	for _, cfg := range cfgs {
-		cfg = cfg.withDefaults()
-		if err := cfg.validate(); err != nil {
-			return err
+	race = race.withDefaults()
+	if err := race.validate(); err != nil {
+		return err
+	}
+	if race.Time.Enabled {
+		epoch := race.Time.Difficulty.Epoch
+		for i, c := range clocks {
+			c = c.WithDefaults()
+			if err := c.Validate(); err != nil {
+				return fmt.Errorf("%w: clock %d: %v", ErrBadConfig, i, err)
+			}
+			if c.Epoch != epoch {
+				return fmt.Errorf("%w: clock %d has epoch %d, the race %d", ErrBadConfig, i, c.Epoch, epoch)
+			}
+			if race.FastForward && (len(clocks) > 1 || c.Rule != difficulty.Static) {
+				return fmt.Errorf("%w: a fast-forward race carries one static clock", ErrBadConfig)
+			}
 		}
-		group = append(group, cfg)
 	}
-	rn.group = group
-	if len(group) > 1 && group[0].FastForward {
-		return fmt.Errorf("%w: a fast-forward run carries one clock overlay", ErrBadConfig)
-	}
-	for i := 1; i < len(group); i++ {
-		if !sameRace(group[0], group[i]) {
-			return fmt.Errorf("%w: config %d differs from config 0 beyond the difficulty rule, target rate and initial difficulty",
-				ErrBadConfig, i)
-		}
-	}
-	rn.s.init(group...)
+	rn.s.init(race, clocks)
 	return settleRun(&rn.s, out)
-}
-
-// Reset clears every trace of the previous run — including one that failed
-// partway, e.g. on a strategy's invalid reaction — while keeping the
-// allocated storage for reuse. Run resets implicitly (init rewinds all run
-// state before every run, which is what makes reuse after a failure safe);
-// Reset exists so long-lived holders can drop a failed run's state
-// eagerly instead of carrying it until the next Run.
-func (rn *Runner) Reset() {
-	s := &rn.s
-	s.recent = s.recent[:0]
-	s.recentHead = 0
-	s.forkChildren = s.forkChildren[:0]
-	s.referencedInWindow = 0
-	for i := range s.pools {
-		s.pools[i].blocks = s.pools[i].blocks[:0]
-		s.pools[i].published = 0
-	}
-	s.pools = s.pools[:0]
-	s.flags = s.flags[:0]
-	s.cfg = Config{}
-	s.aud = nil
-	s.ctrl = nil
-	s.overlays = s.overlays[:0]
-	s.idBase = 0
 }
 
 // Run executes one simulation and settles it.
@@ -339,7 +317,7 @@ func traceRun(cfg Config) (*simulator, Result, error) {
 		return nil, Result{}, err
 	}
 	s := &simulator{keepTree: true}
-	s.init(cfg)
+	s.init(cfg, []difficulty.Params{cfg.Time.Difficulty})
 	var out [1]Result
 	if err := settleRun(s, out[:]); err != nil {
 		return nil, Result{}, err

@@ -114,11 +114,6 @@ type Config struct {
 	// (the paper's strategy) for every pool.
 	Strategies []Strategy
 
-	// PoolOmitsUncleRefs stops the pools from referencing uncles in
-	// their own blocks, isolating the nephew-income component of the
-	// attack.
-	PoolOmitsUncleRefs bool
-
 	// Time configures the continuous-time axis: exponential inter-arrival
 	// times paced by difficulty, per-block timestamps, and an optional
 	// engine-driven difficulty controller. The zero value keeps the
@@ -447,12 +442,11 @@ type simulator struct {
 	events []int64
 }
 
-// init prepares the simulator for one run of group[0]'s race, carrying one
-// clock overlay per config (see time.go), reusing any storage left over
-// from previous runs. The configs must already have defaults applied and
-// be validated, and may differ only as RunGroup allows.
-func (s *simulator) init(group ...Config) {
-	cfg := group[0]
+// init prepares the simulator for one run of cfg, carrying one clock
+// overlay per entry of clocks (see time.go), reusing any storage left over
+// from previous runs. cfg must already have defaults applied and be
+// validated, and clocks checked as RunGroup checks them.
+func (s *simulator) init(cfg Config, clocks []difficulty.Params) {
 	window := cfg.Schedule.MaxDepth()
 	if window > maxReferenceWindow {
 		window = maxReferenceWindow
@@ -545,7 +539,7 @@ func (s *simulator) init(group ...Config) {
 		s.events = s.events[:numPools+1]
 		clear(s.events)
 	}
-	s.initTime(group)
+	s.initTime(cfg, clocks)
 	s.initStream(cfg)
 	s.initFastForward(cfg)
 	s.initOriginFast()
@@ -979,10 +973,7 @@ func containsBlock(ids []chain.BlockID, id chain.BlockID) bool {
 // which case every other pool reacts to the new public state.
 func (s *simulator) poolEvent(pi int, miner chain.MinerID) error {
 	p := &s.pools[pi]
-	var uncles []chain.BlockID
-	if !s.cfg.PoolOmitsUncleRefs {
-		uncles = s.eligibleUncles(p.tip(), mining.PoolID(pi+1))
-	}
+	uncles := s.eligibleUncles(p.tip(), mining.PoolID(pi+1))
 	id, err := s.extend(p.tip(), miner, uncles, false)
 	if err != nil {
 		return err
@@ -1241,15 +1232,83 @@ func (s *simulator) honestEvent(miner chain.MinerID) error {
 	return s.reactOthers(-1)
 }
 
+// originHonest handles an honest block found with every pool parked at the
+// race origin and the tip childless (the race-origin fast path, see
+// originFast): the outcome is fully determined — extend the tip, every pool
+// re-adopts to it (the compiled tables say so), the floor rides up one,
+// nothing forks — so play exactly that, skipping the leader scan, the
+// reaction loop and the floor recompute. The draws consumed are exactly
+// the general path's: the winner sample, and no leader or gamma draw (none
+// exists at the origin).
+func (s *simulator) originHonest(miner chain.MinerID) error {
+	// The tip is childless, so the append is a pure leaf extension:
+	// AppendLeaf mutates exactly as extend would (no siblings, no uncles,
+	// no fork children), and the window bookkeeping below mirrors extend's
+	// for a block at height pubHeight+1. Fall back to extend if the
+	// childless assumption ever fails.
+	id, leaf := s.tree.AppendLeaf(s.pubTip, miner, s.clock)
+	if leaf {
+		// The floor rides up onto the new block, so it enters the chain
+		// index decided; it references nothing.
+		s.flags = append(s.flags, flagPublished|flagInRecent|flagDecided)
+		s.recent = append(s.recent, windowBlock{id: id, height: s.pubHeight + 1})
+		s.trimRecent(s.pubHeight - s.window)
+	} else {
+		var err error
+		id, err = s.extend(s.pubTip, miner, nil, true)
+		if err != nil {
+			return err
+		}
+		s.flags[int(id)-s.idBase] |= flagDecided
+	}
+	return s.rideTip(id, s.pubHeight+1, s.floor)
+}
+
+// rideTip makes tip, at height, the public tip and every pool's root: each
+// pool re-adopted at every block up to it, so the consensus floor rides up
+// to the tip. The advance is audited like resolve's, the blocks from the
+// old floor up to indexed enter the chain index through advanceFloor (the
+// ones above indexed must already be flagged decided and reference
+// nothing), and the candidate purge follows. The poolless engine never
+// advances its floor (resolve is pool-triggered), so there it only moves
+// the tip.
+func (s *simulator) rideTip(tip chain.BlockID, height int, indexed chain.BlockID) error {
+	s.pubTip = tip
+	s.pubHeight = height
+	for i := range s.pools {
+		p := &s.pools[i]
+		p.root = tip
+		p.rootHeight = height
+	}
+	if len(s.pools) == 0 {
+		return nil
+	}
+	if s.aud != nil {
+		if err := s.aud.auditFloor(s, s.floor, tip); err != nil {
+			return err
+		}
+	}
+	s.advanceFloor(indexed)
+	s.floor = tip
+	if len(s.forkChildren) > 0 {
+		s.purgeForkChildren()
+	}
+	return nil
+}
+
 // run executes the configured number of block events, settling the decided
 // prefix as it goes. The races still in flight when the run ends are
 // excluded from settlement (the chain is settled at the consensus floor).
+// Every event, fast-forwarded or not, ends through the same tail: the
+// deferred floor recompute, the controllers' settled-block observation,
+// the streaming settlement and the sampled audit.
 func (s *simulator) run() error {
 	pop := s.cfg.Population
 	for i := 0; i < s.cfg.Blocks; i++ {
 		if i >= s.steadyEvent {
 			s.markSteadyStart()
 		}
+		selfish := false
 		if s.ffwd && s.atRaceOrigin() {
 			skipped, err := s.fastForward(s.cfg.Blocks - i)
 			if err != nil {
@@ -1266,116 +1325,26 @@ func (s *simulator) run() error {
 			}
 			// The stretch ended because the next producer is selfish:
 			// run that event now, drawn conditionally on being selfish.
-			s.recordState()
-			if s.timing {
-				s.advanceClock()
-			}
-			miner := pop.SampleSelfish(s.random)
-			s.events[miner.Pool]++
-			if err := s.poolEvent(int(miner.Pool)-1, miner.ID); err != nil {
-				return err
-			}
-			if err := s.flushFloor(); err != nil {
-				return err
-			}
-			if s.flushDue() {
-				if err := s.settleDecided(); err != nil {
-					return err
-				}
-			}
-			if s.aud != nil {
-				if err := s.auditEvent(i); err != nil {
-					return err
-				}
-			}
-			continue
-		}
-		// Race-origin fast path: with every pool parked at the origin and
-		// the tip childless, an honest find has a fully determined outcome
-		// — extend the tip, every pool re-adopts to it (the compiled
-		// tables say so), the floor rides up one, nothing forks. Play
-		// exactly that, consuming exactly the draws the general path would
-		// (the winner sample; no leader or gamma draw exists at the
-		// origin), and skip the leader scan, the reaction loop, and the
-		// floor recompute. A selfish find drops to the general path below.
-		if s.originFast && len(s.forkChildren) == 0 && s.atRaceOrigin() {
-			for pi := range s.pools {
-				s.occ[pi][0]++ // recordState: every pool sits at (0, 0)
-			}
-			if s.timing {
-				s.advanceClock()
-			}
-			miner := pop.Sample(s.random)
-			s.events[miner.Pool]++
-			if miner.Pool == mining.HonestPool {
-				// The tip is childless at the origin, so the append is a
-				// pure leaf extension: AppendLeaf mutates exactly as
-				// extend would (no siblings, no uncles, no fork children),
-				// and the window bookkeeping below mirrors extend's for a
-				// block at height pubHeight+1. Fall back to the general
-				// path if the childless assumption ever fails.
-				id, leaf := s.tree.AppendLeaf(s.pubTip, miner.ID, s.clock)
-				if leaf {
-					// The floor rides up onto the new block (below), so it
-					// enters the chain index decided; it references nothing.
-					s.flags = append(s.flags, flagPublished|flagInRecent|flagDecided)
-					s.recent = append(s.recent, windowBlock{id: id, height: s.pubHeight + 1})
-					s.trimRecent(s.pubHeight - s.window)
-				} else {
-					var err error
-					id, err = s.extend(s.pubTip, miner.ID, nil, true)
-					if err != nil {
-						return err
-					}
-					s.flags[int(id)-s.idBase] |= flagDecided
-				}
-				s.pubTip = id
-				s.pubHeight++
-				for pi := range s.pools {
-					p := &s.pools[pi]
-					p.root = id
-					p.rootHeight = s.pubHeight
-				}
-				// The floor rides the tip: every pool just re-adopted.
-				if s.aud != nil {
-					if err := s.aud.auditFloor(s, s.floor, id); err != nil {
-						return err
-					}
-				}
-				s.floor = id
-			} else {
-				if err := s.poolEvent(int(miner.Pool)-1, miner.ID); err != nil {
-					return err
-				}
-				if err := s.flushFloor(); err != nil {
-					return err
-				}
-			}
-			if s.observing {
-				s.observeSettled()
-			}
-			if s.flushDue() {
-				if err := s.settleDecided(); err != nil {
-					return err
-				}
-			}
-			if s.aud != nil {
-				if err := s.auditEvent(i); err != nil {
-					return err
-				}
-			}
-			continue
+			selfish = true
 		}
 		s.recordState()
 		if s.timing {
 			s.advanceClock()
 		}
-		miner := pop.Sample(s.random)
+		var miner mining.Miner
+		if selfish {
+			miner = pop.SampleSelfish(s.random)
+		} else {
+			miner = pop.Sample(s.random)
+		}
 		s.events[miner.Pool]++
 		var err error
-		if miner.Pool != mining.HonestPool {
+		switch {
+		case miner.Pool != mining.HonestPool:
 			err = s.poolEvent(int(miner.Pool)-1, miner.ID)
-		} else {
+		case s.originFast && len(s.forkChildren) == 0 && s.atRaceOrigin():
+			err = s.originHonest(miner.ID)
+		default:
 			err = s.honestEvent(miner.ID)
 		}
 		if err != nil {

@@ -264,24 +264,6 @@ func TestStubbornReactionTable(t *testing.T) {
 	}
 }
 
-func TestPoolOmitsUncleRefsLosesNephewIncome(t *testing.T) {
-	cfg := Config{Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 100000, Seed: 127}
-	full := run(t, cfg)
-	noRefsCfg := cfg
-	noRefsCfg.PoolOmitsUncleRefs = true
-	noRefs := run(t, noRefsCfg)
-
-	if noRefs.Pool.Nephew >= full.Pool.Nephew {
-		t.Errorf("pool nephew income without refs (%v) should drop (with: %v)",
-			noRefs.Pool.Nephew, full.Pool.Nephew)
-	}
-	// Honest miners pick up the unreferenced uncles instead.
-	if noRefs.Honest.Nephew <= full.Honest.Nephew {
-		t.Errorf("honest nephew income (%v) should rise when the pool abstains (with: %v)",
-			noRefs.Honest.Nephew, full.Honest.Nephew)
-	}
-}
-
 func TestStrategyNames(t *testing.T) {
 	tests := []struct {
 		strategy Strategy

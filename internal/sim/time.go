@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"reflect"
-
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
@@ -27,13 +25,13 @@ import (
 // TestGoldenTimeless).
 //
 // Because the race never reads the clock, one race walk can carry several
-// clock overlays at once (Runner.RunGroup): configs that differ only in the
-// difficulty rule, target rate or initial difficulty share the walk, the
+// clock overlays at once: Runner.RunGroup takes the race and one
+// difficulty.Params per overlay, and the overlays share the walk, the
 // settlement and the one unit-exponential draw per event, which each
 // overlay scales by its own difficulty. Each overlay keeps its own clock,
 // controller, block stamps and window bounds, and one walk of each newly
 // settled segment feeds every controller, so every overlay's Result is
-// bit-identical to a run of its config alone. Overlay 0 is the simulator's
+// bit-identical to a run of the race under its params alone. Overlay 0 is the simulator's
 // own clock and stamps into the tree's time column; overlays 1..N-1 keep
 // their stamps in a column of their own, indexed and compacted like the
 // per-block flags.
@@ -48,9 +46,9 @@ const timeStreamSalt = 0xD1B54A32D192ED03
 // TimeConfig configures the continuous-time axis. The zero value disables
 // it: the simulator stays the timeless block-count engine, consuming no
 // extra randomness and producing bit-identical results to the pre-time
-// engine. Configs that differ only in Difficulty's Rule, TargetRate and
-// Initial share one race walk and one exponential draw per event under
-// Runner.RunGroup.
+// engine. Runner.RunGroup runs one race under several Difficulty params at
+// once (the race's Epoch, any Rule, TargetRate and Initial), sharing the
+// walk and the exponential draw per event.
 type TimeConfig struct {
 	// Enabled turns the time axis on.
 	Enabled bool
@@ -274,13 +272,12 @@ func safeRate(amount, duration float64) float64 {
 // timeSeed derives the dedicated time-stream seed for a run.
 func timeSeed(seed uint64) uint64 { return seed ^ timeStreamSalt }
 
-// initTime prepares the simulator's time axis for one run of group (cfg
-// defaults already applied; group[0] is the race, every config one clock
-// overlay): reseed or create the dedicated time stream, reset each overlay
+// initTime prepares the simulator's time axis for one run of cfg (defaults
+// already applied) carrying one clock overlay per entry of clocks, overlay
+// 0 first: reseed or create the dedicated time stream, reset each overlay
 // (rebuilding controllers only when their params changed), and rewind the
 // settled observation cursor.
-func (s *simulator) initTime(group []Config) {
-	cfg := group[0]
+func (s *simulator) initTime(cfg Config, clocks []difficulty.Params) {
 	s.timing = cfg.Time.Enabled
 	s.observing = false
 	s.observedTo = s.tree.Genesis()
@@ -296,62 +293,19 @@ func (s *simulator) initTime(group []Config) {
 		s.timeRandom.Reseed(timeSeed(cfg.Seed))
 	}
 	s.timeRandom.SetAntithetic(cfg.Antithetic)
-	s.clockOverlay.init(cfg.Time.Difficulty)
+	s.clockOverlay.init(clocks[0].WithDefaults())
 	s.observing = s.ctrl != nil
 	// Reslicing within capacity keeps earlier runs' controllers and stamp
 	// columns for reuse.
-	extra := group[1:]
+	extra := clocks[1:]
 	s.overlays = s.overlays[:min(len(extra), cap(s.overlays))]
 	for len(s.overlays) < len(extra) {
 		s.overlays = append(s.overlays, clockOverlay{})
 	}
 	for k := range s.overlays {
 		o := &s.overlays[k]
-		o.init(extra[k].Time.Difficulty)
+		o.init(extra[k].WithDefaults())
 		o.stamps = append(o.stamps[:0], 0) // genesis
 		s.observing = s.observing || o.ctrl != nil
 	}
-}
-
-// sameRace reports whether two defaulted, validated configs drive the same
-// race walk: they may differ only in the difficulty rule, target rate and
-// initial difficulty, which pace a clock the race never reads. A different
-// Epoch moves the Early window, so it counts as a different race.
-// Populations and schedules compare by content, strategies by value (a
-// strategy whose dynamic type is not comparable never matches).
-func sameRace(a, b Config) bool {
-	a.Time.Difficulty.Rule = b.Time.Difficulty.Rule
-	a.Time.Difficulty.TargetRate = b.Time.Difficulty.TargetRate
-	a.Time.Difficulty.Initial = b.Time.Difficulty.Initial
-	if a.Gamma != b.Gamma || a.Blocks != b.Blocks || a.Seed != b.Seed ||
-		a.MaxUnclesPerBlock != b.MaxUnclesPerBlock || a.PoolOmitsUncleRefs != b.PoolOmitsUncleRefs ||
-		a.Time != b.Time || a.FastForward != b.FastForward || a.Antithetic != b.Antithetic ||
-		a.Parallelism != b.Parallelism || a.Audit != b.Audit {
-		return false
-	}
-	pa, pb := a.Population, b.Population
-	if pa.Len() != pb.Len() {
-		return false
-	}
-	for i := 0; i < pa.Len(); i++ {
-		if pa.Miner(i) != pb.Miner(i) {
-			return false
-		}
-	}
-	sa, sb := a.Schedule, b.Schedule
-	if sa.Name() != sb.Name() || sa.MaxDepth() != sb.MaxDepth() {
-		return false
-	}
-	for d := 1; d <= min(sa.MaxDepth(), maxReferenceWindow); d++ {
-		if sa.Uncle(d) != sb.Uncle(d) || sa.Nephew(d) != sb.Nephew(d) {
-			return false
-		}
-	}
-	for p := 1; p <= pa.NumPools(); p++ {
-		x, y := a.strategyFor(p), b.strategyFor(p)
-		if reflect.TypeOf(x) != reflect.TypeOf(y) || !reflect.TypeOf(x).Comparable() || x != y {
-			return false
-		}
-	}
-	return true
 }

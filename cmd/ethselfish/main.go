@@ -49,7 +49,7 @@
 //	               final line torn by a crash is trimmed with a warning
 //	-audit         enable the simulator's runtime invariant auditor
 //	-audit-every N audit every Nth block event (default 1024; 1 checks
-//	               every event). Only meaningful with -audit
+//	               every event). Requires -audit
 //	-list          enumerate experiments and registered strategy specs
 //	-csv           emit CSV instead of aligned text
 //
@@ -103,7 +103,7 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		cacheFlag   = fs.Bool("cache", false, "serve rows from an in-memory result cache for this invocation")
 		cachedir    = fs.String("cachedir", "", "persistent result cache directory (implies -cache, survives reruns; rerun to resume)")
 		audit       = fs.Bool("audit", false, "enable the runtime invariant auditor")
-		auditEvery  = fs.Int("audit-every", 1024, "audit every Nth block event (with -audit)")
+		auditEvery  = fs.Int("audit-every", 1024, "audit every Nth block event (requires -audit)")
 		list        = fs.Bool("list", false, "list experiments and registered strategy specs")
 		csv         = fs.Bool("csv", false, "emit CSV instead of aligned text")
 	)
@@ -127,20 +127,24 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("expected exactly one experiment, got %d arguments", fs.NArg())
 	}
 
+	set := make(map[string]bool)
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["audit-every"] && !*audit {
+		return fmt.Errorf("-audit-every requires -audit")
+	}
+
 	opts := experiments.Options{Runs: *runs, Blocks: *blocks, Seed: *seed}
 	if *quick {
 		opts = experiments.Quick()
 		opts.Seed = *seed
 		// Explicitly set -runs/-blocks still apply on top of the quick
 		// defaults, so effort can be dialed below (or above) quick.
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "runs":
-				opts.Runs = *runs
-			case "blocks":
-				opts.Blocks = *blocks
-			}
-		})
+		if set["runs"] {
+			opts.Runs = *runs
+		}
+		if set["blocks"] {
+			opts.Blocks = *blocks
+		}
 	}
 	// Zero means "the default" to the experiments package; on the command
 	// line it is a mistake, rejected before any simulation runs.

@@ -283,6 +283,15 @@ func TestRunAuditFlag(t *testing.T) {
 	if plain.String() != audited.String() {
 		t.Error("auditing changed experiment output")
 	}
+	// -audit-every without -audit fails before any simulation (the
+	// cancelled context would report context.Canceled otherwise) instead
+	// of running unaudited.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err = run(ctx, []string{"-quick", "-audit-every", "256", "table2"}, &audited)
+	if err == nil || !strings.Contains(err.Error(), "-audit-every requires -audit") {
+		t.Errorf("-audit-every without -audit: err = %v, want it rejected", err)
+	}
 }
 
 func TestRunProfitabilityRuleFlag(t *testing.T) {

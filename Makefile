@@ -22,7 +22,7 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # the CI workflow both read this list, so the two cannot drift.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m nodepth
 
-.PHONY: check build vet test race agreement staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke examples-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
+.PHONY: check build vet test race agreement loc staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke examples-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
 
 # How long each fuzz target runs in fuzz-smoke; CI uses the default.
 FUZZTIME ?= 10s
@@ -66,6 +66,16 @@ race:
 agreement:
 	$(GO) test -run 'FastForward|Antithetic|Precision|Paired|Geometric|GammaInt|ExpUnit' \
 		./internal/rng ./internal/stats ./internal/sim ./internal/experiments
+
+# Go lines per package, non-test and test, outside the bench/ module and
+# hidden directories: the net line counts a change reports per package.
+loc:
+	@printf '%-28s %8s %8s\n' package non-test test; \
+	for d in $$(find . -name '*.go' -not -path './bench/*' -not -path './.*' | xargs -n1 dirname | sort -u); do \
+		src=$$(find "$$d" -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		tst=$$(find "$$d" -maxdepth 1 -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-28s %8d %8d\n' "$${d#./}" "$$src" "$$tst"; \
+	done | awk '{ print; s += $$2; t += $$3 } END { printf "%-28s %8d %8d\n", "total", s, t }'
 
 # The chaos suite alone (adversarial strategies and injected worker
 # panics/errors must all fail closed with typed errors and leave Runners

@@ -31,10 +31,10 @@ import (
 // overlay scales by its own difficulty. Each overlay keeps its own clock,
 // controller, block stamps and window bounds, and one walk of each newly
 // settled segment feeds every controller, so every overlay's Result is
-// bit-identical to a run of the race under its params alone. Overlay 0 is the simulator's
-// own clock and stamps into the tree's time column; overlays 1..N-1 keep
-// their stamps in a column of their own, indexed and compacted like the
-// per-block flags.
+// bit-identical to a run of the race under its params alone. Overlay 0 is
+// the simulator's own clock and stamps into the tree's time column;
+// overlays 1..N-1 keep their stamps in a column of their own, indexed and
+// compacted like the per-block flags.
 
 // timeStreamSalt derives the time stream's seed from the run seed. Any
 // fixed non-zero constant works: rng.New expands the seed through

@@ -137,14 +137,16 @@ func TestKeySensitivity(t *testing.T) {
 // row keeps the exact address it had while the settlement-mode flag existed
 // (its slot still encodes false, so warm caches stay valid); a timed row,
 // whose Steady window moved to the midpoint-floor boundary, must not
-// resolve to the address of the old definition; and a one-pool Strategies
-// list keeps the address the retired single-Strategy field gave it, so the
-// strategies driver's cached rows stay valid.
+// resolve to the address of the old definition but keeps the pinned EIP100
+// one, so profitability caches survive changes to the clock's encoding; and
+// a one-pool Strategies list keeps the address the retired single-Strategy
+// field gave it, so the strategies driver's cached rows stay valid.
 func TestAddressContinuity(t *testing.T) {
 	const (
 		timeless = "22b9ddc9924614da0b8ba4d317b51ff7b4f9abd4ade21ac121cd709dffb66c8e"
 		oldTimed = "4fb94762c1504d16a70ea61dcdf5f2cdcbe96dbba90bc15779eacf1c47221552"
 		stubborn = "a5009b80120f0d75d1e2ac3d171561a2727bafcee612e632746078eccbaa99cd"
+		eip100   = "f080526c3d106500ba49a6382d497d08759782818c872e1d14ae0f67a753faa9"
 	)
 	if got := ForConfig(baseConfig(t)).Row(7).String(); got != timeless {
 		t.Errorf("timeless row address %s, want the pinned %s", got, timeless)
@@ -156,8 +158,12 @@ func TestAddressContinuity(t *testing.T) {
 	}
 	timed := baseConfig(t)
 	timed.Time = sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.EIP100}}
-	if got := ForConfig(timed).Row(7).String(); got == oldTimed {
+	got := ForConfig(timed).Row(7).String()
+	if got == oldTimed {
 		t.Error("timed row kept the address of the old Steady definition")
+	}
+	if got != eip100 {
+		t.Errorf("EIP100 timed row address %s, want the pinned %s", got, eip100)
 	}
 }
 

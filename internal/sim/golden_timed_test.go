@@ -86,6 +86,7 @@ func goldenTimedCases(t *testing.T) map[string]Config {
 		"1pool-ethereum-bitcoinstyle":     timed(one, eth, difficulty.Params{Rule: difficulty.BitcoinStyle}),
 		"2pool-ethereum-bitcoinstyle":     timed(two, eth, difficulty.Params{Rule: difficulty.BitcoinStyle}),
 		"1pool-ethereum-eip100":           timed(one, eth, difficulty.Params{Rule: difficulty.EIP100}),
+		"1pool-nodepth-eip100":            timed(one, nodepth, difficulty.Params{Rule: difficulty.EIP100}),
 		"1pool-nodepth-eip100-epoch64":    timed(one, nodepth, difficulty.Params{Rule: difficulty.EIP100, Epoch: 64, Initial: 2, TargetRate: 0.5}),
 		"2pool-nodepth-eip100":            timed(two, nodepth, difficulty.Params{Rule: difficulty.EIP100}),
 		"1pool-ethereum-eip100-unclecap2": timed(one, eth, difficulty.Params{Rule: difficulty.EIP100}),

@@ -34,7 +34,8 @@
 //	               engine in distribution, not bit-for-bit, so the two
 //	               modes' rows are cached under separate addresses
 //	-timeout D     overall deadline for the invocation (e.g. 30m); on
-//	               expiry in-flight runs finish, then the sweep stops
+//	               expiry in-flight runs finish, then the sweep stops;
+//	               a negative deadline is rejected
 //	-cache         serve content-addressed rows from an in-memory result
 //	               cache for this invocation (an "all" sweep reuses points
 //	               shared between experiments); hits are bit-identical to
@@ -131,6 +132,9 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if set["audit-every"] && !*audit {
 		return fmt.Errorf("-audit-every requires -audit")
+	}
+	if *timeout < 0 {
+		return fmt.Errorf("-timeout %v must not be negative", *timeout)
 	}
 
 	opts := experiments.Options{Runs: *runs, Blocks: *blocks, Seed: *seed}

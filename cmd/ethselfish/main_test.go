@@ -294,6 +294,19 @@ func TestRunAuditFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNegativeTimeout: a negative -timeout fails before any
+// simulation (the cancelled context would report context.Canceled
+// otherwise) instead of silently running with no deadline.
+func TestRunRejectsNegativeTimeout(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var b strings.Builder
+	err := run(ctx, []string{"-quick", "-timeout", "-1s", "table2"}, &b)
+	if err == nil || !strings.Contains(err.Error(), "-timeout") {
+		t.Errorf("-timeout -1s: err = %v, want it rejected", err)
+	}
+}
+
 func TestRunProfitabilityRuleFlag(t *testing.T) {
 	var b strings.Builder
 	err := run(context.Background(), []string{

@@ -110,11 +110,10 @@
 // stream, so a timed run's block tree is bit-identical to the timeless run
 // at the same seed, and the timeless path is pinned bit-for-bit against
 // the pre-time engine. Because the race never reads the clock, rows that
-// differ only in the difficulty rule, target rate or initial difficulty
-// share one race walk: sim.Runner.RunGroup takes the race and one
-// difficulty.Params per row, each rides the walk as a clock overlay
-// scaling the same exponential draws, and each row is still bit-identical
-// to its own run. difficulty.PredictedRewardRate remains the
+// differ only in the difficulty rule share one race walk:
+// sim.Runner.RunGroup takes the race and one difficulty.Rule per row, each
+// rides the walk as a clock overlay scaling the same exponential draws,
+// and each row is still bit-identical to its own run. difficulty.PredictedRewardRate remains the
 // closed-form steady-state oracle the engine loop is cross-validated
 // against (the diffablation experiment).
 //

@@ -82,7 +82,7 @@ func run() error {
 	// closed-form steady-state issuance rate (scenario 2: EIP100 counts
 	// the attack's own uncles against it).
 	predicted, err := difficulty.PredictedRewardRate(
-		difficulty.EIP100, 1, alpha, gamma, rewards.Ethereum())
+		difficulty.EIP100, alpha, gamma, rewards.Ethereum())
 	if err != nil {
 		return err
 	}

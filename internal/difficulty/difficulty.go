@@ -20,7 +20,6 @@ package difficulty
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/rewards"
@@ -78,12 +77,26 @@ func ParseRule(s string) (Rule, error) {
 	}
 }
 
-// DefaultEpoch is the default adjustment window in settled regular blocks:
-// the retarget period of the Bitcoin-style rule and the smoothing gain
-// (1/epoch per block) of the EIP100 rule. Small enough that quick 20k-block
-// runs converge well before their steady-state window, large enough that a
+// Validate rejects a rule outside Rules.
+func (r Rule) Validate() error {
+	if r != Static && r != BitcoinStyle && r != EIP100 {
+		return fmt.Errorf("%w: unknown rule %d", ErrBadController, r)
+	}
+	return nil
+}
+
+// DefaultEpoch is the adjustment window in settled regular blocks: the
+// retarget period of the Bitcoin-style rule and the smoothing gain (1/epoch
+// per block) of the EIP100 rule. Small enough that quick 20k-block runs
+// converge well before their steady-state window, large enough that a
 // single epoch's observation has low relative noise.
 const DefaultEpoch = 128
+
+// InitialDifficulty is every controller's starting difficulty. With the
+// population's hash power normalized to 1, block events arrive at rate
+// 1/difficulty, so an all-honest chain starts at the controllers' target of
+// one counted block per unit time.
+const InitialDifficulty = 1.0
 
 // maxRetargetFactor bounds a single Bitcoin-style retarget step, as
 // Bitcoin's consensus rules do (factor 4).
@@ -97,55 +110,12 @@ const maxPerBlockFactor = 2.0
 // ErrBadController is returned for invalid controller parameters.
 var ErrBadController = errors.New("difficulty: invalid controller parameters")
 
-// Params configures an engine-driven controller.
+// Params configures an engine-driven controller: only the counting rule
+// varies. Every controller targets one counted block per unit time, adjusts
+// over DefaultEpoch and starts at InitialDifficulty.
 type Params struct {
 	// Rule selects the counting rule. The zero value is Static.
 	Rule Rule
-
-	// TargetRate is the desired counted-block rate per unit time
-	// (zero: 1).
-	TargetRate float64
-
-	// Epoch is the adjustment window in settled regular blocks
-	// (zero: DefaultEpoch). BitcoinStyle retargets once per epoch;
-	// EIP100 adjusts every block with gain 1/epoch.
-	Epoch int
-
-	// Initial is the starting difficulty (zero: 1). With the population's
-	// hash power normalized to 1, block events arrive at rate
-	// 1/difficulty.
-	Initial float64
-}
-
-// WithDefaults fills the zero-value fields.
-func (p Params) WithDefaults() Params {
-	if p.TargetRate == 0 {
-		p.TargetRate = 1
-	}
-	if p.Epoch == 0 {
-		p.Epoch = DefaultEpoch
-	}
-	if p.Initial == 0 {
-		p.Initial = 1
-	}
-	return p
-}
-
-// Validate rejects unusable parameters. Call it on the defaulted value.
-func (p Params) Validate() error {
-	if p.Rule != Static && p.Rule != BitcoinStyle && p.Rule != EIP100 {
-		return fmt.Errorf("%w: unknown rule %d", ErrBadController, p.Rule)
-	}
-	if !(p.TargetRate > 0) || math.IsInf(p.TargetRate, 0) {
-		return fmt.Errorf("%w: target rate %v", ErrBadController, p.TargetRate)
-	}
-	if p.Epoch < 1 {
-		return fmt.Errorf("%w: epoch %d must be positive", ErrBadController, p.Epoch)
-	}
-	if !(p.Initial > 0) || math.IsInf(p.Initial, 0) {
-		return fmt.Errorf("%w: initial difficulty %v", ErrBadController, p.Initial)
-	}
-	return nil
 }
 
 // Controller is an engine-driven difficulty controller. The simulator calls
@@ -155,7 +125,7 @@ func (p Params) Validate() error {
 // state; Reset reuses it across runs (the simulator Runner's reuse
 // contract). It is not safe for concurrent use.
 type Controller struct {
-	p Params
+	rule Rule
 
 	difficulty float64
 
@@ -173,14 +143,12 @@ type Controller struct {
 	retargets int
 }
 
-// NewController returns a controller for the given parameters (defaults
-// applied first).
+// NewController returns a controller for the given parameters.
 func NewController(p Params) (*Controller, error) {
-	p = p.WithDefaults()
-	if err := p.Validate(); err != nil {
+	if err := p.Rule.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Controller{p: p}
+	c := &Controller{rule: p.Rule}
 	c.Reset()
 	return c, nil
 }
@@ -188,7 +156,7 @@ func NewController(p Params) (*Controller, error) {
 // Reset restores the controller to its initial state, so one instance can
 // be reused across independently seeded runs.
 func (c *Controller) Reset() {
-	c.difficulty = c.p.Initial
+	c.difficulty = InitialDifficulty
 	c.lastTime = 0
 	c.epochStart = 0
 	c.counted = 0
@@ -197,10 +165,7 @@ func (c *Controller) Reset() {
 }
 
 // Rule returns the controller's counting rule.
-func (c *Controller) Rule() Rule { return c.p.Rule }
-
-// Params returns the controller's (defaulted) parameters.
-func (c *Controller) Params() Params { return c.p }
+func (c *Controller) Rule() Rule { return c.rule }
 
 // Difficulty returns the current difficulty.
 func (c *Controller) Difficulty() float64 { return c.difficulty }
@@ -214,17 +179,18 @@ func (c *Controller) Retargets() int { return c.retargets }
 // number of uncles it references (as counted on the settled tree). Blocks
 // must be observed in chain order with non-decreasing timestamps.
 func (c *Controller) ObserveBlock(timestamp float64, uncles int) {
-	switch c.p.Rule {
+	switch c.rule {
 	case BitcoinStyle:
 		// Epoch retarget on main-chain rate alone: uncles are invisible
 		// to the pre-Byzantium rule.
 		c.counted++
 		c.blocks++
-		if c.blocks < c.p.Epoch {
+		if c.blocks < DefaultEpoch {
 			break
 		}
 		if elapsed := timestamp - c.epochStart; elapsed > 0 {
-			factor := float64(c.counted) / elapsed / c.p.TargetRate
+			// The counted rate over the target rate of 1.
+			factor := float64(c.counted) / elapsed
 			c.difficulty *= clampFactor(factor, maxRetargetFactor)
 			c.retargets++
 		}
@@ -236,14 +202,14 @@ func (c *Controller) ObserveBlock(timestamp float64, uncles int) {
 		// Per-block adjustment on the regular-plus-uncle rate. The
 		// error term compares the blocks this step actually counted
 		// (the regular block plus its referenced uncles) against what
-		// the target rate expects over the observed spacing; gain
-		// 1/epoch makes the equilibrium E[counted] = target*E[spacing],
-		// i.e. a counted rate equal to the target, with convergence in
+		// the target rate of 1 expects over the observed spacing; gain
+		// 1/epoch makes the equilibrium E[counted] = E[spacing], i.e. a
+		// counted rate equal to the target, with convergence in
 		// O(epoch) blocks and per-block noise O(1/epoch).
 		counted := 1 + uncles
 		spacing := timestamp - c.lastTime
-		err := float64(counted) - spacing*c.p.TargetRate
-		factor := 1 + err/float64(c.p.Epoch)
+		err := float64(counted) - spacing
+		factor := 1 + err/DefaultEpoch
 		c.difficulty *= clampFactor(factor, maxPerBlockFactor)
 		c.retargets++
 	}
@@ -263,12 +229,13 @@ func clampFactor(factor, limit float64) float64 {
 
 // PredictedRewardRate returns the analytic steady-state total reward rate
 // (all miners, rewards per unit time) for an adjusting difficulty rule at
-// the given attack parameters: targetRate * TotalAbsolute(scenario), with
-// scenario 1 for BitcoinStyle and scenario 2 for EIP100. It is the
-// closed-form oracle the engine-integrated controller is cross-validated
-// against; the Static rule has no scenario normalization (its issuance
-// depends on the initial difficulty, not the target) and is rejected.
-func PredictedRewardRate(rule Rule, targetRate, alpha, gamma float64, schedule rewards.Schedule) (float64, error) {
+// the given attack parameters: TotalAbsolute(scenario) at the controllers'
+// target of one counted block per unit time, with scenario 1 for
+// BitcoinStyle and scenario 2 for EIP100. It is the closed-form oracle the
+// engine-integrated controller is cross-validated against; the Static rule
+// has no scenario normalization (its issuance depends on the initial
+// difficulty, not the target) and is rejected.
+func PredictedRewardRate(rule Rule, alpha, gamma float64, schedule rewards.Schedule) (float64, error) {
 	var scenario core.Scenario
 	switch rule {
 	case BitcoinStyle:
@@ -282,5 +249,5 @@ func PredictedRewardRate(rule Rule, targetRate, alpha, gamma float64, schedule r
 	if err != nil {
 		return 0, err
 	}
-	return targetRate * m.Revenue().TotalAbsolute(scenario), nil
+	return m.Revenue().TotalAbsolute(scenario), nil
 }

@@ -9,23 +9,8 @@ import (
 )
 
 func TestParamsValidation(t *testing.T) {
-	tests := []struct {
-		name string
-		p    Params
-	}{
-		{"unknown rule", Params{Rule: Rule(99)}},
-		{"negative target", Params{Rule: BitcoinStyle, TargetRate: -1}},
-		{"NaN target", Params{Rule: EIP100, TargetRate: math.NaN()}},
-		{"inf target", Params{Rule: EIP100, TargetRate: math.Inf(1)}},
-		{"negative epoch", Params{Rule: BitcoinStyle, Epoch: -3}},
-		{"negative initial", Params{Rule: EIP100, Initial: -1}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewController(tt.p); !errors.Is(err, ErrBadController) {
-				t.Errorf("err = %v, want ErrBadController", err)
-			}
-		})
+	if _, err := NewController(Params{Rule: Rule(99)}); !errors.Is(err, ErrBadController) {
+		t.Errorf("unknown rule: err = %v, want ErrBadController", err)
 	}
 }
 
@@ -34,25 +19,24 @@ func TestParamsDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := c.Params()
-	if p.Rule != Static || p.TargetRate != 1 || p.Epoch != DefaultEpoch || p.Initial != 1 {
-		t.Errorf("defaults = %+v", p)
+	if c.Rule() != Static {
+		t.Errorf("zero Params rule = %v, want static", c.Rule())
 	}
-	if c.Difficulty() != 1 {
+	if c.Difficulty() != InitialDifficulty || InitialDifficulty != 1 {
 		t.Errorf("initial difficulty = %v, want 1", c.Difficulty())
 	}
 }
 
 func TestStaticNeverAdjusts(t *testing.T) {
-	c, err := NewController(Params{Rule: Static, Initial: 3})
+	c, err := NewController(Params{Rule: Static})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 1000; i++ {
 		c.ObserveBlock(float64(i)*0.01, 2) // blocks 100x too fast
 	}
-	if c.Difficulty() != 3 || c.Retargets() != 0 {
-		t.Errorf("static difficulty %v after %d retargets, want 3 after 0",
+	if c.Difficulty() != 1 || c.Retargets() != 0 {
+		t.Errorf("static difficulty %v after %d retargets, want 1 after 0",
 			c.Difficulty(), c.Retargets())
 	}
 }
@@ -69,58 +53,58 @@ func feedRegular(c *Controller, start float64, n int, spacing float64, uncles in
 }
 
 func TestBitcoinStyleEpochRetarget(t *testing.T) {
-	c, err := NewController(Params{Rule: BitcoinStyle, TargetRate: 1, Epoch: 100, Initial: 100})
+	c, err := NewController(Params{Rule: BitcoinStyle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 99 blocks: no retarget yet.
-	at := feedRegular(c, 0, 99, 0.5, 7)
-	if c.Retargets() != 0 || c.Difficulty() != 100 {
+	// One block short of the epoch: no retarget yet.
+	at := feedRegular(c, 0, DefaultEpoch-1, 0.5, 7)
+	if c.Retargets() != 0 || c.Difficulty() != 1 {
 		t.Fatalf("retargeted before the epoch boundary: %d at difficulty %v",
 			c.Retargets(), c.Difficulty())
 	}
-	// The 100th closes the epoch: 100 blocks over 50 time units is rate 2,
-	// twice the target, so difficulty doubles. Uncle counts must be
-	// ignored by the uncle-blind rule.
-	feedRegular(c, at, 1, 0.5, 7)
+	// The last block closes the epoch: DefaultEpoch blocks at spacing 0.5
+	// is rate 2, twice the target, so difficulty doubles. Uncle counts
+	// must be ignored by the uncle-blind rule.
+	at = feedRegular(c, at, 1, 0.5, 7)
 	if c.Retargets() != 1 {
 		t.Fatalf("retargets = %d, want 1", c.Retargets())
 	}
-	if math.Abs(c.Difficulty()-200) > 1e-9 {
-		t.Errorf("difficulty = %v, want 200", c.Difficulty())
+	if math.Abs(c.Difficulty()-2) > 1e-12 {
+		t.Errorf("difficulty = %v, want 2", c.Difficulty())
 	}
 	// A slow epoch (rate 1/2) halves it back.
-	feedRegular(c, at+0.5, 100, 2, 0)
-	if math.Abs(c.Difficulty()-100) > 1e-9 {
-		t.Errorf("difficulty = %v, want 100", c.Difficulty())
+	feedRegular(c, at, DefaultEpoch, 2, 0)
+	if math.Abs(c.Difficulty()-1) > 1e-12 {
+		t.Errorf("difficulty = %v, want 1", c.Difficulty())
 	}
 }
 
 func TestBitcoinStyleRetargetClamped(t *testing.T) {
-	c, err := NewController(Params{Rule: BitcoinStyle, TargetRate: 1, Epoch: 10, Initial: 100})
+	c, err := NewController(Params{Rule: BitcoinStyle})
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedRegular(c, 0, 10, 1e-6, 0) // ~1e6x too fast: clamped to 4x
-	if math.Abs(c.Difficulty()-400) > 1e-9 {
-		t.Errorf("difficulty = %v, want clamped 400", c.Difficulty())
+	at := feedRegular(c, 0, DefaultEpoch, 1e-6, 0) // ~1e6x too fast: clamped to 4x
+	if math.Abs(c.Difficulty()-4) > 1e-12 {
+		t.Errorf("difficulty = %v, want clamped 4", c.Difficulty())
 	}
-	feedRegular(c, 1e-5, 10, 1e6, 0) // ~1e-6x too slow: clamped to /4
-	if math.Abs(c.Difficulty()-100) > 1e-9 {
-		t.Errorf("difficulty = %v, want clamped 100", c.Difficulty())
+	feedRegular(c, at, DefaultEpoch, 1e6, 0) // ~1e-6x too slow: clamped to /4
+	if math.Abs(c.Difficulty()-1) > 1e-12 {
+		t.Errorf("difficulty = %v, want clamped 1", c.Difficulty())
 	}
 }
 
 func TestEIP100PerBlockDirectionAndEquilibrium(t *testing.T) {
-	c, err := NewController(Params{Rule: EIP100, TargetRate: 1, Epoch: 64, Initial: 1})
+	c, err := NewController(Params{Rule: EIP100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Blocks at twice the target counted rate push difficulty up,
 	// one adjustment per block.
-	feedRegular(c, 0, 64, 0.5, 0)
-	if c.Retargets() != 64 {
-		t.Fatalf("retargets = %d, want 64 (one per block)", c.Retargets())
+	at := feedRegular(c, 0, DefaultEpoch, 0.5, 0)
+	if c.Retargets() != DefaultEpoch {
+		t.Fatalf("retargets = %d, want %d (one per block)", c.Retargets(), DefaultEpoch)
 	}
 	if c.Difficulty() <= 1 {
 		t.Errorf("difficulty %v did not rise under too-fast blocks", c.Difficulty())
@@ -128,51 +112,52 @@ func TestEIP100PerBlockDirectionAndEquilibrium(t *testing.T) {
 	// At exactly the target rate (counting uncles: 2 counted per 2 time
 	// units) the error term is zero and difficulty freezes.
 	before := c.Difficulty()
-	feedRegular(c, 32, 100, 2, 1)
+	at = feedRegular(c, at, 100, 2, 1)
 	if got := c.Difficulty(); got != before {
 		t.Errorf("difficulty moved from %v to %v at the exact target rate", before, got)
 	}
 	// Too-slow blocks push it down.
-	feedRegular(c, 250, 64, 4, 0)
+	feedRegular(c, at, DefaultEpoch, 4, 0)
 	if c.Difficulty() >= before {
 		t.Errorf("difficulty %v did not fall under too-slow blocks", c.Difficulty())
 	}
 }
 
 func TestEIP100StepClamped(t *testing.T) {
-	c, err := NewController(Params{Rule: EIP100, TargetRate: 1, Epoch: 1, Initial: 1})
+	c, err := NewController(Params{Rule: EIP100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Epoch 1 makes the raw step 1 + err; a huge negative error (a very
-	// late block) must clamp to halving rather than going negative.
+	// A very late block makes the raw step 1 + (1-1000)/DefaultEpoch,
+	// below zero: it must clamp to halving rather than going negative.
 	c.ObserveBlock(1000, 0)
 	if math.Abs(c.Difficulty()-0.5) > 1e-12 {
 		t.Errorf("difficulty = %v, want clamped 0.5", c.Difficulty())
 	}
-	// A huge positive error clamps to doubling.
-	c.ObserveBlock(1000, 100)
+	// A block at zero spacing counting far more than an epoch of uncles
+	// raises the raw step past 2: it clamps to doubling.
+	c.ObserveBlock(1000, 2*DefaultEpoch)
 	if math.Abs(c.Difficulty()-1) > 1e-12 {
 		t.Errorf("difficulty = %v, want clamped back to 1", c.Difficulty())
 	}
 }
 
 func TestControllerReset(t *testing.T) {
-	c, err := NewController(Params{Rule: EIP100, TargetRate: 1, Epoch: 8, Initial: 2})
+	c, err := NewController(Params{Rule: EIP100})
 	if err != nil {
 		t.Fatal(err)
 	}
 	feedRegular(c, 0, 50, 0.1, 1)
-	if c.Difficulty() == 2 {
+	if c.Difficulty() == 1 {
 		t.Fatal("difficulty did not move; test is vacuous")
 	}
 	c.Reset()
-	if c.Difficulty() != 2 || c.Retargets() != 0 {
-		t.Errorf("after Reset: difficulty %v, retargets %d; want 2, 0",
+	if c.Difficulty() != 1 || c.Retargets() != 0 {
+		t.Errorf("after Reset: difficulty %v, retargets %d; want 1, 0",
 			c.Difficulty(), c.Retargets())
 	}
 	// A reset controller reproduces the original trajectory exactly.
-	fresh, err := NewController(Params{Rule: EIP100, TargetRate: 1, Epoch: 8, Initial: 2})
+	fresh, err := NewController(Params{Rule: EIP100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,11 +209,11 @@ func TestObserveBlockAllocationFree(t *testing.T) {
 
 func TestPredictedRewardRate(t *testing.T) {
 	schedule := rewards.Ethereum()
-	btc, err := PredictedRewardRate(BitcoinStyle, 1, 0.35, 0.5, schedule)
+	btc, err := PredictedRewardRate(BitcoinStyle, 0.35, 0.5, schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eip, err := PredictedRewardRate(EIP100, 1, 0.35, 0.5, schedule)
+	eip, err := PredictedRewardRate(EIP100, 0.35, 0.5, schedule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,15 +226,7 @@ func TestPredictedRewardRate(t *testing.T) {
 	if eip >= btc {
 		t.Errorf("eip100 predicted rate %v should be below bitcoin-style's %v", eip, btc)
 	}
-	// The target rate scales the prediction linearly.
-	double, err := PredictedRewardRate(BitcoinStyle, 2, 0.35, 0.5, schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(double-2*btc) > 1e-12 {
-		t.Errorf("rate at target 2 = %v, want %v", double, 2*btc)
-	}
-	if _, err := PredictedRewardRate(Static, 1, 0.35, 0.5, schedule); !errors.Is(err, ErrBadController) {
+	if _, err := PredictedRewardRate(Static, 0.35, 0.5, schedule); !errors.Is(err, ErrBadController) {
 		t.Error("Static must have no closed-form prediction")
 	}
 }

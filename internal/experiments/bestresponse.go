@@ -121,9 +121,7 @@ func bestResponse(opts Options, gammas, alphas []float64, specs []sim.StrategySp
 					alpha: alpha,
 					pop:   pop,
 					specs: []sim.StrategySpec{spec},
-					build: func(*mining.Population) sim.Config {
-						return sim.Config{Gamma: gamma, Schedule: schedule}
-					},
+					cfg:   sim.Config{Gamma: gamma, Schedule: schedule},
 				})
 			}
 		}

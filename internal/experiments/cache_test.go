@@ -204,9 +204,7 @@ func TestCacheProfitabilityPartialGroups(t *testing.T) {
 // cache; the representative's rows are scattered to them.
 func TestCacheDedupeWithinSweep(t *testing.T) {
 	opts := Options{Runs: 2, Blocks: 1000, Seed: 3, Parallelism: 2}
-	job := simJob{alpha: 0.3, build: func(*mining.Population) sim.Config {
-		return sim.Config{Gamma: 0.5}
-	}}
+	job := simJob{alpha: 0.3, cfg: sim.Config{Gamma: 0.5}}
 
 	single, err := runSimGrid(opts, []simJob{job})
 	if err != nil {
@@ -243,7 +241,6 @@ func TestPrecisionCacheReuse(t *testing.T) {
 		Alphas:       []float64{0.25},
 		TargetRadius: 0.01,
 		MaxRuns:      8,
-		BatchRuns:    4,
 	}
 	want, err := Precision(opts, pc)
 	if err != nil {
@@ -278,9 +275,7 @@ func testJobs() []simJob {
 	alphas := []float64{0.2, 0.35}
 	jobs := make([]simJob, len(alphas))
 	for i, alpha := range alphas {
-		jobs[i] = simJob{alpha: alpha, build: func(*mining.Population) sim.Config {
-			return sim.Config{Gamma: 0.5}
-		}}
+		jobs[i] = simJob{alpha: alpha, cfg: sim.Config{Gamma: 0.5}}
 	}
 	return jobs
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/ethselfish/ethselfish/internal/difficulty"
-	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/table"
@@ -56,14 +55,9 @@ func DiffAblation(opts Options) (DiffAblationResult, error) {
 	jobs := make([]simJob, len(rules))
 	for i, rule := range rules {
 		rule := rule
-		jobs[i] = simJob{alpha: out.Alpha, build: func(*mining.Population) sim.Config {
-			return sim.Config{
-				Gamma: out.Gamma,
-				Time: sim.TimeConfig{
-					Enabled:    true,
-					Difficulty: difficulty.Params{Rule: rule},
-				},
-			}
+		jobs[i] = simJob{alpha: out.Alpha, cfg: sim.Config{
+			Gamma: out.Gamma,
+			Time:  sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: rule}},
 		}}
 	}
 	series, err := runSimGrid(opts, jobs)
@@ -71,7 +65,7 @@ func DiffAblation(opts Options) (DiffAblationResult, error) {
 		return DiffAblationResult{}, err
 	}
 	for i, rule := range rules {
-		predicted, err := difficulty.PredictedRewardRate(rule, 1, out.Alpha, out.Gamma, rewards.Ethereum())
+		predicted, err := difficulty.PredictedRewardRate(rule, out.Alpha, out.Gamma, rewards.Ethereum())
 		if err != nil {
 			return DiffAblationResult{}, err
 		}

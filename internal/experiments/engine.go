@@ -16,9 +16,9 @@ import (
 // describe their parameter grid; the engine turns it into rows through an
 // explicit pipeline — request → jobs → rows:
 //
-//   - grid evaluates an arbitrary function at every grid point (used
-//     directly by the analytic drivers, whose points are closed-form
-//     solves).
+//   - parallel.Map evaluates an arbitrary function at every grid point
+//     (used directly by the analytic drivers, whose points are
+//     closed-form solves).
 //   - runSimGrid resolves each job to a full sim.Config, derives its
 //     canonical content address (jobkey.ForConfig) and stream-family base
 //     seed (jobkey.SeedBase), and flattens (grid-point × run) into
@@ -26,36 +26,28 @@ import (
 //     sweep are computed once and scattered; the remaining unique rows are
 //     served from the result cache when present, and simulated across the
 //     worker pool (and stored) otherwise. Timed rows that differ only in
-//     the difficulty rule, target rate or initial difficulty share one
-//     race walk (sim.Runner.RunGroup), so they are one work item. Per-run
+//     the difficulty rule share one race walk (sim.Runner.RunGroup), so
+//     they are one work item. Per-run
 //     seeds are derived exactly as the sequential sim.RunMany would derive
 //     them, so the assembled Series are bit-identical to a sequential
 //     sweep — which is also why a cached row is exact: by determinism
 //     invariant 3, a row is a pure function of its content address.
 
-// grid evaluates fn at grid points 0..n-1 across at most workers
-// goroutines (zero or negative workers: GOMAXPROCS) and returns the results
-// in point order, reporting the lowest-index error. It is the experiment-
-// facing name for the shared deterministic pool in internal/parallel.
-func grid[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return parallel.Map(workers, n, fn)
-}
-
 // simJob describes the simulation work at one grid point: the pool's hash
-// power and a builder for the rest of the configuration. The builder must
-// be safe to call concurrently with other builders (it normally just fills
-// in literals). A nil pop means the classic two-agent population at alpha;
-// multi-pool drivers supply their own population, in which case alpha is
-// purely the point's error-report label — identity and seeding both come
-// from the resolved config's content address, never from alpha. Pool
-// strategies are named by specs and resolved through the sim registry (one
-// spec per pool, in pool order); a nil specs slice keeps whatever the
-// builder configured (the engine's default is Algorithm 1 everywhere).
+// power and the rest of the configuration, whose Population, Blocks, Audit
+// and FastForward the engine fills in. A nil pop means the classic
+// two-agent population at alpha; multi-pool drivers supply their own
+// population, in which case alpha is purely the point's error-report label
+// — identity and seeding both come from the resolved config's content
+// address, never from alpha. Pool strategies are named by specs and
+// resolved through the sim registry (one spec per pool, in pool order); a
+// nil specs slice keeps whatever cfg configured (the engine's default is
+// Algorithm 1 everywhere).
 type simJob struct {
 	alpha float64
 	pop   *mining.Population
 	specs []sim.StrategySpec
-	build func(pop *mining.Population) sim.Config
+	cfg   sim.Config
 }
 
 // JobError locates a failure within a sweep: the grid point, its alpha,
@@ -99,7 +91,7 @@ func resolveJobs(opts Options, jobs []simJob) (configs []sim.Config, keys []jobk
 				return nil, nil, nil, err
 			}
 		}
-		cfg := job.build(pop)
+		cfg := job.cfg
 		cfg.Population = pop
 		cfg.Blocks = opts.Blocks
 		cfg.Audit = opts.Audit
@@ -175,21 +167,21 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 	_, _, err = parallel.MapWithCtx(opts.Ctx, opts.Parallelism, len(items), sim.NewRunner,
 		func(rn *sim.Runner, i int) (struct{}, error) {
 			members := items[i]
-			// The first row is the race; every row rides it as a clock.
-			// Stack buffers cover the profitability grid's three rules;
-			// larger groups spill to the heap.
+			// The first row is the race; every row rides it as a clock
+			// under its own rule. Stack buffers cover the profitability
+			// grid's three rules; larger groups spill to the heap.
 			race := configs[members[0]/opts.Runs]
 			race.Seed = seeds[members[0]]
-			var clockBuf [4]difficulty.Params
+			var ruleBuf [4]difficulty.Rule
 			var addrBuf [4]jobkey.Key
 			var outBuf [4]sim.Result
-			clocks, addrs, out := clockBuf[:0], addrBuf[:0], outBuf[:0]
+			rules, addrs, out := ruleBuf[:0], addrBuf[:0], outBuf[:0]
 			for _, k := range members {
-				clocks = append(clocks, configs[k/opts.Runs].Time.Difficulty)
+				rules = append(rules, configs[k/opts.Runs].Time.Difficulty.Rule)
 				addrs = append(addrs, rowKeys[k])
 				out = append(out, sim.Result{})
 			}
-			if m, err := cachedGroup(rn, race, clocks, addrs, opts.Cache, out); err != nil {
+			if m, err := cachedGroup(rn, race, rules, addrs, opts.Cache, out); err != nil {
 				k := members[m]
 				return struct{}{}, &JobError{Point: k / opts.Runs, Alpha: jobs[k/opts.Runs].alpha, Run: k % opts.Runs, Seed: seeds[k], Err: err}
 			}
@@ -221,9 +213,9 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 
 // raceGroups gathers the unique rows into work items, in order of each
 // item's first row. Timed, non-fast-forward rows at the same run seed whose
-// configs differ only in the difficulty rule, target rate and initial
-// difficulty drive the same race walk (the time axis draws from its own
-// stream and the race never reads the clock), so they form one item that
+// configs differ only in the difficulty rule drive the same race walk (the
+// time axis draws from its own stream and the race never reads the clock),
+// so they form one item that
 // sim.Runner.RunGroup simulates once. Every other row is an item of its
 // own, at the cost of no extra hashing.
 func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int) [][]int {
@@ -244,8 +236,6 @@ func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int
 		race, ok := raceKeys[j]
 		if !ok {
 			cfg.Time.Difficulty.Rule = 0
-			cfg.Time.Difficulty.TargetRate = 0
-			cfg.Time.Difficulty.Initial = 0
 			race = jobkey.ForConfig(cfg)
 			raceKeys[j] = race
 		}
@@ -261,20 +251,20 @@ func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int
 }
 
 // cachedGroup is the pipeline's step for one work item: the rows riding
-// one walk of race, one clock each (at row addresses addrs), settled into
-// out. Every row is probed in the cache first; the rows that missed are
-// simulated together in one sim.Runner.RunGroup walk and stored before
-// returning — so a cancellation arriving while later items drain still
-// keeps them. A nil cache degenerates to a plain run. On error it also
+// one walk of race, one clock per entry of rules (at row addresses addrs),
+// settled into out. Every row is probed in the cache first; the rows that
+// missed are simulated together in one sim.Runner.RunGroup walk and stored
+// before returning — so a cancellation arriving while later items drain
+// still keeps them. A nil cache degenerates to a plain run. On error it also
 // reports which row failed (a failed walk is reported at its first
 // simulated row).
-func cachedGroup(rn *sim.Runner, race sim.Config, clocks []difficulty.Params, addrs []jobkey.Key, cache *resultcache.Cache, out []sim.Result) (int, error) {
+func cachedGroup(rn *sim.Runner, race sim.Config, rules []difficulty.Rule, addrs []jobkey.Key, cache *resultcache.Cache, out []sim.Result) (int, error) {
 	if cache == nil {
-		return 0, rn.RunGroup(race, clocks, out)
+		return 0, rn.RunGroup(race, rules, out)
 	}
 	var missBuf [4]int
 	missed := missBuf[:0]
-	for i := range clocks {
+	for i := range rules {
 		res, ok, err := cache.GetRaw(addrs[i], race.Seed)
 		if err != nil {
 			return i, err
@@ -288,14 +278,14 @@ func cachedGroup(rn *sim.Runner, race sim.Config, clocks []difficulty.Params, ad
 	if len(missed) == 0 {
 		return 0, nil
 	}
-	runClocks, runOut := clocks, out
-	if len(missed) < len(clocks) {
-		runClocks, runOut = make([]difficulty.Params, len(missed)), make([]sim.Result, len(missed))
+	runRules, runOut := rules, out
+	if len(missed) < len(rules) {
+		runRules, runOut = make([]difficulty.Rule, len(missed)), make([]sim.Result, len(missed))
 		for m, i := range missed {
-			runClocks[m] = clocks[i]
+			runRules[m] = rules[i]
 		}
 	}
-	if err := rn.RunGroup(race, runClocks, runOut); err != nil {
+	if err := rn.RunGroup(race, runRules, runOut); err != nil {
 		return missed[0], err
 	}
 	for m, i := range missed {
@@ -312,7 +302,7 @@ func cachedGroup(rn *sim.Runner, race sim.Config, clocks []difficulty.Params, ad
 // study).
 func cachedRun(rn *sim.Runner, cfg sim.Config, addr jobkey.Key, cache *resultcache.Cache) (sim.Result, error) {
 	var out [1]sim.Result
-	_, err := cachedGroup(rn, cfg, []difficulty.Params{cfg.Time.Difficulty}, []jobkey.Key{addr}, cache, out[:])
+	_, err := cachedGroup(rn, cfg, []difficulty.Rule{cfg.Time.Difficulty.Rule}, []jobkey.Key{addr}, cache, out[:])
 	return out[0], err
 }
 

@@ -24,9 +24,7 @@ func TestRunSimGridMatchesRunMany(t *testing.T) {
 	alphas := []float64{0.2, 0.35}
 	jobs := make([]simJob, len(alphas))
 	for i, alpha := range alphas {
-		jobs[i] = simJob{alpha: alpha, build: func(*mining.Population) sim.Config {
-			return sim.Config{Gamma: fig8Gamma}
-		}}
+		jobs[i] = simJob{alpha: alpha, cfg: sim.Config{Gamma: fig8Gamma}}
 	}
 	gridSeries, err := runSimGrid(opts, jobs)
 	if err != nil {
@@ -146,7 +144,7 @@ func TestRunSimGridResolvesSpecs(t *testing.T) {
 			sim.MustStrategySpec("stubborn:lead=1"),
 			sim.MustStrategySpec("algorithm1"),
 		},
-		build: func(*mining.Population) sim.Config { return sim.Config{Gamma: 0.5} },
+		cfg: sim.Config{Gamma: 0.5},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -154,11 +152,9 @@ func TestRunSimGridResolvesSpecs(t *testing.T) {
 	direct, err := runSimGrid(opts, []simJob{{
 		alpha: 0.25,
 		pop:   pop,
-		build: func(*mining.Population) sim.Config {
-			return sim.Config{Gamma: 0.5, Strategies: []sim.Strategy{
-				sim.Stubborn{Lead: true}, sim.Algorithm1{},
-			}}
-		},
+		cfg: sim.Config{Gamma: 0.5, Strategies: []sim.Strategy{
+			sim.Stubborn{Lead: true}, sim.Algorithm1{},
+		}},
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +166,7 @@ func TestRunSimGridResolvesSpecs(t *testing.T) {
 	if _, err := runSimGrid(opts, []simJob{{
 		alpha: 0.2,
 		specs: []sim.StrategySpec{{Name: "nonsense"}},
-		build: func(*mining.Population) sim.Config { return sim.Config{Gamma: 0.5} },
+		cfg:   sim.Config{Gamma: 0.5},
 	}}); !errors.Is(err, sim.ErrBadSpec) {
 		t.Errorf("bad spec err = %v, want sim.ErrBadSpec", err)
 	}
@@ -181,12 +177,8 @@ func TestRunSimGridResolvesSpecs(t *testing.T) {
 func TestJobErrorCoordinates(t *testing.T) {
 	opts := Options{Runs: 2, Blocks: 1000, Seed: 9, Parallelism: 1}
 	jobs := []simJob{
-		{alpha: 0.2, build: func(*mining.Population) sim.Config {
-			return sim.Config{Gamma: 0.5}
-		}},
-		{alpha: 0.3, build: func(*mining.Population) sim.Config {
-			return sim.Config{Gamma: 2} // invalid: gamma must be in [0,1]
-		}},
+		{alpha: 0.2, cfg: sim.Config{Gamma: 0.5}},
+		{alpha: 0.3, cfg: sim.Config{Gamma: 2}}, // invalid: gamma must be in [0,1]
 	}
 	_, err := runSimGrid(opts, jobs)
 	var je *JobError

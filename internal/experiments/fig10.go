@@ -6,6 +6,7 @@ import (
 
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/eyalsirer"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
 
@@ -42,7 +43,7 @@ func Fig10(opts Options) (Fig10Result, error) {
 		}
 		gammas = append(gammas, gamma)
 	}
-	rows, err := grid(opts.Parallelism, len(gammas), func(i int) (Fig10Row, error) {
+	rows, err := parallel.Map(opts.Parallelism, len(gammas), func(i int) (Fig10Row, error) {
 		gamma := gammas[i]
 		bitcoin, err := eyalsirer.Threshold(gamma)
 		if err != nil {

@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"github.com/ethselfish/ethselfish/internal/core"
-	"github.com/ethselfish/ethselfish/internal/mining"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/table"
@@ -53,16 +53,14 @@ func Fig8(opts Options) (Fig8Result, error) {
 	alphas := sweep(fig8AlphaStart, fig8AlphaMax, fig8AlphaStep)
 	jobs := make([]simJob, len(alphas))
 	for i, alpha := range alphas {
-		jobs[i] = simJob{alpha: alpha, build: func(*mining.Population) sim.Config {
-			return sim.Config{Gamma: fig8Gamma, Schedule: schedule}
-		}}
+		jobs[i] = simJob{alpha: alpha, cfg: sim.Config{Gamma: fig8Gamma, Schedule: schedule}}
 	}
 	series, err := runSimGrid(opts, jobs)
 	if err != nil {
 		return Fig8Result{}, err
 	}
 
-	rows, err := grid(opts.Parallelism, len(alphas), func(i int) (Fig8Row, error) {
+	rows, err := parallel.Map(opts.Parallelism, len(alphas), func(i int) (Fig8Row, error) {
 		alpha := alphas[i]
 		m, err := core.New(core.Params{Alpha: alpha, Gamma: fig8Gamma, Schedule: schedule})
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strconv"
 
 	"github.com/ethselfish/ethselfish/internal/core"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
@@ -61,7 +62,7 @@ func Fig9(opts Options) (Fig9Result, error) {
 		return Fig9Result{}, err
 	}
 	alphas := sweep(fig8AlphaStart, fig8AlphaMax, fig8AlphaStep)
-	rows, err := grid(opts.Parallelism, len(alphas), func(i int) (Fig9Row, error) {
+	rows, err := parallel.Map(opts.Parallelism, len(alphas), func(i int) (Fig9Row, error) {
 		alpha := alphas[i]
 		row := Fig9Row{Alpha: alpha}
 		for _, schedule := range schedules {

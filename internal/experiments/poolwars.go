@@ -6,6 +6,7 @@ import (
 
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/mining"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
@@ -103,9 +104,7 @@ func PoolWars(opts Options) (PoolWarsResult, error) {
 			alpha: points[i].alpha1,
 			pop:   points[i].pop,
 			specs: points[i].specs,
-			build: func(*mining.Population) sim.Config {
-				return sim.Config{Gamma: fig8Gamma}
-			},
+			cfg:   sim.Config{Gamma: fig8Gamma},
 		}
 	}
 	series, err := runSimGrid(opts, jobs)
@@ -113,7 +112,7 @@ func PoolWars(opts Options) (PoolWarsResult, error) {
 		return PoolWarsResult{}, err
 	}
 
-	rows, err := grid(opts.Parallelism, len(points), func(i int) (PoolWarsRow, error) {
+	rows, err := parallel.Map(opts.Parallelism, len(points), func(i int) (PoolWarsRow, error) {
 		pt := points[i]
 		s := series[i]
 		var stale, total float64

@@ -8,6 +8,7 @@ import (
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/jobkey"
 	"github.com/ethselfish/ethselfish/internal/mining"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/stats"
@@ -81,14 +82,14 @@ const (
 	// the pool's absolute revenue.
 	DefaultTargetRadius = 0.002
 
-	// DefaultPrecisionLevel is the default confidence level.
+	// DefaultPrecisionLevel is the study's confidence level.
 	DefaultPrecisionLevel = 0.95
 
 	// DefaultPrecisionMaxRuns bounds a cell that cannot reach its target.
 	DefaultPrecisionMaxRuns = 256
 
-	// DefaultPrecisionBatch is the number of runs simulated between
-	// interval checks (kept off the check boundary so small-sample t
+	// DefaultPrecisionBatch is the number of runs a cell simulates
+	// between interval checks (kept off the check boundary so small-sample t
 	// intervals never gate on one or two runs).
 	DefaultPrecisionBatch = 8
 )
@@ -115,17 +116,10 @@ type PrecisionConfig struct {
 	// (zero: DefaultTargetRadius).
 	TargetRadius float64
 
-	// Level is the confidence level (zero: DefaultPrecisionLevel).
-	Level float64
-
 	// MaxRuns caps a cell's simulation runs (zero:
 	// DefaultPrecisionMaxRuns). Antithetic cells count both halves of a
 	// pair.
 	MaxRuns int
-
-	// BatchRuns is the number of runs between interval checks (zero:
-	// DefaultPrecisionBatch).
-	BatchRuns int
 }
 
 func (pc PrecisionConfig) withDefaults() PrecisionConfig {
@@ -138,24 +132,18 @@ func (pc PrecisionConfig) withDefaults() PrecisionConfig {
 	if pc.TargetRadius == 0 {
 		pc.TargetRadius = DefaultTargetRadius
 	}
-	if pc.Level == 0 {
-		pc.Level = DefaultPrecisionLevel
-	}
 	if pc.MaxRuns == 0 {
 		pc.MaxRuns = DefaultPrecisionMaxRuns
-	}
-	if pc.BatchRuns == 0 {
-		pc.BatchRuns = DefaultPrecisionBatch
 	}
 	return pc
 }
 
 func (pc PrecisionConfig) validate() error {
-	if pc.TargetRadius < 0 || pc.Level <= 0 || pc.Level >= 1 {
-		return fmt.Errorf("%w: bad precision target or level", ErrBadOptions)
+	if pc.TargetRadius < 0 {
+		return fmt.Errorf("%w: bad precision target", ErrBadOptions)
 	}
-	if pc.MaxRuns < 4 || pc.BatchRuns < 2 {
-		return fmt.Errorf("%w: precision study needs MaxRuns >= 4 and BatchRuns >= 2", ErrBadOptions)
+	if pc.MaxRuns < 4 {
+		return fmt.Errorf("%w: precision study needs MaxRuns >= 4", ErrBadOptions)
 	}
 	for _, a := range pc.Alphas {
 		if a < 0 || a > 0.5 {
@@ -234,13 +222,13 @@ func Precision(opts Options, pc PrecisionConfig) (PrecisionResult, error) {
 			cells = append(cells, cell{alpha, est})
 		}
 	}
-	rows, err := grid(opts.Parallelism, len(cells), func(i int) (PrecisionRow, error) {
+	rows, err := parallel.Map(opts.Parallelism, len(cells), func(i int) (PrecisionRow, error) {
 		return precisionCell(opts, pc, schedule, cells[i].alpha, cells[i].est)
 	})
 	if err != nil {
 		return PrecisionResult{}, err
 	}
-	return PrecisionResult{Rows: rows, TargetRadius: pc.TargetRadius, Level: pc.Level}, nil
+	return PrecisionResult{Rows: rows, TargetRadius: pc.TargetRadius, Level: DefaultPrecisionLevel}, nil
 }
 
 // precisionCell runs one (alpha, estimator) cell to its stopping rule.
@@ -279,7 +267,7 @@ func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, 
 	estimate, radius := 0.0, math.Inf(1)
 
 	for runs < pc.MaxRuns {
-		for b := 0; b < pc.BatchRuns && runs < pc.MaxRuns; {
+		for b := 0; b < DefaultPrecisionBatch && runs < pc.MaxRuns; {
 			cfg := base
 			cfg.Seed = sim.DeriveSeed(seedBase, idx)
 			idx++
@@ -313,13 +301,13 @@ func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, 
 			}
 		}
 		if est == EstimatorControlVariate {
-			ci, err := paired.ControlVariateInterval(alpha, pc.Level)
+			ci, err := paired.ControlVariateInterval(alpha, DefaultPrecisionLevel)
 			if err != nil {
 				continue
 			}
 			estimate, radius = ci.Mean, ci.Radius
 		} else {
-			ci, err := acc.ConfidenceInterval(pc.Level)
+			ci, err := acc.ConfidenceInterval(DefaultPrecisionLevel)
 			if err != nil {
 				continue
 			}
@@ -356,7 +344,7 @@ func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, 
 		sdEff = acc.StdDev()
 		sdPlain = sdEff
 	}
-	runsTo := stats.RunsForRadius(sdEff, pc.Level, pc.TargetRadius)
+	runsTo := stats.RunsForRadius(sdEff, DefaultPrecisionLevel, pc.TargetRadius)
 	if est == EstimatorAntithetic && runsTo < math.MaxInt && runsTo%2 == 1 {
 		runsTo++
 	}
@@ -369,7 +357,7 @@ func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, 
 		Runs:              runs,
 		VRF:               vrf,
 		RunsToTarget:      runsTo,
-		PlainRunsToTarget: stats.RunsForRadius(sdPlain, pc.Level, pc.TargetRadius),
+		PlainRunsToTarget: stats.RunsForRadius(sdPlain, DefaultPrecisionLevel, pc.TargetRadius),
 	}, nil
 }
 

@@ -17,7 +17,6 @@ func precisionTestConfig() (Options, PrecisionConfig) {
 		Alphas:       []float64{0.3},
 		TargetRadius: 0.0015,
 		MaxRuns:      64,
-		BatchRuns:    8,
 	}
 	return opts, pc
 }
@@ -139,9 +138,9 @@ func TestPrecisionValidation(t *testing.T) {
 		t.Errorf("MaxRuns 2: err = %v, want ErrBadOptions", err)
 	}
 	bad = pc
-	bad.Level = 1.5
+	bad.TargetRadius = -0.01
 	if _, err := Precision(opts, bad); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("level 1.5: err = %v, want ErrBadOptions", err)
+		t.Errorf("negative target radius: err = %v, want ErrBadOptions", err)
 	}
 
 	for _, name := range []string{"plain", "control-variate", "cv", "antithetic"} {

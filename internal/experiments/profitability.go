@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"github.com/ethselfish/ethselfish/internal/difficulty"
-	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
@@ -20,8 +19,9 @@ import (
 // (alpha, gamma) under each difficulty regime with the engine-integrated
 // controller and reports the pool's absolute reward rate in the window
 // before any adjustment (difficulty still at its initial value) and in the
-// converged steady state, against the honest-equivalent rate alpha *
-// targetRate the pool would earn by following the protocol.
+// converged steady state, against the honest-equivalent rate alpha (the
+// controllers target one counted block per unit time) the pool would earn
+// by following the protocol.
 
 // profitabilityAlphas is the attack-size axis: below, around, and above the
 // scenario-2 (EIP100) profitability threshold at gamma = 0.5 (~0.30).
@@ -35,9 +35,9 @@ type ProfitabilityRow struct {
 	Rule         difficulty.Rule
 	Alpha, Gamma float64
 
-	// HonestEquivalent is alpha * targetRate: the absolute reward rate
-	// the pool's hash power would earn mining honestly once difficulty
-	// holds the all-honest network at the target (with the default
+	// HonestEquivalent is alpha times the target rate of 1: the absolute
+	// reward rate the pool's hash power would earn mining honestly once
+	// difficulty holds the all-honest network at the target (with the
 	// initial difficulty 1, also its pre-adjustment honest rate).
 	HonestEquivalent float64
 
@@ -69,9 +69,7 @@ func (r ProfitabilityRow) Retargeted() bool { return r.FinalDifficulty != 1 }
 
 // ProfitabilityResult is the (rule × gamma × alpha) grid.
 type ProfitabilityResult struct {
-	// TargetRate is the controllers' counted-block rate target.
-	TargetRate float64
-	Rows       []ProfitabilityRow
+	Rows []ProfitabilityRow
 }
 
 // Profitability sweeps the profitability grid under the given difficulty
@@ -106,14 +104,9 @@ func Profitability(opts Options, rules ...difficulty.Rule) (ProfitabilityResult,
 			for _, alpha := range profitabilityAlphas {
 				rule, gamma := rule, gamma
 				points = append(points, point{rule: rule, alpha: alpha, gamma: gamma})
-				jobs = append(jobs, simJob{alpha: alpha, build: func(*mining.Population) sim.Config {
-					return sim.Config{
-						Gamma: gamma,
-						Time: sim.TimeConfig{
-							Enabled:    true,
-							Difficulty: difficulty.Params{Rule: rule},
-						},
-					}
+				jobs = append(jobs, simJob{alpha: alpha, cfg: sim.Config{
+					Gamma: gamma,
+					Time:  sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: rule}},
 				}})
 			}
 		}
@@ -123,7 +116,7 @@ func Profitability(opts Options, rules ...difficulty.Rule) (ProfitabilityResult,
 		return ProfitabilityResult{}, err
 	}
 
-	out := ProfitabilityResult{TargetRate: 1}
+	var out ProfitabilityResult
 	for i, p := range points {
 		early := series[i].EarlyRateOf(1)
 		steady := series[i].SteadyRateOf(1)
@@ -131,7 +124,7 @@ func Profitability(opts Options, rules ...difficulty.Rule) (ProfitabilityResult,
 			Rule:             p.rule,
 			Alpha:            p.alpha,
 			Gamma:            p.gamma,
-			HonestEquivalent: p.alpha * out.TargetRate,
+			HonestEquivalent: p.alpha,
 			EarlyRate:        early.Mean(),
 			EarlyErr:         early.StdErr(),
 			SteadyRate:       steady.Mean(),

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"github.com/ethselfish/ethselfish/internal/core"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
@@ -32,7 +33,7 @@ func SecVI(opts Options) (SecVIResult, error) {
 		return SecVIResult{}, err
 	}
 	scenarios := []core.Scenario{core.Scenario1, core.Scenario2}
-	rows, err := grid(opts.Parallelism, len(scenarios), func(i int) (SecVIRow, error) {
+	rows, err := parallel.Map(opts.Parallelism, len(scenarios), func(i int) (SecVIRow, error) {
 		scenario := scenarios[i]
 		eth, err := core.Threshold(core.ThresholdParams{
 			Gamma:    fig8Gamma,

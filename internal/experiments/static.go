@@ -7,6 +7,7 @@ import (
 
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/mining"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
 
@@ -67,7 +68,7 @@ func Fig7(alpha, gamma float64, maxLead int, opts Options) (*table.Table, error)
 	})
 	// Per-state rows are independent reads of the solved model, so the
 	// experiment engine renders them as one grid.
-	rows, err := grid(opts.Parallelism, len(states), func(i int) ([3]string, error) {
+	rows, err := parallel.Map(opts.Parallelism, len(states), func(i int) ([3]string, error) {
 		s := states[i]
 		var desc string
 		for _, succ := range chain.Successors(s) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"github.com/ethselfish/ethselfish/internal/core"
-	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
@@ -67,9 +66,7 @@ func Strategies(opts Options, specs ...sim.StrategySpec) (StrategiesResult, erro
 			jobs = append(jobs, simJob{
 				alpha: alpha,
 				specs: []sim.StrategySpec{spec},
-				build: func(*mining.Population) sim.Config {
-					return sim.Config{Gamma: fig8Gamma}
-				},
+				cfg:   sim.Config{Gamma: fig8Gamma},
 			})
 		}
 	}

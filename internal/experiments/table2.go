@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"github.com/ethselfish/ethselfish/internal/core"
-	"github.com/ethselfish/ethselfish/internal/mining"
+	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/stats"
@@ -36,15 +36,13 @@ func Table2(opts Options) (Table2Result, error) {
 	alphas := []float64{0.3, 0.45}
 	jobs := make([]simJob, len(alphas))
 	for i, alpha := range alphas {
-		jobs[i] = simJob{alpha: alpha, build: func(*mining.Population) sim.Config {
-			return sim.Config{Gamma: fig8Gamma, Schedule: rewards.Ethereum()}
-		}}
+		jobs[i] = simJob{alpha: alpha, cfg: sim.Config{Gamma: fig8Gamma, Schedule: rewards.Ethereum()}}
 	}
 	series, err := runSimGrid(opts, jobs)
 	if err != nil {
 		return Table2Result{}, err
 	}
-	columns, err := grid(opts.Parallelism, len(alphas), func(i int) (Table2Column, error) {
+	columns, err := parallel.Map(opts.Parallelism, len(alphas), func(i int) (Table2Column, error) {
 		alpha := alphas[i]
 		m, err := core.New(core.Params{Alpha: alpha, Gamma: fig8Gamma})
 		if err != nil {

@@ -99,9 +99,7 @@ func Tournament(opts Options, specs ...sim.StrategySpec) (TournamentResult, erro
 				alpha: alpha,
 				pop:   pop,
 				specs: []sim.StrategySpec{specs[pair.a], specs[pair.b]},
-				build: func(*mining.Population) sim.Config {
-					return sim.Config{Gamma: fig8Gamma}
-				},
+				cfg:   sim.Config{Gamma: fig8Gamma},
 			})
 		}
 	}

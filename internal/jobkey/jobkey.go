@@ -126,11 +126,14 @@ func writeConfig(w *writer, cfg *sim.Config) {
 		// earlier boundary carry a different Steady, so each definition
 		// gets its own address space.
 		w.Str(steadyDefinition)
-		d := cfg.Time.Difficulty
-		w.U64(uint64(d.Rule))
-		w.F64(d.TargetRate)
-		w.U64(uint64(d.Epoch))
-		w.F64(d.Initial)
+		w.U64(uint64(cfg.Time.Difficulty.Rule))
+		// The slots of the retired target-rate, epoch and initial-
+		// difficulty settings: always zero, as every config left them,
+		// so timed addresses stay byte-identical to those cached while
+		// the settings existed.
+		w.F64(0)
+		w.U64(0)
+		w.F64(0)
 	}
 	writeSchedule(w, cfg.Schedule)
 	writePopulation(w, cfg.Population)

@@ -39,10 +39,7 @@ var timeFields = map[string]string{
 }
 
 var difficultyFields = map[string]string{
-	"Rule":       "encoded",
-	"TargetRate": "encoded",
-	"Epoch":      "encoded",
-	"Initial":    "encoded",
+	"Rule": "encoded",
 }
 
 func checkCoverage(t *testing.T, typ reflect.Type, fields map[string]string) {

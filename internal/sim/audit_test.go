@@ -136,7 +136,7 @@ func TestAuditCatchesCorruptedForkChildren(t *testing.T) {
 		t.Fatal(err)
 	}
 	var s simulator
-	s.init(cfg, []difficulty.Params{cfg.Time.Difficulty})
+	s.init(cfg, []difficulty.Rule{cfg.Time.Difficulty.Rule})
 	// Run a prefix of events by hand, then inject a phantom candidate.
 	pop := cfg.Population
 	for i := 0; i < 50; i++ {

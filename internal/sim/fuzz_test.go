@@ -279,22 +279,10 @@ func fuzzSchedule(t *testing.T, b uint8) rewards.Schedule {
 }
 
 // fuzzTimeConfig maps one fuzz byte onto the time-axis configuration space:
-// off, or on under each difficulty rule with a fuzz-scaled epoch.
+// off, or on under each difficulty rule.
 func fuzzTimeConfig(b uint8) TimeConfig {
-	switch b % 4 {
-	case 1:
-		return TimeConfig{Enabled: true} // static difficulty
-	case 2:
-		return TimeConfig{Enabled: true, Difficulty: difficulty.Params{
-			Rule:  difficulty.BitcoinStyle,
-			Epoch: 16 + int(b),
-		}}
-	case 3:
-		return TimeConfig{Enabled: true, Difficulty: difficulty.Params{
-			Rule:  difficulty.EIP100,
-			Epoch: 16 + int(b),
-		}}
-	default:
+	if b%4 == 0 {
 		return TimeConfig{}
 	}
+	return TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.Rules()[b%4-1]}}
 }

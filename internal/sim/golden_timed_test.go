@@ -81,20 +81,18 @@ func goldenTimedCases(t *testing.T) map[string]Config {
 	eth, nodepth := rewards.Ethereum(), noDepthSchedule()
 	cases := map[string]Config{
 		"1pool-ethereum-static":           timed(one, eth, difficulty.Params{}),
-		"1pool-ethereum-static-initial2":  timed(one, eth, difficulty.Params{Initial: 2, TargetRate: 0.5}),
 		"2pool-nodepth-static":            timed(two, nodepth, difficulty.Params{}),
 		"1pool-ethereum-bitcoinstyle":     timed(one, eth, difficulty.Params{Rule: difficulty.BitcoinStyle}),
 		"2pool-ethereum-bitcoinstyle":     timed(two, eth, difficulty.Params{Rule: difficulty.BitcoinStyle}),
 		"1pool-ethereum-eip100":           timed(one, eth, difficulty.Params{Rule: difficulty.EIP100}),
 		"1pool-nodepth-eip100":            timed(one, nodepth, difficulty.Params{Rule: difficulty.EIP100}),
-		"1pool-nodepth-eip100-epoch64":    timed(one, nodepth, difficulty.Params{Rule: difficulty.EIP100, Epoch: 64, Initial: 2, TargetRate: 0.5}),
 		"2pool-nodepth-eip100":            timed(two, nodepth, difficulty.Params{Rule: difficulty.EIP100}),
 		"1pool-ethereum-eip100-unclecap2": timed(one, eth, difficulty.Params{Rule: difficulty.EIP100}),
 	}
 	capped := cases["1pool-ethereum-eip100-unclecap2"]
 	capped.MaxUnclesPerBlock = 2
 	cases["1pool-ethereum-eip100-unclecap2"] = capped
-	for _, name := range []string{"1pool-ethereum-static", "1pool-ethereum-static-initial2", "2pool-nodepth-static"} {
+	for _, name := range []string{"1pool-ethereum-static", "2pool-nodepth-static"} {
 		ff := cases[name]
 		ff.FastForward = true
 		cases[name+"-fastforward"] = ff

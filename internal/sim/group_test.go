@@ -9,28 +9,20 @@ import (
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 )
 
-// groupOverlays are the clock overlays the grouped-run tests carry: the
-// three rules at their defaults plus an adjusting rule off its defaults.
-var groupOverlays = []difficulty.Params{
-	{Rule: difficulty.Static},
-	{Rule: difficulty.BitcoinStyle},
-	{Rule: difficulty.EIP100},
-	{Rule: difficulty.EIP100, Initial: 2, TargetRate: 0.5},
-}
-
-// groupClocks returns groupOverlays rotated by shift, so every overlay takes
+// groupRules returns difficulty.Rules rotated by shift, so every rule takes
 // a turn as overlay 0 (the one that stamps into the tree).
-func groupClocks(shift int) []difficulty.Params {
-	clocks := make([]difficulty.Params, len(groupOverlays))
-	for i := range clocks {
-		clocks[i] = groupOverlays[(i+shift)%len(groupOverlays)]
+func groupRules(shift int) []difficulty.Rule {
+	all := difficulty.Rules()
+	rules := make([]difficulty.Rule, len(all))
+	for i := range rules {
+		rules[i] = all[(i+shift)%len(all)]
 	}
-	return clocks
+	return rules
 }
 
 // TestRunGroupMatchesRun pins the shared walk: every Result of a grouped run
 // equals, under reflect.DeepEqual, the Result of running the race under its
-// clock alone, across attack sizes, tie-breaking, auditing, and one Runner
+// rule alone, across attack sizes, tie-breaking, auditing, and one Runner
 // reused for grouped and single runs alike.
 func TestRunGroupMatchesRun(t *testing.T) {
 	rn := NewRunner()
@@ -45,21 +37,21 @@ func TestRunGroupMatchesRun(t *testing.T) {
 					if audit {
 						race.Audit = AuditConfig{Enabled: true, SampleEvery: 5}
 					}
-					clocks := groupClocks(shift)
+					rules := groupRules(shift)
 					shift++
-					grouped := make([]Result, len(clocks))
-					if err := rn.RunGroup(race, clocks, grouped); err != nil {
+					grouped := make([]Result, len(rules))
+					if err := rn.RunGroup(race, rules, grouped); err != nil {
 						t.Fatal(err)
 					}
-					for i, clock := range clocks {
+					for i, rule := range rules {
 						cfg := race
-						cfg.Time.Difficulty = clock
+						cfg.Time.Difficulty.Rule = rule
 						single, err := rn.Run(cfg)
 						if err != nil {
 							t.Fatal(err)
 						}
 						if !reflect.DeepEqual(grouped[i], single) {
-							t.Errorf("overlay %d (%+v): grouped result differs from its single run", i, clock)
+							t.Errorf("overlay %d (%v): grouped result differs from its single run", i, rule)
 							diffResults(t, single, grouped[i])
 						}
 					}
@@ -70,44 +62,38 @@ func TestRunGroupMatchesRun(t *testing.T) {
 }
 
 // TestRunGroupRejectsBadClocks: RunGroup rejects what its signature cannot
-// rule out — a result slice of the wrong length, an invalid clock, a clock
-// whose Epoch (which moves the Early window) differs from the race's, and
-// more than one clock, or a feedback clock, under fast-forward.
+// rule out — a result slice of the wrong length, an unknown rule, and more
+// than one clock, or a feedback clock, under fast-forward.
 func TestRunGroupRejectsBadClocks(t *testing.T) {
 	race := Config{Population: twoAgent(t, 0.3), Gamma: 0.5, Blocks: 500, Seed: 3, Time: TimeConfig{Enabled: true}}
 	ffwd := race
 	ffwd.FastForward = true
 	cases := map[string]struct {
-		race   Config
-		clocks []difficulty.Params
-		out    int
+		race  Config
+		rules []difficulty.Rule
+		out   int
 	}{
-		"short out":                   {race, groupOverlays, 1},
+		"short out":                   {race, difficulty.Rules(), 1},
 		"no clocks":                   {race, nil, 0},
-		"epoch":                       {race, []difficulty.Params{{}, {Rule: difficulty.EIP100, Epoch: 64}}, 2},
-		"invalid clock":               {race, []difficulty.Params{{}, {Rule: difficulty.BitcoinStyle, TargetRate: -1}}, 2},
-		"fast-forward":                {ffwd, []difficulty.Params{{Initial: 1}, {Initial: 2}}, 2},
-		"fast-forward feedback clock": {ffwd, []difficulty.Params{{Rule: difficulty.EIP100}}, 1},
+		"invalid clock":               {race, []difficulty.Rule{difficulty.Static, difficulty.Rule(42)}, 2},
+		"fast-forward":                {ffwd, []difficulty.Rule{difficulty.Static, difficulty.Static}, 2},
+		"fast-forward feedback clock": {ffwd, []difficulty.Rule{difficulty.EIP100}, 1},
 	}
 	rn := NewRunner()
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) {
-			if err := rn.RunGroup(c.race, c.clocks, make([]Result, c.out)); !errors.Is(err, ErrBadConfig) {
+			if err := rn.RunGroup(c.race, c.rules, make([]Result, c.out)); !errors.Is(err, ErrBadConfig) {
 				t.Errorf("err = %v, want ErrBadConfig", err)
 			}
 		})
-	}
-	// Epochs compare after defaults: an explicit default epoch on the race
-	// matches clocks that leave it zero.
-	race.Time.Difficulty.Epoch = difficulty.DefaultEpoch
-	if err := rn.RunGroup(race, groupOverlays, make([]Result, len(groupOverlays))); err != nil {
-		t.Errorf("clocks of the race's defaulted epoch rejected: %v", err)
 	}
 }
 
 // TestAuditCatchesSwappedOverlayStamps: the auditor checks every overlay's
 // stamps against that overlay's own clock, so swapping two overlays' stamp
-// columns behind the engine's back must fail the next audit.
+// columns behind the engine's back must fail the next audit. The swapped
+// overlays run Static and EIP100, whose stamps part at the first settled
+// block.
 func TestAuditCatchesSwappedOverlayStamps(t *testing.T) {
 	race := Config{
 		Population: twoAgent(t, 0.35), Gamma: 0.5, Blocks: 400, Seed: 5, Time: TimeConfig{Enabled: true},
@@ -115,10 +101,10 @@ func TestAuditCatchesSwappedOverlayStamps(t *testing.T) {
 		// the final audit sweeps every block.
 		Audit: AuditConfig{Enabled: true, SampleEvery: 1 << 20},
 	}.withDefaults()
-	clocks := []difficulty.Params{{Initial: 1}, {Initial: 3}, {Initial: 5}}
+	rules := []difficulty.Rule{difficulty.Static, difficulty.Static, difficulty.EIP100}
 	for _, swap := range []bool{false, true} {
 		var s simulator
-		s.init(race, clocks)
+		s.init(race, rules)
 		if err := s.run(); err != nil {
 			t.Fatal(err)
 		}

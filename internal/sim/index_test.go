@@ -48,7 +48,7 @@ func newSimulator(tb testing.TB, cfg Config) *simulator {
 		tb.Fatal(err)
 	}
 	s := &simulator{}
-	s.init(cfg, []difficulty.Params{cfg.Time.Difficulty})
+	s.init(cfg, []difficulty.Rule{cfg.Time.Difficulty.Rule})
 	return s
 }
 

@@ -247,48 +247,42 @@ func NewRunner() *Runner {
 }
 
 // Run executes one simulation, reusing the Runner's storage, and settles
-// it: the one-clock case of RunGroup. The returned Result owns all of its
+// it: the one-rule case of RunGroup. The returned Result owns all of its
 // data (nothing aliases the reused buffers).
 func (rn *Runner) Run(cfg Config) (Result, error) {
 	var out [1]Result
-	clocks := [1]difficulty.Params{cfg.Time.Difficulty}
-	err := rn.RunGroup(cfg, clocks[:], out[:])
+	rules := [1]difficulty.Rule{cfg.Time.Difficulty.Rule}
+	err := rn.RunGroup(cfg, rules[:], out[:])
 	return out[0], err
 }
 
 // RunGroup executes one walk of race carrying a clock overlay per entry of
-// clocks (see time.go) and settles it into out, one slot per clock: out[i]
-// is bit-identical to what Run returns for race with Time.Difficulty set to
-// clocks[i], and owns all of its data. The race's own Time.Difficulty
-// serves only to validate it and to fix the Epoch, which moves the Early
-// window, so every clock's defaulted Epoch must equal the race's; a
-// fast-forward race carries its one static clock. A timeless race ignores
-// the clocks' values and settles the same Result into every slot. Anything
-// else is rejected with ErrBadConfig, and on error out is left as it was.
-func (rn *Runner) RunGroup(race Config, clocks []difficulty.Params, out []Result) error {
-	if len(clocks) == 0 || len(out) != len(clocks) {
-		return fmt.Errorf("%w: %d clocks for %d results", ErrBadConfig, len(clocks), len(out))
+// rules (see time.go) and settles it into out, one slot per rule: out[i] is
+// bit-identical to what Run returns for race with Time.Difficulty.Rule set
+// to rules[i], and owns all of its data. The race's own Time.Difficulty
+// serves only to validate it. Every rule must be known, and a fast-forward
+// race carries its one static clock. A timeless race ignores the rules and
+// settles the same Result into every slot. Anything else is rejected with
+// ErrBadConfig, and on error out is left as it was.
+func (rn *Runner) RunGroup(race Config, rules []difficulty.Rule, out []Result) error {
+	if len(rules) == 0 || len(out) != len(rules) {
+		return fmt.Errorf("%w: %d rules for %d results", ErrBadConfig, len(rules), len(out))
 	}
 	race = race.withDefaults()
 	if err := race.validate(); err != nil {
 		return err
 	}
 	if race.Time.Enabled {
-		epoch := race.Time.Difficulty.Epoch
-		for i, c := range clocks {
-			c = c.WithDefaults()
-			if err := c.Validate(); err != nil {
-				return fmt.Errorf("%w: clock %d: %v", ErrBadConfig, i, err)
+		for i, r := range rules {
+			if err := r.Validate(); err != nil {
+				return fmt.Errorf("%w: rule %d: %v", ErrBadConfig, i, err)
 			}
-			if c.Epoch != epoch {
-				return fmt.Errorf("%w: clock %d has epoch %d, the race %d", ErrBadConfig, i, c.Epoch, epoch)
-			}
-			if race.FastForward && (len(clocks) > 1 || c.Rule != difficulty.Static) {
+			if race.FastForward && (len(rules) > 1 || r != difficulty.Static) {
 				return fmt.Errorf("%w: a fast-forward race carries one static clock", ErrBadConfig)
 			}
 		}
 	}
-	rn.s.init(race, clocks)
+	rn.s.init(race, rules)
 	return settleRun(&rn.s, out)
 }
 
@@ -317,7 +311,7 @@ func traceRun(cfg Config) (*simulator, Result, error) {
 		return nil, Result{}, err
 	}
 	s := &simulator{keepTree: true}
-	s.init(cfg, []difficulty.Params{cfg.Time.Difficulty})
+	s.init(cfg, []difficulty.Rule{cfg.Time.Difficulty.Rule})
 	var out [1]Result
 	if err := settleRun(s, out[:]); err != nil {
 		return nil, Result{}, err

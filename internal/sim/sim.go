@@ -167,9 +167,6 @@ func (c Config) withDefaults() Config {
 	if c.Schedule.MaxDepth() == 0 {
 		c.Schedule = rewards.Ethereum()
 	}
-	if c.Time.Enabled {
-		c.Time.Difficulty = c.Time.Difficulty.WithDefaults()
-	}
 	return c
 }
 
@@ -190,7 +187,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("%w: negative parallelism", ErrBadConfig)
 	}
 	if c.Time.Enabled {
-		if err := c.Time.Difficulty.Validate(); err != nil {
+		if err := c.Time.Difficulty.Rule.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
 	}
@@ -324,12 +321,6 @@ type simulator struct {
 	// the final tree holds every block. Only RunTrace sets it.
 	keepTree bool
 
-	// liveOnly keeps every pool on the live Strategy interface path
-	// instead of its compiled decision table. Tables are validated
-	// snapshots of the same reactions, so this never changes results;
-	// only the table equivalence tests set it, to compare the two paths.
-	liveOnly bool
-
 	// steadyEvent is the event index at which the loop records the Steady
 	// window's boundary (markSteadyStart); math.MaxInt once recorded or on
 	// timeless runs, so the per-event check is one comparison.
@@ -443,10 +434,10 @@ type simulator struct {
 }
 
 // init prepares the simulator for one run of cfg, carrying one clock
-// overlay per entry of clocks (see time.go), reusing any storage left over
+// overlay per entry of rules (see time.go), reusing any storage left over
 // from previous runs. cfg must already have defaults applied and be
-// validated, and clocks checked as RunGroup checks them.
-func (s *simulator) init(cfg Config, clocks []difficulty.Params) {
+// validated, and rules checked as RunGroup checks them.
+func (s *simulator) init(cfg Config, rules []difficulty.Rule) {
 	window := cfg.Schedule.MaxDepth()
 	if window > maxReferenceWindow {
 		window = maxReferenceWindow
@@ -500,10 +491,7 @@ func (s *simulator) init(cfg Config, clocks []difficulty.Params) {
 	for i := range s.pools {
 		p := &s.pools[i]
 		p.strat = cfg.strategyFor(i + 1)
-		p.table = nil
-		if !s.liveOnly {
-			p.table = tableFor(p.strat)
-		}
+		p.table = tableFor(p.strat)
 		p.root = genesis
 		p.rootHeight = 0
 		p.blocks = p.blocks[:0]
@@ -539,7 +527,7 @@ func (s *simulator) init(cfg Config, clocks []difficulty.Params) {
 		s.events = s.events[:numPools+1]
 		clear(s.events)
 	}
-	s.initTime(cfg, clocks)
+	s.initTime(cfg, rules)
 	s.initStream(cfg)
 	s.initFastForward(cfg)
 	s.initOriginFast()

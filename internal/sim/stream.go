@@ -6,6 +6,7 @@ import (
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/core"
+	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/stats"
 )
@@ -73,9 +74,8 @@ type streamState struct {
 	// it.
 	// The windows' tallies are shared by every clock overlay; their time
 	// bounds are stamped per overlay (clockOverlay.bounds).
-	epoch        int
 	steadyHeight int
-	early        Window // heights <= epoch
+	early        Window // heights <= difficulty.DefaultEpoch
 	steady       Window // heights > steadyHeight
 }
 
@@ -101,7 +101,6 @@ func (s *simulator) initStream(cfg Config) {
 		// Only the windows need per-block callbacks.
 		st.hooks.OnBlock = s.streamBlock
 		s.steadyEvent = cfg.Blocks / 2
-		st.epoch = cfg.Time.Difficulty.Epoch
 		nPools := cfg.Population.NumPools() + 1
 		st.early = Window{ByPool: make([]chain.Reward, nPools)}
 		st.steady = Window{ByPool: make([]chain.Reward, nPools)}
@@ -123,10 +122,10 @@ func (s *simulator) markSteadyStart() {
 func (s *simulator) streamBlock(id chain.BlockID, height int) {
 	st := s.str
 	minerPool := s.poolOf(id)
-	if height <= st.epoch {
+	if height <= difficulty.DefaultEpoch {
 		st.early.Regular++
 		st.early.ByPool[minerPool].Static++
-		if height == st.epoch {
+		if height == difficulty.DefaultEpoch {
 			s.stampBound(id, earlyEnd)
 		}
 	}
@@ -155,7 +154,7 @@ func (s *simulator) streamRef(ref chain.UncleRef) {
 		return
 	}
 	height := s.tree.HeightOf(ref.Nephew)
-	if height <= st.epoch {
+	if height <= difficulty.DefaultEpoch {
 		s.tallyRef(&st.early, ref)
 	}
 	if height > st.steadyHeight {
@@ -323,7 +322,7 @@ func (s *simulator) assembleResult(k int, floor chain.BlockID) Result {
 		o := s.overlay(k)
 		result.Elapsed = o.clock
 		result.SettledTime = s.stampOf(k, floor)
-		result.InitialDifficulty = o.staticDifficulty
+		result.InitialDifficulty = difficulty.InitialDifficulty
 		result.FinalDifficulty = o.currentDifficulty()
 		if o.ctrl != nil {
 			result.Retargets = o.ctrl.Retargets()
@@ -337,7 +336,7 @@ func (s *simulator) assembleResult(k int, floor chain.BlockID) Result {
 func (st *streamState) assembleWindows(result *Result, o *clockOverlay) {
 	early := st.early
 	early.End = o.bounds[earlyEnd]
-	if result.RegularCount < st.epoch {
+	if result.RegularCount < difficulty.DefaultEpoch {
 		// The settled chain never reached the epoch boundary: the early
 		// window is the whole settled chain, ending at the floor's stamp.
 		early.End = result.SettledTime

@@ -151,7 +151,7 @@ func oracleResult(t *testing.T, s *simulator) Result {
 	if s.timing {
 		result.Elapsed = s.clock
 		result.SettledTime = s.tree.TimeOf(settlement.Tip)
-		result.InitialDifficulty = cfg.Time.Difficulty.Initial
+		result.InitialDifficulty = difficulty.InitialDifficulty
 		result.FinalDifficulty = s.currentDifficulty()
 		if s.ctrl != nil {
 			result.Retargets = s.ctrl.Retargets()
@@ -166,7 +166,7 @@ func oracleResult(t *testing.T, s *simulator) Result {
 // above the recorded midpoint-floor height.
 func oracleWindows(s *simulator, result *Result, floor chain.BlockID) {
 	tree := s.tree
-	earlyEnd := min(s.cfg.Time.Difficulty.Epoch, result.RegularCount)
+	earlyEnd := min(difficulty.DefaultEpoch, result.RegularCount)
 	steadyStart := s.str.steadyHeight
 	nPools := len(result.ByPool)
 	early := Window{ByPool: make([]chain.Reward, nPools)}

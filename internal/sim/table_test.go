@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -17,10 +18,19 @@ import (
 // their tables and no knob selects the live path).
 
 // runLive is Run with every pool on the live Strategy interface path
-// instead of its compiled decision table.
+// instead of its compiled decision table: each strategy rides in a struct
+// that forwards its methods but lacks the frameTabled marker, so tableFor
+// compiles no table (and the origin fast path stays off).
 func runLive(cfg Config) (Result, error) {
-	rn := &Runner{s: simulator{liveOnly: true}}
-	return rn.Run(cfg)
+	live := make([]Strategy, cfg.Population.NumPools())
+	for i := range live {
+		live[i] = struct{ Strategy }{cfg.strategyFor(i + 1)}
+		if tableFor(live[i]) != nil {
+			return Result{}, errors.New("sim: a wrapped strategy still compiles a decision table")
+		}
+	}
+	cfg.Strategies = live
+	return Run(cfg)
 }
 
 // sampleSpecs enumerates a covering sample of a definition's parameter

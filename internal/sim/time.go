@@ -26,12 +26,12 @@ import (
 //
 // Because the race never reads the clock, one race walk can carry several
 // clock overlays at once: Runner.RunGroup takes the race and one
-// difficulty.Params per overlay, and the overlays share the walk, the
+// difficulty.Rule per overlay, and the overlays share the walk, the
 // settlement and the one unit-exponential draw per event, which each
 // overlay scales by its own difficulty. Each overlay keeps its own clock,
 // controller, block stamps and window bounds, and one walk of each newly
 // settled segment feeds every controller, so every overlay's Result is
-// bit-identical to a run of the race under its params alone. Overlay 0 is
+// bit-identical to a run of the race under its rule alone. Overlay 0 is
 // the simulator's own clock and stamps into the tree's time column;
 // overlays 1..N-1 keep their stamps in a column of their own, indexed and
 // compacted like the per-block flags.
@@ -46,30 +46,27 @@ const timeStreamSalt = 0xD1B54A32D192ED03
 // TimeConfig configures the continuous-time axis. The zero value disables
 // it: the simulator stays the timeless block-count engine, consuming no
 // extra randomness and producing bit-identical results to the pre-time
-// engine. Runner.RunGroup runs one race under several Difficulty params at
-// once (the race's Epoch, any Rule, TargetRate and Initial), sharing the
-// walk and the exponential draw per event.
+// engine. Runner.RunGroup runs one race under several difficulty rules at
+// once, sharing the walk and the exponential draw per event.
 type TimeConfig struct {
 	// Enabled turns the time axis on.
 	Enabled bool
 
-	// Difficulty configures the difficulty regime (defaults applied by
-	// the simulator: rule Static, target rate 1, epoch
-	// difficulty.DefaultEpoch, initial difficulty 1). Rule Static keeps
-	// difficulty constant; BitcoinStyle and EIP100 close the feedback
-	// loop through an engine-driven difficulty.Controller.
+	// Difficulty selects the difficulty rule (zero: Static). Static keeps
+	// difficulty at difficulty.InitialDifficulty; BitcoinStyle and EIP100
+	// close the feedback loop through an engine-driven
+	// difficulty.Controller.
 	Difficulty difficulty.Params
 }
 
-// clockOverlay is one difficulty regime riding the race walk: its clock,
-// its difficulty (a controller's, or the static initial value), its block
+// clockOverlay is one difficulty rule riding the race walk: its clock, its
+// difficulty (a controller's, or the static initial value), its block
 // stamps and its settlement-window time bounds.
 type clockOverlay struct {
-	// clock is the overlay's simulation time; staticDifficulty paces it
-	// when ctrl is nil (static rule) and is the run's initial difficulty.
-	clock            float64
-	staticDifficulty float64
-	ctrl             *difficulty.Controller
+	// clock is the overlay's simulation time, paced by
+	// difficulty.InitialDifficulty when ctrl is nil (static rule).
+	clock float64
+	ctrl  *difficulty.Controller
 
 	// bounds holds the stamps of the Early window's last block and of the
 	// Steady window's boundary block, recorded as settlement passes them.
@@ -86,24 +83,22 @@ const (
 	steadyStart
 )
 
-// init resets the overlay for one run under the (defaulted) params, reusing
-// its controller when the params match.
-func (o *clockOverlay) init(p difficulty.Params) {
+// init resets the overlay for one run under rule, reusing its controller
+// when the rule matches.
+func (o *clockOverlay) init(rule difficulty.Rule) {
 	o.clock = 0
 	o.bounds = [2]float64{}
-	o.staticDifficulty = p.Initial
-	if p.Rule == difficulty.Static {
+	if rule == difficulty.Static {
 		// Static difficulty needs no feedback: skip controller stepping
 		// (and the per-event floor computation it requires) entirely.
 		o.ctrl = nil
 		return
 	}
-	if o.ctrl == nil || o.ctrl.Params() != p {
-		// The params were validated with the config; rebuilding cannot
-		// fail.
-		ctrl, err := difficulty.NewController(p)
+	if o.ctrl == nil || o.ctrl.Rule() != rule {
+		// The rule was validated with the config; rebuilding cannot fail.
+		ctrl, err := difficulty.NewController(difficulty.Params{Rule: rule})
 		if err != nil {
-			panic("sim: validated difficulty params rejected: " + err.Error())
+			panic("sim: validated difficulty rule rejected: " + err.Error())
 		}
 		o.ctrl = ctrl
 	} else {
@@ -118,7 +113,7 @@ func (o *clockOverlay) currentDifficulty() float64 {
 	if o.ctrl != nil {
 		return o.ctrl.Difficulty()
 	}
-	return o.staticDifficulty
+	return difficulty.InitialDifficulty
 }
 
 // overlay returns clock overlay k (0: the simulator's own).
@@ -273,11 +268,11 @@ func safeRate(amount, duration float64) float64 {
 func timeSeed(seed uint64) uint64 { return seed ^ timeStreamSalt }
 
 // initTime prepares the simulator's time axis for one run of cfg (defaults
-// already applied) carrying one clock overlay per entry of clocks, overlay
-// 0 first: reseed or create the dedicated time stream, reset each overlay
-// (rebuilding controllers only when their params changed), and rewind the
+// already applied) carrying one clock overlay per entry of rules, overlay 0
+// first: reseed or create the dedicated time stream, reset each overlay
+// (rebuilding controllers only when their rule changed), and rewind the
 // settled observation cursor.
-func (s *simulator) initTime(cfg Config, clocks []difficulty.Params) {
+func (s *simulator) initTime(cfg Config, rules []difficulty.Rule) {
 	s.timing = cfg.Time.Enabled
 	s.observing = false
 	s.observedTo = s.tree.Genesis()
@@ -293,18 +288,18 @@ func (s *simulator) initTime(cfg Config, clocks []difficulty.Params) {
 		s.timeRandom.Reseed(timeSeed(cfg.Seed))
 	}
 	s.timeRandom.SetAntithetic(cfg.Antithetic)
-	s.clockOverlay.init(clocks[0].WithDefaults())
+	s.clockOverlay.init(rules[0])
 	s.observing = s.ctrl != nil
 	// Reslicing within capacity keeps earlier runs' controllers and stamp
 	// columns for reuse.
-	extra := clocks[1:]
+	extra := rules[1:]
 	s.overlays = s.overlays[:min(len(extra), cap(s.overlays))]
 	for len(s.overlays) < len(extra) {
 		s.overlays = append(s.overlays, clockOverlay{})
 	}
 	for k := range s.overlays {
 		o := &s.overlays[k]
-		o.init(extra[k].WithDefaults())
+		o.init(extra[k])
 		o.stamps = append(o.stamps[:0], 0) // genesis
 		s.observing = s.observing || o.ctrl != nil
 	}

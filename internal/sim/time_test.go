@@ -89,16 +89,16 @@ func TestTimedTimestampsMonotone(t *testing.T) {
 // concentrates around n*d.
 func TestStaticDifficultyPacesClock(t *testing.T) {
 	cfg := timedConfig(t, 0.3, 20000, difficulty.Static)
-	cfg.Time.Difficulty.Initial = 2.5
 	result, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2.5 * float64(cfg.Blocks)
+	const d = difficulty.InitialDifficulty
+	want := d * float64(cfg.Blocks)
 	if math.Abs(result.Elapsed-want)/want > 0.05 {
 		t.Errorf("elapsed %v, want ~%v", result.Elapsed, want)
 	}
-	if result.FinalDifficulty != 2.5 || result.Retargets != 0 {
+	if result.InitialDifficulty != d || result.FinalDifficulty != d || result.Retargets != 0 {
 		t.Errorf("static run ended at difficulty %v after %d retargets",
 			result.FinalDifficulty, result.Retargets)
 	}
@@ -145,9 +145,8 @@ func TestWindowsPartitionSettledChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epoch := cfg.Time.Difficulty.WithDefaults().Epoch
-	if result.Early.Regular != epoch {
-		t.Errorf("early window has %d regular blocks, want the epoch %d", result.Early.Regular, epoch)
+	if result.Early.Regular != difficulty.DefaultEpoch {
+		t.Errorf("early window has %d regular blocks, want the epoch %d", result.Early.Regular, difficulty.DefaultEpoch)
 	}
 	mid := s.str.steadyHeight
 	if want := result.RegularCount - mid; result.Steady.Regular != want {
@@ -208,15 +207,10 @@ func TestTimedRunnerReuse(t *testing.T) {
 	}
 }
 
-// TestTimedConfigValidation rejects unusable difficulty parameters through
-// the simulator's own validation.
+// TestTimedConfigValidation rejects an unknown difficulty rule through the
+// simulator's own validation.
 func TestTimedConfigValidation(t *testing.T) {
-	cfg := timedConfig(t, 0.3, 100, difficulty.BitcoinStyle)
-	cfg.Time.Difficulty.TargetRate = -1
-	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative target rate: err = %v, want ErrBadConfig", err)
-	}
-	cfg = timedConfig(t, 0.3, 100, difficulty.Rule(42))
+	cfg := timedConfig(t, 0.3, 100, difficulty.Rule(42))
 	if _, err := Run(cfg); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("unknown rule: err = %v, want ErrBadConfig", err)
 	}

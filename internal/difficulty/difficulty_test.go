@@ -9,8 +9,18 @@ import (
 )
 
 func TestParamsValidation(t *testing.T) {
-	if _, err := NewController(Params{Rule: Rule(99)}); !errors.Is(err, ErrBadController) {
-		t.Errorf("unknown rule: err = %v, want ErrBadController", err)
+	tests := []struct {
+		name string
+		p    Params
+	}{
+		{"unknown rule", Params{Rule: Rule(99)}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if _, err := NewController(tt.p); !errors.Is(err, ErrBadController) {
+				t.Errorf("err = %v, want ErrBadController", err)
+			}
+		})
 	}
 }
 

@@ -106,7 +106,6 @@ func bestResponse(opts Options, gammas, alphas []float64, specs []sim.StrategySp
 
 	jobs := make([]simJob, 0, len(gammas)*len(alphas)*len(specs))
 	for _, gamma := range gammas {
-		gamma := gamma
 		for _, alpha := range alphas {
 			pop, err := mining.TwoAgent(alpha)
 			if err != nil {

@@ -54,7 +54,6 @@ func DiffAblation(opts Options) (DiffAblationResult, error) {
 	rules := []difficulty.Rule{difficulty.BitcoinStyle, difficulty.EIP100}
 	jobs := make([]simJob, len(rules))
 	for i, rule := range rules {
-		rule := rule
 		jobs[i] = simJob{alpha: out.Alpha, cfg: sim.Config{
 			Gamma: out.Gamma,
 			Time:  sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: rule}},

@@ -27,11 +27,11 @@ import (
 //     served from the result cache when present, and simulated across the
 //     worker pool (and stored) otherwise. Timed rows that differ only in
 //     the difficulty rule share one race walk (sim.Runner.RunGroup), so
-//     they are one work item. Per-run
-//     seeds are derived exactly as the sequential sim.RunMany would derive
-//     them, so the assembled Series are bit-identical to a sequential
-//     sweep — which is also why a cached row is exact: by determinism
-//     invariant 3, a row is a pure function of its content address.
+//     they are one work item. Per-run seeds are derived exactly as the
+//     sequential sim.RunMany would derive them, so the assembled Series
+//     are bit-identical to a sequential sweep — which is also why a cached
+//     row is exact: by determinism invariant 3, a row is a pure function
+//     of its content address.
 
 // simJob describes the simulation work at one grid point: the pool's hash
 // power and the rest of the configuration, whose Population, Blocks, Audit
@@ -215,9 +215,8 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 // item's first row. Timed, non-fast-forward rows at the same run seed whose
 // configs differ only in the difficulty rule drive the same race walk (the
 // time axis draws from its own stream and the race never reads the clock),
-// so they form one item that
-// sim.Runner.RunGroup simulates once. Every other row is an item of its
-// own, at the cost of no extra hashing.
+// so they form one item that sim.Runner.RunGroup simulates once. Every
+// other row is an item of its own, at the cost of no extra hashing.
 func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int) [][]int {
 	type groupKey struct {
 		race jobkey.Key

@@ -88,8 +88,8 @@ const (
 	// DefaultPrecisionMaxRuns bounds a cell that cannot reach its target.
 	DefaultPrecisionMaxRuns = 256
 
-	// DefaultPrecisionBatch is the number of runs a cell simulates
-	// between interval checks (kept off the check boundary so small-sample t
+	// DefaultPrecisionBatch is the number of runs simulated between
+	// interval checks (kept off the check boundary so small-sample t
 	// intervals never gate on one or two runs).
 	DefaultPrecisionBatch = 8
 )

@@ -102,7 +102,6 @@ func Profitability(opts Options, rules ...difficulty.Rule) (ProfitabilityResult,
 	for _, rule := range rules {
 		for _, gamma := range profitabilityGammas {
 			for _, alpha := range profitabilityAlphas {
-				rule, gamma := rule, gamma
 				points = append(points, point{rule: rule, alpha: alpha, gamma: gamma})
 				jobs = append(jobs, simJob{alpha: alpha, cfg: sim.Config{
 					Gamma: gamma,

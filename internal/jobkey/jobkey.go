@@ -127,10 +127,10 @@ func writeConfig(w *writer, cfg *sim.Config) {
 		// gets its own address space.
 		w.Str(steadyDefinition)
 		w.U64(uint64(cfg.Time.Difficulty.Rule))
-		// The slots of the retired target-rate, epoch and initial-
-		// difficulty settings: always zero, as every config left them,
-		// so timed addresses stay byte-identical to those cached while
-		// the settings existed.
+		// The slots of the retired target rate, epoch and initial
+		// difficulty: always zero, as every config left them, so timed
+		// addresses stay byte-identical to those cached while the
+		// settings existed.
 		w.F64(0)
 		w.U64(0)
 		w.F64(0)

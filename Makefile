@@ -1,5 +1,5 @@
-# Development targets. `make check` is tier-1 plus the race suite in one
-# command.
+# Development targets. `make check` is a gofmt check, tier-1 and the race
+# suite in one command.
 
 GO ?= go
 
@@ -22,15 +22,20 @@ BENCH_HISTORY ?= BENCH_HISTORY.json
 # the CI workflow both read this list, so the two cannot drift.
 BENCH_GATE_FILTERS := 2pools tournament eip100 profitability alpha05 fastforward cache 1m nodepth
 
-.PHONY: check build vet test race agreement loc staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke examples-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
+.PHONY: check fmt build vet test race agreement loc staticcheck chaos-smoke cache-smoke kill-smoke fuzz-smoke examples-smoke bench bench-json bench-baseline bench-compare bench-gate bench-record bench-smoke
 
 # How long each fuzz target runs in fuzz-smoke; CI uses the default.
 FUZZTIME ?= 10s
 
-check: vet staticcheck test race agreement
+check: fmt vet staticcheck test race agreement
 
 build:
 	$(GO) build ./...
+
+# Fails listing every tracked Go file that gofmt would rewrite.
+fmt:
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

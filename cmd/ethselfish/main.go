@@ -20,8 +20,8 @@
 //	-blocks N      block events per run (default 100000, as the paper; at
 //	               least 1)
 //	-seed N        base RNG seed (default 1)
-//	-parallel N    worker goroutines for the experiment engine (default 0:
-//	               one per CPU); results are identical at any setting
+//	-parallel N    experiment engine workers (default 0: one per CPU;
+//	               negative is rejected); results are identical at any setting
 //	-strategies S  comma-separated strategy specs (e.g.
 //	               "algorithm1,stubborn:lead=1,trail-stubborn") for the
 //	               strategies and tournament experiments (bestresponse
@@ -49,8 +49,8 @@
 //	               the output is bit-identical to an uninterrupted run. A
 //	               final line torn by a crash is trimmed with a warning
 //	-audit         enable the simulator's runtime invariant auditor
-//	-audit-every N audit every Nth block event (default 1024; 1 checks
-//	               every event). Requires -audit
+//	-audit-every N audit every Nth block event (default 1024; 0 or 1
+//	               checks every event; negative is rejected). Requires -audit
 //	-list          enumerate experiments and registered strategy specs
 //	-csv           emit CSV instead of aligned text
 //
@@ -135,6 +135,12 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	if *timeout < 0 {
 		return fmt.Errorf("-timeout %v must not be negative", *timeout)
+	}
+	if *parallel < 0 {
+		return fmt.Errorf("-parallel %d must not be negative", *parallel)
+	}
+	if *auditEvery < 0 {
+		return fmt.Errorf("-audit-every %d must not be negative", *auditEvery)
 	}
 
 	opts := experiments.Options{Runs: *runs, Blocks: *blocks, Seed: *seed}

@@ -344,3 +344,45 @@ func TestParseRuleListRejectsDuplicates(t *testing.T) {
 		t.Errorf("parseRuleList of three distinct rules = %v, %v", rules, err)
 	}
 }
+
+// TestRunRejectsNegativeParallelAndAuditEvery: a negative -parallel or
+// -audit-every fails before any experiment prints. Table I is closed-form
+// and never reaches the engine's checks, and an "all" sweep would print the
+// closed-form experiments before its first simulation failed.
+func TestRunRejectsNegativeParallelAndAuditEvery(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-parallel", "-1", "table1"}, "-parallel"},
+		{[]string{"-audit", "-audit-every", "-1", "table1"}, "-audit-every"},
+		{[]string{"-quick", "-audit", "-audit-every", "-1", "all"}, "-audit-every"},
+	} {
+		var b strings.Builder
+		err := run(ctx, tc.args, &b)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%v: err = %v, want %s rejected", tc.args, err, tc.flag)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: printed %d bytes before failing", tc.args, b.Len())
+		}
+	}
+}
+
+// TestRunPrecisionTimeout: the precision study stops at -timeout like every
+// sweep instead of running to completion, and over a disk cache the error
+// says how to resume.
+func TestRunPrecisionTimeout(t *testing.T) {
+	args := []string{"-quick", "-blocks", "2000", "-timeout", "1ns", "precision"}
+	var b strings.Builder
+	if err := run(context.Background(), args, &b); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want context.DeadlineExceeded", err)
+	}
+	dir := filepath.Join(t.TempDir(), "cache")
+	err := run(context.Background(), append([]string{"-cachedir", dir}, args...), &b)
+	if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "rerun the same command to resume") {
+		t.Errorf("err = %v, want context.DeadlineExceeded with a resume hint", err)
+	}
+}

@@ -200,12 +200,12 @@
 // row's content address, so rows cached in one mode never serve the other.
 //
 // For sweep precision, internal/stats.Paired implements online
-// control-variate estimation against the engine's closed-form oracles
-// (the selfish event share has known mean alpha), and
-// sim.Config.Antithetic mirrors every uniform draw for negatively
-// correlated run pairs. experiments.Precision (CLI: `ethselfish
-// precision`) runs the adaptive runs-to-target-CI study per (alpha,
-// estimator) and reports realized radius, variance reduction factors, and
-// projected run counts; cmd/ethbench's precision benches report the same
-// as wall-clock time to a fixed target precision.
+// control-variate estimation (the selfish event share has known mean
+// alpha), and sim.Config.Antithetic mirrors every uniform draw for
+// negatively correlated run pairs. experiments.Precision (CLI:
+// `ethselfish precision`) runs the adaptive runs-to-target-CI study per
+// (alpha, estimator) through the experiment engine: the cells at one alpha
+// share its plain runs, rows go through the result cache, and cancellation
+// stops the study. cmd/ethbench's precision benches report the time to a
+// fixed target precision.
 package ethselfish

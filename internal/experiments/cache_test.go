@@ -270,6 +270,23 @@ func TestPrecisionCacheReuse(t *testing.T) {
 	}
 }
 
+// TestPrecisionRequestsEachRowOnce: the cells at one alpha share its plain
+// rows, and each round computes only rows no earlier round did, so a cold
+// cache sees every row exactly once: no hits, and every miss stored.
+func TestPrecisionRequestsEachRowOnce(t *testing.T) {
+	opts, pc := precisionTestConfig()
+	opts.Parallelism = 1
+	cache := resultcache.NewMemory(0)
+	opts.Cache = cache
+	if _, err := Precision(opts, pc); err != nil {
+		t.Fatal(err)
+	}
+	if s := cache.Stats(); s.Hits() != 0 || s.Misses != s.Stores || s.Misses == 0 {
+		t.Errorf("cold study: %d hits, %d misses, %d stored; want no hits and every miss stored",
+			s.Hits(), s.Misses, s.Stores)
+	}
+}
+
 // testJobs is a small two-point Fig. 8-style grid.
 func testJobs() []simJob {
 	alphas := []float64{0.2, 0.35}

@@ -19,19 +19,21 @@ import (
 //   - parallel.Map evaluates an arbitrary function at every grid point
 //     (used directly by the analytic drivers, whose points are
 //     closed-form solves).
-//   - runSimGrid resolves each job to a full sim.Config, derives its
-//     canonical content address (jobkey.ForConfig) and stream-family base
-//     seed (jobkey.SeedBase), and flattens (grid-point × run) into
-//     individually addressed rows. Rows whose addresses coincide within the
-//     sweep are computed once and scattered; the remaining unique rows are
-//     served from the result cache when present, and simulated across the
-//     worker pool (and stored) otherwise. Timed rows that differ only in
-//     the difficulty rule share one race walk (sim.Runner.RunGroup), so
-//     they are one work item. Per-run seeds are derived exactly as the
-//     sequential sim.RunMany would derive them, so the assembled Series
-//     are bit-identical to a sequential sweep — which is also why a cached
-//     row is exact: by determinism invariant 3, a row is a pure function
-//     of its content address.
+//   - runSimGrid runs every (grid-point × run) row of a fixed-run sweep;
+//     Precision extends its jobs' runs batch by batch. Both resolve their
+//     jobs to full sim.Configs with canonical content addresses
+//     (jobkey.ForConfig) and stream-family base seeds (jobkey.SeedBase),
+//     and hand (job, run) rows to runRows, which addresses each row.
+//     Rows whose addresses coincide within a call are computed once and
+//     scattered; the remaining unique rows are served from the result
+//     cache when present, and simulated across the worker pool (and
+//     stored) otherwise. Timed rows that differ only in the difficulty
+//     rule share one race walk (sim.Runner.RunGroup), so they are one work
+//     item. Per-run seeds are derived exactly as the sequential
+//     sim.RunMany would derive them, so the results are bit-identical to a
+//     sequential sweep — which is also why a cached row is exact: by
+//     determinism invariant 3, a row is a pure function of its content
+//     address.
 
 // simJob describes the simulation work at one grid point: the pool's hash
 // power and the rest of the configuration, whose Population, Blocks, Audit
@@ -49,6 +51,18 @@ type simJob struct {
 	specs []sim.StrategySpec
 	cfg   sim.Config
 }
+
+// resolvedJob is a simJob whose cfg is fully resolved, plus its two
+// canonical identities: the content address (what its rows are) and the
+// stream-family base seed (which random draws its runs consume).
+type resolvedJob struct {
+	simJob
+	key      jobkey.Key
+	seedBase uint64
+}
+
+// simRow is one row of a sweep: run run of job job.
+type simRow struct{ job, run int }
 
 // JobError locates a failure within a sweep: the grid point, its alpha,
 // the run index, and the exact seed of the failing simulation, so a
@@ -76,19 +90,15 @@ func (e *JobError) Error() string {
 
 func (e *JobError) Unwrap() error { return e.Err }
 
-// resolveJobs turns driver jobs into fully resolved configs plus their two
-// canonical identities: the content address (what the row is) and the
-// stream-family base seed (which random draws its runs consume).
-func resolveJobs(opts Options, jobs []simJob) (configs []sim.Config, keys []jobkey.Key, seedBases []uint64, err error) {
-	configs = make([]sim.Config, len(jobs))
-	keys = make([]jobkey.Key, len(jobs))
-	seedBases = make([]uint64, len(jobs))
+// resolveJobs resolves driver jobs, in job order.
+func resolveJobs(opts Options, jobs []simJob) ([]resolvedJob, error) {
+	resolved := make([]resolvedJob, len(jobs))
 	for j, job := range jobs {
 		pop := job.pop
 		if pop == nil {
-			pop, err = mining.TwoAgent(job.alpha)
-			if err != nil {
-				return nil, nil, nil, err
+			var err error
+			if pop, err = mining.TwoAgent(job.alpha); err != nil {
+				return nil, err
 			}
 		}
 		cfg := job.cfg
@@ -104,51 +114,63 @@ func resolveJobs(opts Options, jobs []simJob) (configs []sim.Config, keys []jobk
 			// picks up the job's runs.
 			strategies, err := sim.NewStrategies(job.specs)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, err
 			}
 			cfg.Strategies = strategies
 		}
 		// Compile each strategy's decision table once, up front, so no
 		// worker pays the one-time compile inside its timed hot loop.
 		sim.WarmDecisionTables(cfg.Strategies)
-		configs[j] = cfg
-		keys[j] = jobkey.ForConfig(cfg)
-		seedBases[j] = jobkey.SeedBase(opts.Seed, cfg)
+		job.cfg = cfg
+		resolved[j] = resolvedJob{simJob: job, key: jobkey.ForConfig(cfg), seedBase: jobkey.SeedBase(opts.Seed, cfg)}
 	}
-	return configs, keys, seedBases, nil
+	return resolved, nil
 }
 
 // runSimGrid executes every (grid-point × run) row of a sweep and returns
 // one Series per job, in job order with runs in run order — bit-identical
-// to running sim.RunMany sequentially at each point. Failures carry their
-// sweep coordinates via JobError; cancellation via opts.Ctx returns the
-// context error once in-flight runs drain.
-//
-// Rows flow through the pipeline: each is content-addressed; addresses
-// repeated within the sweep are computed once and the result scattered to
-// every duplicate; the unique rows are gathered into work items of rows
-// sharing one race walk (see raceGroups), and each item goes through
-// cachedGroup, so a sweep interrupted over a disk cache resumes by simply
-// running again.
+// to running sim.RunMany sequentially at each point.
 func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
-	configs, keys, seedBases, err := resolveJobs(opts, jobs)
+	resolved, err := resolveJobs(opts, jobs)
 	if err != nil {
 		return nil, err
 	}
+	rows := make([]simRow, len(jobs)*opts.Runs)
+	for k := range rows {
+		rows[k] = simRow{k / opts.Runs, k % opts.Runs}
+	}
+	results, err := runRows(opts, resolved, rows)
+	if err != nil {
+		return nil, err
+	}
+	series := make([]sim.Series, len(jobs))
+	for j := range series {
+		// Clamp capacity so appending to one Series can never bleed
+		// into the next one's backing storage.
+		series[j] = sim.Series{Runs: results[j*opts.Runs : (j+1)*opts.Runs : (j+1)*opts.Runs]}
+	}
+	return series, nil
+}
 
+// runRows executes rows of the resolved jobs and returns their results in
+// row order. Failures carry their sweep coordinates via JobError;
+// cancellation via opts.Ctx returns the context error once in-flight runs
+// drain. Every work item (see raceGroups) goes through cachedGroup, so a
+// sweep interrupted over a disk cache resumes by simply running again.
+func runRows(opts Options, jobs []resolvedJob, rows []simRow) ([]sim.Result, error) {
 	// Address every row, then deduplicate: rows sharing a content address
 	// are the same pure function evaluation, so only the first occurrence
 	// is dispatched and the rest alias its result.
-	n := len(jobs) * opts.Runs
+	n := len(rows)
 	seeds := make([]uint64, n)
 	rowKeys := make([]jobkey.Key, n)
 	repOf := make([]int, n)
 	firstAt := make(map[jobkey.Key]int, n)
 	unique := make([]int, 0, n)
-	for k := 0; k < n; k++ {
-		j, r := k/opts.Runs, k%opts.Runs
-		seeds[k] = sim.DeriveSeed(seedBases[j], r)
-		rowKeys[k] = keys[j].Row(seeds[k])
+	for k, row := range rows {
+		job := &jobs[row.job]
+		seeds[k] = sim.DeriveSeed(job.seedBase, row.run)
+		rowKeys[k] = job.key.Row(seeds[k])
 		if first, ok := firstAt[rowKeys[k]]; ok {
 			repOf[k] = first
 			continue
@@ -157,33 +179,33 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 		repOf[k] = k
 		unique = append(unique, k)
 	}
-	items := raceGroups(opts, configs, seeds, unique)
+	items := raceGroups(jobs, rows, seeds, unique)
 
 	// Each worker reuses one simulator (tree, arena, scratch) across all
 	// the work items it processes; reuse never changes results, so the
-	// grid stays bit-identical to sequential fresh-simulator runs. Items
+	// rows stay bit-identical to sequential fresh-simulator runs. Items
 	// write disjoint rows of results.
 	results := make([]sim.Result, n)
-	_, _, err = parallel.MapWithCtx(opts.Ctx, opts.Parallelism, len(items), sim.NewRunner,
+	_, _, err := parallel.MapWithCtx(opts.Ctx, opts.Parallelism, len(items), sim.NewRunner,
 		func(rn *sim.Runner, i int) (struct{}, error) {
 			members := items[i]
 			// The first row is the race; every row rides it as a clock
 			// under its own rule. Stack buffers cover the profitability
 			// grid's three rules; larger groups spill to the heap.
-			race := configs[members[0]/opts.Runs]
+			race := jobs[rows[members[0]].job].cfg
 			race.Seed = seeds[members[0]]
 			var ruleBuf [4]difficulty.Rule
 			var addrBuf [4]jobkey.Key
 			var outBuf [4]sim.Result
 			rules, addrs, out := ruleBuf[:0], addrBuf[:0], outBuf[:0]
 			for _, k := range members {
-				rules = append(rules, configs[k/opts.Runs].Time.Difficulty.Rule)
+				rules = append(rules, jobs[rows[k].job].cfg.Time.Difficulty.Rule)
 				addrs = append(addrs, rowKeys[k])
 				out = append(out, sim.Result{})
 			}
 			if m, err := cachedGroup(rn, race, rules, addrs, opts.Cache, out); err != nil {
 				k := members[m]
-				return struct{}{}, &JobError{Point: k / opts.Runs, Alpha: jobs[k/opts.Runs].alpha, Run: k % opts.Runs, Seed: seeds[k], Err: err}
+				return struct{}{}, &JobError{Point: rows[k].job, Alpha: jobs[rows[k].job].alpha, Run: rows[k].run, Seed: seeds[k], Err: err}
 			}
 			for m, k := range members {
 				results[k] = out[m]
@@ -196,19 +218,12 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 
 	// Alias every duplicate to its representative. repOf always points at
 	// an earlier (already placed) index, so one forward pass suffices.
-	for k := 0; k < n; k++ {
+	for k := range results {
 		if repOf[k] != k {
 			results[k] = results[repOf[k]]
 		}
 	}
-
-	series := make([]sim.Series, len(jobs))
-	for j := range series {
-		// Clamp capacity so appending to one Series can never bleed
-		// into the next one's backing storage.
-		series[j] = sim.Series{Runs: results[j*opts.Runs : (j+1)*opts.Runs : (j+1)*opts.Runs]}
-	}
-	return series, nil
+	return results, nil
 }
 
 // raceGroups gathers the unique rows into work items, in order of each
@@ -217,7 +232,7 @@ func runSimGrid(opts Options, jobs []simJob) ([]sim.Series, error) {
 // time axis draws from its own stream and the race never reads the clock),
 // so they form one item that sim.Runner.RunGroup simulates once. Every
 // other row is an item of its own, at the cost of no extra hashing.
-func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int) [][]int {
+func raceGroups(jobs []resolvedJob, rows []simRow, seeds []uint64, unique []int) [][]int {
 	type groupKey struct {
 		race jobkey.Key
 		seed uint64
@@ -226,8 +241,8 @@ func raceGroups(opts Options, configs []sim.Config, seeds []uint64, unique []int
 	itemOf := make(map[groupKey]int)
 	items := make([][]int, 0, len(unique))
 	for _, k := range unique {
-		j := k / opts.Runs
-		cfg := configs[j]
+		j := rows[k].job
+		cfg := jobs[j].cfg
 		if !cfg.Time.Enabled || cfg.FastForward {
 			items = append(items, []int{k})
 			continue
@@ -294,15 +309,6 @@ func cachedGroup(rn *sim.Runner, race sim.Config, rules []difficulty.Rule, addrs
 		}
 	}
 	return 0, nil
-}
-
-// cachedRun is cachedGroup for one row at address addr, for the drivers
-// that adaptively run simulations outside a fixed grid (the precision
-// study).
-func cachedRun(rn *sim.Runner, cfg sim.Config, addr jobkey.Key, cache *resultcache.Cache) (sim.Result, error) {
-	var out [1]sim.Result
-	_, err := cachedGroup(rn, cfg, []difficulty.Rule{cfg.Time.Difficulty.Rule}, []jobkey.Key{addr}, cache, out[:])
-	return out[0], err
 }
 
 // sweep materializes an inclusive arithmetic parameter sweep as a grid.

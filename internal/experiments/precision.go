@@ -6,9 +6,6 @@ import (
 	"strconv"
 
 	"github.com/ethselfish/ethselfish/internal/core"
-	"github.com/ethselfish/ethselfish/internal/jobkey"
-	"github.com/ethselfish/ethselfish/internal/mining"
-	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/rewards"
 	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/stats"
@@ -31,9 +28,9 @@ import (
 //     reflected across the lattice midpoint) and averages within pairs;
 //     the negative within-pair correlation cancels first-order noise.
 //
-// Every cell is deterministic given (Options.Seed, alpha, estimator):
-// seeds derive exactly as the fixed-run grid derives them, so a precision
-// study is reproducible run for run.
+// Every cell is deterministic given (Options.Seed, alpha, estimator): its
+// rows run through the experiment engine like every sweep's, so a
+// precision study is reproducible run for run.
 
 // Estimator selects the statistical estimator of a precision cell.
 type Estimator int
@@ -61,19 +58,6 @@ func (e Estimator) String() string {
 		return "antithetic"
 	}
 	return "estimator(" + strconv.Itoa(int(e)) + ")"
-}
-
-// ParseEstimator resolves a canonical estimator name.
-func ParseEstimator(name string) (Estimator, error) {
-	switch name {
-	case "plain":
-		return EstimatorPlain, nil
-	case "control-variate", "cv":
-		return EstimatorControlVariate, nil
-	case "antithetic":
-		return EstimatorAntithetic, nil
-	}
-	return 0, fmt.Errorf("%w: unknown estimator %q", ErrBadOptions, name)
 }
 
 // Precision-study defaults.
@@ -193,9 +177,10 @@ type PrecisionResult struct {
 // Precision runs the runs-to-target-precision study: every (alpha,
 // estimator) cell simulates in batches until its confidence interval
 // reaches the target half-width, and reports the measured variance
-// reduction alongside projected run counts. Cells are scheduled across the
-// engine's workers; within a cell, runs are sequential on one reused
-// simulator (the adaptive stopping rule is inherently serial).
+// reduction alongside projected run counts. The study advances in rounds:
+// every open cell requests its next batch, the engine computes the rows no
+// earlier round computed across its workers (the cells at one alpha share
+// its plain rows), and each cell folds its batch in run order.
 // Options.FastForward applies as in every sweep, compounding the two
 // accelerations.
 func Precision(opts Options, pc PrecisionConfig) (PrecisionResult, error) {
@@ -212,153 +197,158 @@ func Precision(opts Options, pc PrecisionConfig) (PrecisionResult, error) {
 		return PrecisionResult{}, err
 	}
 
-	type cell struct {
-		alpha float64
-		est   Estimator
-	}
-	cells := make([]cell, 0, len(pc.Alphas)*len(pc.Estimators))
-	for _, alpha := range pc.Alphas {
+	// Job 2a is alpha a's plain job and 2a+1 its antithetic mirror. Their
+	// seed bases coincide (a job's stream family excludes the statistical
+	// modes), so run i of the mirror reflects run i of the plain job.
+	jobs := make([]simJob, 0, 2*len(pc.Alphas))
+	cells := make([]*precisionCell, 0, len(pc.Alphas)*len(pc.Estimators))
+	for a, alpha := range pc.Alphas {
+		cfg := sim.Config{Gamma: fig8Gamma, Schedule: schedule}
+		jobs = append(jobs, simJob{alpha: alpha, cfg: cfg})
+		cfg.Antithetic = true
+		jobs = append(jobs, simJob{alpha: alpha, cfg: cfg})
+		model, err := core.New(core.Params{Alpha: alpha, Gamma: fig8Gamma, Schedule: schedule})
+		if err != nil {
+			return PrecisionResult{}, err
+		}
+		analytic := model.Revenue().PoolAbsolute(core.Scenario1)
 		for _, est := range pc.Estimators {
-			cells = append(cells, cell{alpha, est})
+			c := &precisionCell{job: 2 * a, step: 1}
+			c.PrecisionRow = PrecisionRow{Alpha: alpha, Estimator: est, Analytic: analytic, Radius: math.Inf(1)}
+			if est == EstimatorAntithetic {
+				c.step = 2
+			}
+			cells = append(cells, c)
 		}
 	}
-	rows, err := parallel.Map(opts.Parallelism, len(cells), func(i int) (PrecisionRow, error) {
-		return precisionCell(opts, pc, schedule, cells[i].alpha, cells[i].est)
-	})
+	resolved, err := resolveJobs(opts, jobs)
 	if err != nil {
 		return PrecisionResult{}, err
 	}
-	return PrecisionResult{Rows: rows, TargetRadius: pc.TargetRadius, Level: DefaultPrecisionLevel}, nil
-}
 
-// precisionCell runs one (alpha, estimator) cell to its stopping rule.
-func precisionCell(opts Options, pc PrecisionConfig, schedule rewards.Schedule, alpha float64, est Estimator) (PrecisionRow, error) {
-	pop, err := mining.TwoAgent(alpha)
-	if err != nil {
-		return PrecisionRow{}, err
-	}
-	model, err := core.New(core.Params{Alpha: alpha, Gamma: fig8Gamma, Schedule: schedule})
-	if err != nil {
-		return PrecisionRow{}, err
-	}
-	analytic := model.Revenue().PoolAbsolute(core.Scenario1)
-
-	base := sim.Config{
-		Population:  pop,
-		Gamma:       fig8Gamma,
-		Schedule:    schedule,
-		Blocks:      opts.Blocks,
-		Audit:       opts.Audit,
-		FastForward: opts.FastForward,
-	}
-	rn := sim.NewRunner()
-	seedBase := jobkey.SeedBase(opts.Seed, base)
-	// The cell's two row families — plain and antithetic mirror — have
-	// fixed content addresses; only the per-run seed varies.
-	plainKey := jobkey.ForConfig(base)
-	antiBase := base
-	antiBase.Antithetic = true
-	antiKey := jobkey.ForConfig(antiBase)
-
-	var acc stats.Accumulator // plain observations, or antithetic pair means
-	var all stats.Accumulator // antithetic halves (the plain-variance proxy)
-	var paired stats.Paired   // control-variate (revenue, event-share) pairs
-	runs, idx := 0, 0
-	estimate, radius := 0.0, math.Inf(1)
-
-	for runs < pc.MaxRuns {
-		for b := 0; b < DefaultPrecisionBatch && runs < pc.MaxRuns; {
-			cfg := base
-			cfg.Seed = sim.DeriveSeed(seedBase, idx)
-			idx++
-			res, err := cachedRun(rn, cfg, plainKey.Row(cfg.Seed), opts.Cache)
-			if err != nil {
-				return PrecisionRow{}, err
-			}
-			y := res.PoolAbsolute(core.Scenario1)
-			switch est {
-			case EstimatorAntithetic:
-				cfg.Antithetic = true
-				mirror, err := cachedRun(rn, cfg, antiKey.Row(cfg.Seed), opts.Cache)
-				if err != nil {
-					return PrecisionRow{}, err
-				}
-				ym := mirror.PoolAbsolute(core.Scenario1)
-				acc.Add((y + ym) / 2)
-				all.Add(y)
-				all.Add(ym)
-				runs += 2
-				b += 2
-			case EstimatorControlVariate:
-				paired.Add(y, res.SelfishEventShare())
-				acc.Add(y)
-				runs++
-				b++
-			default:
-				acc.Add(y)
-				runs++
-				b++
-			}
+	// done[j] is job j's computed prefix of runs, grown round by round.
+	done := make([][]sim.Result, len(jobs))
+	for {
+		need := make([]int, len(jobs))
+		open := false
+		for _, c := range cells {
+			open = c.advance(done, pc, need) || open
 		}
-		if est == EstimatorControlVariate {
-			ci, err := paired.ControlVariateInterval(alpha, DefaultPrecisionLevel)
-			if err != nil {
-				continue
-			}
-			estimate, radius = ci.Mean, ci.Radius
-		} else {
-			ci, err := acc.ConfidenceInterval(DefaultPrecisionLevel)
-			if err != nil {
-				continue
-			}
-			estimate, radius = ci.Mean, ci.Radius
-		}
-		if radius <= pc.TargetRadius {
+		if !open {
 			break
 		}
+		var rows []simRow
+		for j := range jobs {
+			for r := len(done[j]); r < need[j]; r++ {
+				rows = append(rows, simRow{j, r})
+			}
+		}
+		results, err := runRows(opts, resolved, rows)
+		if err != nil {
+			return PrecisionResult{}, err
+		}
+		for k, row := range rows {
+			done[row.job] = append(done[row.job], results[k])
+		}
 	}
 
-	// Project run counts to the target from the cell's own variance
-	// estimates: the effective per-run deviation of the estimator against
-	// the plain per-run deviation of the same stream.
-	vrf := 1.0
+	out := make([]PrecisionRow, len(cells))
+	for i, c := range cells {
+		out[i] = c.finish(pc.TargetRadius)
+	}
+	return PrecisionResult{Rows: out, TargetRadius: pc.TargetRadius, Level: DefaultPrecisionLevel}, nil
+}
+
+// precisionCell is one (alpha, estimator) cell on its way to its stopping
+// rule. The embedded row carries its running estimate and radius and the
+// runs it has requested.
+type precisionCell struct {
+	PrecisionRow
+	job  int // the alpha's plain job; job+1 is its antithetic mirror
+	step int // runs per run index: 2 for an antithetic pair, else 1
+
+	acc    stats.Accumulator // one entry per folded index: plain runs, or antithetic pair means
+	all    stats.Accumulator // antithetic halves (the plain-variance proxy)
+	paired stats.Paired      // control-variate (revenue, event-share) pairs
+}
+
+// advance folds the cell's requested runs not yet folded, in run order, and
+// updates its interval (the estimate and radius stay put while too few runs
+// give none). If the cell is still open — its radius above target and its
+// runs under the cap — it then requests its next batch, raising need to
+// cover it in every job it reads, and reports true.
+func (c *precisionCell) advance(done [][]sim.Result, pc PrecisionConfig, need []int) bool {
+	for i := c.acc.N(); i < c.Runs/c.step; i++ {
+		res := done[c.job][i]
+		y := res.PoolAbsolute(core.Scenario1)
+		switch c.Estimator {
+		case EstimatorAntithetic:
+			ym := done[c.job+1][i].PoolAbsolute(core.Scenario1)
+			c.acc.Add((y + ym) / 2)
+			c.all.Add(y)
+			c.all.Add(ym)
+		case EstimatorControlVariate:
+			c.paired.Add(y, res.SelfishEventShare())
+			c.acc.Add(y)
+		default:
+			c.acc.Add(y)
+		}
+	}
+	var ci stats.Interval
+	var err error
+	if c.Estimator == EstimatorControlVariate {
+		ci, err = c.paired.ControlVariateInterval(c.Alpha, DefaultPrecisionLevel)
+	} else {
+		ci, err = c.acc.ConfidenceInterval(DefaultPrecisionLevel)
+	}
+	if err == nil {
+		c.Estimate, c.Radius = ci.Mean, ci.Radius
+	}
+	if c.Radius <= pc.TargetRadius || c.Runs >= pc.MaxRuns {
+		return false
+	}
+	for b := 0; b < DefaultPrecisionBatch && c.Runs < pc.MaxRuns; b += c.step {
+		c.Runs += c.step
+	}
+	for j := c.job; j < c.job+c.step; j++ {
+		need[j] = max(need[j], c.Runs/c.step)
+	}
+	return true
+}
+
+// finish completes the cell's row: it projects run counts to the target
+// from the cell's own variance estimates, the effective per-run deviation
+// of the estimator against the plain per-run deviation of the same stream.
+func (c *precisionCell) finish(target float64) PrecisionRow {
+	c.VRF = 1
 	var sdEff, sdPlain float64
-	switch est {
+	switch c.Estimator {
 	case EstimatorControlVariate:
-		vrf = paired.VarianceReductionFactor()
-		sdEff = math.Sqrt(paired.ResidualVariance())
-		sdPlain = math.Sqrt(paired.VarianceY())
+		c.VRF = c.paired.VarianceReductionFactor()
+		sdEff = math.Sqrt(c.paired.ResidualVariance())
+		sdPlain = math.Sqrt(c.paired.VarianceY())
 	case EstimatorAntithetic:
 		// A pair costs two runs, so per-run-equivalent variance is twice
 		// the pair-mean variance.
-		varZ := acc.Variance()
-		varY := all.Variance()
+		varZ := c.acc.Variance()
+		varY := c.all.Variance()
 		if varZ > 0 {
-			vrf = varY / (2 * varZ)
+			c.VRF = varY / (2 * varZ)
 		} else if varY > 0 {
-			vrf = math.Inf(1)
+			c.VRF = math.Inf(1)
 		}
 		sdEff = math.Sqrt(2 * varZ)
 		sdPlain = math.Sqrt(varY)
 	default:
-		sdEff = acc.StdDev()
+		sdEff = c.acc.StdDev()
 		sdPlain = sdEff
 	}
-	runsTo := stats.RunsForRadius(sdEff, DefaultPrecisionLevel, pc.TargetRadius)
-	if est == EstimatorAntithetic && runsTo < math.MaxInt && runsTo%2 == 1 {
-		runsTo++
+	c.RunsToTarget = stats.RunsForRadius(sdEff, DefaultPrecisionLevel, target)
+	if c.Estimator == EstimatorAntithetic && c.RunsToTarget < math.MaxInt && c.RunsToTarget%2 == 1 {
+		c.RunsToTarget++
 	}
-	return PrecisionRow{
-		Alpha:             alpha,
-		Estimator:         est,
-		Analytic:          analytic,
-		Estimate:          estimate,
-		Radius:            radius,
-		Runs:              runs,
-		VRF:               vrf,
-		RunsToTarget:      runsTo,
-		PlainRunsToTarget: stats.RunsForRadius(sdPlain, DefaultPrecisionLevel, pc.TargetRadius),
-	}, nil
+	c.PlainRunsToTarget = stats.RunsForRadius(sdPlain, DefaultPrecisionLevel, target)
+	return c.PrecisionRow
 }
 
 // Table renders the study as rows.

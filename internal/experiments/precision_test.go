@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/ethselfish/ethselfish/internal/sim"
 )
 
 // precisionTestConfig keeps the study small enough for the test suite while
@@ -106,6 +110,44 @@ func TestPrecisionDeterminism(t *testing.T) {
 	}
 }
 
+// TestPrecisionHonoursContext: a cancelled or expired Options.Ctx stops the
+// study with the context's error instead of running it to completion.
+func TestPrecisionHonoursContext(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
+	defer cancel()
+	for _, tc := range []struct {
+		ctx  context.Context
+		want error
+	}{{cancelled, context.Canceled}, {expired, context.DeadlineExceeded}} {
+		for _, workers := range []int{1, 2} {
+			opts, pc := precisionTestConfig()
+			opts.Ctx, opts.Parallelism = tc.ctx, workers
+			if _, err := Precision(opts, pc); !errors.Is(err, tc.want) {
+				t.Errorf("%d workers: err = %v, want %v", workers, err, tc.want)
+			}
+		}
+	}
+}
+
+// TestPrecisionJobError: a failing row reports its sweep coordinates like
+// every sweep's, here the first run of the first alpha's plain job.
+func TestPrecisionJobError(t *testing.T) {
+	opts, pc := precisionTestConfig()
+	opts.Parallelism = 1
+	opts.Audit = sim.AuditConfig{Enabled: true, SampleEvery: -1} // invalid
+	_, err := Precision(opts, pc)
+	var je *JobError
+	if !errors.As(err, &je) || !errors.Is(err, sim.ErrBadConfig) {
+		t.Fatalf("err = %v (%T), want a *JobError wrapping sim.ErrBadConfig", err, err)
+	}
+	if je.Point != 0 || je.Run != 0 || je.Alpha != pc.Alphas[0] {
+		t.Errorf("JobError = point %d alpha %g run %d, want point 0 alpha %g run 0",
+			je.Point, je.Alpha, je.Run, pc.Alphas[0])
+	}
+}
+
 // TestPrecisionFastForward: the study accepts the fast-forward flag and
 // still lands on the analytic truth (the two accelerations compose).
 func TestPrecisionFastForward(t *testing.T) {
@@ -124,7 +166,7 @@ func TestPrecisionFastForward(t *testing.T) {
 	}
 }
 
-// TestPrecisionValidation pins option errors and estimator parsing.
+// TestPrecisionValidation pins option errors and estimator names.
 func TestPrecisionValidation(t *testing.T) {
 	opts, pc := precisionTestConfig()
 	bad := pc
@@ -143,18 +185,12 @@ func TestPrecisionValidation(t *testing.T) {
 		t.Errorf("negative target radius: err = %v, want ErrBadOptions", err)
 	}
 
-	for _, name := range []string{"plain", "control-variate", "cv", "antithetic"} {
-		if _, err := ParseEstimator(name); err != nil {
-			t.Errorf("ParseEstimator(%q): %v", name, err)
-		}
-	}
-	if _, err := ParseEstimator("bogus"); !errors.Is(err, ErrBadOptions) {
-		t.Errorf("ParseEstimator(bogus): err = %v, want ErrBadOptions", err)
-	}
-	for _, est := range allEstimators() {
-		parsed, err := ParseEstimator(est.String())
-		if err != nil || parsed != est {
-			t.Errorf("round trip %v: got %v, err %v", est, parsed, err)
+	for est, name := range map[Estimator]string{
+		EstimatorPlain: "plain", EstimatorControlVariate: "control-variate",
+		EstimatorAntithetic: "antithetic", Estimator(7): "estimator(7)",
+	} {
+		if got := est.String(); got != name {
+			t.Errorf("Estimator(%d).String() = %q, want %q", int(est), got, name)
 		}
 	}
 }

@@ -234,10 +234,10 @@ func NewPopulation(miners []Miner) (*Population, error) {
 	off := 0
 	for pool := range p.poolMembers {
 		c := int(counts[pool])
-		p.poolMembers[pool] = iblock[off:off : off+c]
+		p.poolMembers[pool] = iblock[off : off : off+c]
 		off += c
 	}
-	p.selfishMembers = iblock[off:off : off+selfish]
+	p.selfishMembers = iblock[off : off : off+selfish]
 	for i, m := range miners {
 		p.weights[i] = m.Power / total
 		if m.Pool != HonestPool {

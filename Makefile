@@ -90,12 +90,14 @@ chaos-smoke:
 	$(GO) run ./cmd/ethselfish -quick -runs 1 -blocks 20000 -audit -audit-every 256 table2 >/dev/null
 
 # The result cache end to end through the CLI: a cold run populates a disk
-# journal, a warm rerun must serve at least one hit and reproduce the
-# figure bit for bit (invariant 3 makes hits exact, so cmp — not a fuzzy
-# diff — is the right check). The partial-group case caches only the
-# EIP100 rows of the profitability grid; the full sweep must serve them as
-# hits while simulating the other rules' overlays on the shared race walks,
-# and match a run without a cache.
+# journal, a warm rerun must serve at least one hit, some of them counted
+# as disk hits (the rows the warm process read from the journal), and
+# reproduce the figure bit for bit (invariant 3 makes hits exact, so cmp —
+# not a fuzzy diff — is the right check). A command rejected for its
+# arguments must fail before it creates its -cachedir. The partial-group
+# case caches only the EIP100 rows of the profitability grid; the full
+# sweep must serve them as hits while simulating the other rules' overlays
+# on the shared race walks, and match a run without a cache.
 cache-smoke:
 	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir/ethselfish" ./cmd/ethselfish; \
@@ -105,7 +107,12 @@ cache-smoke:
 		> "$$dir/warm.out" 2> "$$dir/warm.err"; \
 	cmp "$$dir/cold.out" "$$dir/warm.out"; \
 	grep -Eq 'cache: [1-9][0-9]* hits' "$$dir/warm.err"; \
+	grep -Eq '[1-9][0-9]* disk' "$$dir/warm.err"; \
 	echo "cache-smoke: warm rerun bit-identical and served from cache"; \
+	if "$$dir/ethselfish" -cachedir "$$dir/never" nosuchexp 2> /dev/null; then \
+		echo "cache-smoke: unknown experiment accepted"; exit 1; fi; \
+	test ! -e "$$dir/never"; \
+	echo "cache-smoke: rejected command left no cache directory"; \
 	"$$dir/ethselfish" -quick profitability > "$$dir/profit-clean.out"; \
 	"$$dir/ethselfish" -quick -cachedir "$$dir/profit" -rule eip100 profitability \
 		> /dev/null 2> "$$dir/profit-eip100.err"; \

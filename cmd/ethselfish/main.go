@@ -143,6 +143,34 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("-audit-every %d must not be negative", *auditEvery)
 	}
 
+	specs, err := parseSpecList(*strategies)
+	if err != nil {
+		return err
+	}
+	rules, err := parseRuleList(*rule)
+	if err != nil {
+		return err
+	}
+
+	name := fs.Arg(0)
+	if name != "all" && !slices.Contains(experimentNames(), name) {
+		return unknownExperiment(name)
+	}
+	if len(rules) > 0 && name != "profitability" && name != "all" {
+		return fmt.Errorf("-rule only applies to the profitability experiment")
+	}
+	// The tournament needs a field of at least two entrants; reject a
+	// lone spec before any simulation runs (an "all" sweep would
+	// otherwise burn through every earlier experiment first). And
+	// bestresponse searches its own fixed candidate grid — reject
+	// -strategies there rather than silently ignoring it.
+	if len(specs) == 1 && (name == "tournament" || name == "all") {
+		return fmt.Errorf("-strategies needs at least 2 specs for the tournament, got 1")
+	}
+	if len(specs) > 0 && name == "bestresponse" {
+		return fmt.Errorf("bestresponse searches the whole stubborn family; -strategies is not supported (use strategies or tournament)")
+	}
+
 	opts := experiments.Options{Runs: *runs, Blocks: *blocks, Seed: *seed}
 	if *quick {
 		opts = experiments.Quick()
@@ -170,6 +198,8 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		defer cancel()
 	}
 	opts.Ctx = ctx
+	// Every argument check is above: a rejected command must not create
+	// -cachedir or trim and decode its journal.
 	if *cachedir != "" {
 		cache, err := resultcache.Open(*cachedir, 0)
 		if err != nil {
@@ -191,30 +221,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		}()
 	}
 
-	specs, err := parseSpecList(*strategies)
-	if err != nil {
-		return err
-	}
-	rules, err := parseRuleList(*rule)
-	if err != nil {
-		return err
-	}
-
-	name := fs.Arg(0)
-	if len(rules) > 0 && name != "profitability" && name != "all" {
-		return fmt.Errorf("-rule only applies to the profitability experiment")
-	}
-	// The tournament needs a field of at least two entrants; reject a
-	// lone spec before any simulation runs (an "all" sweep would
-	// otherwise burn through every earlier experiment first). And
-	// bestresponse searches its own fixed candidate grid — reject
-	// -strategies there rather than silently ignoring it.
-	if len(specs) == 1 && (name == "tournament" || name == "all") {
-		return fmt.Errorf("-strategies needs at least 2 specs for the tournament, got 1")
-	}
-	if len(specs) > 0 && name == "bestresponse" {
-		return fmt.Errorf("bestresponse searches the whole stubborn family; -strategies is not supported (use strategies or tournament)")
-	}
 	// An interrupted sweep over a disk cache is resumable; say so instead
 	// of leaving a bare "context canceled".
 	finish := func(err error) error {
@@ -433,7 +439,11 @@ func build(name string, opts experiments.Options, specs []sim.StrategySpec, rule
 		}
 		return result.Table(), nil
 	default:
-		return nil, fmt.Errorf("unknown experiment %q (want one of %s)",
-			name, strings.Join(experimentNames(), ", "))
+		return nil, unknownExperiment(name)
 	}
+}
+
+func unknownExperiment(name string) error {
+	return fmt.Errorf("unknown experiment %q (want one of %s)",
+		name, strings.Join(experimentNames(), ", "))
 }

@@ -247,6 +247,29 @@ func TestRunCacheDirFlag(t *testing.T) {
 	}
 }
 
+// TestRunRejectedCommandLeavesCacheDir: a command rejected for its
+// arguments fails before -cachedir is opened, so it neither creates the
+// directory nor touches a journal in it.
+func TestRunRejectedCommandLeavesCacheDir(t *testing.T) {
+	for _, args := range [][]string{
+		{"nosuchexp"},
+		{"-rule", "eip100", "fig8"},
+		{"-rule", "bogus", "profitability"},
+		{"-strategies", "algorithm1", "tournament"},
+		{"-strategies", "algorithm1,honest", "bestresponse"},
+		{"-runs", "0", "fig8"},
+	} {
+		dir := filepath.Join(t.TempDir(), "cache")
+		var b strings.Builder
+		if err := run(context.Background(), append([]string{"-cachedir", dir}, args...), &b); err == nil {
+			t.Errorf("%v: accepted", args)
+		}
+		if _, err := os.Stat(dir); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%v: -cachedir %s exists after the command was rejected (%v)", args, dir, err)
+		}
+	}
+}
+
 // TestRunRejectsZeroEffort: zero means "the default" inside the experiments
 // package, but on the command line -runs 0 or -blocks 0 is a mistake and
 // fails before any simulation, as negative values do. The context is

@@ -44,8 +44,9 @@ func benchJournal(b *testing.B, n int) (string, [][AddrSize]byte, []uint64) {
 	return dir, keys, seeds
 }
 
-// BenchmarkJournalOpen opens a 5000-row journal: read, strict validation
-// of every row, and the key -> offset index.
+// BenchmarkJournalOpen opens a 5000-row journal: a streamed read, strict
+// validation of every row, the key -> offset index, and the decoded rows
+// kept in the (default-sized) memory tier.
 func BenchmarkJournalOpen(b *testing.B) {
 	dir, _, _ := benchJournal(b, 5000)
 	info, err := os.Stat(filepath.Join(dir, journalName))

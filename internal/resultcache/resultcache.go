@@ -27,23 +27,27 @@
 // it to the same values without reflection; encoding/json decoding of rows
 // survives only as its test oracle.
 //
-// The memory tier holds decoded rows under an LRU bound; the disk tier is
-// scanned once at Open into a key -> byte-offset index, so a disk hit is
-// one ReadAt plus one parseRow, re-checked against the key and seed the
-// caller derived and promoted into memory. The read and decode run outside
-// the cache's lock, so workers' disk hits overlap. Writes append under the
-// lock through a single handle; the cache is safe for concurrent use by
-// the engine's workers but assumes a single writing process per directory.
+// The memory tier holds decoded rows under an LRU bound. Open streams the
+// journal once, a line at a time: it builds a key -> byte-offset index of
+// every row and keeps the newest rows it decoded, up to the memory tier's
+// capacity, so a hit on a kept row costs no read and no second parse. A
+// row Open did not keep is a disk hit of one ReadAt plus one parseRow,
+// re-checked against the key and seed the caller derived and promoted into
+// memory; the read and decode run outside the cache's lock, so workers'
+// disk hits overlap. Writes are encoded outside the lock and appended under
+// it through a single handle; the cache is safe for concurrent use by the
+// engine's workers but assumes a single writing process per directory.
 package resultcache
 
 import (
+	"bufio"
 	"bytes"
 	"container/list"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io/fs"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -69,7 +73,8 @@ const AddrSize = 32
 
 // DefaultMemoryEntries bounds the memory tier when the caller passes a
 // non-positive capacity. At roughly 2-6 KB per decoded row this keeps the
-// default cache in the tens of megabytes.
+// default cache in the tens of megabytes; Open fills the tier up to this
+// bound with the journal's newest rows.
 const DefaultMemoryEntries = 8192
 
 // journalHeader is the journal's first line.
@@ -92,11 +97,14 @@ type diskPos struct {
 	seed uint64
 }
 
-// entry is one decoded row in the memory tier.
+// entry is one decoded row in the memory tier. loaded marks a row Open
+// kept from the journal that no GetRaw has served yet: its first hit counts
+// as the disk hit it replaces.
 type entry struct {
 	key    string
 	seed   uint64
 	result sim.Result
+	loaded bool
 }
 
 // Stats counts the cache's traffic. Hits split by serving tier; Stores
@@ -150,45 +158,75 @@ func NewMemory(capacity int) *Cache {
 // over it. A torn final line is trimmed from the file (see the package
 // doc); the rest of the journal is validated strictly, and a corrupt or
 // schema-skewed journal is rejected with ErrCache — left untouched on disk
-// and never silently served from.
+// and never silently served from. On return the memory tier holds the
+// journal's newest rows, up to capacity, as decoded by that validation.
 func Open(dir string, capacity int) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("resultcache: creating cache dir: %w", err)
 	}
-	path := filepath.Join(dir, journalName)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, fmt.Errorf("resultcache: reading cache journal: %w", err)
-	}
-	complete := data[:bytes.LastIndexByte(data, '\n')+1]
-	index, err := decodeJournal(complete)
-	if err != nil {
-		return nil, fmt.Errorf("%w (wipe %s to start over)", err, dir)
-	}
-	torn := len(data) - len(complete)
-	if torn > 0 {
-		// Appends must start on a line boundary, so drop the torn line
-		// from the file itself, not just from the index.
-		if err := os.Truncate(path, int64(len(complete))); err != nil {
-			return nil, fmt.Errorf("resultcache: trimming torn journal tail: %w", err)
-		}
-	}
-	file, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	file, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("resultcache: opening cache journal: %w", err)
 	}
 	c := NewMemory(capacity)
 	c.file = file
-	c.size = int64(len(complete))
-	c.index = index
-	c.stats.TornBytes = uint64(torn)
-	if len(complete) == 0 {
-		if err := c.writeLine(journalHeader{Version: journalVersion, Schema: sim.ResultSchemaVersion}); err != nil {
-			file.Close()
-			return nil, err
+	if err := c.load(); err != nil {
+		file.Close()
+		if errors.Is(err, ErrCache) {
+			err = fmt.Errorf("%w (wipe %s to start over)", err, dir)
 		}
+		return nil, err
 	}
 	return c, nil
+}
+
+// load decodes the journal behind c.file into the index and the memory
+// tier, trims a torn final line and gives an empty journal its header.
+func (c *Cache) load() error {
+	info, err := c.file.Stat()
+	if err != nil {
+		return fmt.Errorf("resultcache: reading cache journal: %w", err)
+	}
+	complete, err := completeLen(c.file, info.Size())
+	if err != nil {
+		return fmt.Errorf("resultcache: reading cache journal: %w", err)
+	}
+	if err := c.decodeJournal(io.NewSectionReader(c.file, 0, complete)); err != nil {
+		return err
+	}
+	// Rows decoded but not kept were never served; they are not evictions.
+	c.stats.Evictions = 0
+	if torn := info.Size() - complete; torn > 0 {
+		// Appends must start on a line boundary, so drop the torn line
+		// from the file itself, not just from the index.
+		if err := c.file.Truncate(complete); err != nil {
+			return fmt.Errorf("resultcache: trimming torn journal tail: %w", err)
+		}
+		c.stats.TornBytes = uint64(torn)
+	}
+	c.size = complete
+	if complete == 0 {
+		return c.writeLine(journalHeader{Version: journalVersion, Schema: sim.ResultSchemaVersion})
+	}
+	return nil
+}
+
+// completeLen returns the length of the journal's complete lines: its
+// first size bytes up to and including the last newline. It reads
+// backwards from size, so it touches only the end of the journal.
+func completeLen(r io.ReaderAt, size int64) (int64, error) {
+	buf := make([]byte, min(size, 4096))
+	for end := size; end > 0; {
+		n := min(end, int64(len(buf)))
+		if _, err := r.ReadAt(buf[:n], end-n); err != nil {
+			return 0, err
+		}
+		if i := bytes.LastIndexByte(buf[:n], '\n'); i >= 0 {
+			return end - n + int64(i) + 1, nil
+		}
+		end -= n
+	}
+	return 0, nil
 }
 
 // Close releases the disk journal's handle (a no-op for memory-only
@@ -227,9 +265,10 @@ func (c *Cache) Stats() Stats {
 // then disk. The seed is a redundancy check: the address already commits to
 // it, so a stored row under a different seed means hash collision or
 // tampering and fails closed with ErrCache. A disk hit is promoted into the
-// memory tier. The address's hex encoding lives on the stack and the memory
-// probe converts it in place, so a memory hit — the steady state of a
-// warmed sweep — allocates nothing.
+// memory tier; a row Open kept is already there, and its first hit counts
+// as a disk hit. The address's hex encoding lives on the stack and the
+// memory probe converts it in place, so a memory hit — the steady state of
+// a warmed sweep — allocates nothing.
 func (c *Cache) GetRaw(key [AddrSize]byte, seed uint64) (sim.Result, bool, error) {
 	var buf [2 * AddrSize]byte
 	hex.Encode(buf[:], key[:])
@@ -246,8 +285,9 @@ func (c *Cache) GetRaw(key [AddrSize]byte, seed uint64) (sim.Result, bool, error
 	return c.getDisk(string(buf[:]), seed)
 }
 
-// memoryHitLocked checks a memory-tier hit's seed and marks it most
-// recently used. Must be called with the lock held.
+// memoryHitLocked checks a memory-tier hit's seed, marks it most recently
+// used and counts it: as a disk hit on the first hit of a row Open kept,
+// as a memory hit otherwise. Must be called with the lock held.
 func (c *Cache) memoryHitLocked(el *list.Element, seed uint64) (*entry, error) {
 	e := el.Value.(*entry)
 	if e.seed != seed {
@@ -255,7 +295,12 @@ func (c *Cache) memoryHitLocked(el *list.Element, seed uint64) (*entry, error) {
 			"%w: row %.12s cached under seed %d, derived %d", ErrCache, e.key, e.seed, seed)
 	}
 	c.lru.MoveToFront(el)
-	c.stats.MemoryHits++
+	if e.loaded {
+		e.loaded = false
+		c.stats.DiskHits++
+	} else {
+		c.stats.MemoryHits++
+	}
 	return e, nil
 }
 
@@ -265,17 +310,26 @@ func (c *Cache) memoryHitLocked(el *list.Element, seed uint64) (*entry, error) {
 func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error {
 	var buf [2 * AddrSize]byte
 	hex.Encode(buf[:], key[:])
+	k := string(buf[:])
+	// Encode before taking the lock, so other workers' hits do not wait on
+	// it. The engine stores only rows that missed, so a duplicate's wasted
+	// encoding is rare.
+	var line []byte
+	if c.file != nil {
+		var err error
+		if line, err = json.Marshal(journalRow{Key: k, Seed: seed, Result: result}); err != nil {
+			return fmt.Errorf("resultcache: encoding row: %w", err)
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Alloc-free duplicate probes first: by content addressing a present
-	// row is already the offered one, so the hot no-op path stays cheap.
-	if _, ok := c.mem[string(buf[:])]; ok {
+	if _, ok := c.mem[k]; ok {
 		return nil
 	}
-	if _, ok := c.index[string(buf[:])]; ok {
+	if _, ok := c.index[k]; ok {
 		return nil
 	}
-	return c.putLocked(string(buf[:]), seed, result)
+	return c.putLocked(k, seed, result, line)
 }
 
 // getDisk serves a GetRaw that missed the memory tier. The lock covers the
@@ -316,20 +370,16 @@ func (c *Cache) getDisk(key string, seed uint64) (sim.Result, bool, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.mem[key]; !ok {
-		c.insert(key, seed, row.Result)
+		c.insert(key, seed, row.Result, false)
 	}
 	c.stats.DiskHits++
 	return row.Result, true, nil
 }
 
-// putLocked journals and inserts a row known to be absent from both tiers.
-// Must be called with the lock held.
-func (c *Cache) putLocked(key string, seed uint64, result sim.Result) error {
+// putLocked journals (as line, its encoding) and inserts a row known to be
+// absent from both tiers. Must be called with the lock held.
+func (c *Cache) putLocked(key string, seed uint64, result sim.Result, line []byte) error {
 	if c.file != nil {
-		line, err := json.Marshal(journalRow{Key: key, Seed: seed, Result: result})
-		if err != nil {
-			return fmt.Errorf("resultcache: encoding row: %w", err)
-		}
 		pos := diskPos{off: c.size, len: len(line), seed: seed}
 		line = append(line, '\n')
 		if _, err := c.file.Write(line); err != nil {
@@ -338,15 +388,15 @@ func (c *Cache) putLocked(key string, seed uint64, result sim.Result) error {
 		c.size += int64(len(line))
 		c.index[key] = pos
 	}
-	c.insert(key, seed, result)
+	c.insert(key, seed, result, false)
 	c.stats.Stores++
 	return nil
 }
 
 // insert adds a row to the memory tier, evicting from the LRU tail past
 // capacity. Must be called with the lock held.
-func (c *Cache) insert(key string, seed uint64, result sim.Result) {
-	c.mem[key] = c.lru.PushFront(&entry{key: key, seed: seed, result: result})
+func (c *Cache) insert(key string, seed uint64, result sim.Result, loaded bool) {
+	c.mem[key] = c.lru.PushFront(&entry{key: key, seed: seed, result: result, loaded: loaded})
 	for c.lru.Len() > c.cap {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
@@ -370,48 +420,76 @@ func (c *Cache) writeLine(v any) error {
 	return nil
 }
 
-// decodeJournal strictly parses a journal's bytes into the key -> position
-// index, validating every row (including its Result payload) with parseRow
-// without retaining the decoded rows — the memory tier fills on demand.
-// Empty input is a fresh journal; input not ending in a newline is
-// rejected (Open trims a torn tail before decoding).
-func decodeJournal(data []byte) (map[string]diskPos, error) {
-	index := make(map[string]diskPos)
-	if len(data) == 0 {
-		return index, nil
-	}
-	if data[len(data)-1] != '\n' {
-		return nil, fmt.Errorf("%w: truncated final line", ErrCache)
-	}
-	lines := bytes.Split(data[:len(data)-1], []byte("\n"))
-	var header journalHeader
-	if err := strictUnmarshal(lines[0], &header); err != nil {
-		return nil, fmt.Errorf("%w: line 1: %v", ErrCache, err)
-	}
-	if header.Version != journalVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCache, header.Version)
-	}
-	if header.Schema != sim.ResultSchemaVersion {
-		return nil, fmt.Errorf("%w: rows written under result schema %d, this build uses %d",
-			ErrCache, header.Schema, sim.ResultSchemaVersion)
-	}
-	offset := int64(len(lines[0]) + 1)
-	for i, raw := range lines[1:] {
-		lineNo := i + 2
+// decodeJournal strictly parses a journal into the key -> position index,
+// validating every row (including its Result payload) with parseRow, and
+// inserts each decoded row into the memory tier in journal order, so the
+// tier ends up holding the newest rows. It streams r a line at a time
+// through one reused buffer rather than holding the journal. Empty input is
+// a fresh journal; input not ending in a newline is rejected (Open trims a
+// torn tail before decoding). Must be called before the cache is shared.
+func (c *Cache) decodeJournal(r io.Reader) error {
+	c.index = make(map[string]diskPos)
+	br := bufio.NewReader(r)
+	var long []byte // reassembles a line longer than br's buffer
+	var offset int64
+	for lineNo := 1; ; lineNo++ {
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			long = append(long[:0], line...)
+			for err == bufio.ErrBufferFull {
+				line, err = br.ReadSlice('\n')
+				long = append(long, line...)
+			}
+			line = long
+		}
+		if err == io.EOF {
+			if len(line) > 0 {
+				return fmt.Errorf("%w: truncated final line", ErrCache)
+			}
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("resultcache: reading cache journal: %w", err)
+		}
+		raw := line[:len(line)-1]
+		if lineNo == 1 {
+			if err := checkHeader(raw); err != nil {
+				return err
+			}
+			offset = int64(len(line))
+			continue
+		}
 		var row journalRow
 		if err := parseRow(raw, &row); err != nil {
-			return nil, fmt.Errorf("%w: line %d: %v", ErrCache, lineNo, err)
+			return fmt.Errorf("%w: line %d: %v", ErrCache, lineNo, err)
 		}
 		if len(row.Key) != 64 || !isHex(row.Key) {
-			return nil, fmt.Errorf("%w: line %d: malformed row key", ErrCache, lineNo)
+			return fmt.Errorf("%w: line %d: malformed row key", ErrCache, lineNo)
 		}
-		if _, dup := index[row.Key]; dup {
-			return nil, fmt.Errorf("%w: line %d: row %.12s duplicated", ErrCache, lineNo, row.Key)
+		if _, dup := c.index[row.Key]; dup {
+			return fmt.Errorf("%w: line %d: row %.12s duplicated", ErrCache, lineNo, row.Key)
 		}
-		index[row.Key] = diskPos{off: offset, len: len(raw), seed: row.Seed}
-		offset += int64(len(raw) + 1)
+		c.index[row.Key] = diskPos{off: offset, len: len(raw), seed: row.Seed}
+		offset += int64(len(line))
+		row.Result.RestoreAliases()
+		c.insert(row.Key, row.Seed, row.Result, true)
 	}
-	return index, nil
+}
+
+// checkHeader validates the journal's first line (without its newline).
+func checkHeader(raw []byte) error {
+	var header journalHeader
+	if err := strictUnmarshal(raw, &header); err != nil {
+		return fmt.Errorf("%w: line 1: %v", ErrCache, err)
+	}
+	if header.Version != journalVersion {
+		return fmt.Errorf("%w: unsupported version %d", ErrCache, header.Version)
+	}
+	if header.Schema != sim.ResultSchemaVersion {
+		return fmt.Errorf("%w: rows written under result schema %d, this build uses %d",
+			ErrCache, header.Schema, sim.ResultSchemaVersion)
+	}
+	return nil
 }
 
 // strictUnmarshal decodes one JSON value rejecting unknown fields and

@@ -237,9 +237,11 @@ func TestConcurrentDiskHits(t *testing.T) {
 
 // TestDiskHitRechecksRow: a row rewritten on disk between Open and GetRaw
 // fails its disk hit closed with ErrCache, and the error names the check
-// that caught it.
+// that caught it. A newer second row and a one-row memory tier keep the
+// tampered row out of what Open kept, so it takes the disk path.
 func TestDiskHitRechecksRow(t *testing.T) {
-	r := makeRows(t, 1)[0]
+	rows := makeRows(t, 2)
+	r := rows[0]
 	otherKey := "0" + r.key[1:]
 	if otherKey == r.key {
 		otherKey = "1" + r.key[1:]
@@ -258,13 +260,15 @@ func TestDiskHitRechecksRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
-				t.Fatal(err)
+			for _, r := range rows {
+				if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if c, err = Open(dir, 4); err != nil {
+			if c, err = Open(dir, 1); err != nil {
 				t.Fatal(err)
 			}
 			defer c.Close()
@@ -275,7 +279,8 @@ func TestDiskHitRechecksRow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			header, row, _ := strings.Cut(string(data), "\n")
+			header, rest, _ := strings.Cut(string(data), "\n")
+			row, _, _ := strings.Cut(rest, "\n")
 			tampered := strings.Replace(row, tc.old, tc.new, 1)
 			if tampered == row || len(tampered) != len(row) {
 				t.Fatalf("tampering with %q did not rewrite the row in place", tc.old)
@@ -297,6 +302,75 @@ func TestDiskHitRechecksRow(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.check) {
 				t.Errorf("error %q does not name the %s", err, tc.check)
+			}
+		})
+	}
+}
+
+// TestOpenKeepsDecodedRows: Open keeps the newest rows it decoded, up to
+// the memory tier's capacity, and serves them without reading the journal
+// again; each kept row's first hit counts as a disk hit, later ones as
+// memory hits. A row it did not keep takes the disk path.
+func TestOpenKeepsDecodedRows(t *testing.T) {
+	rows := makeRows(t, 3)
+	dir := t.TempDir()
+	c, err := Open(dir, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rows {
+		if err := c.PutRaw(r.addr, r.seed, r.result); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, rewrite := range []string{"truncated", "rewritten"} {
+		t.Run(rewrite, func(t *testing.T) {
+			c, err := Open(dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if s := c.Stats(); s != (Stats{}) {
+				t.Fatalf("stats after Open = %+v, want zero", s)
+			}
+			path := filepath.Join(dir, journalName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			// Past Open the journal's bytes are never read for a kept row.
+			var mangled []byte
+			if rewrite == "rewritten" {
+				mangled = bytes.Repeat([]byte("x"), len(data))
+			}
+			if err := os.WriteFile(path, mangled, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for hit, want := range []Stats{{DiskHits: 2}, {DiskHits: 2, MemoryHits: 2}} {
+				for _, r := range rows[1:] {
+					got, ok, err := c.GetRaw(r.addr, r.seed)
+					if err != nil || !ok {
+						t.Fatalf("hit %d: GetRaw(%.12s) = (%v, %v), want a kept row", hit, r.key, ok, err)
+					}
+					if !reflect.DeepEqual(got, r.result) {
+						t.Errorf("hit %d: kept row %.12s differs from the computed result", hit, r.key)
+					}
+				}
+				if s := c.Stats(); s != want {
+					t.Errorf("stats after hit %d = %+v, want %+v", hit, s, want)
+				}
+			}
+			// The oldest row was not kept: its disk hit reads the mangled journal.
+			if _, ok, err := c.GetRaw(rows[0].addr, rows[0].seed); ok || err == nil {
+				t.Errorf("oldest row GetRaw = (%v, %v), want a failed disk read", ok, err)
 			}
 		})
 	}
@@ -553,7 +627,9 @@ func FuzzCacheDecode(f *testing.F) {
 	f.Add([]byte(header + "\n" + row + "\n" + row + "\n"))
 	f.Add([]byte(`{"version":1,"schema":999}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		index, err := decodeJournal(data)
+		c := NewMemory(2)
+		err := c.decodeJournal(bytes.NewReader(data))
+		index := c.index
 		if err != nil {
 			if !errors.Is(err, ErrCache) {
 				t.Errorf("error %v does not wrap ErrCache", err)
@@ -569,6 +645,11 @@ func FuzzCacheDecode(f *testing.F) {
 			}
 			if pos.off < 0 || pos.off+int64(pos.len) > int64(len(data)) {
 				t.Errorf("row %q indexed outside the journal", k)
+			}
+		}
+		for k, el := range c.mem {
+			if pos, ok := index[k]; !ok || pos.seed != el.Value.(*entry).seed {
+				t.Errorf("kept row %q is not the indexed one", k)
 			}
 		}
 	})

@@ -168,22 +168,14 @@ func benchmarks() []benchmark {
 				},
 			}, err
 		})},
-		// The plain half of the fast-forward speedup pair: a small attacker
-		// from the low end of the Fig. 8 sweep, where the race spends nearly
-		// all of its events at the empty-branch origin — exactly the regime
-		// the fast-forward collapses. The reused Runner keeps both halves of
-		// the pair at steady state.
+		// The plain loop's race-origin fast path at low alpha: a small
+		// attacker from the low end of the Fig. 8 sweep, where the race
+		// spends nearly all of its events at the empty-branch origin, so
+		// almost every honest event takes the fast path. The reused Runner
+		// keeps the workload at steady state.
 		{name: "sim-100k-blocks-alpha05", run: simBench(reuseRunner, func() (sim.Config, error) {
 			pop, err := mining.TwoAgent(0.05)
 			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000}, err
-		})},
-		// The same workload with the analytic fast-forward engaged:
-		// uneventful honest stretches collapse to one geometric draw plus a
-		// bulk append. Gated against sim-100k-blocks-alpha05 in the CI
-		// baseline to keep the speedup honest.
-		{name: "sim-100k-blocks-fastforward", run: simBench(reuseRunner, func() (sim.Config, error) {
-			pop, err := mining.TwoAgent(0.05)
-			return sim.Config{Population: pop, Gamma: 0.5, Blocks: 100000, FastForward: true}, err
 		})},
 		// The invariant auditor at its CI-friendly sampling rate. The
 		// fork-child rescan and conservation settle make audited events

@@ -29,10 +29,6 @@
 //	-rule R        comma-separated difficulty rules (static, bitcoin,
 //	               eip100), each at most once, restricting the
 //	               profitability experiment's rule axis (default: all three)
-//	-fastforward   run simulations with the analytic fast-forward of
-//	               uneventful stretches; results agree with the plain
-//	               engine in distribution, not bit-for-bit, so the two
-//	               modes' rows are cached under separate addresses
 //	-timeout D     overall deadline for the invocation (e.g. 30m); on
 //	               expiry in-flight runs finish, then the sweep stops;
 //	               a negative deadline is rejected
@@ -92,21 +88,20 @@ func main() {
 func run(ctx context.Context, args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ethselfish", flag.ContinueOnError)
 	var (
-		quick       = fs.Bool("quick", false, "reduced simulation effort")
-		runs        = fs.Int("runs", experiments.DefaultRuns, "simulation runs per data point")
-		blocks      = fs.Int("blocks", experiments.DefaultBlocks, "block events per run")
-		seed        = fs.Uint64("seed", 1, "base RNG seed")
-		parallel    = fs.Int("parallel", 0, "experiment engine workers (0: one per CPU)")
-		strategies  = fs.String("strategies", "", "comma-separated strategy specs for strategies/tournament (not bestresponse)")
-		fastforward = fs.Bool("fastforward", false, "fast-forward uneventful stretches (distribution-equivalent, different random stream)")
-		rule        = fs.String("rule", "", "comma-separated difficulty rules for profitability (static, bitcoin, eip100)")
-		timeout     = fs.Duration("timeout", 0, "overall deadline (0: none); in-flight runs finish on expiry")
-		cacheFlag   = fs.Bool("cache", false, "serve rows from an in-memory result cache for this invocation")
-		cachedir    = fs.String("cachedir", "", "persistent result cache directory (implies -cache, survives reruns; rerun to resume)")
-		audit       = fs.Bool("audit", false, "enable the runtime invariant auditor")
-		auditEvery  = fs.Int("audit-every", 1024, "audit every Nth block event (requires -audit)")
-		list        = fs.Bool("list", false, "list experiments and registered strategy specs")
-		csv         = fs.Bool("csv", false, "emit CSV instead of aligned text")
+		quick      = fs.Bool("quick", false, "reduced simulation effort")
+		runs       = fs.Int("runs", experiments.DefaultRuns, "simulation runs per data point")
+		blocks     = fs.Int("blocks", experiments.DefaultBlocks, "block events per run")
+		seed       = fs.Uint64("seed", 1, "base RNG seed")
+		parallel   = fs.Int("parallel", 0, "experiment engine workers (0: one per CPU)")
+		strategies = fs.String("strategies", "", "comma-separated strategy specs for strategies/tournament (not bestresponse)")
+		rule       = fs.String("rule", "", "comma-separated difficulty rules for profitability (static, bitcoin, eip100)")
+		timeout    = fs.Duration("timeout", 0, "overall deadline (0: none); in-flight runs finish on expiry")
+		cacheFlag  = fs.Bool("cache", false, "serve rows from an in-memory result cache for this invocation")
+		cachedir   = fs.String("cachedir", "", "persistent result cache directory (implies -cache, survives reruns; rerun to resume)")
+		audit      = fs.Bool("audit", false, "enable the runtime invariant auditor")
+		auditEvery = fs.Int("audit-every", 1024, "audit every Nth block event (requires -audit)")
+		list       = fs.Bool("list", false, "list experiments and registered strategy specs")
+		csv        = fs.Bool("csv", false, "emit CSV instead of aligned text")
 	)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: ethselfish [flags] <experiment>\n")
@@ -190,7 +185,6 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		return fmt.Errorf("%w: -runs and -blocks must be at least 1", experiments.ErrBadOptions)
 	}
 	opts.Parallelism = *parallel
-	opts.FastForward = *fastforward
 	opts.Audit = sim.AuditConfig{Enabled: *audit, SampleEvery: *auditEvery}
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -431,8 +425,8 @@ func build(name string, opts experiments.Options, specs []sim.StrategySpec, rule
 		return result.Table(), nil
 	case "precision":
 		// The variance-reduction study: adaptive runs-to-target-CI per
-		// estimator. It honors -fastforward through the options like every
-		// other sweep; its own knobs keep their defaults.
+		// estimator. It takes the options like every other sweep; its own
+		// knobs keep their defaults.
 		result, err := experiments.Precision(opts, experiments.PrecisionConfig{})
 		if err != nil {
 			return nil, err

@@ -20,8 +20,8 @@
 // model to Eyal and Sirer's analysis.
 //
 // The experiment harness regenerating every table and figure of the paper
-// lives in cmd/ethselfish; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// lives in cmd/ethselfish; the README's "What is reproduced" section is the
+// experiment index, with the paper's claim next to each reproduction.
 //
 // # K-pool races
 //
@@ -180,24 +180,7 @@
 //   - sim.RunTrace is the one caller that keeps the whole tree: it turns
 //     eviction off for its run, so its memory is O(Blocks).
 //
-// # Fast-forward and variance reduction
-//
-// Two opt-in accelerations trade bit-identical random streams for
-// statistically identical results. sim.Config.FastForward collapses
-// uneventful stretches analytically: at the race origin (every private
-// branch empty, the public tip childless) each event is honest with
-// probability 1-alpha and deterministically extends the tip, so the
-// engine samples the stretch length in one Geometric(alpha) draw,
-// bulk-appends the blocks (bulk-sampling the stretch duration as a
-// Gamma(k) variate on the timed axis), and resumes event-by-event at the
-// next selfish find — about a 2x speedup on 100k-block runs at small
-// alpha. It engages only when every pool's strategy plainly adopts at the
-// (0, 1, 0) frame (probed at init; otherwise the plain loop runs) and is
-// rejected with feedback difficulty rules. Results agree with the plain
-// engine in distribution — pinned by revenue, occupancy, and
-// conservation-audit agreement tests — not bit-for-bit; each mode is
-// bit-deterministic given (seed, mode), and the mode is part of every
-// row's content address, so rows cached in one mode never serve the other.
+// # Variance reduction
 //
 // For sweep precision, internal/stats.Paired implements online
 // control-variate estimation (the selfish event share has known mean

@@ -180,9 +180,16 @@ func FuzzTreeAncestors(f *testing.F) {
 					t.Fatal(err)
 				}
 			case 1:
+				// A long linear run, so the jump pointers see long
+				// spans.
 				count := 1 + next()%64
-				if _, err := tree.ExtendRun(recent(next()), minerPool, count, 0, 0); err != nil {
-					t.Fatal(err)
+				parent := recent(next())
+				for j := 0; j < count; j++ {
+					id, err := tree.ExtendAt(parent, minerPool, nil, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					parent = id
 				}
 			case 2:
 				// AppendLeaf refuses a parent with children; that is fine.

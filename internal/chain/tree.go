@@ -1,9 +1,6 @@
 package chain
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Config controls protocol limits enforced by a Tree.
 type Config struct {
@@ -76,14 +73,14 @@ type jump struct {
 	n  int32
 }
 
-// jumpFor returns the jump pointer of a new child of parent, whose own jump
-// is p. If p and its target's jump have equal lengths, the child spans both
-// plus its own parent edge; otherwise it jumps to the parent. A parent
+// jumpFor returns the jump pointer of a new child of parent. If the
+// parent's jump p and its target's jump have equal lengths, the child spans
+// both plus its own parent edge; otherwise it jumps to the parent. A parent
 // whose target has been evicted falls back to the parent edge: the rule
 // would read the evicted record, and any resulting jump would land below
-// every block a query may reach anyway. Callers pass p rather than have it
-// re-read, so ExtendRun can carry it in a register from block to block.
-func (t *Tree) jumpFor(parent int32, p jump) jump {
+// every block a query may reach anyway.
+func (t *Tree) jumpFor(parent int32) jump {
+	p := t.jumps[parent-t.base]
 	to, n := parent, int32(1)
 	if p.to >= t.base {
 		// A plain select: the merge compiles to conditional moves.
@@ -359,7 +356,7 @@ func (t *Tree) ExtendAt(parent BlockID, miner MinerID, uncles []BlockID, at floa
 		t.uncleArena = append(t.uncleArena, uncles...)
 	}
 	id := BlockID(t.Len())
-	j := t.jumpFor(int32(parent), t.jumps[int32(parent)-t.base])
+	j := t.jumpFor(int32(parent))
 	t.recs = append(t.recs, rec{
 		parent:     int32(parent),
 		height:     newHeight,
@@ -410,7 +407,7 @@ func (t *Tree) AppendLeaf(parent BlockID, miner MinerID, at float64) (id BlockID
 	}
 	ue := t.arenaOff + int32(len(t.uncleArena))
 	id = BlockID(t.Len())
-	j := t.jumpFor(int32(parent), t.jumps[int32(parent)-t.base])
+	j := t.jumpFor(int32(parent))
 	t.recs = append(t.recs, rec{
 		parent:     int32(parent),
 		height:     t.recs[int32(parent)-t.base].height + 1,
@@ -427,95 +424,6 @@ func (t *Tree) AppendLeaf(parent BlockID, miner MinerID, at float64) (id BlockID
 	lp := &t.links[int32(parent)-t.base]
 	lp.firstChild, lp.lastChild = int32(id), int32(id)
 	return id, true
-}
-
-// ExtendRun appends a linear run of count blocks on parent — every block
-// mined by the same miner, referencing no uncles, each the sole child of its
-// predecessor — and returns the ID of the run's tip. Block j (1-based) is
-// stamped start + j*step; timeless callers pass zeros. IDs are assigned
-// contiguously from the pre-call Len(), so the caller can enumerate the run
-// as tip-count+1 .. tip.
-//
-// This is the fast-forward bulk-append: one bounds check up front, then a
-// tight loop of record appends with none of the per-block uncle validation
-// ExtendAt pays, because a run by construction can neither reference nor
-// create an eligible uncle (no forks are introduced anywhere along it).
-func (t *Tree) ExtendRun(parent BlockID, miner MinerID, count int, start, step float64) (BlockID, error) {
-	if !t.Contains(parent) {
-		return NoBlock, fmt.Errorf("parent %d: %w", parent, ErrUnknownBlock)
-	}
-	if miner < 0 {
-		return NoBlock, fmt.Errorf("miner %d: %w", miner, ErrBadMinerID)
-	}
-	if count <= 0 {
-		return NoBlock, fmt.Errorf("chain: ExtendRun count %d must be positive", count)
-	}
-	p32 := int32(parent)
-	h := t.recs[p32-t.base].height
-	m32 := int32(miner)
-	ue := t.arenaOff + int32(len(t.uncleArena))
-	at := start
-	// Grow the arenas once up front, then fill by index: the loop body
-	// runs without append's per-element capacity checks, which is where a
-	// naive per-block loop spends most of its time.
-	n := len(t.recs)
-	t.recs = slices.Grow(t.recs, count)[:n+count]
-	t.links = slices.Grow(t.links, count)[:n+count]
-	t.jumps = slices.Grow(t.jumps, count)[:n+count]
-	// Timestamps are stored only once one is nonzero (see the times field):
-	// a timeless run's bulk append skips the third arena entirely.
-	storeTimes := len(t.times) != 0 || start != 0 || step != 0
-	if storeTimes {
-		for len(t.times) < n {
-			t.times = append(t.times, 0)
-		}
-		t.times = slices.Grow(t.times, count)[:n+count]
-	}
-	// Attach the run's head to the pre-existing parent through the normal
-	// sibling chain; every interior block then has exactly one child — the
-	// next block of the run — so its link record is written once, fully
-	// formed, instead of initialized empty and patched back by the next
-	// iteration.
-	head := t.base + int32(n)
-	pj := t.jumps[p32-t.base]
-	lp := &t.links[p32-t.base]
-	if lp.firstChild == noBlock32 {
-		lp.firstChild = head
-	} else {
-		t.links[lp.lastChild-t.base].nextSibling = head
-	}
-	lp.lastChild = head
-	for j := 0; j < count; j++ {
-		h++
-		at += step
-		idx := n + j
-		id32 := t.base + int32(idx)
-		t.recs[idx] = rec{
-			parent:     p32,
-			height:     h,
-			miner:      m32,
-			uncleStart: ue,
-			uncleEnd:   ue,
-		}
-		pj = t.jumpFor(p32, pj)
-		t.jumps[idx] = pj
-		if storeTimes {
-			t.times[idx] = at
-		}
-		if j < count-1 {
-			next := id32 + 1
-			t.links[idx] = links{
-				firstChild:   next,
-				lastChild:    next,
-				nextSibling:  noBlock32,
-				referencedBy: noBlock32,
-			}
-		} else {
-			t.links[idx] = noLinks
-		}
-		p32 = id32
-	}
-	return BlockID(p32), nil
 }
 
 // validateUncle checks the Ethereum uncle rules for referencing uncle u from

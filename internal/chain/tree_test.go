@@ -412,81 +412,3 @@ func TestResetClearsTimestamps(t *testing.T) {
 		t.Errorf("after Reset, genesis time = %v, want 0", got)
 	}
 }
-
-// TestExtendRunMatchesExtendAt pins the bulk append against the per-block
-// path: the same linear run built either way must produce identical records,
-// links, heights, timestamps, and tip.
-func TestExtendRunMatchesExtendAt(t *testing.T) {
-	bulk := NewTree(Config{MaxUncleDepth: 6, MaxUnclesPerBlock: 2}, minerGenesis)
-	single := NewTree(Config{MaxUncleDepth: 6, MaxUnclesPerBlock: 2}, minerGenesis)
-
-	// Start both trees from a non-trivial prefix: genesis -> a -> fork(b, c),
-	// extend the run on b.
-	for _, tree := range []*Tree{bulk, single} {
-		a := mustExtend(t, tree, tree.Genesis(), minerHonest)
-		mustExtend(t, tree, a, minerPool) // c: the fork child left behind
-		mustExtend(t, tree, a, minerHonest)
-	}
-	parent := BlockID(3)
-
-	const (
-		count = 17
-		start = 10.0
-		step  = 0.5
-	)
-	tip, err := bulk.ExtendRun(parent, minerHonest, count, start, step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := parent
-	at := start
-	var want BlockID
-	for j := 0; j < count; j++ {
-		at += step
-		id, err := single.ExtendAt(prev, minerHonest, nil, at)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev = id
-		want = id
-	}
-	if tip != want {
-		t.Fatalf("ExtendRun tip %d, want %d", tip, want)
-	}
-	if bulk.Len() != single.Len() {
-		t.Fatalf("Len = %d, want %d", bulk.Len(), single.Len())
-	}
-	for id := BlockID(0); int(id) < bulk.Len(); id++ {
-		bp, bh, bu := bulk.BlockInfo(id)
-		sp, sh, su := single.BlockInfo(id)
-		if bp != sp || bh != sh || bulk.MinerOf(id) != single.MinerOf(id) || len(bu) != len(su) {
-			t.Errorf("block %d: bulk (%d,%d,%d,%v), single (%d,%d,%d,%v)",
-				id, bp, bh, bulk.MinerOf(id), bu, sp, sh, single.MinerOf(id), su)
-		}
-		if bulk.TimeOf(id) != single.TimeOf(id) {
-			t.Errorf("block %d: time %v, want %v", id, bulk.TimeOf(id), single.TimeOf(id))
-		}
-		if bulk.FirstChildOf(id) != single.FirstChildOf(id) || bulk.NextSiblingOf(id) != single.NextSiblingOf(id) {
-			t.Errorf("block %d: link mismatch", id)
-		}
-	}
-	// The run introduces no forks: every run block is the sole child.
-	for id := tip - count + 1; id <= tip; id++ {
-		if bulk.NextSiblingOf(id) != NoBlock {
-			t.Errorf("run block %d has a sibling", id)
-		}
-	}
-}
-
-func TestExtendRunErrors(t *testing.T) {
-	tree := NewTree(Config{}, minerGenesis)
-	if _, err := tree.ExtendRun(99, minerHonest, 3, 0, 0); !errors.Is(err, ErrUnknownBlock) {
-		t.Errorf("unknown parent: err = %v, want ErrUnknownBlock", err)
-	}
-	if _, err := tree.ExtendRun(tree.Genesis(), -1, 3, 0, 0); !errors.Is(err, ErrBadMinerID) {
-		t.Errorf("bad miner: err = %v, want ErrBadMinerID", err)
-	}
-	if _, err := tree.ExtendRun(tree.Genesis(), minerHonest, 0, 0, 0); err == nil {
-		t.Error("count 0: want error")
-	}
-}

@@ -48,10 +48,9 @@ type Params struct {
 	MaxLead int
 
 	// LiteralEq8 reproduces the paper's Eq. (8) pool-nephew coefficient
-	// verbatim instead of the conservation-consistent attribution
-	// derived in Appendix B. The two agree for lead 2 but differ for
-	// lead >= 3; the simulator confirms the conservation-consistent
-	// form. See DESIGN.md ("paper erratum").
+	// verbatim instead of Appendix B's conservation-consistent attribution,
+	// which the simulator confirms. The two differ from lead 3 on
+	// (TestLiteralEq8UndercountsPoolNephew).
 	LiteralEq8 bool
 }
 

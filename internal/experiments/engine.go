@@ -36,8 +36,8 @@ import (
 //     address.
 
 // simJob describes the simulation work at one grid point: the pool's hash
-// power and the rest of the configuration, whose Population, Blocks, Audit
-// and FastForward the engine fills in. A nil pop means the classic
+// power and the rest of the configuration, whose Population, Blocks and
+// Audit the engine fills in. A nil pop means the classic
 // two-agent population at alpha; multi-pool drivers supply their own
 // population, in which case alpha is purely the point's error-report label
 // — identity and seeding both come from the resolved config's content
@@ -105,9 +105,6 @@ func resolveJobs(opts Options, jobs []simJob) ([]resolvedJob, error) {
 		cfg.Population = pop
 		cfg.Blocks = opts.Blocks
 		cfg.Audit = opts.Audit
-		if opts.FastForward {
-			cfg.FastForward = true
-		}
 		if job.specs != nil {
 			// Strategy instances are pure frame functions, so one
 			// instance per job is safely shared by every worker that
@@ -227,11 +224,11 @@ func runRows(opts Options, jobs []resolvedJob, rows []simRow) ([]sim.Result, err
 }
 
 // raceGroups gathers the unique rows into work items, in order of each
-// item's first row. Timed, non-fast-forward rows at the same run seed whose
-// configs differ only in the difficulty rule drive the same race walk (the
-// time axis draws from its own stream and the race never reads the clock),
-// so they form one item that sim.Runner.RunGroup simulates once. Every
-// other row is an item of its own, at the cost of no extra hashing.
+// item's first row. Timed rows at the same run seed whose configs differ
+// only in the difficulty rule drive the same race walk (the time axis draws
+// from its own stream and the race never reads the clock), so they form one
+// item that sim.Runner.RunGroup simulates once. Every other row is an item
+// of its own, at the cost of no extra hashing.
 func raceGroups(jobs []resolvedJob, rows []simRow, seeds []uint64, unique []int) [][]int {
 	type groupKey struct {
 		race jobkey.Key
@@ -243,7 +240,7 @@ func raceGroups(jobs []resolvedJob, rows []simRow, seeds []uint64, unique []int)
 	for _, k := range unique {
 		j := rows[k].job
 		cfg := jobs[j].cfg
-		if !cfg.Time.Enabled || cfg.FastForward {
+		if !cfg.Time.Enabled {
 			items = append(items, []int{k})
 			continue
 		}

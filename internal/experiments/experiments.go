@@ -73,13 +73,6 @@ type Options struct {
 	// run in the sweep. Auditing never changes results; see
 	// sim.AuditConfig.
 	Audit sim.AuditConfig
-
-	// FastForward turns on the simulator's analytic fast-forward (see
-	// sim.Config.FastForward) for every run in the sweep. Fast-forwarded
-	// runs agree with plain runs in distribution, not bit-for-bit, so the
-	// mode participates in every row's content address: rows cached in one
-	// mode are never served to the other.
-	FastForward bool
 }
 
 func (o Options) withDefaults() Options {

@@ -181,8 +181,6 @@ type PrecisionResult struct {
 // every open cell requests its next batch, the engine computes the rows no
 // earlier round computed across its workers (the cells at one alpha share
 // its plain rows), and each cell folds its batch in run order.
-// Options.FastForward applies as in every sweep, compounding the two
-// accelerations.
 func Precision(opts Options, pc PrecisionConfig) (PrecisionResult, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {

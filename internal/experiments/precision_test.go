@@ -148,24 +148,6 @@ func TestPrecisionJobError(t *testing.T) {
 	}
 }
 
-// TestPrecisionFastForward: the study accepts the fast-forward flag and
-// still lands on the analytic truth (the two accelerations compose).
-func TestPrecisionFastForward(t *testing.T) {
-	opts, pc := precisionTestConfig()
-	pc.MaxRuns = 24
-	pc.Estimators = []Estimator{EstimatorControlVariate}
-	opts.FastForward = true
-	res, err := Precision(opts, pc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[0]
-	if math.Abs(row.Estimate-row.Analytic) > 5*row.Radius+0.01 {
-		t.Errorf("fast-forward estimate %v far from analytic %v (radius %v)",
-			row.Estimate, row.Analytic, row.Radius)
-	}
-}
-
 // TestPrecisionValidation pins option errors and estimator names.
 func TestPrecisionValidation(t *testing.T) {
 	opts, pc := precisionTestConfig()

@@ -9,7 +9,7 @@
 //   - Key (ForConfig) addresses one fully resolved sim.Config at a fixed
 //     run length: population, gamma, reward schedule, uncle cap, strategy
 //     assignment, time/difficulty regime, and the statistical mode
-//     (fast-forward, antithetic). Fields the simulator guarantees
+//     (antithetic). Fields the simulator guarantees
 //     result-neutral — Parallelism and Audit — are excluded, as is Seed,
 //     which joins per run via Key.Row.
 //   - Key.Row joins a Key with one exact run seed: the content address of
@@ -112,9 +112,11 @@ func writeConfig(w *writer, cfg *sim.Config) {
 	// The slot of the retired pool uncle-reference flag: always false,
 	// so addresses stay byte-identical to those cached while it existed.
 	w.Bool(false)
-	// The statistical modes change which draws a run consumes, so each
+	// The slot of the retired fast-forward flag: always false, so
+	// addresses stay byte-identical to those cached while it existed.
+	w.Bool(false)
+	// The antithetic mode changes which draws a run consumes, so it
 	// separates the address space.
-	w.Bool(cfg.FastForward)
 	w.Bool(cfg.Antithetic)
 	// The slot of the retired settlement-mode flag: always false, so
 	// timeless addresses stay byte-identical to those cached while the

@@ -24,7 +24,6 @@ var configFields = map[string]string{
 	"MaxUnclesPerBlock": "encoded",
 	"Strategies":        "encoded",
 	"Time":              "encoded",
-	"FastForward":       "encoded",
 	"Antithetic":        "encoded",
 	"Seed":              "excluded: joins per run via Key.Row",
 	"Parallelism":       "excluded: scheduling knob, result-neutral by the RunMany contract",
@@ -86,7 +85,6 @@ func TestKeySensitivity(t *testing.T) {
 		"Gamma":             func(c *sim.Config) { c.Gamma = 0.6 },
 		"Blocks":            func(c *sim.Config) { c.Blocks = 40000 },
 		"MaxUnclesPerBlock": func(c *sim.Config) { c.MaxUnclesPerBlock = 2 },
-		"FastForward":       func(c *sim.Config) { c.FastForward = true },
 		"Antithetic":        func(c *sim.Config) { c.Antithetic = true },
 		"Time":              func(c *sim.Config) { c.Time = sim.TimeConfig{Enabled: true} },
 		"Time.Difficulty": func(c *sim.Config) {
@@ -230,7 +228,7 @@ func TestSeedBaseCollisionRegression(t *testing.T) {
 }
 
 // TestSeedBasePairing pins the pairing contract: strategy assignment, run
-// length, time/difficulty regime, and the statistical modes do not move a
+// length, time/difficulty regime, and the statistical mode do not move a
 // point's stream family, so candidates compared at one point run on
 // identical event streams — and a cached point keeps its per-run seeds in
 // any sweep that contains it.
@@ -241,7 +239,6 @@ func TestSeedBasePairing(t *testing.T) {
 	variant := cfg
 	variant.Strategies = []sim.Strategy{sim.Stubborn{Lead: true}}
 	variant.Blocks = 12345
-	variant.FastForward = true
 	variant.Antithetic = true
 	variant.Time = sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.BitcoinStyle}}
 	variant.Seed = 42

@@ -71,13 +71,12 @@ type Miner struct {
 }
 
 // Population is a fixed set of miners with normalized hash powers. The
-// query structures (the dense pool index, per-pool power sums, per-pool
-// member lists) are precomputed at construction; the sampling structures
-// (the Walker alias tables) are built once on first draw, so sweeps whose
-// every job is served from the result cache never pay for them. Sampling,
-// pool lookups, and pool-conditional sampling all cost O(1) regardless of
-// population size. A Population is logically immutable and safe for
-// concurrent use (each Source must still be goroutine-local).
+// dense pool index is precomputed at construction; the sampling structure
+// (the Walker alias table) is built once on first draw, so sweeps whose
+// every job is served from the result cache never pay for it. Sampling and
+// pool lookups cost O(1) regardless of population size. A Population is
+// logically immutable and safe for concurrent use (each Source must still
+// be goroutine-local).
 type Population struct {
 	miners  []Miner
 	weights []float64
@@ -88,76 +87,35 @@ type Population struct {
 	// rebuild from the miner list.
 	poolByID []PoolID
 
-	// poolPower[p] is the total normalized hash power of pool p; index 0
-	// is the honest crowd.
-	poolPower []float64
+	// numPools is the largest pool label.
+	numPools int
 
-	// poolMembers[p] lists the miner indices of pool p in input order —
-	// the dense member index backing SoleMember and the per-pool alias
-	// tables.
-	poolMembers [][]int32
-
-	// selfishMembers lists the miner indices of every pool >= 1 in input
-	// order; the alias table over their weights lives in samplers.
-	selfishMembers []int32
-
-	// smp holds the lazily built sampling structures: a fully built set is
-	// published once with an atomic store, so concurrent first draws are
-	// safe, and every later draw is one atomic load (a plain load on
-	// mainstream architectures). Deferring the build keeps fully cached
-	// sweeps — which construct populations only to address results — from
-	// building alias tables they never draw from.
-	smp     atomic.Pointer[samplers]
-	smpOnce sync.Once
+	// alias is the lazily built Walker alias table over every miner's
+	// weight: it is published once with an atomic store, so concurrent
+	// first draws are safe, and every later draw is one atomic load (a
+	// plain load on mainstream architectures). Deferring the build keeps
+	// fully cached sweeps — which construct populations only to address
+	// results — from building a table they never draw from.
+	alias     atomic.Pointer[rng.AliasTable]
+	aliasOnce sync.Once
 }
 
-// samplers bundles the population's alias tables, built together on first
-// use: the population-wide table, the per-pool tables (nil for empty
-// pools), and the table conditioned on "the producer is selfish" (nil when
-// alpha is zero). Each draw costs one Uint64 plus one Float64, independent
-// of the number of miners.
-type samplers struct {
-	alias        *rng.AliasTable
-	poolAlias    []*rng.AliasTable
-	selfishAlias *rng.AliasTable
-}
-
-// samplers returns the population's sampling structures, building them on
-// first use. The built path is a single atomic load, small enough to inline
-// into every draw.
-func (p *Population) samplers() *samplers {
-	if s := p.smp.Load(); s != nil {
-		return s
+// sampler returns the population's alias table, building it on first use.
+// The built path is a single atomic load, small enough to inline into every
+// draw.
+func (p *Population) sampler() *rng.AliasTable {
+	if a := p.alias.Load(); a != nil {
+		return a
 	}
-	return p.buildSamplers()
+	return p.buildSampler()
 }
 
-// buildSamplers is the cold first-draw path behind samplers.
-func (p *Population) buildSamplers() *samplers {
-	p.smpOnce.Do(func() {
-		s := &samplers{alias: rng.NewAliasTable(p.weights)}
-		s.poolAlias = make([]*rng.AliasTable, len(p.poolMembers))
-		memberWeights := make([]float64, 0, len(p.miners))
-		for pool, members := range p.poolMembers {
-			if len(members) == 0 {
-				continue
-			}
-			memberWeights = memberWeights[:0]
-			for _, i := range members {
-				memberWeights = append(memberWeights, p.weights[i])
-			}
-			s.poolAlias[pool] = rng.NewAliasTable(memberWeights)
-		}
-		if len(p.selfishMembers) > 0 {
-			memberWeights = memberWeights[:0]
-			for _, i := range p.selfishMembers {
-				memberWeights = append(memberWeights, p.weights[i])
-			}
-			s.selfishAlias = rng.NewAliasTable(memberWeights)
-		}
-		p.smp.Store(s)
+// buildSampler is the cold first-draw path behind sampler.
+func (p *Population) buildSampler() *rng.AliasTable {
+	p.aliasOnce.Do(func() {
+		p.alias.Store(rng.NewAliasTable(p.weights))
 	})
-	return p.smp.Load()
+	return p.alias.Load()
 }
 
 // NewPopulation validates and normalizes the miner set. Miner IDs must be
@@ -204,53 +162,18 @@ func NewPopulation(miners []Miner) (*Population, error) {
 		}
 		seen[m.ID] = true
 	}
-	// One float64 block backs weights and poolPower, and one int32 block
-	// backs every pool's member list plus the selfish roster: populations
-	// are built per grid point on sweep hot paths, so the constructor
-	// allocates a handful of blocks instead of a slice per pool. Each
-	// segment's capacity is clamped, so the appends below can never bleed
-	// into a neighbor.
 	p := &Population{
-		miners:      append([]Miner(nil), miners...),
-		poolByID:    make([]PoolID, maxID+1),
-		poolMembers: make([][]int32, maxPool+1),
+		miners:   append([]Miner(nil), miners...),
+		weights:  make([]float64, len(miners)),
+		poolByID: make([]PoolID, maxID+1),
+		numPools: int(maxPool),
 	}
-	fblock := make([]float64, len(miners)+int(maxPool)+1)
-	p.weights = fblock[:len(miners):len(miners)]
-	p.poolPower = fblock[len(miners):]
-	var countsArr [16]int32
-	counts := countsArr[:]
-	if int(maxPool) >= len(countsArr) {
-		counts = make([]int32, maxPool+1)
-	}
-	selfish := 0
-	for _, m := range miners {
-		counts[m.Pool]++
-		if m.Pool != HonestPool {
-			selfish++
-		}
-	}
-	iblock := make([]int32, 0, len(miners)+selfish)
-	off := 0
-	for pool := range p.poolMembers {
-		c := int(counts[pool])
-		p.poolMembers[pool] = iblock[off : off : off+c]
-		off += c
-	}
-	p.selfishMembers = iblock[off : off : off+selfish]
 	for i, m := range miners {
 		p.weights[i] = m.Power / total
 		if m.Pool != HonestPool {
 			p.alpha += p.weights[i]
 		}
 		p.poolByID[m.ID] = m.Pool
-		p.poolPower[m.Pool] += p.weights[i]
-		p.poolMembers[m.Pool] = append(p.poolMembers[m.Pool], int32(i))
-	}
-	for i, m := range miners {
-		if m.Pool != HonestPool {
-			p.selfishMembers = append(p.selfishMembers, int32(i))
-		}
 	}
 	return p, nil
 }
@@ -356,16 +279,7 @@ func (p *Population) Alpha() float64 { return p.alpha }
 
 // NumPools returns the largest pool label in the population — the K of the
 // K-pool race. Zero means everyone is honest.
-func (p *Population) NumPools() int { return len(p.poolPower) - 1 }
-
-// PoolPower returns pool's total normalized hash power (pool 0: the honest
-// crowd). Labels beyond the population's largest have zero power.
-func (p *Population) PoolPower(pool PoolID) float64 {
-	if pool < 0 || int(pool) >= len(p.poolPower) {
-		return 0
-	}
-	return p.poolPower[pool]
-}
+func (p *Population) NumPools() int { return p.numPools }
 
 // PoolOf returns the pool label of the miner with the given ID. Unknown IDs
 // (including the reserved genesis ID) are honest. It is an O(1) index
@@ -394,45 +308,7 @@ func (p *Population) IsSelfish(id chain.MinerID) bool {
 // draw uses the alias table: O(1) per event independent of the population
 // size, consuming exactly two generator outputs.
 func (p *Population) Sample(r *rng.Source) Miner {
-	return p.miners[p.samplers().alias.Draw(r)]
-}
-
-// SampleMember draws a member of the given pool, weighted by hash power
-// within the pool — the per-pool alias path for pool-conditional sampling
-// (e.g. attributing a pool's block to one of its members). It consumes
-// exactly two generator outputs and panics if the pool has no members,
-// which indicates a configuration error.
-func (p *Population) SampleMember(pool PoolID, r *rng.Source) Miner {
-	s := p.samplers()
-	if pool < 0 || int(pool) >= len(s.poolAlias) || s.poolAlias[pool] == nil {
-		panic(fmt.Sprintf("mining: SampleMember of empty pool %d", pool))
-	}
-	return p.miners[p.poolMembers[pool][s.poolAlias[pool].Draw(r)]]
-}
-
-// SampleSelfish draws the producer of the next block conditioned on the
-// producer being selfish (any pool >= 1), weighted by hash power across all
-// selfish pools. Fast-forward mode uses it to resume at the first
-// interesting find after skipping a geometric stretch of honest blocks. It
-// consumes exactly two generator outputs and panics if the population has no
-// selfish power, which indicates a configuration error.
-func (p *Population) SampleSelfish(r *rng.Source) Miner {
-	s := p.samplers()
-	if s.selfishAlias == nil {
-		panic("mining: SampleSelfish on a population with no selfish miners")
-	}
-	return p.miners[p.selfishMembers[s.selfishAlias.Draw(r)]]
-}
-
-// SoleMember returns the pool's only member if the pool has exactly one, in
-// which case pool-conditional attribution needs no draw at all — the bulk
-// block-append fast path. The second return is false for empty and
-// multi-member pools.
-func (p *Population) SoleMember(pool PoolID) (Miner, bool) {
-	if pool < 0 || int(pool) >= len(p.poolMembers) || len(p.poolMembers[pool]) != 1 {
-		return Miner{}, false
-	}
-	return p.Miner(int(p.poolMembers[pool][0])), true
+	return p.miners[p.sampler().Draw(r)]
 }
 
 // PoolShare is one entry of the 2018 Ethereum mining-pool snapshot.

@@ -242,18 +242,6 @@ func TestPoolIndexesAndPowerSums(t *testing.T) {
 	if got := p.NumPools(); got != 2 {
 		t.Fatalf("NumPools = %d, want 2", got)
 	}
-	if got := p.PoolPower(1); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("PoolPower(1) = %v, want 0.5", got)
-	}
-	if got := p.PoolPower(2); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("PoolPower(2) = %v, want 0.1", got)
-	}
-	if got := p.PoolPower(HonestPool); math.Abs(got-0.4) > 1e-12 {
-		t.Errorf("honest PoolPower = %v, want 0.4", got)
-	}
-	if got := p.PoolPower(99); got != 0 {
-		t.Errorf("PoolPower(99) = %v, want 0", got)
-	}
 	if got := p.Alpha(); math.Abs(got-0.6) > 1e-12 {
 		t.Errorf("Alpha = %v, want 0.6", got)
 	}
@@ -287,9 +275,6 @@ func TestMultiAgent(t *testing.T) {
 	if got := p.Alpha(); math.Abs(got-0.45) > 1e-12 {
 		t.Errorf("Alpha = %v, want 0.45", got)
 	}
-	if got := p.PoolPower(2); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("PoolPower(2) = %v, want 0.2", got)
-	}
 	for _, alphas := range [][]float64{nil, {0}, {-0.1}, {0.6, 0.5}, {1}} {
 		if _, err := MultiAgent(alphas...); err == nil {
 			t.Errorf("MultiAgent(%v) should fail", alphas)
@@ -320,137 +305,10 @@ func TestEqualPools(t *testing.T) {
 			t.Errorf("miner %d pool = %d, want %d", i, m.Pool, wantPools[i])
 		}
 	}
-	if got := p.PoolPower(2); math.Abs(got-0.2) > 1e-12 {
-		t.Errorf("PoolPower(2) = %v, want 0.2", got)
-	}
 	if _, err := EqualPools(5, 3, 3); !errors.Is(err, ErrBadPool) {
 		t.Errorf("oversubscribed pools: err = %v, want ErrBadPool", err)
 	}
 	if _, err := EqualPools(5, -1); !errors.Is(err, ErrBadPool) {
 		t.Errorf("negative pool size: err = %v, want ErrBadPool", err)
-	}
-}
-
-func TestSampleMemberDistribution(t *testing.T) {
-	// The per-pool alias path must reproduce the within-pool weight
-	// distribution.
-	p, err := NewPopulation([]Miner{
-		{ID: 1, Power: 1, Pool: 1},
-		{ID: 2, Power: 3, Pool: 1},
-		{ID: 3, Power: 6},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(321)
-	const n = 100000
-	counts := make(map[chain.MinerID]int)
-	for i := 0; i < n; i++ {
-		m := p.SampleMember(1, r)
-		if m.Pool != 1 {
-			t.Fatalf("SampleMember(1) returned miner %d of pool %d", m.ID, m.Pool)
-		}
-		counts[m.ID]++
-	}
-	for id, want := range map[chain.MinerID]float64{1: 0.25, 2: 0.75} {
-		got := float64(counts[id]) / n
-		sigma := math.Sqrt(want * (1 - want) / n)
-		if math.Abs(got-want) > 5*sigma {
-			t.Errorf("member %d frequency %v, want %v +/- 5 sigma", id, got, want)
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SampleMember of an empty pool did not panic")
-		}
-	}()
-	p.SampleMember(3, r)
-}
-
-func TestSampleSelfishDistribution(t *testing.T) {
-	// The combined selfish alias path must reproduce the hash-power
-	// distribution conditioned on the producer being selfish, across pools.
-	p, err := NewPopulation([]Miner{
-		{ID: 1, Power: 1, Pool: 1},
-		{ID: 2, Power: 3, Pool: 2},
-		{ID: 3, Power: 2, Pool: 2},
-		{ID: 4, Power: 14},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(654)
-	const n = 100000
-	counts := make(map[chain.MinerID]int)
-	for i := 0; i < n; i++ {
-		m := p.SampleSelfish(r)
-		if m.Pool == HonestPool {
-			t.Fatalf("SampleSelfish returned honest miner %d", m.ID)
-		}
-		counts[m.ID]++
-	}
-	// Conditional weights: 1/6, 3/6, 2/6 of the selfish total.
-	for id, want := range map[chain.MinerID]float64{1: 1.0 / 6, 2: 0.5, 3: 1.0 / 3} {
-		got := float64(counts[id]) / n
-		sigma := math.Sqrt(want * (1 - want) / n)
-		if math.Abs(got-want) > 5*sigma {
-			t.Errorf("member %d frequency %v, want %v +/- 5 sigma", id, got, want)
-		}
-	}
-}
-
-func TestSampleSelfishConsumesTwoDraws(t *testing.T) {
-	// Like Sample, the conditional draw must consume exactly two generator
-	// outputs so fast-forward mode has a fixed consumption pattern.
-	p, err := TwoAgent(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := rng.New(777)
-	b := rng.New(777)
-	for i := 0; i < 100; i++ {
-		p.SampleSelfish(a)
-		b.Uint64()
-		b.Float64()
-	}
-	if got, want := a.Uint64(), b.Uint64(); got != want {
-		t.Fatal("SampleSelfish consumption pattern is not two outputs per draw")
-	}
-}
-
-func TestSampleSelfishPanicsWithoutSelfishPower(t *testing.T) {
-	p, err := Equal(5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("SampleSelfish on an all-honest population did not panic")
-		}
-	}()
-	p.SampleSelfish(rng.New(1))
-}
-
-func TestSoleMember(t *testing.T) {
-	p, err := MultiAgent(0.2, 0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, ok := p.SoleMember(HonestPool)
-	if !ok || m.ID != 3 || m.Pool != HonestPool {
-		t.Errorf("SoleMember(honest) = %+v, %v; want the honest aggregate (ID 3)", m, ok)
-	}
-	if m, ok := p.SoleMember(1); !ok || m.ID != 1 {
-		t.Errorf("SoleMember(1) = %+v, %v; want pool-1 agent", m, ok)
-	}
-	multi, err := Equal(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := multi.SoleMember(1); ok {
-		t.Error("SoleMember of a 4-member pool reported a sole member")
-	}
-	if _, ok := multi.SoleMember(7); ok {
-		t.Error("SoleMember of a nonexistent pool reported a member")
 	}
 }

@@ -164,96 +164,6 @@ func (r *Source) ExpUnit() float64 {
 	return -math.Log(1 - r.Float64())
 }
 
-// GeometricLog returns the number of failures before the first success in a
-// Bernoulli(p) sequence: a geometrically distributed integer on {0, 1, 2, ...}
-// with P(X = k) = (1-p)^k * p, given negLogQ = -Log1p(-p) for p in (0, 1].
-// The caller precomputes the denominator, so hot loops drawing at a fixed p
-// hoist the logarithm out of every draw. It is the fast-forward sampler for
-// the length of an uneventful stretch, and like ExpUnit it consumes exactly
-// one generator output per draw, so enabling stretch skipping perturbs no
-// other consumer's view of the stream.
-//
-// The draw inverts the CDF through the exponential representation
-// X = floor(E / -ln(1-p)) with E ~ Exp(1): one draw and one divide. For
-// p == 1 the denominator is +Inf and the result is always 0, as required.
-func (r *Source) GeometricLog(negLogQ float64) int {
-	k := r.ExpUnit() / negLogQ
-	// Guard the conversion: for tiny p the ratio can exceed what an int
-	// holds (and Inf/Inf above is impossible because ExpUnit is finite).
-	if k >= maxGeometric {
-		return maxGeometric
-	}
-	return int(k)
-}
-
-// maxGeometric caps GeometricLog's return value so the float-to-int conversion
-// is always defined. 2^62 failures is beyond any simulable horizon; callers
-// clamp to their remaining budget anyway.
-const maxGeometric = 1 << 62
-
-// Normal returns a standard normal value via the Box–Muller transform. It
-// consumes exactly two generator outputs per draw. The polar (Marsaglia)
-// variant would be faster on average but consumes a variable number of
-// outputs, which would make consumers' stream consumption data-dependent.
-func (r *Source) Normal() float64 {
-	// ExpUnit is -ln(1-u1) with 1-u1 in (0, 1], so the sqrt argument is
-	// finite and non-negative; u2 spins the angle.
-	rad := math.Sqrt(2 * r.ExpUnit())
-	return rad * math.Cos(2*math.Pi*r.Float64())
-}
-
-// GammaInt returns a Gamma(k, 1) value for integer shape k >= 0: the sum of k
-// independent unit-mean exponentials. The fast-forward path uses it to bulk
-// the total duration of a skipped stretch in O(1) instead of k ExpUnit draws.
-// GammaInt(0) is exactly 0 (an empty sum) and consumes no generator output.
-// Unlike ExpUnit and GeometricLog, large shapes consume a variable number of
-// outputs (Marsaglia–Tsang rejection), so GammaInt belongs on streams whose
-// consumption pattern is already mode-specific, like the fast-forward time
-// axis. It panics if k < 0.
-func (r *Source) GammaInt(k int) float64 {
-	if k < 0 {
-		panic("rng: GammaInt called with negative shape")
-	}
-	// For small shapes the direct sum is both cheapest and exact in
-	// distribution; rejection only wins once k is large enough that a
-	// handful of squeeze iterations beat k log calls.
-	if k <= smallGammaShape {
-		var sum float64
-		for i := 0; i < k; i++ {
-			sum += r.ExpUnit()
-		}
-		return sum
-	}
-	// Marsaglia–Tsang (2000) squeeze for shape a >= 1: draw x ~ N(0,1),
-	// v = (1 + c*x)^3, accept v*d with probability squeezed against
-	// ln(u); acceptance is ~99.8% for large shapes.
-	d := float64(k) - 1.0/3.0
-	c := 1.0 / math.Sqrt(9.0*d)
-	for {
-		x := r.Normal()
-		v := 1.0 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64()
-		if u < 1.0-0.0331*x*x*x*x {
-			return d * v
-		}
-		// math.Log(0) is -Inf, which correctly always accepts.
-		if math.Log(u) < 0.5*x*x+d*(1.0-v+math.Log(v)) {
-			return d * v
-		}
-	}
-}
-
-// smallGammaShape is the largest shape GammaInt samples by direct summation.
-// Each summed term costs a logarithm, while a Marsaglia–Tsang draw costs
-// roughly three log-equivalents (a Normal plus the squeeze) regardless of
-// shape, so rejection wins from shape ~5 up; fast-forward stretch lengths at
-// paper alphas have mean 2–10, right in the band this cutoff decides.
-const smallGammaShape = 4
-
 // Categorical draws an index in [0, len(weights)) with probability
 // proportional to weights[i]. Negative weights are treated as zero. It panics
 // if the total weight is not positive, which indicates a configuration error.

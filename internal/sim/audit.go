@@ -37,6 +37,9 @@ import (
 //     eligibleUncles — which walks only the race segment above the floor —
 //     returns exactly what a full-depth eligibility scan of the candidate
 //     window returns, for every block the next event can build on.
+//   - Origin fast path: while the plain loop takes its race-origin
+//     shortcut, every pool's live strategy plainly adopts at (0, 1, 0), the
+//     compiled-table property the shortcut relies on.
 //
 // With Audit disabled (the zero Config) none of this code runs and the hot
 // path is untouched. The sampled mode (SampleEvery > 1) keeps the audit
@@ -152,26 +155,28 @@ func (a *auditor) check(s *simulator) error {
 	if err := a.checkEligibility(s); err != nil {
 		return err
 	}
-	if err := a.checkFastForward(s); err != nil {
+	if err := a.checkOriginFast(s); err != nil {
 		return err
 	}
 	return a.checkConservation(s)
 }
 
-// checkFastForward re-proves the fast-forward engagement condition while
-// the mode is live: every pool must still plainly adopt at the (0, 1, 0)
-// frame, or the bulk stretches the engine skipped were not memoryless. For
-// tabled pools the re-probe reads the compiled table property, so a table
-// that drifted from its strategy (an impossible-by-construction state this
-// audit exists to catch) fails here rather than corrupting results
-// silently.
-func (a *auditor) checkFastForward(s *simulator) error {
-	if !s.ffwd {
+// checkOriginFast re-proves the race-origin fast path's premise while it is
+// on: every pool's live strategy must plainly adopt at the (0, 1, 0) frame,
+// or the origin events the fast path played without consulting it were
+// wrong. The fast path read the compiled tables; the re-probe calls the
+// strategy itself, so a table that drifted from its strategy (an
+// impossible-by-construction state this audit exists to catch) fails here
+// rather than corrupting results silently. At that frame ls = 0 forces any
+// valid PublishTo to zero.
+func (a *auditor) checkOriginFast(s *simulator) error {
+	if !s.originFast {
 		return nil
 	}
 	for i := range s.pools {
-		if !s.pools[i].adoptsAtOrigin() {
-			return a.violation("fast-forward engaged but pool %d does not plainly adopt at (0,1,0)", i+1)
+		r := s.pools[i].strat.ReactToHonest(0, 1, 0)
+		if !r.Adopt || r.Commit || validateReaction(r, 0, 1, 0) != nil {
+			return a.violation("origin fast path on but pool %d does not plainly adopt at (0,1,0)", i+1)
 		}
 	}
 	return nil

@@ -31,8 +31,8 @@ func TestAuditValidation(t *testing.T) {
 // TestAuditCleanRuns: the full audit passes on healthy configurations
 // across the engine's feature matrix — single and multiple pools, mixed
 // strategies, both gamma extremes, capped uncles, the Bitcoin schedule,
-// the unbounded-depth schedule (the widest reference window, plain and
-// fast-forwarded), and the continuous-time path.
+// the unbounded-depth schedule (the widest reference window, also under an
+// uncle cap), and the continuous-time path.
 func TestAuditCleanRuns(t *testing.T) {
 	multi, err := mining.MultiAgent(0.25, 0.2)
 	if err != nil {
@@ -63,9 +63,9 @@ func TestAuditCleanRuns(t *testing.T) {
 			Population: multi, Gamma: 0.5, Blocks: 4000, Seed: 12, Schedule: noDepth,
 			Strategies: []Strategy{Algorithm1{}, Stubborn{Lead: true}},
 		}},
-		{"no depth limit capped fast-forward", Config{
+		{"no depth limit capped", Config{
 			Population: twoAgent(t, 0.3), Gamma: 0.5, Blocks: 4000, Seed: 13, Schedule: noDepth,
-			MaxUnclesPerBlock: 2, FastForward: true,
+			MaxUnclesPerBlock: 2,
 		}},
 	}
 	for _, tt := range cases {

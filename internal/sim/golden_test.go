@@ -21,8 +21,7 @@ import (
 // uncle-distance checksums produced by the engine before the continuous-time
 // refactor, across gamma in {0, 0.5, 1}, both reward schedules, uncle caps,
 // and one- and two-pool populations. The unbounded-depth cases (reference
-// window 64, the schedule of the paper's Fig. 8) and the fast-forward cases
-// were added later, generated on the engine that preceded the floor-anchored
+// window 64, the schedule of the paper's Fig. 8) were added later, generated on the engine that preceded the floor-anchored
 // chain index. Regenerate with
 //
 //	go test ./internal/sim -run TestGoldenTimeless -update
@@ -100,7 +99,6 @@ type goldenCase struct {
 	uncleCap int
 	miners   int // >0: Equal(miners, selfish) population instead
 	selfish  int
-	ffwd     bool
 }
 
 // noDepthSchedule is the paper's Fig. 8 schedule: a flat Ku = 1/2 at any
@@ -147,19 +145,6 @@ func goldenCases() []goldenCase {
 		goldenCase{name: "2pool-nodepth-gamma0.5", gamma: 0.5, schedule: noDepthSchedule(), pools: []float64{0.25, 0.2}},
 		goldenCase{name: "1pool-nodepth-unclecap2", gamma: 0.5, schedule: noDepthSchedule(), uncleCap: 2},
 	)
-	// Fast-forward consumes the random stream differently, so its runs get
-	// their own fingerprints: the unbounded-depth configurations above plus
-	// the paper's Ethereum setting.
-	for _, c := range []goldenCase{
-		{name: "1pool-ethereum-gamma0.5", gamma: 0.5, schedule: rewards.Ethereum()},
-		{name: "1pool-nodepth-gamma0.5", gamma: 0.5, schedule: noDepthSchedule()},
-		{name: "2pool-nodepth-gamma0.5", gamma: 0.5, schedule: noDepthSchedule(), pools: []float64{0.25, 0.2}},
-		{name: "1pool-nodepth-unclecap2", gamma: 0.5, schedule: noDepthSchedule(), uncleCap: 2},
-	} {
-		c.name += "-fastforward"
-		c.ffwd = true
-		cases = append(cases, c)
-	}
 	return cases
 }
 
@@ -187,7 +172,6 @@ func (c goldenCase) run(t *testing.T) Result {
 		Blocks:            20000,
 		Seed:              7,
 		MaxUnclesPerBlock: c.uncleCap,
-		FastForward:       c.ffwd,
 	})
 	if err != nil {
 		t.Fatal(err)

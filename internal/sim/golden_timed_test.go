@@ -14,7 +14,7 @@ import (
 // The timed path gets its own golden file: testdata/golden_timed.json pins
 // every timeless fingerprint field plus the clock, the difficulty
 // trajectory and both settlement windows of timed runs under each
-// difficulty rule, plain and fast-forward, generated on the engine that
+// difficulty rule, generated on the engine that
 // first shared one race walk across clock overlays. Regenerate with
 //
 //	go test ./internal/sim -run TestGoldenTimed -update
@@ -92,16 +92,11 @@ func goldenTimedCases(t *testing.T) map[string]Config {
 	capped := cases["1pool-ethereum-eip100-unclecap2"]
 	capped.MaxUnclesPerBlock = 2
 	cases["1pool-ethereum-eip100-unclecap2"] = capped
-	for _, name := range []string{"1pool-ethereum-static", "2pool-nodepth-static"} {
-		ff := cases[name]
-		ff.FastForward = true
-		cases[name+"-fastforward"] = ff
-	}
 	return cases
 }
 
 // TestGoldenTimed pins the timed path (static, Bitcoin-style and EIP100
-// clocks, plain and fast-forward) bit for bit.
+// clocks) bit for bit.
 func TestGoldenTimed(t *testing.T) {
 	got := make(map[string]goldenTimedFingerprint)
 	for name, cfg := range goldenTimedCases(t) {

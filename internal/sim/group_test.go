@@ -62,22 +62,17 @@ func TestRunGroupMatchesRun(t *testing.T) {
 }
 
 // TestRunGroupRejectsBadClocks: RunGroup rejects what its signature cannot
-// rule out — a result slice of the wrong length, an unknown rule, and more
-// than one clock, or a feedback clock, under fast-forward.
+// rule out — a result slice of the wrong length and an unknown rule.
 func TestRunGroupRejectsBadClocks(t *testing.T) {
 	race := Config{Population: twoAgent(t, 0.3), Gamma: 0.5, Blocks: 500, Seed: 3, Time: TimeConfig{Enabled: true}}
-	ffwd := race
-	ffwd.FastForward = true
 	cases := map[string]struct {
 		race  Config
 		rules []difficulty.Rule
 		out   int
 	}{
-		"short out":                   {race, difficulty.Rules(), 1},
-		"no clocks":                   {race, nil, 0},
-		"invalid clock":               {race, []difficulty.Rule{difficulty.Static, difficulty.Rule(42)}, 2},
-		"fast-forward":                {ffwd, []difficulty.Rule{difficulty.Static, difficulty.Static}, 2},
-		"fast-forward feedback clock": {ffwd, []difficulty.Rule{difficulty.EIP100}, 1},
+		"short out":     {race, difficulty.Rules(), 1},
+		"no clocks":     {race, nil, 0},
+		"invalid clock": {race, []difficulty.Rule{difficulty.Static, difficulty.Rule(42)}, 2},
 	}
 	rn := NewRunner()
 	for name, c := range cases {

@@ -105,8 +105,7 @@ type Result struct {
 	// retarget (and, for EIP100, at most one epoch of 1/epoch-gain
 	// steps) — and Steady covers the settled chain above the midpoint
 	// floor: the consensus-floor height when the run first reached event
-	// Blocks/2 (under fast-forward, the first event boundary at or past
-	// it). That is roughly the trailing half, where the controller has
+	// Blocks/2. That is roughly the trailing half, where the controller has
 	// converged, and it is fixed before settlement reaches it, so the
 	// window is tallied exactly, in O(1) state, as blocks settle. The
 	// profitability question "does selfish mining actually pay?" is RateOf
@@ -260,9 +259,8 @@ func (rn *Runner) Run(cfg Config) (Result, error) {
 // rules (see time.go) and settles it into out, one slot per rule: out[i] is
 // bit-identical to what Run returns for race with Time.Difficulty.Rule set
 // to rules[i], and owns all of its data. The race's own Time.Difficulty
-// serves only to validate it. Every rule must be known, and a fast-forward
-// race carries its one static clock. A timeless race ignores the rules and
-// settles the same Result into every slot. Anything else is rejected with
+// serves only to validate it. Every rule must be known. A timeless race
+// ignores the rules and settles the same Result into every slot. Anything else is rejected with
 // ErrBadConfig, and on error out is left as it was.
 func (rn *Runner) RunGroup(race Config, rules []difficulty.Rule, out []Result) error {
 	if len(rules) == 0 || len(out) != len(rules) {
@@ -276,9 +274,6 @@ func (rn *Runner) RunGroup(race Config, rules []difficulty.Rule, out []Result) e
 		for i, r := range rules {
 			if err := r.Validate(); err != nil {
 				return fmt.Errorf("%w: rule %d: %v", ErrBadConfig, i, err)
-			}
-			if race.FastForward && (len(rules) > 1 || r != difficulty.Static) {
-				return fmt.Errorf("%w: a fast-forward race carries one static clock", ErrBadConfig)
 			}
 		}
 	}

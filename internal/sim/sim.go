@@ -120,24 +120,6 @@ type Config struct {
 	// timeless block-count engine, bit-identical to the pre-time path.
 	Time TimeConfig
 
-	// FastForward enables analytic skipping of uneventful stretches: while
-	// every pool's private branch is empty (the race origin), the engine
-	// samples the number of consecutive honest blocks before the next
-	// selfish find in one geometric draw, bulk-appends them, and resumes
-	// event-by-event at the interesting event. Results agree with the
-	// plain loop in distribution (pinned by the model-agreement suite) but
-	// not bit-for-bit: skipping consumes the random stream differently, so
-	// golden fingerprints apply per mode. Fast-forward runs are themselves
-	// bit-deterministic and parallel-safe (invariant 3 holds within the
-	// mode). It is silently ignored when a pool's strategy does not adopt
-	// at the (0, 1, 0) frame (the stretch would not be memoryless) or when
-	// the honest crowd has no hash power; it is rejected when combined
-	// with a feedback difficulty controller (inter-arrival times are then
-	// sequentially dependent, so stretches cannot be bulk-sampled).
-	// Strategies must be stateless functions of their frame, which the
-	// Strategy contract already requires.
-	FastForward bool
-
 	// Antithetic runs the simulation on the antithetic mirror of the
 	// seed's random streams: every uniform draw u is reflected to
 	// (1 - 2^-53) - u (see rng.Source.SetAntithetic). A (seed, plain) /
@@ -190,10 +172,6 @@ func (c Config) validate() error {
 		if err := c.Time.Difficulty.Rule.Validate(); err != nil {
 			return fmt.Errorf("%w: %v", ErrBadConfig, err)
 		}
-	}
-	if c.FastForward && c.Time.Enabled && c.Time.Difficulty.Rule != difficulty.Static {
-		return fmt.Errorf("%w: fast-forward requires a static difficulty rule "+
-			"(a feedback controller makes inter-arrival times sequentially dependent)", ErrBadConfig)
 	}
 	if err := c.Audit.validate(); err != nil {
 		return err
@@ -348,12 +326,6 @@ type simulator struct {
 	// is filtered per viewer at scan time.
 	forkChildren []windowBlock
 
-	// referencedInWindow counts the forkChildren entries some block has
-	// referenced. Fast-forward's reference-draining prefix reads it as an
-	// O(1) gate: while every candidate is referenced somewhere, the
-	// prefix stops draining.
-	referencedInWindow int
-
 	// pools holds the per-pool race state; pools[i] is PoolID i+1.
 	pools []poolState
 
@@ -406,24 +378,12 @@ type simulator struct {
 	// cfg.Audit.Enabled, so the hot path pays one nil check per event.
 	aud *auditor
 
-	// Fast-forward state (see fastforward.go). ffwd reports that
-	// cfg.FastForward is on and every pool's strategy passed the
-	// adopt-at-origin probe; ffwdMiner is the honest crowd's sole member
-	// (bulk runs need no attribution draws then), or -1 when honest power
-	// is spread over several miners. ffwdLogQ caches the geometric draw's
-	// denominator -Log1p(-alpha), hoisting the logarithm out of every
-	// stretch.
-	ffwd      bool
-	ffwdMiner chain.MinerID
-	ffwdLogQ  float64
-
 	// originFast enables the plain loop's race-origin fast path: when
 	// every pool is tabled and its table plainly adopts at (0, 1, 0), an
 	// honest block found with every pool parked at the origin has a fully
 	// determined outcome (extend the tip, every pool re-adopts, the floor
 	// rides up one), so the event skips the leader scan, the reaction
 	// loop, and the floor recompute while consuming identical draws.
-	// Mutually exclusive with ffwd, which skips those events wholesale.
 	originFast bool
 
 	// events counts block-creation events by producing pool (entry 0: the
@@ -479,7 +439,6 @@ func (s *simulator) init(cfg Config, rules []difficulty.Rule) {
 	s.recent = s.recent[:0]
 	s.recentHead = 0
 	s.forkChildren = s.forkChildren[:0]
-	s.referencedInWindow = 0
 
 	numPools := cfg.Population.NumPools()
 	if cap(s.pools) < numPools {
@@ -529,7 +488,6 @@ func (s *simulator) init(cfg Config, rules []difficulty.Rule) {
 	}
 	s.initTime(cfg, rules)
 	s.initStream(cfg)
-	s.initFastForward(cfg)
 	s.initOriginFast()
 	s.initAudit(cfg)
 }
@@ -538,16 +496,15 @@ func (s *simulator) init(cfg Config, rules []difficulty.Rule) {
 // fast path. The probe is table-only — a pool without a compiled table
 // keeps the plain path rather than having its strategy called at init —
 // and requires at least one pool (the poolless engine's floor never
-// advances, which the fast path could not mirror). Under ffwd the origin
-// events are skipped wholesale instead, so the fast path stands down.
+// advances, which the fast path could not mirror).
 func (s *simulator) initOriginFast() {
 	s.originFast = false
-	if s.ffwd || len(s.pools) == 0 {
+	if len(s.pools) == 0 {
 		return
 	}
 	for i := range s.pools {
 		t := s.pools[i].table
-		if t == nil || !t.AdoptsAtOrigin() {
+		if t == nil || !t.adoptsAtOrigin {
 			return
 		}
 	}
@@ -614,19 +571,14 @@ func (s *simulator) addForkChild(b windowBlock) {
 	s.forkChildren = fc
 }
 
-// removeForkChild drops b from the fork-child set, reporting whether it was
-// present, and keeps the referenced-candidate count in step.
-func (s *simulator) removeForkChild(b chain.BlockID) bool {
+// removeForkChild drops b from the fork-child set if it is there.
+func (s *simulator) removeForkChild(b chain.BlockID) {
 	for i, x := range s.forkChildren {
 		if x.id == b {
 			s.forkChildren = append(s.forkChildren[:i], s.forkChildren[i+1:]...)
-			if s.tree.ReferencedBy(b) != chain.NoBlock {
-				s.referencedInWindow--
-			}
-			return true
+			return
 		}
 	}
-	return false
 }
 
 // extend creates a block, records it in the candidate window, and returns
@@ -637,22 +589,8 @@ func (s *simulator) extend(parent chain.BlockID, miner chain.MinerID, uncles []c
 	// only child becomes one alongside it (unless the window already
 	// trimmed it — a trimmed block can never be referenced again).
 	firstSibling := s.tree.FirstChildOf(parent)
-	// Count first-time references among the new block's uncles before the
-	// tree overwrites their referenced-by links. Every referenced uncle
-	// is necessarily a current fork child (it just passed eligibility).
-	for _, u := range uncles {
-		if s.tree.ReferencedBy(u) == chain.NoBlock {
-			s.referencedInWindow++
-		}
-	}
 	id, err := s.tree.ExtendAt(parent, miner, uncles, s.clock)
 	if err != nil {
-		// Roll the count back: the tree rejected the block.
-		for _, u := range uncles {
-			if s.tree.ReferencedBy(u) == chain.NoBlock {
-				s.referencedInWindow--
-			}
-		}
 		return chain.NoBlock, fmt.Errorf("sim: extending chain: %w", err)
 	}
 	height := s.tree.HeightOf(id)
@@ -816,9 +754,6 @@ func (s *simulator) purgeForkChildren() {
 			remove = true // parent off every future chain
 		}
 		if remove {
-			if t.ReferencedBy(c) != chain.NoBlock {
-				s.referencedInWindow--
-			}
 			continue
 		}
 		kept = append(kept, cand)
@@ -1220,6 +1155,19 @@ func (s *simulator) honestEvent(miner chain.MinerID) error {
 	return s.reactOthers(-1)
 }
 
+// atRaceOrigin reports whether every pool is parked at the race origin
+// (empty private branch rooted at the public tip) and the public tip is
+// childless, so an honest block there cannot fork.
+func (s *simulator) atRaceOrigin() bool {
+	for i := range s.pools {
+		p := &s.pools[i]
+		if len(p.blocks) != 0 || p.root != s.pubTip {
+			return false
+		}
+	}
+	return s.tree.FirstChildOf(s.pubTip) == chain.NoBlock
+}
+
 // originHonest handles an honest block found with every pool parked at the
 // race origin and the tip childless (the race-origin fast path, see
 // originFast): the outcome is fully determined — extend the tip, every pool
@@ -1249,35 +1197,23 @@ func (s *simulator) originHonest(miner chain.MinerID) error {
 		}
 		s.flags[int(id)-s.idBase] |= flagDecided
 	}
-	return s.rideTip(id, s.pubHeight+1, s.floor)
-}
-
-// rideTip makes tip, at height, the public tip and every pool's root: each
-// pool re-adopted at every block up to it, so the consensus floor rides up
-// to the tip. The advance is audited like resolve's, the blocks from the
-// old floor up to indexed enter the chain index through advanceFloor (the
-// ones above indexed must already be flagged decided and reference
-// nothing), and the candidate purge follows. The poolless engine never
-// advances its floor (resolve is pool-triggered), so there it only moves
-// the tip.
-func (s *simulator) rideTip(tip chain.BlockID, height int, indexed chain.BlockID) error {
-	s.pubTip = tip
-	s.pubHeight = height
+	// The new block is the public tip and every pool's root: each pool
+	// re-adopted to it, so the consensus floor rides up onto it. The
+	// advance is audited like resolve's; the block is already flagged
+	// decided and references nothing, so the chain index needs no walk.
+	s.pubTip = id
+	s.pubHeight++
 	for i := range s.pools {
 		p := &s.pools[i]
-		p.root = tip
-		p.rootHeight = height
-	}
-	if len(s.pools) == 0 {
-		return nil
+		p.root = id
+		p.rootHeight = s.pubHeight
 	}
 	if s.aud != nil {
-		if err := s.aud.auditFloor(s, s.floor, tip); err != nil {
+		if err := s.aud.auditFloor(s, s.floor, id); err != nil {
 			return err
 		}
 	}
-	s.advanceFloor(indexed)
-	s.floor = tip
+	s.floor = id
 	if len(s.forkChildren) > 0 {
 		s.purgeForkChildren()
 	}
@@ -1287,44 +1223,20 @@ func (s *simulator) rideTip(tip chain.BlockID, height int, indexed chain.BlockID
 // run executes the configured number of block events, settling the decided
 // prefix as it goes. The races still in flight when the run ends are
 // excluded from settlement (the chain is settled at the consensus floor).
-// Every event, fast-forwarded or not, ends through the same tail: the
-// deferred floor recompute, the controllers' settled-block observation,
-// the streaming settlement and the sampled audit.
+// Every event ends through the same tail: the deferred floor recompute,
+// the controllers' settled-block observation, the streaming settlement and
+// the sampled audit.
 func (s *simulator) run() error {
 	pop := s.cfg.Population
 	for i := 0; i < s.cfg.Blocks; i++ {
 		if i >= s.steadyEvent {
 			s.markSteadyStart()
 		}
-		selfish := false
-		if s.ffwd && s.atRaceOrigin() {
-			skipped, err := s.fastForward(s.cfg.Blocks - i)
-			if err != nil {
-				return err
-			}
-			i += skipped
-			if i >= s.steadyEvent {
-				// The stretch skipped past the boundary: record it at
-				// the first event boundary the loop reaches.
-				s.markSteadyStart()
-			}
-			if i >= s.cfg.Blocks {
-				return nil
-			}
-			// The stretch ended because the next producer is selfish:
-			// run that event now, drawn conditionally on being selfish.
-			selfish = true
-		}
 		s.recordState()
 		if s.timing {
 			s.advanceClock()
 		}
-		var miner mining.Miner
-		if selfish {
-			miner = pop.SampleSelfish(s.random)
-		} else {
-			miner = pop.Sample(s.random)
-		}
+		miner := pop.Sample(s.random)
 		s.events[miner.Pool]++
 		var err error
 		switch {

@@ -79,6 +79,26 @@ func TestBlockAccounting(t *testing.T) {
 	}
 }
 
+// TestEventCounts checks the event tally: the per-pool counts must sum to
+// Blocks and the selfish share must sit near alpha (its exact mean).
+func TestEventCounts(t *testing.T) {
+	const alpha = 0.3
+	cfg := Config{Population: twoAgent(t, alpha), Gamma: 0.5, Blocks: 50000, Seed: 4141}
+	res := run(t, cfg)
+	var total int64
+	for _, n := range res.EventsByPool {
+		total += n
+	}
+	if total != int64(cfg.Blocks) {
+		t.Errorf("events sum to %d, want %d", total, cfg.Blocks)
+	}
+	share := res.SelfishEventShare()
+	sigma := math.Sqrt(alpha * (1 - alpha) / float64(cfg.Blocks))
+	if math.Abs(share-alpha) > 5*sigma {
+		t.Errorf("selfish event share %v deviates more than 5 sigma from %v", share, alpha)
+	}
+}
+
 func TestHonestOnlyPopulation(t *testing.T) {
 	// With no selfish miners every block is regular and every miner
 	// earns exactly its blocks.

@@ -108,7 +108,7 @@ func (s *simulator) initStream(cfg Config) {
 }
 
 // markSteadyStart records the Steady window's boundary: the height of the
-// consensus floor at the first event boundary at or past Blocks/2. Every
+// consensus floor when the loop reaches event Blocks/2. Every
 // later floor descends from this one, so the boundary block is on the final
 // settled chain; and the settler lags the floor by more than a window, so
 // no block above the boundary has settled yet.

@@ -16,7 +16,7 @@ import (
 // it bit for bit against an independent one-shot oracle — chain.Tree.Settle
 // over the full tree RunTrace keeps, plus a descending walk for the time
 // windows — across every engine mode the settlement touches: timeless and
-// timed, both difficulty rules, fast-forward, uncle caps, multi-pool and
+// timed, every difficulty rule, a low alpha, uncle caps, multi-pool and
 // 1000-miner populations, and the Bitcoin window=1 boundary.
 
 // streamEquivCase is one pinned configuration.
@@ -63,17 +63,16 @@ func streamEquivCases(t *testing.T) []streamEquivCase {
 		{name: "timed-bitcoinstyle", cfg: timed(difficulty.BitcoinStyle, 2000)},
 		{name: "timed-eip100-long", cfg: timed(difficulty.EIP100, 30000)},
 		{
-			name: "fastforward",
-			cfg:  Config{Population: twoAgent(t, 0.15), Gamma: 0.5, Blocks: 20000, Seed: 909, FastForward: true},
+			name: "timeless-alpha0.15",
+			cfg:  Config{Population: twoAgent(t, 0.15), Gamma: 0.5, Blocks: 20000, Seed: 909},
 		},
 		{
-			name: "fastforward-timed-static",
+			name: "timed-static-alpha0.15",
 			cfg: Config{
-				Population:  twoAgent(t, 0.15),
-				Gamma:       0.5,
-				Blocks:      2000,
-				Seed:        909,
-				FastForward: true,
+				Population: twoAgent(t, 0.15),
+				Gamma:      0.5,
+				Blocks:     2000,
+				Seed:       909,
 				Time: TimeConfig{
 					Enabled:    true,
 					Difficulty: difficulty.Params{Rule: difficulty.Static},

@@ -53,9 +53,9 @@ type DecisionTable struct {
 	honest []int8
 
 	// adoptsAtOrigin records whether the honest reaction at the (0, 1, 0)
-	// frame is a plain, valid adopt — the fast-forward engagement probe,
-	// precomputed so engagement checks (and the auditor's re-probe) read a
-	// table property instead of calling the strategy live.
+	// frame is a plain, valid adopt — the premise of the plain loop's
+	// race-origin fast path (see simulator.originFast), precomputed so
+	// the engine reads a table property instead of calling the strategy.
 	adoptsAtOrigin bool
 }
 
@@ -203,11 +203,6 @@ func decodeReaction(e int8) Reaction {
 
 // Name implements Strategy.
 func (t *DecisionTable) Name() string { return t.strat.Name() }
-
-// AdoptsAtOrigin reports whether the compiled strategy plainly adopts at
-// the (0, 1, 0) frame — the fast-forward engagement condition, as a table
-// property.
-func (t *DecisionTable) AdoptsAtOrigin() bool { return t.adoptsAtOrigin }
 
 // ReactToPool implements Strategy: a table load inside the window, the live
 // strategy beyond it or at frames whose compiled reaction was invalid.

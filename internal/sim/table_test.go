@@ -103,12 +103,12 @@ func TestDecisionTableEquivalence(t *testing.T) {
 				}
 				check(ls, lh, intn(r, ls+1))
 			}
-			// The precomputed engagement probe matches the live reaction at
-			// the fast-forward origin frame.
+			// The precomputed origin probe matches the live reaction at
+			// the race-origin frame the origin fast path relies on.
 			origin := st.ReactToHonest(0, 1, 0)
 			want := reactionAllowed(origin, 0, 1, 0) && origin.Adopt && !origin.Commit
-			if got := table.AdoptsAtOrigin(); got != want {
-				t.Fatalf("%s: AdoptsAtOrigin() = %v, live origin reaction %+v", spec, got, origin)
+			if got := table.adoptsAtOrigin; got != want {
+				t.Fatalf("%s: adoptsAtOrigin = %v, live origin reaction %+v", spec, got, origin)
 			}
 		}
 	}
@@ -117,7 +117,9 @@ func TestDecisionTableEquivalence(t *testing.T) {
 // TestDecisionTableRunBitIdentity pins the claim the table dispatch rests
 // on: a full run with compiled tables is bit-identical to the same run on
 // the live interface path, for every registered family and across the
-// engine's modes (timeless, timed, fast-forwarded).
+// engine's modes (timeless, timed). The live path never takes the
+// race-origin fast path (it needs compiled tables), so this also pins the
+// fast path against the general one.
 func TestDecisionTableRunBitIdentity(t *testing.T) {
 	pop, err := mining.MultiAgent(0.25, 0.15)
 	if err != nil {
@@ -138,7 +140,6 @@ func TestDecisionTableRunBitIdentity(t *testing.T) {
 	}{
 		{"timeless", Config{}},
 		{"timed", Config{Time: TimeConfig{Enabled: true}}},
-		{"fastforward", Config{FastForward: true}},
 	}
 	for _, field := range fields {
 		strategies, err := NewStrategies(field)

@@ -138,8 +138,7 @@ func (s *simulator) stampOf(k int, id chain.BlockID) float64 {
 // The event then creates exactly one block, stamped with these clocks: the
 // tree takes overlay 0's stamp, and the extra overlays' stamps are appended
 // here, so their columns stay aligned with the per-block flags while the
-// timeless path carries no overlay code at all. (Fast-forward's bulk
-// stretches create many blocks per event; they run a single overlay.)
+// timeless path carries no overlay code at all.
 func (s *simulator) advanceClock() {
 	u := s.timeRandom.ExpUnit()
 	s.clock += u * s.currentDifficulty()

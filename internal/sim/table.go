@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"sync"
 )
 
@@ -78,9 +79,17 @@ func (Stubborn) frameTabled()       {}
 // tableCache shares compiled tables across runs and workers, keyed by the
 // strategy value itself. Registry strategies are small comparable structs,
 // so two pools running stubborn:trail=2 — in the same run or in parallel
-// workers — resolve to the same table, and a strategy's ~0.5 MiB grid pair
-// is compiled once per process rather than once per run.
+// workers — resolve to the same table. Each key holds a *tableEntry whose
+// sync.Once runs the compile, so a strategy's ~0.5 MiB grid pair is
+// compiled exactly once per process: workers that reach a cold key together
+// wait for the one compile instead of racing duplicates of it.
 var tableCache sync.Map
+
+// tableEntry is one tableCache slot: t is set once, under once.
+type tableEntry struct {
+	once sync.Once
+	t    *DecisionTable
+}
 
 // tableFor returns the shared compiled table for st, or nil when st is not
 // eligible (no purity marker, or a dynamic type that cannot serve as a
@@ -94,21 +103,20 @@ func tableFor(st Strategy) *DecisionTable {
 		// compiling per call would cost more than it saves.
 		return nil
 	}
-	if t, ok := tableCache.Load(st); ok {
-		return t.(*DecisionTable)
+	v, ok := tableCache.Load(st)
+	if !ok {
+		v, _ = tableCache.LoadOrStore(st, new(tableEntry))
 	}
-	t := CompileDecisionTable(st)
-	// Two workers may race to compile the same strategy; both produce
-	// identical tables, and LoadOrStore keeps exactly one.
-	actual, _ := tableCache.LoadOrStore(st, t)
-	return actual.(*DecisionTable)
+	e := v.(*tableEntry)
+	e.once.Do(func() { e.t = CompileDecisionTable(st) })
+	return e.t
 }
 
 // WarmDecisionTables compiles (and caches) the decision tables for every
 // eligible strategy in the list. The experiment engine calls it once per
 // job before fanning runs across workers, so no worker pays the one-time
-// compile inside its timed hot loop and racing duplicate compiles are
-// avoided. Nil and ineligible entries are skipped.
+// compile inside its timed hot loop. Nil and ineligible entries are
+// skipped.
 func WarmDecisionTables(strategies []Strategy) {
 	for _, st := range strategies {
 		if st != nil {
@@ -125,13 +133,54 @@ func WarmDecisionTables(strategies []Strategy) {
 // at the event that reaches the offending frame. The caller is responsible
 // for only compiling strategies that are deterministic functions of their
 // frame, as the Strategy contract requires.
+//
+// The window is split across runtime.GOMAXPROCS(0) workers, so st is
+// consulted from several goroutines at once; a pure frame function allows
+// that. The table is the same at any worker count. A panic in st is
+// re-raised on the caller's goroutine once every worker has stopped.
 func CompileDecisionTable(st Strategy) *DecisionTable {
 	t := &DecisionTable{
 		strat:  st,
 		pool:   make([]int8, tableDim*tableDim*tableDim),
 		honest: make([]int8, tableDim*tableDim*tableDim),
 	}
-	for ls := 0; ls < tableDim; ls++ {
+	workers := min(runtime.GOMAXPROCS(0), tableDim)
+	if workers == 1 {
+		t.compileSlabs(0, 1)
+	} else {
+		var (
+			wg        sync.WaitGroup
+			first     sync.Once
+			panicWith any // the first worker panic; recover never yields nil for one
+		)
+		for w := range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() {
+					if r := recover(); r != nil {
+						first.Do(func() { panicWith = r })
+					}
+				}()
+				t.compileSlabs(w, workers)
+			}()
+		}
+		wg.Wait()
+		if panicWith != nil {
+			panic(panicWith)
+		}
+	}
+	t.adoptsAtOrigin = t.honest[(0*tableDim+1)*tableDim+0] == tableAdopt
+	return t
+}
+
+// compileSlabs fills the ls slabs first, first+stride, ... of both grids.
+// Interleaved slabs give every worker the same mix of shallow and deep
+// frames, so the workers' shares cost about the same; the slabs are
+// disjoint, so workers write without synchronization.
+func (t *DecisionTable) compileSlabs(first, stride int) {
+	st := t.strat
+	for ls := first; ls < tableDim; ls += stride {
 		for lh := 0; lh < tableDim; lh++ {
 			base := (ls*tableDim + lh) * tableDim
 			// Frames with published > ls are unreachable (a pool can
@@ -146,8 +195,6 @@ func CompileDecisionTable(st Strategy) *DecisionTable {
 			}
 		}
 	}
-	t.adoptsAtOrigin = t.honest[(0*tableDim+1)*tableDim+0] == tableAdopt
-	return t
 }
 
 // encodeReaction maps a validated reaction to its table entry, or to

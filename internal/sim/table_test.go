@@ -3,6 +3,9 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/mining"
@@ -293,4 +296,125 @@ func FuzzDecisionTableCompile(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestCompileDecisionTableWorkersMatchSequential pins the parallel compile
+// against the inline one: every registry sample and a hostile reactor
+// compile to the same grids and origin flag at one worker and at four.
+// It also runs under -short, so the race suite checks the workers.
+func TestCompileDecisionTableWorkersMatchSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	strategies := []Strategy{fuzzReactor{a: 1, b: 99}, fuzzReactor{a: 0xDEADBEEF, b: 0xFEEDFACE}}
+	for _, def := range StrategyDefs() {
+		for _, spec := range sampleSpecs(def) {
+			st, err := NewStrategy(spec)
+			if err != nil {
+				t.Fatalf("%s: %v", spec, err)
+			}
+			strategies = append(strategies, st)
+		}
+	}
+	for _, st := range strategies {
+		runtime.GOMAXPROCS(1)
+		seq := CompileDecisionTable(st)
+		runtime.GOMAXPROCS(4)
+		par := CompileDecisionTable(st)
+		if !slices.Equal(seq.pool, par.pool) || !slices.Equal(seq.honest, par.honest) ||
+			seq.adoptsAtOrigin != par.adoptsAtOrigin {
+			t.Fatalf("%s (%+v): tables compiled by 1 and 4 workers differ", st.Name(), st)
+		}
+	}
+}
+
+// panicAtFrame is a strategy whose pool reaction panics at one frame.
+type panicAtFrame struct{ Algorithm1 }
+
+const framePanic = "panic at frame (40, 3, 7)"
+
+func (p panicAtFrame) ReactToPool(ls, lh, published int) Reaction {
+	if ls == 40 && lh == 3 && published == 7 {
+		panic(framePanic)
+	}
+	return p.Algorithm1.ReactToPool(ls, lh, published)
+}
+
+// TestCompileDecisionTablePanicReachesCaller checks that a strategy panic
+// during compile surfaces on the caller's goroutine with its own value —
+// where parallel.MapWith turns it into a *PanicError — instead of crashing
+// the process from a worker goroutine.
+func TestCompileDecisionTablePanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			CompileDecisionTable(panicAtFrame{})
+			return nil
+		}()
+		if got != framePanic {
+			t.Fatalf("GOMAXPROCS %d: recovered %v, want %q", procs, got, framePanic)
+		}
+	}
+}
+
+// TestTableForCompilesOnce checks that concurrent first uses of a strategy
+// share one compile: goroutines released together onto a cold cache key
+// all get the same table, and only one table's grids are allocated.
+func TestTableForCompilesOnce(t *testing.T) {
+	// Eight Ps let every goroutine reach the cold key before any compile
+	// finishes, so a cache without the once-guard compiles several times.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	// A strategy value no other test compiles; dropping its key first
+	// keeps the test repeatable under -count.
+	st := Stubborn{Trail: 9}
+	tableCache.Delete(st)
+	defer tableCache.Delete(st)
+
+	got := make([]*DecisionTable, 8)
+	var ready, done sync.WaitGroup
+	start := make(chan struct{})
+	for i := range got {
+		ready.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			ready.Done()
+			<-start
+			got[i] = tableFor(st)
+		}()
+	}
+	ready.Wait()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	close(start)
+	done.Wait()
+	runtime.ReadMemStats(&after)
+
+	for i, tab := range got {
+		if tab == nil || tab != got[0] {
+			t.Fatalf("goroutine %d got table %p, goroutine 0 got %p", i, tab, got[0])
+		}
+	}
+	// One table is two tableDim³ grids of one byte each (0.5 MiB); a
+	// second compile would double that.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 2*2*tableDim*tableDim*tableDim {
+		t.Fatalf("concurrent first use allocated %d bytes, more than one table's worth", grew)
+	}
+}
+
+// BenchmarkCompileDecisionTable times one cold compile of a strategy's
+// decision table, the set-up cost every process pays once per strategy.
+func BenchmarkCompileDecisionTable(b *testing.B) {
+	for _, name := range []string{"algorithm1", "stubborn:fork=1,trail=2"} {
+		st, err := NewStrategy(MustStrategySpec(name))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				CompileDecisionTable(st)
+			}
+		})
+	}
 }

@@ -82,7 +82,8 @@ func (Stubborn) frameTabled()       {}
 // workers — resolve to the same table. Each key holds a *tableEntry whose
 // sync.Once runs the compile, so a strategy's ~0.5 MiB grid pair is
 // compiled exactly once per process: workers that reach a cold key together
-// wait for the one compile instead of racing duplicates of it.
+// wait for the one compile instead of racing duplicates of it. (A compile
+// that panics caches nothing; each later call compiles and panics again.)
 var tableCache sync.Map
 
 // tableEntry is one tableCache slot: t is set once, under once.
@@ -109,6 +110,12 @@ func tableFor(st Strategy) *DecisionTable {
 	}
 	e := v.(*tableEntry)
 	e.once.Do(func() { e.t = CompileDecisionTable(st) })
+	if e.t == nil {
+		// The compile panicked, which still spends the Once. Compile
+		// again so this caller gets the strategy's panic too, instead of
+		// a nil table that would quietly run st on the live path.
+		return CompileDecisionTable(st)
+	}
 	return e.t
 }
 
@@ -137,7 +144,10 @@ func WarmDecisionTables(strategies []Strategy) {
 // The window is split across runtime.GOMAXPROCS(0) workers, so st is
 // consulted from several goroutines at once; a pure frame function allows
 // that. The table is the same at any worker count. A panic in st is
-// re-raised on the caller's goroutine once every worker has stopped.
+// raised on the caller's goroutine once every worker has stopped: natively
+// when it hit the caller's own share of the window, and otherwise
+// recovered in the worker and raised again with the same value, so the
+// stack it carries is the caller's, not the strategy frame that panicked.
 func CompileDecisionTable(st Strategy) *DecisionTable {
 	t := &DecisionTable{
 		strat:  st,
@@ -145,30 +155,32 @@ func CompileDecisionTable(st Strategy) *DecisionTable {
 		honest: make([]int8, tableDim*tableDim*tableDim),
 	}
 	workers := min(runtime.GOMAXPROCS(0), tableDim)
-	if workers == 1 {
-		t.compileSlabs(0, 1)
-	} else {
-		var (
-			wg        sync.WaitGroup
-			first     sync.Once
-			panicWith any // the first worker panic; recover never yields nil for one
-		)
-		for w := range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						first.Do(func() { panicWith = r })
-					}
-				}()
-				t.compileSlabs(w, workers)
+	var (
+		wg        sync.WaitGroup
+		first     sync.Once
+		panicWith any // the first worker panic; recover never yields nil for one
+	)
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					first.Do(func() { panicWith = r })
+				}
 			}()
-		}
-		wg.Wait()
-		if panicWith != nil {
-			panic(panicWith)
-		}
+			t.compileSlabs(w, workers)
+		}()
+	}
+	// The caller compiles share 0 itself, so at GOMAXPROCS 1 no goroutine
+	// starts, and a panic there unwinds with its own stack once the other
+	// workers have stopped.
+	func() {
+		defer wg.Wait()
+		t.compileSlabs(0, workers)
+	}()
+	if panicWith != nil {
+		panic(panicWith)
 	}
 	t.adoptsAtOrigin = t.honest[(0*tableDim+1)*tableDim+0] == tableAdopt
 	return t

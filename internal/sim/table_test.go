@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"slices"
@@ -326,33 +327,57 @@ func TestCompileDecisionTableWorkersMatchSequential(t *testing.T) {
 	}
 }
 
-// panicAtFrame is a strategy whose pool reaction panics at one frame.
-type panicAtFrame struct{ Algorithm1 }
+// panicAtFrame is a strategy whose pool reaction panics at frame
+// (ls, 3, 7), with the value framePanic(ls).
+type panicAtFrame struct {
+	Algorithm1
+	ls int
+}
 
-const framePanic = "panic at frame (40, 3, 7)"
+func framePanic(ls int) string { return fmt.Sprintf("panic at frame (%d, 3, 7)", ls) }
 
 func (p panicAtFrame) ReactToPool(ls, lh, published int) Reaction {
-	if ls == 40 && lh == 3 && published == 7 {
-		panic(framePanic)
+	if ls == p.ls && lh == 3 && published == 7 {
+		panic(framePanic(ls))
 	}
 	return p.Algorithm1.ReactToPool(ls, lh, published)
+}
+
+// recoverCompile returns what compile panics with, or nil.
+func recoverCompile(compile func()) (r any) {
+	defer func() { r = recover() }()
+	compile()
+	return nil
 }
 
 // TestCompileDecisionTablePanicReachesCaller checks that a strategy panic
 // during compile surfaces on the caller's goroutine with its own value —
 // where parallel.MapWith turns it into a *PanicError — instead of crashing
-// the process from a worker goroutine.
+// the process from a worker goroutine. At four workers Ls 40 falls in the
+// caller's own share and Ls 41 in a worker's.
 func TestCompileDecisionTablePanicReachesCaller(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			CompileDecisionTable(panicAtFrame{})
-			return nil
-		}()
-		if got != framePanic {
-			t.Fatalf("GOMAXPROCS %d: recovered %v, want %q", procs, got, framePanic)
+		for _, ls := range []int{40, 41} {
+			got := recoverCompile(func() { CompileDecisionTable(panicAtFrame{ls: ls}) })
+			if got != framePanic(ls) {
+				t.Fatalf("GOMAXPROCS %d, Ls %d: recovered %v, want %q", procs, ls, got, framePanic(ls))
+			}
+		}
+	}
+}
+
+// TestTableForPanicsEveryCall checks that a compile panic does not leave a
+// cached nil behind: every call for the strategy panics again, rather than
+// the second one getting no table and running the strategy live.
+func TestTableForPanicsEveryCall(t *testing.T) {
+	st := panicAtFrame{ls: 40}
+	tableCache.Delete(st)
+	defer tableCache.Delete(st)
+	for call := range 2 {
+		if got := recoverCompile(func() { tableFor(st) }); got != framePanic(40) {
+			t.Fatalf("call %d: recovered %v, want %q", call, got, framePanic(40))
 		}
 	}
 }

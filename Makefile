@@ -60,9 +60,11 @@ test: build
 # best-response grid search, which the plain test target already covers;
 # everything else (including the tournament's parallel-vs-sequential check
 # over parametric strategies and the chaos fault-injection suite) runs
-# under the detector.
+# under the detector. The cancellation tests then repeat 200 times: a
+# dispatch that slips past a done context fails only now and then.
 race:
 	$(GO) test -race -short ./internal/parallel ./internal/sim ./internal/experiments ./internal/resultcache ./internal/chaos
+	$(GO) test -race -count=200 -run 'MapCtx' ./internal/parallel
 
 # The statistical agreement suite by name: the paired/antithetic
 # estimators against their closed-form oracles, and the RNG's

@@ -191,7 +191,9 @@ func benchmarks() []benchmark {
 				Audit:      sim.AuditConfig{Enabled: true, SampleEvery: 1024},
 			}, err
 		})},
-		{name: "runmany-10x20k", run: func(b *testing.B, parallel int) {
+		// sim.RunMany fans its runs over GOMAXPROCS; -parallel sets only
+		// the experiment engine's workers.
+		{name: "runmany-10x20k", run: func(b *testing.B, _ int) {
 			pop, err := mining.TwoAgent(0.35)
 			if err != nil {
 				b.Fatal(err)
@@ -199,11 +201,10 @@ func benchmarks() []benchmark {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := sim.RunMany(sim.Config{
-					Population:  pop,
-					Gamma:       0.5,
-					Blocks:      20000,
-					Seed:        uint64(i),
-					Parallelism: parallel,
+					Population: pop,
+					Gamma:      0.5,
+					Blocks:     20000,
+					Seed:       uint64(i),
 				}, 10); err != nil {
 					b.Fatal(err)
 				}

@@ -46,8 +46,8 @@
 //	name:key=value,key=value,...
 //
 // parsed by sim.ParseStrategySpec and constructed through a registry of
-// sim.StrategyDefs (sim.RegisterStrategy adds new families; `ethselfish
-// -list` enumerates the space with parameter ranges). The built-in space:
+// sim.StrategyDefs, one per family (`ethselfish -list` enumerates the space
+// with parameter ranges). The space:
 //
 //	algorithm1                              the paper's Algorithm 1 (Sec. III-C)
 //	honest                                  protocol-following control
@@ -121,12 +121,12 @@
 //
 // Paper-scale regeneration is embarrassingly parallel (10 independent runs
 // at every grid point), and the implementation exploits that: sim.RunMany
-// fans runs across a worker pool, and internal/experiments schedules every
-// driver's (grid-point × run) work items on a shared engine. Both expose a
-// Parallelism knob (default: one worker per CPU) that never changes
-// results — per-run seeds are derived from the base seed alone and results
-// are collected in run order, so parallel output is bit-identical to
-// sequential.
+// fans runs across one worker per CPU, and internal/experiments schedules
+// every driver's (grid-point × run) work items on a shared engine with a
+// Parallelism knob (default: one worker per CPU). The worker count never
+// changes results — per-run seeds are derived from the base seed alone and
+// results are collected in run order, so parallel output is bit-identical
+// to sequential.
 //
 // The simulator's per-event cost is O(1) in the population size (and O(K)
 // in the pool count): miner draws go through a precomputed Walker alias

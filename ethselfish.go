@@ -80,13 +80,14 @@ type Option interface {
 }
 
 type options struct {
-	schedule   rewards.Schedule
-	scenario   Scenario
-	runs       int
-	seed       uint64
-	uncleLimit int
-	miners     int
-	strategy   sim.Strategy
+	schedule    rewards.Schedule
+	scenario    Scenario
+	runs        int
+	seed        uint64
+	uncleLimit  int
+	miners      int
+	strategy    sim.Strategy
+	strategyErr error
 }
 
 func defaultOptions() options {
@@ -117,9 +118,12 @@ func ParseStrategy(name string) (sim.Strategy, error) {
 	return s, nil
 }
 
-type strategyOption struct{ s sim.Strategy }
+type strategyOption struct {
+	s   sim.Strategy
+	err error
+}
 
-func (o strategyOption) apply(opts *options) { opts.strategy = o.s }
+func (o strategyOption) apply(opts *options) { opts.strategy, opts.strategyErr = o.s, o.err }
 
 // WithStrategy selects the pool's mining strategy by name (see
 // ParseStrategy); Simulate fails with ErrUnknownStrategy for bad names.
@@ -127,24 +131,8 @@ func (o strategyOption) apply(opts *options) { opts.strategy = o.s }
 // Algorithm 1; variants are simulation-only.
 func WithStrategy(name string) Option {
 	s, err := ParseStrategy(name)
-	if err != nil {
-		// Defer the error to Simulate by recording a nil strategy
-		// alongside the name; simplest is a sentinel option.
-		return badStrategyOption(name)
-	}
-	return strategyOption{s: s}
+	return strategyOption{s: s, err: err}
 }
-
-type badStrategyOption string
-
-func (o badStrategyOption) apply(opts *options) { opts.strategy = badStrategy(o) }
-
-// badStrategy is a sentinel that makes Simulate fail with a useful error.
-type badStrategy string
-
-func (badStrategy) Name() string                             { return "invalid" }
-func (badStrategy) ReactToPool(ls, lh, p int) sim.Reaction   { return sim.Reaction{} }
-func (badStrategy) ReactToHonest(ls, lh, p int) sim.Reaction { return sim.Reaction{} }
 
 type scheduleOption struct{ s rewards.Schedule }
 
@@ -345,8 +333,8 @@ func Simulate(alpha, gamma float64, blocks int, opts ...Option) (SimResult, erro
 	if err != nil {
 		return SimResult{}, fmt.Errorf("ethselfish: %w", err)
 	}
-	if bad, isBad := o.strategy.(badStrategy); isBad {
-		return SimResult{}, fmt.Errorf("%w: %q", ErrUnknownStrategy, string(bad))
+	if o.strategyErr != nil {
+		return SimResult{}, o.strategyErr
 	}
 	var strategies []sim.Strategy
 	if o.strategy != nil {

@@ -222,6 +222,17 @@ func TestWithStrategyUnknown(t *testing.T) {
 	}
 }
 
+// TestWithStrategyLastWins: the last WithStrategy option decides, its parse
+// error included.
+func TestWithStrategyLastWins(t *testing.T) {
+	if _, err := Simulate(0.3, 0.5, 100, WithStrategy("nonsense"), WithStrategy("honest")); err != nil {
+		t.Errorf("bad then good: err = %v, want nil", err)
+	}
+	if _, err := Simulate(0.3, 0.5, 100, WithStrategy("honest"), WithStrategy("nonsense")); !errors.Is(err, ErrUnknownStrategy) {
+		t.Errorf("good then bad: err = %v, want ErrUnknownStrategy", err)
+	}
+}
+
 func TestParseStrategyNames(t *testing.T) {
 	for _, name := range []string{"", "algorithm1", "honest", "trail-stubborn", "eager-publish-2"} {
 		if _, err := ParseStrategy(name); err != nil {

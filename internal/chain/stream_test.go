@@ -146,9 +146,6 @@ func TestCompactBelowBoundaryAtUnclesParent(t *testing.T) {
 	if got := tree.UnclesOf(c5); len(got) != 1 || got[0] != cand {
 		t.Errorf("UnclesOf = %v, want [%d]", got, cand)
 	}
-	if tree.ReferencedBy(cand) != c5 {
-		t.Errorf("ReferencedBy(%d) = %d, want %d", cand, tree.ReferencedBy(cand), c5)
-	}
 	// An evicted block is gone for good: not containable, not extendable.
 	if _, err := tree.ExtendAt(c1, minerHonest, nil, 0); !errors.Is(err, ErrUnknownBlock) {
 		t.Errorf("extending an evicted block: err = %v, want ErrUnknownBlock", err)

@@ -39,8 +39,8 @@ type rec struct {
 	uncleEnd   int32
 }
 
-// links holds the per-block structural indexes: the intrusive child list
-// and the reverse uncle index, in the same compact int32 form as rec.
+// links holds the per-block intrusive child list, in the same compact int32
+// form as rec.
 type links struct {
 	// firstChild and lastChild bound the block's child list; nextSibling
 	// threads it in creation order. This intrusive layout removes the
@@ -50,16 +50,6 @@ type links struct {
 	firstChild  int32
 	lastChild   int32
 	nextSibling int32
-
-	// referencedBy is the latest block to reference this one as an
-	// uncle, or NoBlock. The protocol allows one referencing block per
-	// chain, and ExtendAt enforces that exactly; competing chains may
-	// each reference the same block (a selfish race routinely does), and
-	// each new reference overwrites the link. So the link answers "is
-	// this block referenced anywhere" in O(1), but not "by which chain":
-	// the simulator keeps "referenced on the decided chain" as its own
-	// per-block index bit (sim's flagRefDecided).
-	referencedBy int32
 }
 
 // jump is a block's skew-binary jump pointer (Myers, "An applicative
@@ -96,10 +86,9 @@ const noBlock32 = int32(NoBlock)
 
 // noLinks is the link record of a freshly added block.
 var noLinks = links{
-	firstChild:   noBlock32,
-	lastChild:    noBlock32,
-	nextSibling:  noBlock32,
-	referencedBy: noBlock32,
+	firstChild:  noBlock32,
+	lastChild:   noBlock32,
+	nextSibling: noBlock32,
 }
 
 // Tree is an append-only block tree rooted at a genesis block. It is not
@@ -109,8 +98,8 @@ var noLinks = links{
 // CompactBelow: record storage is then a window over IDs [Base(), Len()),
 // kept in the same flat arrays by a batched copy-down, while BlockIDs stay
 // stable (every ID ever issued keeps naming the same block). All structural
-// indexes of resident blocks point forward (children, siblings, and
-// referencers always have larger IDs than the block itself), so eviction
+// indexes of resident blocks point forward (children and siblings always
+// have larger IDs than the block itself), so eviction
 // can only leave two kinds of dangling backward edges: a resident block's
 // parent ID and a resident nephew's uncle IDs may name evicted blocks.
 // Callers that compact guarantee no accessor dereferences below Base();
@@ -309,12 +298,6 @@ func (t *Tree) Contains(id BlockID) bool {
 	return int32(id) >= t.base && int(id) < t.Len()
 }
 
-// ReferencedBy returns the latest block to reference id as an uncle, or
-// NoBlock.
-func (t *Tree) ReferencedBy(id BlockID) BlockID {
-	return BlockID(t.links[t.mustIndex(id)].referencedBy)
-}
-
 // TotalUncleRefs returns the number of uncle references recorded across all
 // blocks ever added (on every branch, including evicted ones). Settlement
 // uses it to presize its realized-reference list.
@@ -377,9 +360,6 @@ func (t *Tree) ExtendAt(parent BlockID, miner MinerID, uncles []BlockID, at floa
 		t.links[lp.lastChild-t.base].nextSibling = id32
 	}
 	lp.lastChild = id32
-	for _, u := range uncles {
-		t.links[int32(u)-t.base].referencedBy = id32
-	}
 	return id, nil
 }
 

@@ -103,9 +103,6 @@ func TestUncleReferenceValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tree.ReferencedBy(b1); got != a3 {
-		t.Errorf("ReferencedBy(b1) = %d, want %d", got, a3)
-	}
 	if got := tree.UnclesOf(a3); len(got) != 1 || got[0] != b1 {
 		t.Errorf("Uncles = %v, want [b1]", got)
 	}
@@ -298,10 +295,10 @@ func TestBlockPanicsOnInvalidID(t *testing.T) {
 	tree := NewTree(Config{}, minerGenesis)
 	defer func() {
 		if recover() == nil {
-			t.Error("ReferencedBy(99) should panic")
+			t.Error("AncestorAt(99, 0) should panic")
 		}
 	}()
-	tree.ReferencedBy(99)
+	tree.AncestorAt(99, 0)
 }
 
 func TestExtendRejectsNegativeMinerID(t *testing.T) {
@@ -333,8 +330,8 @@ func TestResetRestoresGenesisState(t *testing.T) {
 	p1 = mustExtend(t, tree, tree.Genesis(), minerPool)
 	u = mustExtend(t, tree, tree.Genesis(), minerHonest)
 	p2 := mustExtend(t, tree, p1, minerPool, u)
-	if got := tree.ReferencedBy(u); got != p2 {
-		t.Errorf("ReferencedBy(u) = %d, want %d", got, p2)
+	if got := tree.UnclesOf(p2); len(got) != 1 || got[0] != u {
+		t.Errorf("UnclesOf(p2) = %v, want [%d]", got, u)
 	}
 	if got := tree.HeightOf(p2); got != 2 {
 		t.Errorf("Height(p2) = %d, want 2", got)

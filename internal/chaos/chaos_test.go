@@ -3,6 +3,7 @@ package chaos
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/mining"
@@ -107,10 +108,12 @@ func TestFaultDeterminism(t *testing.T) {
 
 // TestInjectedPanicSurfacesIndexed: a strategy panic inside a RunMany batch
 // is recovered into an indexed *parallel.PanicError instead of crashing the
-// process, with the injected cause visible through the chain.
+// process, with the injected cause visible through the chain. Every run
+// panics at rate 1, so the error names run 0, the first failure a
+// sequential batch meets, however the workers interleave.
 func TestInjectedPanicSurfacesIndexed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfg := faultConfig(t, FaultPanic)
-	cfg.Parallelism = 4
 	_, err := sim.RunMany(cfg, 8)
 	var pe *parallel.PanicError
 	if !errors.As(err, &pe) {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"github.com/ethselfish/ethselfish/internal/rewards"
 )
@@ -104,9 +103,4 @@ func Threshold(p ThresholdParams) (float64, error) {
 		}
 	}
 	return hi, nil
-}
-
-// thresholdIsFinite is a tiny helper used in tests.
-func thresholdIsFinite(x float64) bool {
-	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }

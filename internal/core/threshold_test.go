@@ -171,3 +171,7 @@ func TestThresholdNoCrossing(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
+
+func thresholdIsFinite(x float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0)
+}

@@ -17,8 +17,9 @@ import (
 // assembly contracts.
 
 // TestRunSimGridMatchesRunMany pins the engine's seed contract: scheduling
-// (grid-point × run) work items across workers must reproduce exactly what
-// sequential sim.RunMany produces at each point.
+// (grid-point × run) work items across workers must reproduce exactly the
+// runs sim.RunMany derives at each point, here executed one by one as fresh
+// sim.Run calls.
 func TestRunSimGridMatchesRunMany(t *testing.T) {
 	opts := Options{Runs: 3, Blocks: 2000, Seed: 11, Parallelism: 4}
 	alphas := []float64{0.2, 0.35}
@@ -36,19 +37,23 @@ func TestRunSimGridMatchesRunMany(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := sim.Config{
-			Population:  pop,
-			Gamma:       fig8Gamma,
-			Blocks:      opts.Blocks,
-			Seed:        jobkey.SeedBase(opts.Seed, sim.Config{Population: pop, Gamma: fig8Gamma}),
-			Parallelism: 1,
+		if len(gridSeries[i].Runs) != opts.Runs {
+			t.Fatalf("alpha=%v: %d runs, want %d", alpha, len(gridSeries[i].Runs), opts.Runs)
 		}
-		want, err := sim.RunMany(cfg, opts.Runs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(gridSeries[i].Runs, want.Runs) {
-			t.Errorf("alpha=%v: grid series differs from sequential RunMany", alpha)
+		base := jobkey.SeedBase(opts.Seed, sim.Config{Population: pop, Gamma: fig8Gamma})
+		for r, got := range gridSeries[i].Runs {
+			want, err := sim.Run(sim.Config{
+				Population: pop,
+				Gamma:      fig8Gamma,
+				Blocks:     opts.Blocks,
+				Seed:       sim.DeriveSeed(base, r),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("alpha=%v run %d: grid result differs from a sequential run", alpha, r)
+			}
 		}
 	}
 }

@@ -9,9 +9,8 @@
 //   - Key (ForConfig) addresses one fully resolved sim.Config at a fixed
 //     run length: population, gamma, reward schedule, uncle cap, strategy
 //     assignment, time/difficulty regime, and the statistical mode
-//     (antithetic). Fields the simulator guarantees
-//     result-neutral — Parallelism and Audit — are excluded, as is Seed,
-//     which joins per run via Key.Row.
+//     (antithetic). Audit, which the simulator guarantees result-neutral,
+//     is excluded, as is Seed, which joins per run via Key.Row.
 //   - Key.Row joins a Key with one exact run seed: the content address of
 //     one (config, seed) row. By determinism invariant 3 a row is a pure
 //     function of its address, which is what makes cached rows exact.
@@ -53,8 +52,8 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // ForConfig computes the canonical key of a fully resolved configuration.
 // The config must carry its final Population and Blocks (the engine
-// resolves both before keying); Seed, Parallelism, and Audit are ignored —
-// the first joins per run via Row, the others cannot change results.
+// resolves both before keying); Seed and Audit are ignored — the first
+// joins per run via Row, the second cannot change results.
 func ForConfig(cfg sim.Config) Key {
 	w := getWriter()
 	w.Str("ethselfish-job-v1")

@@ -26,7 +26,6 @@ var configFields = map[string]string{
 	"Time":              "encoded",
 	"Antithetic":        "encoded",
 	"Seed":              "excluded: joins per run via Key.Row",
-	"Parallelism":       "excluded: scheduling knob, result-neutral by the RunMany contract",
 	"Audit":             "excluded: observer, can only fail a run, never change it",
 }
 
@@ -115,9 +114,8 @@ func TestKeySensitivity(t *testing.T) {
 	}
 
 	neutral := map[string]func(*sim.Config){
-		"Seed":        func(c *sim.Config) { c.Seed = 99 },
-		"Parallelism": func(c *sim.Config) { c.Parallelism = 7 },
-		"Audit":       func(c *sim.Config) { c.Audit = sim.AuditConfig{Enabled: true, SampleEvery: 64} },
+		"Seed":  func(c *sim.Config) { c.Seed = 99 },
+		"Audit": func(c *sim.Config) { c.Audit = sim.AuditConfig{Enabled: true, SampleEvery: 64} },
 	}
 	for name, mutate := range neutral {
 		cfg := baseConfig(t)
@@ -242,7 +240,6 @@ func TestSeedBasePairing(t *testing.T) {
 	variant.Antithetic = true
 	variant.Time = sim.TimeConfig{Enabled: true, Difficulty: difficulty.Params{Rule: difficulty.BitcoinStyle}}
 	variant.Seed = 42
-	variant.Parallelism = 3
 	if SeedBase(11, variant) != base {
 		t.Error("candidate-only fields moved the point's stream family")
 	}

@@ -143,9 +143,15 @@ func MapWithCtx[S, T any](ctx context.Context, workers, n int, newState func() S
 		// The dispatcher stops feeding as soon as the context is done;
 		// the unbuffered channel guarantees every index it sent was
 		// picked up by a worker, so done[] exactly partitions the batch
-		// into finished and never-started items.
+		// into finished and never-started items. The ctx.Err check comes
+		// first because select picks at random among ready cases: with
+		// an idle worker waiting, a done context alone would still let
+		// some items through.
 	feed:
 		for i := 0; i < n; i++ {
+			if ctx.Err() != nil {
+				break
+			}
 			select {
 			case jobs <- i:
 			case <-ctx.Done():

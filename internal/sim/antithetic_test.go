@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestAntitheticAudit(t *testing.T) {
 
 // TestAntitheticDeterminism pins invariant 3 on the timed axis for both
 // streams: identical seeds give identical results, runner reuse included,
-// RunMany is bit-identical across parallelism levels, and the antithetic
+// a fanned-out RunMany is bit-identical to sequential runs, and the antithetic
 // mirror is itself deterministic yet differs from the plain stream.
 func TestAntitheticDeterminism(t *testing.T) {
 	cfg := Config{
@@ -46,20 +47,13 @@ func TestAntitheticDeterminism(t *testing.T) {
 		t.Error("timed run is not bit-deterministic across runner reuse")
 	}
 
-	seq := cfg
-	seq.Parallelism = 1
-	par := cfg
-	par.Parallelism = 4
-	sres, err := RunMany(seq, 8)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	pres, err := RunMany(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := RunMany(par, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sres, pres) {
-		t.Error("timed RunMany differs between sequential and parallel execution")
+	if !reflect.DeepEqual(sequentialRuns(t, cfg, 8), pres.Runs) {
+		t.Error("timed RunMany differs from sequential execution")
 	}
 
 	anti := cfg

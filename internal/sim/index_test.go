@@ -172,10 +172,10 @@ func TestAuditCatchesCorruptedChainIndex(t *testing.T) {
 
 // TestForkChildSetHoldsNoDecidedReference: after every event of a Fig. 8
 // run, no uncle candidate is one the decided chain already references. The
-// floor purge must read the referenced-on-decided bit itself: the tree's
-// referenced-by link names only the latest referencer, often a losing
-// public block that referenced the candidate after the winning private
-// branch did.
+// floor purge must read the referenced-on-decided bit: a candidate is often
+// referenced by a losing public block as well as by the winning private
+// branch, so "referenced somewhere" does not mean "referenced on the
+// decided chain".
 func TestForkChildSetHoldsNoDecidedReference(t *testing.T) {
 	s := newSimulator(t, fig8Top.config(t))
 	for i := 0; i < 20_000; i++ {

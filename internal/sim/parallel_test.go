@@ -3,15 +3,35 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/mining"
 )
 
+// sequentialRuns is RunMany's sequential oracle: runs fresh Run calls,
+// seeded by DeriveSeed, in run-index order.
+func sequentialRuns(t *testing.T, cfg Config, runs int) []Result {
+	t.Helper()
+	out := make([]Result, runs)
+	for i := range out {
+		runCfg := cfg
+		runCfg.Seed = DeriveSeed(cfg.Seed, i)
+		r, err := Run(runCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = r
+	}
+	return out
+}
+
 // TestRunManyParallelDeterminism is the engine's core contract: fanning
 // runs across workers must produce run-for-run identical Results to the
-// sequential execution, in the same order.
+// sequential execution, in the same order. GOMAXPROCS is raised so the
+// fan-out runs even on a one-CPU machine.
 func TestRunManyParallelDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	pop, err := mining.TwoAgent(0.35)
 	if err != nil {
 		t.Fatal(err)
@@ -23,31 +43,26 @@ func TestRunManyParallelDeterminism(t *testing.T) {
 		Seed:       42,
 	}
 
-	cfg.Parallelism = 1
-	sequential, err := RunMany(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 8
 	parallel, err := RunMany(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if len(sequential.Runs) != len(parallel.Runs) {
+	sequential := sequentialRuns(t, cfg, 8)
+	if len(sequential) != len(parallel.Runs) {
 		t.Fatalf("run counts differ: %d sequential vs %d parallel",
-			len(sequential.Runs), len(parallel.Runs))
+			len(sequential), len(parallel.Runs))
 	}
-	for i := range sequential.Runs {
-		if !reflect.DeepEqual(sequential.Runs[i], parallel.Runs[i]) {
+	for i := range sequential {
+		if !reflect.DeepEqual(sequential[i], parallel.Runs[i]) {
 			t.Errorf("run %d: parallel result differs from sequential", i)
 		}
 	}
 }
 
-// TestRunManyDefaultParallelism checks the GOMAXPROCS default also matches
-// the sequential stream (it exercises the workers>1 path on multi-core
-// machines and the workers==1 shortcut on single-core ones).
+// TestRunManyDefaultParallelism checks RunMany at the machine's own
+// GOMAXPROCS also matches the sequential stream (it exercises the
+// workers>1 path on multi-core machines and the workers==1 shortcut on
+// single-core ones).
 func TestRunManyDefaultParallelism(t *testing.T) {
 	pop, err := mining.TwoAgent(0.3)
 	if err != nil {
@@ -55,29 +70,12 @@ func TestRunManyDefaultParallelism(t *testing.T) {
 	}
 	cfg := Config{Population: pop, Gamma: 0.5, Blocks: 2000, Seed: 7}
 
-	cfg.Parallelism = 1
-	sequential, err := RunMany(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 0
 	defaulted, err := RunMany(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(sequential.Runs, defaulted.Runs) {
+	if !reflect.DeepEqual(sequentialRuns(t, cfg, 4), defaulted.Runs) {
 		t.Error("default parallelism produced different results than sequential")
-	}
-}
-
-func TestRunManyRejectsNegativeParallelism(t *testing.T) {
-	pop, err := mining.TwoAgent(0.3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Population: pop, Gamma: 0.5, Blocks: 100, Parallelism: -1}
-	if _, err := RunMany(cfg, 2); !errors.Is(err, ErrBadConfig) {
-		t.Errorf("negative parallelism: got %v, want ErrBadConfig", err)
 	}
 }
 
@@ -93,8 +91,8 @@ func TestRunManyParallelError(t *testing.T) {
 		Gamma:             0.5,
 		Blocks:            100,
 		MaxUnclesPerBlock: -1, // rejected by validate inside each run
-		Parallelism:       4,
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	if _, err := RunMany(cfg, 8); !errors.Is(err, ErrBadConfig) {
 		t.Errorf("got %v, want ErrBadConfig", err)
 	}
@@ -158,6 +156,7 @@ func TestRunnerReuseMatchesFreshRuns(t *testing.T) {
 // the K-pool race: fanned-out multi-pool runs (heterogeneous strategies
 // included) must be run-for-run identical to sequential execution.
 func TestRunManyParallelDeterminismTwoPools(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
 	pop, err := mining.MultiAgent(0.3, 0.2)
 	if err != nil {
 		t.Fatal(err)
@@ -170,18 +169,12 @@ func TestRunManyParallelDeterminismTwoPools(t *testing.T) {
 		Strategies: []Strategy{Algorithm1{}, HonestStrategy{}},
 	}
 
-	cfg.Parallelism = 1
-	sequential, err := RunMany(cfg, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Parallelism = 8
 	parallel, err := RunMany(cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sequential.Runs {
-		if !reflect.DeepEqual(sequential.Runs[i], parallel.Runs[i]) {
+	for i, want := range sequentialRuns(t, cfg, 8) {
+		if !reflect.DeepEqual(want, parallel.Runs[i]) {
 			t.Errorf("run %d: parallel two-pool result differs from sequential", i)
 		}
 	}

@@ -346,17 +346,18 @@ func DeriveSeed(base uint64, i int) uint64 {
 }
 
 // RunMany executes runs independent simulations with seeds derived from
-// cfg.Seed. Runs are fanned out across cfg.Parallelism worker goroutines
-// (default GOMAXPROCS), each reusing one Runner for all the runs it
-// executes; because every run is seeded independently via DeriveSeed,
-// Runner reuse resets all run state, and results are collected by run
-// index, the returned Series is bit-identical to a sequential execution
-// with fresh simulators.
+// cfg.Seed. Runs are fanned out across GOMAXPROCS worker goroutines, each
+// reusing one Runner for all the runs it executes; because every run is
+// seeded independently via DeriveSeed, Runner reuse resets all run state,
+// and results are collected by run index, the returned Series is
+// bit-identical to a sequential execution with fresh simulators. Callers
+// that schedule runs themselves (the experiments engine) use DeriveSeed and
+// a Runner directly.
 func RunMany(cfg Config, runs int) (Series, error) {
 	if runs <= 0 {
 		return Series{}, fmt.Errorf("%w: runs %d must be positive", ErrBadConfig, runs)
 	}
-	results, err := parallel.MapWith(cfg.Parallelism, runs, NewRunner,
+	results, err := parallel.MapWith(0, runs, NewRunner,
 		func(rn *Runner, i int) (Result, error) {
 			runCfg := cfg
 			runCfg.Seed = DeriveSeed(cfg.Seed, i)

@@ -128,13 +128,6 @@ type Config struct {
 	// antithetic variance-reduction estimator in internal/experiments.
 	Antithetic bool
 
-	// Parallelism bounds the worker goroutines RunMany fans independent
-	// runs across. Zero means runtime.GOMAXPROCS(0); one forces
-	// sequential execution. The setting never changes results: per-run
-	// seeds are derived from Seed alone (see DeriveSeed) and the run
-	// order of the returned Series is preserved.
-	Parallelism int
-
 	// Audit enables the runtime invariant auditor (see AuditConfig): the
 	// engine adversarially checks its own bookkeeping — reward
 	// conservation, timestamp and consensus-floor monotonicity, and the
@@ -164,9 +157,6 @@ func (c Config) validate() error {
 	}
 	if c.MaxUnclesPerBlock < 0 {
 		return fmt.Errorf("%w: negative uncle limit", ErrBadConfig)
-	}
-	if c.Parallelism < 0 {
-		return fmt.Errorf("%w: negative parallelism", ErrBadConfig)
 	}
 	if c.Time.Enabled {
 		if err := c.Time.Difficulty.Rule.Validate(); err != nil {
@@ -726,10 +716,9 @@ func (s *simulator) decided(b chain.BlockID) bool {
 // that chain references it (flagRefDecided; the already-referenced rule
 // always rejects it), it is on that chain itself (an ancestor of every
 // future block), or its parent sits at or below the floor yet off that
-// chain (never attachable again). The first rule reads the index bit, not
-// the tree's referenced-by link: that link names only the latest
-// referencer, and in a race the same stale block is often referenced first
-// from the winning private branch and then from the losing public one.
+// chain (never attachable again). The first rule reads the index bit, set
+// per decided block, because in a race the same stale block is often
+// referenced from the winning private branch and from the losing public one.
 // Candidates attached above the floor stay: they may yet be referenced
 // from a live private branch. Each rule is a bit test against the
 // floor-anchored chain index, so the purge costs O(candidates) and walks
@@ -822,8 +811,7 @@ func (s *simulator) eligibleUncles(parent chain.BlockID, viewer mining.PoolID) [
 	// above the floor, and no deeper than the lowest survivor's parent
 	// height. base is the deepest height mapped; chainAt[h-base] holds the
 	// ancestor at height h. (The already-referenced rule must scan the
-	// ancestors' own reference lists: the tree's reverse index keeps one
-	// referencer per block, but competing private branches can each
+	// ancestors' own reference lists: competing private branches can each
 	// reference the same published candidate.)
 	floorHeight := tree.HeightOf(s.floor)
 	base := minH - 1

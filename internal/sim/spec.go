@@ -2,17 +2,18 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // The paper leaves "the design of new mining strategies" as future work.
 // This file turns the strategy subsystem from a handful of concrete types
 // into a parameterized strategy space: a StrategySpec names a point in that
-// space ("algorithm1", "stubborn:lead=1,trail=2"), and a registry of
-// StrategyDefs constructs Strategy instances from specs. Everything built
+// space ("algorithm1", "stubborn:lead=1,trail=2"), and the registry — the
+// fixed strategyDefs list at the end of this file, one StrategyDef per
+// family — constructs Strategy instances from specs. Everything built
 // from a spec still goes through the same validateReaction gate as the
 // hand-written strategies, so a mis-parameterized variant fails loudly
 // instead of corrupting a race.
@@ -154,7 +155,7 @@ type ParamDef struct {
 	Doc string
 }
 
-// StrategyDef registers one strategy family: a name, its parameter space,
+// StrategyDef describes one strategy family: a name, its parameter space,
 // and a constructor. New receives a complete parameter map (defaults
 // filled, every value range-checked) and must return a Strategy that is a
 // pure function of its race frame, safe for concurrent use by independent
@@ -186,67 +187,23 @@ func (d StrategyDef) Usage() string {
 	return d.Name + "[:" + strings.Join(parts, ",") + "]"
 }
 
-// registry holds the registered strategy definitions by name.
-var registry = make(map[string]StrategyDef)
-
-// RegisterStrategy adds a strategy definition to the registry. It panics on
-// a duplicate or malformed definition — registration is an init-time,
-// programmer-error surface.
-func RegisterStrategy(def StrategyDef) {
-	if !validSpecName(def.Name) {
-		panic(fmt.Sprintf("sim: RegisterStrategy: bad name %q", def.Name))
-	}
-	if def.New == nil {
-		panic(fmt.Sprintf("sim: RegisterStrategy(%s): nil constructor", def.Name))
-	}
-	if _, dup := registry[def.Name]; dup {
-		panic(fmt.Sprintf("sim: RegisterStrategy: duplicate %q", def.Name))
-	}
-	seen := make(map[string]bool, len(def.Params))
-	for _, p := range def.Params {
-		if !validSpecName(p.Key) || p.Min > p.Max || p.Default < p.Min || p.Default > p.Max {
-			panic(fmt.Sprintf("sim: RegisterStrategy(%s): bad parameter %+v", def.Name, p))
-		}
-		if seen[p.Key] {
-			panic(fmt.Sprintf("sim: RegisterStrategy(%s): duplicate parameter %s", def.Name, p.Key))
-		}
-		seen[p.Key] = true
-	}
-	registry[def.Name] = def
-}
-
-// StrategyDefs returns the registered definitions sorted by name.
-func StrategyDefs() []StrategyDef {
-	out := make([]StrategyDef, 0, len(registry))
-	for _, def := range registry {
-		out = append(out, def)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// strategyCache memoizes constructed strategies by canonical spec string.
-// Sharing one instance per distinct spec is safe because strategies are
-// pure frame functions (the contract Config.Strategies documents for
-// sharing an instance across a sweep's workers); only successfully
-// validated specs are ever stored, so a hit needs no re-validation.
-var strategyCache sync.Map
+// StrategyDefs returns the strategy definitions sorted by name.
+func StrategyDefs() []StrategyDef { return slices.Clone(strategyDefs) }
 
 // NewStrategy constructs the Strategy a spec describes: the named
 // definition with the spec's parameters over the definition's defaults.
-// Unknown names, unknown keys, and out-of-range values are errors. Specs
-// describing the same strategy return one shared instance — construction
-// sits on sweep hot paths, where every grid point resolves its pools.
+// Unknown names, unknown keys, and out-of-range values are errors.
 func NewStrategy(spec StrategySpec) (Strategy, error) {
-	canon := spec.String()
-	if s, ok := strategyCache.Load(canon); ok {
-		return s.(Strategy), nil
-	}
-	def, ok := registry[spec.Name]
-	if !ok {
+	k := slices.IndexFunc(strategyDefs, func(d StrategyDef) bool { return d.Name == spec.Name })
+	if k < 0 {
+		names := make([]string, len(strategyDefs))
+		for i, def := range strategyDefs {
+			names[i] = def.Name
+		}
 		return nil, fmt.Errorf("%w: unknown strategy %q (registered: %s)",
-			ErrBadSpec, spec.Name, strings.Join(registeredNames(), ", "))
+			ErrBadSpec, spec.Name, strings.Join(names, ", "))
 	}
+	def := strategyDefs[k]
 	params := make(map[string]int, len(def.Params))
 	for _, p := range def.Params {
 		params[p.Key] = p.Default
@@ -263,9 +220,7 @@ func NewStrategy(spec StrategySpec) (Strategy, error) {
 		}
 		params[key] = value
 	}
-	s := def.New(params)
-	strategyCache.Store(canon, s)
-	return s, nil
+	return def.New(params), nil
 }
 
 // NewStrategies constructs one Strategy per spec, for Config.Strategies.
@@ -300,29 +255,14 @@ func paramDef(def StrategyDef, key string) (ParamDef, bool) {
 	return ParamDef{}, false
 }
 
-func registeredNames() []string {
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// The built-in strategy space. External packages in this module can extend
-// it with RegisterStrategy from their own init functions.
-func init() {
-	RegisterStrategy(StrategyDef{
+// strategyDefs is the strategy space, sorted by name.
+var strategyDefs = []StrategyDef{
+	{
 		Name: "algorithm1",
 		Doc:  "the paper's selfish-mining strategy (Sec. III-C)",
 		New:  func(map[string]int) Strategy { return Algorithm1{} },
-	})
-	RegisterStrategy(StrategyDef{
-		Name: "honest",
-		Doc:  "protocol-following control: publish and commit every block",
-		New:  func(map[string]int) Strategy { return HonestStrategy{} },
-	})
-	RegisterStrategy(StrategyDef{
+	},
+	{
 		Name: "eager-publish",
 		Doc:  "commit the private branch as soon as its lead reaches the trigger",
 		Params: []ParamDef{
@@ -332,8 +272,13 @@ func init() {
 			{Key: "lead", Min: 2, Max: 1 << 20, Default: 2, Doc: "commit trigger (private lead)"},
 		},
 		New: func(p map[string]int) Strategy { return EagerPublish{Lead: p["lead"]} },
-	})
-	RegisterStrategy(StrategyDef{
+	},
+	{
+		Name: "honest",
+		Doc:  "protocol-following control: publish and commit every block",
+		New:  func(map[string]int) Strategy { return HonestStrategy{} },
+	},
+	{
 		Name: "stubborn",
 		Doc:  "the stubborn-mining family (Nayak et al.): lead-, equal-fork-, and trail-stubborn axes over Algorithm 1",
 		Params: []ParamDef{
@@ -347,5 +292,5 @@ func init() {
 		New: func(p map[string]int) Strategy {
 			return Stubborn{Lead: p["lead"] == 1, EqualFork: p["fork"] == 1, Trail: p["trail"]}
 		},
-	})
+	},
 }

@@ -186,13 +186,31 @@ func TestNewStrategiesForPools(t *testing.T) {
 	}
 }
 
-func TestRegisterStrategyPanicsOnDuplicates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate registration should panic")
+// TestStrategyDefsWellFormed checks every definition in the strategy space:
+// a valid, unique name, a constructor, and valid, unique parameter keys
+// whose defaults lie within their ranges.
+func TestStrategyDefsWellFormed(t *testing.T) {
+	names := make(map[string]bool)
+	for _, def := range StrategyDefs() {
+		if !validSpecName(def.Name) || names[def.Name] {
+			t.Errorf("bad or duplicate name %q", def.Name)
 		}
-	}()
-	RegisterStrategy(StrategyDef{Name: "algorithm1", New: func(map[string]int) Strategy { return Algorithm1{} }})
+		names[def.Name] = true
+		if def.New == nil {
+			t.Errorf("%s: nil constructor", def.Name)
+		}
+		keys := make(map[string]bool)
+		for _, p := range def.Params {
+			if !validSpecName(p.Key) || keys[p.Key] {
+				t.Errorf("%s: bad or duplicate parameter key %q", def.Name, p.Key)
+			}
+			keys[p.Key] = true
+			if p.Min > p.Default || p.Default > p.Max {
+				t.Errorf("%s:%s: want min <= default <= max, have %d, %d, %d",
+					def.Name, p.Key, p.Min, p.Default, p.Max)
+			}
+		}
+	}
 }
 
 // TestSpecRunMatchesDirectConstruction pins the registry path against the

@@ -159,15 +159,16 @@ examples-smoke:
 # Short randomized passes over the block tree's ancestor queries against
 # parent-walk oracles, the simulator's fuzz targets (the strategy gate, the
 # random-legal-reaction property and the strategy-spec grammar), the
-# result-cache journal decoder, and its row decoder against the
-# encoding/json oracle; Go allows one -fuzz target per invocation, hence
-# the separate runs.
+# occupancy encoder and the result-cache journal's row decoder against
+# their encoding/json oracles, and the journal decoder; Go allows one
+# -fuzz target per invocation, hence the separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTreeAncestors -fuzztime=$(FUZZTIME) ./internal/chain
 	$(GO) test -run=NONE -fuzz=FuzzValidateReaction -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzStrategySpec -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTableCompile -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzRandomLegalStrategySimulation -fuzztime=$(FUZZTIME) ./internal/sim
+	$(GO) test -run=NONE -fuzz=FuzzOccupancyJSON -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzCacheDecode -fuzztime=$(FUZZTIME) ./internal/resultcache
 	$(GO) test -run=NONE -fuzz=FuzzJournalRow -fuzztime=$(FUZZTIME) ./internal/resultcache
 

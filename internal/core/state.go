@@ -46,11 +46,20 @@ func (s State) Valid() bool {
 // String implements fmt.Stringer.
 func (s State) String() string { return fmt.Sprintf("(%d,%d)", s.S, s.H) }
 
-// MarshalText encodes the state as "s,h", making State usable as a JSON map
-// key (occupancy maps are serialized by the result cache's disk
-// journal).
+// AppendText appends the state's "s,h" text form to b: the one place a
+// state's key text is formatted.
+func (s State) AppendText(b []byte) ([]byte, error) {
+	b = strconv.AppendInt(b, int64(s.S), 10)
+	b = append(b, ',')
+	return strconv.AppendInt(b, int64(s.H), 10), nil
+}
+
+// MarshalText encodes the state as "s,h" (see AppendText), making State
+// usable as a JSON map key. The journal's occupancy maps are written by
+// sim.Occupancy.MarshalJSON, which calls AppendText itself and writes
+// the bytes encoding/json writes through MarshalText.
 func (s State) MarshalText() ([]byte, error) {
-	return []byte(strconv.Itoa(s.S) + "," + strconv.Itoa(s.H)), nil
+	return s.AppendText(nil)
 }
 
 // UnmarshalText decodes the "s,h" form produced by MarshalText.

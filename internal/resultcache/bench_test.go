@@ -113,3 +113,31 @@ func BenchmarkGetRawMemory(b *testing.B) {
 		b.Fatalf("%d disk hits, want only the %d warming lookups", s.DiskHits, len(keys))
 	}
 }
+
+// BenchmarkPutRaw journals the schema-1 journal's rows in turn, each under
+// a fresh address, into a disk-backed cache: the encoding, the append and
+// the memory-tier insert (a 64-entry tier, so evictions are counted too).
+func BenchmarkPutRaw(b *testing.B) {
+	var results []sim.Result
+	for _, line := range journalLines(b) {
+		row, err := oracleRow(line)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = append(results, row.Result)
+	}
+	c, err := Open(b.TempDir(), 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var idx [8]byte
+		binary.LittleEndian.PutUint64(idx[:], uint64(i))
+		if err := c.PutRaw(sha256.Sum256(idx[:]), uint64(i), results[i%len(results)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -410,9 +410,10 @@ func (p *parser) counter(c *stats.Counter) error {
 	return nil
 }
 
-// occupancy decodes null (a nil map) or an object of "s,h" state counts,
-// presizing the map from its member count (every member has one colon).
-func (p *parser) occupancy(dst *map[core.State]int64) error {
+// occupancy decodes what sim.Occupancy.MarshalJSON writes: null (a nil
+// map) or an object of "s,h" state counts, into a map presized from its
+// member count (every member has one colon).
+func (p *parser) occupancy(dst *sim.Occupancy) error {
 	if p.literal("null") {
 		return nil
 	}
@@ -420,7 +421,7 @@ func (p *parser) occupancy(dst *map[core.State]int64) error {
 	if end := bytes.IndexByte(rest, '}'); end >= 0 {
 		rest = rest[:end]
 	}
-	m := make(map[core.State]int64, bytes.Count(rest, []byte(":")))
+	m := make(sim.Occupancy, bytes.Count(rest, []byte(":")))
 	err := p.object(func(name []byte) error {
 		s, ok := parseState(name)
 		if !ok {

@@ -2,6 +2,8 @@ package resultcache
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -12,6 +14,8 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/ethselfish/ethselfish/internal/core"
+	"github.com/ethselfish/ethselfish/internal/sim"
 	"github.com/ethselfish/ethselfish/internal/stats"
 )
 
@@ -84,6 +88,98 @@ func TestJournalWrittenWithEncodingJSONServesOracleRows(t *testing.T) {
 	}
 	if s := c.Stats(); s.DiskHits != uint64(len(lines)) {
 		t.Errorf("disk hits = %d, want %d", s.DiskHits, len(lines))
+	}
+}
+
+// TestPutRawWritesSchema1Journal: journaling the schema-1 journal's rows
+// in order through PutRaw reproduces the file byte for byte, header
+// included, so the writer still writes what json.Marshal wrote.
+func TestPutRawWritesSchema1Journal(t *testing.T) {
+	want, err := os.ReadFile(schema1Journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	c, err := Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range journalLines(t) {
+		row, err := oracleRow(line)
+		if err != nil {
+			t.Fatalf("row %d: oracle: %v", i, err)
+		}
+		var addr [AddrSize]byte
+		if _, err := hex.Decode(addr[:], []byte(row.Key)); err != nil {
+			t.Fatalf("row %d: address %q: %v", i, row.Key, err)
+		}
+		if err := c.PutRaw(addr, row.Seed, row.Result); err != nil {
+			t.Fatalf("row %d: PutRaw: %v", i, err)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+		for i := range min(len(gotLines), len(wantLines)) {
+			if !bytes.Equal(gotLines[i], wantLines[i]) {
+				t.Fatalf("line %d differs\ngot:  %s\nwant: %s", i, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("journal has %d lines, want %d", len(gotLines), len(wantLines))
+	}
+}
+
+// putRawAllocs bounds PutRaw's allocations per disk-backed row (14 when it
+// was set, for rows of 3 and of 1,200 occupancy states alike). Encoding
+// occupancy maps through encoding/json's map encoder took 26 and 4,894:
+// it allocated per state.
+const putRawAllocs = 16
+
+// TestPutRawAllocs pins PutRaw's allocations per row, and that they do not
+// grow with the number of occupancy states a row carries.
+func TestPutRawAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	row, err := oracleRow(journalLines(t)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := row.Result
+	big.OccupancyByPool = []sim.Occupancy{make(sim.Occupancy)}
+	for s := 0; s < 40; s++ {
+		for h := -2; h < 28; h++ {
+			big.OccupancyByPool[0][core.State{S: s, H: h}] = int64(s*h + 1)
+		}
+	}
+	c, err := Open(t.TempDir(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var n uint64
+	for _, tc := range []struct {
+		name   string
+		result sim.Result
+	}{{"schema-1 row", row.Result}, {"1200 states", big}} {
+		allocs := testing.AllocsPerRun(200, func() {
+			n++
+			var idx [8]byte
+			binary.LittleEndian.PutUint64(idx[:], n)
+			if err := c.PutRaw(sha256.Sum256(idx[:]), n, tc.result); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.1f allocations per PutRaw", tc.name, allocs)
+		if allocs > putRawAllocs {
+			t.Errorf("%s: PutRaw allocates %.1f times per row, want at most %d", tc.name, allocs, putRawAllocs)
+		}
 	}
 }
 

@@ -21,7 +21,9 @@
 // file with ErrCache rather than silently serving corrupt rows. Wipe the
 // directory to recover from that; the cache then simply refills.
 //
-// Rows are written with encoding/json but read back by parseRow, a
+// Rows are written with a json.Encoder into a pooled buffer (the
+// occupancy maps through sim.Occupancy.MarshalJSON, which writes the bytes
+// encoding/json writes for a plain map) but read back by parseRow, a
 // schema-specific decoder that accepts a strict subset of what
 // encoding/json would (the compact form json.Marshal writes) and decodes
 // it to the same values without reflection; encoding/json decoding of rows
@@ -316,10 +318,12 @@ func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error
 	// encoding is rare.
 	var line []byte
 	if c.file != nil {
-		var err error
-		if line, err = json.Marshal(journalRow{Key: k, Seed: seed, Result: result}); err != nil {
+		buf, err := encodeLine(journalRow{Key: k, Seed: seed, Result: result})
+		if err != nil {
 			return fmt.Errorf("resultcache: encoding row: %w", err)
 		}
+		defer linePool.Put(buf)
+		line = buf.Bytes()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -376,12 +380,12 @@ func (c *Cache) getDisk(key string, seed uint64) (sim.Result, bool, error) {
 	return row.Result, true, nil
 }
 
-// putLocked journals (as line, its encoding) and inserts a row known to be
-// absent from both tiers. Must be called with the lock held.
+// putLocked journals (as line, its encoding with the trailing newline) and
+// inserts a row known to be absent from both tiers. Must be called with the
+// lock held.
 func (c *Cache) putLocked(key string, seed uint64, result sim.Result, line []byte) error {
 	if c.file != nil {
-		pos := diskPos{off: c.size, len: len(line), seed: seed}
-		line = append(line, '\n')
+		pos := diskPos{off: c.size, len: len(line) - 1, seed: seed}
 		if _, err := c.file.Write(line); err != nil {
 			return fmt.Errorf("resultcache: writing row: %w", err)
 		}
@@ -405,18 +409,35 @@ func (c *Cache) insert(key string, seed uint64, result sim.Result, loaded bool) 
 	}
 }
 
+// linePool recycles the buffers journal lines are encoded into.
+var linePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// encodeLine encodes v as one journal line, json.Marshal's bytes and a
+// newline, into a buffer from linePool; the caller puts the buffer back
+// once the line is written.
+func encodeLine(v any) (*bytes.Buffer, error) {
+	buf := linePool.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		linePool.Put(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
 // writeLine appends one JSON line to the journal. Must be called with the
 // lock held (or before the cache is shared).
 func (c *Cache) writeLine(v any) error {
-	line, err := json.Marshal(v)
+	buf, err := encodeLine(v)
 	if err != nil {
 		return fmt.Errorf("resultcache: encoding journal line: %w", err)
 	}
-	line = append(line, '\n')
-	if _, err := c.file.Write(line); err != nil {
+	defer linePool.Put(buf)
+	n, err := c.file.Write(buf.Bytes())
+	if err != nil {
 		return fmt.Errorf("resultcache: writing journal: %w", err)
 	}
-	c.size += int64(len(line))
+	c.size += int64(n)
 	return nil
 }
 

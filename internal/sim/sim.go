@@ -343,7 +343,8 @@ type simulator struct {
 	// (grid p-1 records pool p's frame; a poolless population keeps one
 	// grid pinned to (0,0)), each indexed Ls*occDim+Lh. occOverflow
 	// absorbs the rare states beyond a grid (races longer than the
-	// reference window) and is allocated only when needed.
+	// reference window); each map is allocated when first needed and
+	// cleared, not dropped, between runs.
 	occ         [][]int64
 	occOverflow []map[core.State]int64
 	window      int
@@ -468,7 +469,7 @@ func (s *simulator) init(cfg Config, rules []difficulty.Rule) {
 		} else {
 			clear(s.occ[i])
 		}
-		s.occOverflow[i] = nil
+		clear(s.occOverflow[i])
 	}
 	if cap(s.events) < numPools+1 {
 		s.events = make([]int64, numPools+1)
@@ -528,9 +529,15 @@ func (s *simulator) recordState() {
 }
 
 // occupancyMap materializes pool index i's per-state event counts (the
-// Result view).
-func (s *simulator) occupancyMap(i int) map[core.State]int64 {
-	out := make(map[core.State]int64)
+// Result view), sized to its exact member count so it never regrows.
+func (s *simulator) occupancyMap(i int) Occupancy {
+	members := len(s.occOverflow[i])
+	for _, n := range s.occ[i] {
+		if n != 0 {
+			members++
+		}
+	}
+	out := make(Occupancy, members)
 	for idx, n := range s.occ[i] {
 		if n != 0 {
 			out[core.State{S: idx / occDim, H: idx % occDim}] = n

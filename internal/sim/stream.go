@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
-	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/stats"
@@ -299,7 +298,7 @@ func (s *simulator) assembleResult(k int, floor chain.BlockID) Result {
 		UncleCount:      uncles,
 		StaleCount:      s.tree.Len() - 1 - regular - uncles,
 		EventsByPool:    append([]int64(nil), s.events...),
-		OccupancyByPool: make([]map[core.State]int64, len(s.occ)),
+		OccupancyByPool: make([]Occupancy, len(s.occ)),
 	}
 	for i := range s.occ {
 		result.OccupancyByPool[i] = s.occupancyMap(i)

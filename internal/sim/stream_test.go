@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
-	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/difficulty"
 	"github.com/ethselfish/ethselfish/internal/mining"
 	"github.com/ethselfish/ethselfish/internal/rewards"
@@ -122,7 +121,7 @@ func oracleResult(t *testing.T, s *simulator) Result {
 		UncleCount:      settlement.UncleCount,
 		StaleCount:      settlement.StaleCount,
 		EventsByPool:    append([]int64(nil), s.events...),
-		OccupancyByPool: make([]map[core.State]int64, len(s.occ)),
+		OccupancyByPool: make([]Occupancy, len(s.occ)),
 	}
 	for i := range s.occ {
 		result.OccupancyByPool[i] = s.occupancyMap(i)

@@ -159,17 +159,17 @@ examples-smoke:
 # Short randomized passes over the block tree's ancestor queries against
 # parent-walk oracles, the simulator's fuzz targets (the strategy gate, the
 # random-legal-reaction property and the strategy-spec grammar), the
-# occupancy encoder and the result-cache journal's row decoder against
-# their encoding/json oracles, and the journal decoder; Go allows one
-# -fuzz target per invocation, hence the separate runs.
+# result-cache journal's row encoder and row decoder against their
+# encoding/json oracles, and the journal decoder; Go allows one -fuzz
+# target per invocation, hence the separate runs.
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzTreeAncestors -fuzztime=$(FUZZTIME) ./internal/chain
 	$(GO) test -run=NONE -fuzz=FuzzValidateReaction -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzStrategySpec -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzDecisionTableCompile -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzRandomLegalStrategySimulation -fuzztime=$(FUZZTIME) ./internal/sim
-	$(GO) test -run=NONE -fuzz=FuzzOccupancyJSON -fuzztime=$(FUZZTIME) ./internal/sim
 	$(GO) test -run=NONE -fuzz=FuzzCacheDecode -fuzztime=$(FUZZTIME) ./internal/resultcache
+	$(GO) test -run=NONE -fuzz=FuzzAppendRow -fuzztime=$(FUZZTIME) ./internal/resultcache
 	$(GO) test -run=NONE -fuzz=FuzzJournalRow -fuzztime=$(FUZZTIME) ./internal/resultcache
 
 # Every ethbench workload as a sub-benchmark of BenchmarkWorkloads, under
@@ -191,14 +191,20 @@ bench-compare:
 	$(GO) run ./cmd/ethbench -baseline $(BENCH_BASELINE)
 
 # Record-and-compare each gated workload back to back on the same machine,
-# so only a real blow-up trips ethbench's >20% regression limit. CI runs
+# so only a real blow-up trips ethbench's >20% regression limit. Every
+# filter runs even after one fails, so a failure cannot hide the filters
+# after it; the target then lists the failed filters and exits 1. CI runs
 # this as its final step.
 bench-gate:
-	@set -e; for f in $(BENCH_GATE_FILTERS); do \
+	@failed=; for f in $(BENCH_GATE_FILTERS); do \
 		echo "bench-gate: $$f"; \
-		$(GO) run ./cmd/ethbench -filter $$f > ci-bench-$$f.json; \
-		$(GO) run ./cmd/ethbench -filter $$f -baseline ci-bench-$$f.json; \
-	done
+		if ! { $(GO) run ./cmd/ethbench -filter $$f > ci-bench-$$f.json && \
+			$(GO) run ./cmd/ethbench -filter $$f -baseline ci-bench-$$f.json; }; then \
+			failed="$$failed $$f"; \
+		fi; \
+	done; \
+	if [ -n "$$failed" ]; then echo "bench-gate: failed:$$failed"; exit 1; fi; \
+	echo "bench-gate: all filters passed"
 
 # Append the current benchmark numbers as a dated entry to the committed
 # history file (satisfying curiosity about the performance trajectory

@@ -55,9 +55,9 @@ func (s State) AppendText(b []byte) ([]byte, error) {
 }
 
 // MarshalText encodes the state as "s,h" (see AppendText), making State
-// usable as a JSON map key. The journal's occupancy maps are written by
-// sim.Occupancy.MarshalJSON, which calls AppendText itself and writes
-// the bytes encoding/json writes through MarshalText.
+// usable as a JSON map key. The result journal's row encoder calls
+// AppendText itself and writes the bytes encoding/json writes through
+// MarshalText.
 func (s State) MarshalText() ([]byte, error) {
 	return s.AppendText(nil)
 }

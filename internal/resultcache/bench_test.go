@@ -114,9 +114,11 @@ func BenchmarkGetRawMemory(b *testing.B) {
 	}
 }
 
-// BenchmarkPutRaw journals the schema-1 journal's rows in turn, each under
-// a fresh address, into a disk-backed cache: the encoding, the append and
-// the memory-tier insert (a 64-entry tier, so evictions are counted too).
+// BenchmarkPutRaw journals rows, each under a fresh address, into a
+// disk-backed cache: the encoding, the append and the memory-tier insert
+// (a 64-entry tier, so evictions are counted too). The schema-1 case takes
+// the schema-1 journal's rows in turn; the 1200-state case its first row
+// with one pool's occupancy grown to 1,200 states, a deep race's worth.
 func BenchmarkPutRaw(b *testing.B) {
 	var results []sim.Result
 	for _, line := range journalLines(b) {
@@ -126,18 +128,28 @@ func BenchmarkPutRaw(b *testing.B) {
 		}
 		results = append(results, row.Result)
 	}
-	c, err := Open(b.TempDir(), 64)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var idx [8]byte
-		binary.LittleEndian.PutUint64(idx[:], uint64(i))
-		if err := c.PutRaw(sha256.Sum256(idx[:]), uint64(i), results[i%len(results)]); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name    string
+		results []sim.Result
+	}{
+		{"schema-1", results},
+		{"1200-states", []sim.Result{withBigOccupancy(results[0])}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			c, err := Open(b.TempDir(), 64)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var idx [8]byte
+				binary.LittleEndian.PutUint64(idx[:], uint64(i))
+				if err := c.PutRaw(sha256.Sum256(idx[:]), uint64(i), bc.results[i%len(bc.results)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

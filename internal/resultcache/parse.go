@@ -410,9 +410,10 @@ func (p *parser) counter(c *stats.Counter) error {
 	return nil
 }
 
-// occupancy decodes what sim.Occupancy.MarshalJSON writes: null (a nil
-// map) or an object of "s,h" state counts, into a map presized from its
-// member count (every member has one colon).
+// occupancy decodes what appendRow writes for a sim.Occupancy (the bytes
+// encoding/json writes for the map): null (a nil map) or an object of
+// "s,h" state counts, into a map presized from its member count (every
+// member has one colon).
 func (p *parser) occupancy(dst *sim.Occupancy) error {
 	if p.literal("null") {
 		return nil

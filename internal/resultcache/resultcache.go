@@ -21,13 +21,12 @@
 // file with ErrCache rather than silently serving corrupt rows. Wipe the
 // directory to recover from that; the cache then simply refills.
 //
-// Rows are written with a json.Encoder into a pooled buffer (the
-// occupancy maps through sim.Occupancy.MarshalJSON, which writes the bytes
-// encoding/json writes for a plain map) but read back by parseRow, a
-// schema-specific decoder that accepts a strict subset of what
-// encoding/json would (the compact form json.Marshal writes) and decodes
-// it to the same values without reflection; encoding/json decoding of rows
-// survives only as its test oracle.
+// Rows are written by appendRow into a reused buffer and read back by
+// parseRow, a twin pair of schema-specific codecs that need no reflection.
+// appendRow writes exactly the bytes json.Marshal writes for a row; parseRow
+// accepts a strict subset of what encoding/json would (the compact form
+// json.Marshal writes) and decodes it to the same values. encoding/json
+// survives only as their test oracle and as the header line's decoder.
 //
 // The memory tier holds decoded rows under an LRU bound. Open streams the
 // journal once, a line at a time: it builds a key -> byte-offset index of
@@ -139,6 +138,11 @@ type Cache struct {
 	size  int64    // journal length; the offset the next append lands at
 	index map[string]diskPos
 	stats Stats
+	// bufs holds the row encoding buffers no PutRaw is using, one per
+	// concurrent writer at most. Unlike a sync.Pool it survives garbage
+	// collections, so a buffer grows to the largest row once, not again
+	// after every collection.
+	bufs []*rowBuffer
 }
 
 // NewMemory returns a memory-only cache bounded to capacity entries
@@ -208,7 +212,7 @@ func (c *Cache) load() error {
 	}
 	c.size = complete
 	if complete == 0 {
-		return c.writeLine(journalHeader{Version: journalVersion, Schema: sim.ResultSchemaVersion})
+		return c.writeHeader()
 	}
 	return nil
 }
@@ -318,12 +322,12 @@ func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error
 	// encoding is rare.
 	var line []byte
 	if c.file != nil {
-		buf, err := encodeLine(journalRow{Key: k, Seed: seed, Result: result})
-		if err != nil {
+		rb := c.takeBuffer()
+		defer c.returnBuffer(rb)
+		if err := appendRow(rb, &journalRow{Key: k, Seed: seed, Result: result}); err != nil {
 			return fmt.Errorf("resultcache: encoding row: %w", err)
 		}
-		defer linePool.Put(buf)
-		line = buf.Bytes()
+		line = rb.line
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -334,6 +338,28 @@ func (c *Cache) PutRaw(key [AddrSize]byte, seed uint64, result sim.Result) error
 		return nil
 	}
 	return c.putLocked(k, seed, result, line)
+}
+
+// takeBuffer takes an encoding buffer off the free list, or makes one,
+// and empties its line.
+func (c *Cache) takeBuffer() *rowBuffer {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.bufs)
+	if n == 0 {
+		return &rowBuffer{}
+	}
+	rb := c.bufs[n-1]
+	c.bufs = c.bufs[:n-1]
+	rb.line = rb.line[:0]
+	return rb
+}
+
+// returnBuffer puts a buffer takeBuffer gave out back on the free list.
+func (c *Cache) returnBuffer(rb *rowBuffer) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bufs = append(c.bufs, rb)
 }
 
 // getDisk serves a GetRaw that missed the memory tier. The lock covers the
@@ -409,31 +435,11 @@ func (c *Cache) insert(key string, seed uint64, result sim.Result, loaded bool) 
 	}
 }
 
-// linePool recycles the buffers journal lines are encoded into.
-var linePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// encodeLine encodes v as one journal line, json.Marshal's bytes and a
-// newline, into a buffer from linePool; the caller puts the buffer back
-// once the line is written.
-func encodeLine(v any) (*bytes.Buffer, error) {
-	buf := linePool.Get().(*bytes.Buffer)
-	buf.Reset()
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		linePool.Put(buf)
-		return nil, err
-	}
-	return buf, nil
-}
-
-// writeLine appends one JSON line to the journal. Must be called with the
-// lock held (or before the cache is shared).
-func (c *Cache) writeLine(v any) error {
-	buf, err := encodeLine(v)
-	if err != nil {
-		return fmt.Errorf("resultcache: encoding journal line: %w", err)
-	}
-	defer linePool.Put(buf)
-	n, err := c.file.Write(buf.Bytes())
+// writeHeader appends the journal's header line. Must be called before the
+// cache is shared.
+func (c *Cache) writeHeader() error {
+	line := appendHeader(nil, journalHeader{Version: journalVersion, Schema: sim.ResultSchemaVersion})
+	n, err := c.file.Write(line)
 	if err != nil {
 		return fmt.Errorf("resultcache: writing journal: %w", err)
 	}

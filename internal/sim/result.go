@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"strconv"
 
 	"github.com/ethselfish/ethselfish/internal/chain"
 	"github.com/ethselfish/ethselfish/internal/core"
@@ -72,8 +69,9 @@ type Result struct {
 	// normalizing estimates the pool's stationary distribution. For a
 	// poolless population it holds one entry pinned to state (0, 0).
 	// It is materialized once per run from the simulator's pool-indexed
-	// dense occupancy grids, each map sized to its member count, and
-	// serialized by Occupancy.MarshalJSON.
+	// dense occupancy grids, each map sized to its member count. The
+	// journal writes each map as encoding/json writes it (members sorted
+	// by their "s,h" key text; see resultcache's appendRow).
 	OccupancyByPool []Occupancy
 
 	// Occupancy is the first pool's frame occupancy — the paper's
@@ -120,102 +118,6 @@ type Result struct {
 // Occupancy counts block events by race frame (see
 // Result.OccupancyByPool).
 type Occupancy map[core.State]int64
-
-// MarshalJSON writes exactly the bytes encoding/json writes for the plain
-// map[core.State]int64: null for a nil map, otherwise one member per state,
-// keyed by its "s,h" text (core.State.AppendText) and sorted by that text,
-// as encoding/json sorts map keys with strings.Compare. It allocates the
-// sorted member slice and the exactly sized output and nothing per key.
-func (o Occupancy) MarshalJSON() ([]byte, error) {
-	if o == nil {
-		return []byte("null"), nil
-	}
-	type member struct {
-		state core.State
-		count int64
-	}
-	members := make([]member, 0, len(o))
-	size := 2 + max(len(o)-1, 0) // braces and commas
-	for s, n := range o {
-		members = append(members, member{s, n})
-		// "s,h":count
-		size += decimalLen(int64(s.S)) + decimalLen(int64(s.H)) + decimalLen(n) + 4
-	}
-	slices.SortFunc(members, func(a, b member) int {
-		// ',' sorts below every digit, so "s,h" texts order by S's text,
-		// then by H's.
-		if c := compareDecimal(int64(a.state.S), int64(b.state.S)); c != 0 {
-			return c
-		}
-		return compareDecimal(int64(a.state.H), int64(b.state.H))
-	})
-	out := make([]byte, 0, size)
-	out = append(out, '{')
-	for i, m := range members {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		out = append(out, '"')
-		out, _ = m.state.AppendText(out)
-		out = append(out, '"', ':')
-		out = strconv.AppendInt(out, m.count, 10)
-	}
-	return append(out, '}'), nil
-}
-
-// compareDecimal orders a and b as strings.Compare orders their decimal
-// texts: '-' sorts below every digit, and two magnitudes' digit strings
-// compare as the shorter one padded with zeros to the longer's length,
-// the shorter first when that makes them equal (it is then a prefix).
-func compareDecimal(a, b int64) int {
-	if a == b {
-		return 0
-	}
-	if (a < 0) != (b < 0) {
-		if a < 0 {
-			return -1
-		}
-		return 1
-	}
-	ma, mb := magnitude(a), magnitude(b)
-	la, lb := digits(ma), digits(mb)
-	// At most 19 digits each, so the padded values fit a uint64.
-	for i := la; i < lb; i++ {
-		ma *= 10
-	}
-	for i := lb; i < la; i++ {
-		mb *= 10
-	}
-	if c := cmp.Compare(ma, mb); c != 0 {
-		return c
-	}
-	return cmp.Compare(la, lb)
-}
-
-// decimalLen is the length of strconv.FormatInt(v, 10).
-func decimalLen(v int64) int {
-	if v < 0 {
-		return 1 + digits(magnitude(v))
-	}
-	return digits(uint64(v))
-}
-
-// magnitude returns |v|, math.MinInt64 included.
-func magnitude(v int64) uint64 {
-	if v < 0 {
-		return -uint64(v)
-	}
-	return uint64(v)
-}
-
-// digits is the number of decimal digits of m.
-func digits(m uint64) int {
-	n := 1
-	for ; m >= 10; m /= 10 {
-		n++
-	}
-	return n
-}
 
 // RestoreAliases rebuilds the intra-Result aliases a serialized Result
 // drops (Occupancy aliasing OccupancyByPool[0]). Decoders must call it

@@ -64,9 +64,11 @@ type streamState struct {
 	// allocate nothing.
 	hooks chain.SettleHooks
 
-	// poolDist and honestDist accumulate realized reference distances by
-	// the uncle's camp (the Result's uncle-distance distributions).
-	poolDist, honestDist stats.Counter
+	// poolDist and honestDist tally realized reference distances by the
+	// uncle's camp, indexed by distance (the reference window caps it at
+	// maxReferenceWindow); assembleResult turns them into the Result's
+	// uncle-distance counters.
+	poolDist, honestDist [maxReferenceWindow + 1]int64
 
 	// Time-window accumulation (timed runs only). steadyHeight is the
 	// Steady window's boundary height, math.MaxInt until the loop records
@@ -92,8 +94,8 @@ func (s *simulator) initStream(cfg Config) {
 	}
 	s.armFlush()
 	st.hooks = chain.SettleHooks{OnRef: s.streamRef}
-	st.poolDist = stats.Counter{}
-	st.honestDist = stats.Counter{}
+	st.poolDist = [maxReferenceWindow + 1]int64{}
+	st.honestDist = [maxReferenceWindow + 1]int64{}
 	st.steadyHeight = math.MaxInt
 	s.steadyEvent = math.MaxInt
 	if cfg.Time.Enabled {
@@ -145,9 +147,9 @@ func (s *simulator) streamRef(ref chain.UncleRef) {
 	}
 	st := s.str
 	if s.cfg.Population.IsSelfish(s.tree.MinerOf(ref.Uncle)) {
-		st.poolDist.Observe(ref.Distance)
+		st.poolDist[ref.Distance]++
 	} else {
-		st.honestDist.Observe(ref.Distance)
+		st.honestDist[ref.Distance]++
 	}
 	if !s.timing {
 		return
@@ -315,8 +317,8 @@ func (s *simulator) assembleResult(k int, floor chain.BlockID) Result {
 			result.Honest = result.Honest.Add(reward)
 		}
 	}
-	result.PoolUncleDistances.Merge(&st.poolDist)
-	result.HonestUncleDistances.Merge(&st.honestDist)
+	result.PoolUncleDistances = distanceCounter(&st.poolDist)
+	result.HonestUncleDistances = distanceCounter(&st.honestDist)
 	if s.timing {
 		o := s.overlay(k)
 		result.Elapsed = o.clock
@@ -329,6 +331,17 @@ func (s *simulator) assembleResult(k int, floor chain.BlockID) Result {
 		st.assembleWindows(&result, o)
 	}
 	return result
+}
+
+// distanceCounter builds the counter of a dense distance tally, observing
+// its nonzero distances in ascending order: the zero counter when no
+// reference was realized.
+func distanceCounter(tally *[maxReferenceWindow + 1]int64) stats.Counter {
+	var c stats.Counter
+	for d, n := range tally {
+		c.ObserveN(d, n)
+	}
+	return c
 }
 
 // assembleWindows finalizes the Early and Steady windows under overlay o.

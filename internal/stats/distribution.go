@@ -3,7 +3,9 @@ package stats
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -88,18 +90,40 @@ func (c *Counter) Merge(other *Counter) {
 }
 
 // MarshalJSON encodes the counter as [[outcome, count], ...] sorted by
-// outcome, or null for the zero counter. The encoding round-trips exactly:
-// a decoded counter is reflect.DeepEqual to the original, which the
-// result cache's disk journal relies on for bit-identical cache hits.
+// outcome, or null for the zero counter (see AppendJSON). The encoding
+// round-trips exactly: a decoded counter is reflect.DeepEqual to the
+// original, which the result cache's disk journal relies on for
+// bit-identical cache hits.
 func (c Counter) MarshalJSON() ([]byte, error) {
+	return c.AppendJSON(nil), nil
+}
+
+// AppendJSON appends the MarshalJSON form to b. Outcomes are sorted on the
+// stack, so beyond growing b it allocates nothing for counters of up to 64
+// outcomes (every uncle-distance counter: the reference window is at most
+// 64).
+func (c *Counter) AppendJSON(b []byte) []byte {
 	if c.counts == nil {
-		return []byte("null"), nil
+		return append(b, "null"...)
 	}
-	pairs := make([][2]int64, 0, len(c.counts))
-	for _, k := range c.Outcomes() {
-		pairs = append(pairs, [2]int64{int64(k), c.counts[k]})
+	var stack [64]int
+	keys := stack[:0]
+	for k := range c.counts {
+		keys = append(keys, k)
 	}
-	return json.Marshal(pairs)
+	slices.Sort(keys)
+	b = append(b, '[')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, '[')
+		b = strconv.AppendInt(b, int64(k), 10)
+		b = append(b, ',')
+		b = strconv.AppendInt(b, c.counts[k], 10)
+		b = append(b, ']')
+	}
+	return append(b, ']')
 }
 
 // UnmarshalJSON decodes the MarshalJSON form: null is the zero counter,

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"encoding/json"
 	"math"
 	"testing"
 	"testing/quick"
@@ -80,6 +81,59 @@ func TestCounterMerge(t *testing.T) {
 	if a.Total() != 6 || a.Count(1) != 5 || a.Count(4) != 1 {
 		t.Errorf("merged counter: total %d, count(1) %d, count(4) %d",
 			a.Total(), a.Count(1), a.Count(4))
+	}
+}
+
+// TestCounterAppendJSON: AppendJSON writes json.Marshal's bytes for the
+// sorted [outcome, count] pairs (null for the zero counter) and, for up to
+// 64 outcomes, allocates nothing beyond its output.
+func TestCounterAppendJSON(t *testing.T) {
+	empty, err := CounterFromPairs(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var many Counter
+	for k := 100; k > -100; k -= 3 {
+		many.ObserveN(k, int64(k*k+1))
+	}
+	var window Counter
+	for k := 64; k >= 1; k-- {
+		window.ObserveN(k, int64(k))
+	}
+	for name, tc := range map[string]struct {
+		c    Counter
+		want string
+	}{
+		"zero":   {Counter{}, "null"},
+		"empty":  {empty, "[]"},
+		"window": {window, ""},
+		"many":   {many, ""},
+		"extreme": {func() (c Counter) {
+			c.ObserveN(math.MinInt, math.MaxInt64)
+			c.ObserveN(math.MaxInt, 1)
+			return c
+		}(), ""},
+	} {
+		want := []byte(tc.want)
+		if tc.want == "" {
+			pairs := [][2]int64{}
+			for _, k := range tc.c.Outcomes() {
+				pairs = append(pairs, [2]int64{int64(k), tc.c.Count(k)})
+			}
+			if want, err = json.Marshal(pairs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tc.c.AppendJSON([]byte("x")); string(got) != "x"+string(want) {
+			t.Errorf("%s: AppendJSON = %s, want x%s", name, got, want)
+		}
+		if got, err := tc.c.MarshalJSON(); err != nil || string(got) != string(want) {
+			t.Errorf("%s: MarshalJSON = %s, %v, want %s", name, got, err, want)
+		}
+	}
+	buf := make([]byte, 0, 1024)
+	if allocs := testing.AllocsPerRun(10, func() { buf = window.AppendJSON(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendJSON of a 64-outcome counter allocates %.0f times", allocs)
 	}
 }
 

@@ -258,8 +258,8 @@ func benchmarks() []benchmark {
 		{name: "fig9", run: driverBench(experiments.Options{}, experiments.Fig9)},
 		{name: "fig10", run: driverBench(experiments.Options{}, experiments.Fig10)},
 		{name: "secvi", run: driverBench(experiments.Options{}, experiments.SecVI)},
-		{name: "fig7-dump", run: driverBench(experiments.Options{}, func(o experiments.Options) (*table.Table, error) {
-			return experiments.Fig7(0.3, 0.5, 8, o)
+		{name: "fig7-dump", run: driverBench(experiments.Options{}, func(experiments.Options) (*table.Table, error) {
+			return experiments.Fig7(0.3, 0.5, 8)
 		})},
 		{name: "diffablation-quick", run: driverBench(quick, experiments.DiffAblation)},
 		// One run per point keeps the full (gamma x alpha x candidate) grid

@@ -356,7 +356,7 @@ func build(name string, opts experiments.Options, specs []sim.StrategySpec, rule
 	case "fig6":
 		return experiments.Fig6(), nil
 	case "fig7":
-		return experiments.Fig7(0.3 /* alpha */, 0.5 /* gamma */, 8 /* maxLead */, opts)
+		return experiments.Fig7(0.3 /* alpha */, 0.5 /* gamma */, 8 /* maxLead */)
 	case "fig8":
 		result, err := experiments.Fig8(opts)
 		if err != nil {

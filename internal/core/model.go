@@ -131,6 +131,7 @@ func (m *Model) ForkMass(lead int) float64 {
 // distribution.
 type NumericModel struct {
 	params Params
+	states []State // the chain's state order, so sums over pi are deterministic
 	pi     map[State]float64
 }
 
@@ -143,17 +144,11 @@ func NewNumeric(params Params) (*NumericModel, error) {
 		return nil, err
 	}
 	chain := BuildChain(params.Alpha, params.Gamma, params.MaxLead)
-	pi, err := chain.Stationary(markov.Options{
-		Method: markov.Iterative,
-		// The chain is stochastic and irreducible by construction;
-		// validation would cost more than the solve for large
-		// truncations.
-		SkipChecks: true,
-	})
+	pi, err := chain.Stationary()
 	if err != nil {
 		return nil, fmt.Errorf("core: solving stationary distribution: %w", err)
 	}
-	return &NumericModel{params: params, pi: pi}, nil
+	return &NumericModel{params: params, states: chain.States(), pi: pi}, nil
 }
 
 // BuildChain constructs the transition matrix of Sec. IV-C. States with
@@ -227,6 +222,3 @@ func (n *NumericModel) Stationary() map[State]float64 {
 	}
 	return out
 }
-
-// MaxLead returns the truncation bound used by the numerical model.
-func (n *NumericModel) MaxLead() int { return n.params.MaxLead }

@@ -310,7 +310,8 @@ func (n *NumericModel) Revenue() Revenue {
 		g  = n.params.Gamma
 		rt = newRevenueTally(n.params)
 	)
-	for s, pi := range n.pi {
+	for _, s := range n.states {
+		pi := n.pi[s]
 		if pi == 0 {
 			continue
 		}

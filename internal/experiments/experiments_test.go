@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -183,7 +185,7 @@ func TestStaticTables(t *testing.T) {
 }
 
 func TestFig7Dump(t *testing.T) {
-	tab, err := Fig7(0.3, 0.5, 6, Options{})
+	tab, err := Fig7(0.3, 0.5, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +195,26 @@ func TestFig7Dump(t *testing.T) {
 			t.Errorf("Fig. 7 dump missing state %s:\n%s", state, out)
 		}
 	}
-	if _, err := Fig7(0.3, 0.5, 2, Options{}); err == nil {
+	// ethselfish fig7, pinned byte for byte.
+	tab, err = Fig7(0.3, 0.5, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := tab.Render(&got); err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/fig7.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("Fig. 7 dump differs from testdata/fig7.txt:\n%s", got.Bytes())
+	}
+	if _, err := Fig7(0.3, 0.5, 2); err == nil {
 		t.Error("maxLead=2 should fail")
 	}
-	if _, err := Fig7(0.9, 0.5, 6, Options{}); err == nil {
+	if _, err := Fig7(0.9, 0.5, 6); err == nil {
 		t.Error("alpha=0.9 should fail")
 	}
 }

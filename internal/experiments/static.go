@@ -7,7 +7,6 @@ import (
 
 	"github.com/ethselfish/ethselfish/internal/core"
 	"github.com/ethselfish/ethselfish/internal/mining"
-	"github.com/ethselfish/ethselfish/internal/parallel"
 	"github.com/ethselfish/ethselfish/internal/table"
 )
 
@@ -45,12 +44,9 @@ func Fig6() *table.Table {
 
 // Fig7 dumps the structure of the selfish-mining Markov chain (the diagram
 // of Fig. 7) up to the given lead: every state with its outgoing transition
-// probabilities at the supplied alpha and gamma. The driver is analytic:
-// only opts.Parallelism is used (simulation effort does not apply).
-func Fig7(alpha, gamma float64, maxLead int, opts Options) (*table.Table, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
+// probabilities at the supplied alpha and gamma, with pi from the closed
+// forms.
+func Fig7(alpha, gamma float64, maxLead int) (*table.Table, error) {
 	if maxLead < 4 || maxLead > 64 {
 		return nil, fmt.Errorf("%w: maxLead %d out of [4, 64]", ErrBadOptions, maxLead)
 	}
@@ -66,10 +62,12 @@ func Fig7(alpha, gamma float64, maxLead int, opts Options) (*table.Table, error)
 		}
 		return states[i].H < states[j].H
 	})
-	// Per-state rows are independent reads of the solved model, so the
-	// experiment engine renders them as one grid.
-	rows, err := parallel.Map(opts.Parallelism, len(states), func(i int) ([3]string, error) {
-		s := states[i]
+	t := table.New(
+		fmt.Sprintf("Fig. 7 — Markov process structure (alpha=%.2f, gamma=%.2f, truncated at lead %d)",
+			alpha, gamma, maxLead),
+		"state", "pi (closed form)", "transitions",
+	)
+	for _, s := range states {
 		var desc string
 		for _, succ := range chain.Successors(s) {
 			if desc != "" {
@@ -77,18 +75,7 @@ func Fig7(alpha, gamma float64, maxLead int, opts Options) (*table.Table, error)
 			}
 			desc += fmt.Sprintf("%v:%.3f", succ, chain.Prob(s, succ))
 		}
-		return [3]string{s.String(), strconv.FormatFloat(m.Pi(s), 'f', 6, 64), desc}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := table.New(
-		fmt.Sprintf("Fig. 7 — Markov process structure (alpha=%.2f, gamma=%.2f, truncated at lead %d)",
-			alpha, gamma, maxLead),
-		"state", "pi (closed form)", "transitions",
-	)
-	for _, row := range rows {
-		if err := t.AddRow(row[0], row[1], row[2]); err != nil {
+		if err := t.AddRow(s.String(), strconv.FormatFloat(m.Pi(s), 'f', 6, 64), desc); err != nil {
 			return nil, err
 		}
 	}

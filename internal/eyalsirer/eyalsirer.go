@@ -110,16 +110,18 @@ func RelativeRevenueNumeric(alpha, gamma float64, maxLead int) (float64, error) 
 		}
 	}
 
-	pi, err := c.Stationary(markov.Options{Method: markov.Iterative, SkipChecks: true})
+	pi, err := c.Stationary()
 	if err != nil {
 		return 0, fmt.Errorf("eyalsirer: %w", err)
 	}
 
 	// Per-transition reward attribution, mirroring the original paper:
 	// each event's block eventually wins the main chain or not; the
-	// probabilities are fully determined at creation.
+	// probabilities are fully determined at creation. The sums run in the
+	// chain's state order, so the result is deterministic.
 	var pool, honest float64
-	for s, p := range pi {
+	for _, s := range c.States() {
+		p := pi[s]
 		switch {
 		case s == zero:
 			// Honest block wins outright; the pool's first
@@ -127,7 +129,6 @@ func RelativeRevenueNumeric(alpha, gamma float64, maxLead int) (float64, error) 
 			// the 0' race, or gamma-honest builds on it.
 			honest += b * p
 			pool += a * p * (a + a*b + b*b*g)
-			honest += a * p * 0 // the losing branch earns nothing in Bitcoin
 		case s == one:
 			// Pool's second block always wins (lead 2 publishes
 			// over any honest block). The honest block that forces
@@ -147,11 +148,7 @@ func RelativeRevenueNumeric(alpha, gamma float64, maxLead int) (float64, error) 
 			pool += a * p
 		}
 	}
-	total := pool + honest
-	if total == 0 {
-		return 0, errors.New("eyalsirer: degenerate revenue")
-	}
-	return pool / total, nil
+	return pool / (pool + honest), nil
 }
 
 func validate(alpha, gamma float64) error {

@@ -120,6 +120,20 @@ func TestNumericMatchesClosedForm(t *testing.T) {
 	}
 }
 
+func TestNumericDeterministic(t *testing.T) {
+	// The revenue sums run in the chain's state order, so repeated solves
+	// agree to the bit.
+	first, err := RelativeRevenueNumeric(0.35, 0.5, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if got, _ := RelativeRevenueNumeric(0.35, 0.5, 80); got != first {
+			t.Fatalf("call %d: %v, first call %v", i+2, got, first)
+		}
+	}
+}
+
 func TestNumericValidation(t *testing.T) {
 	if _, err := RelativeRevenueNumeric(0.3, 0.5, 2); err == nil {
 		t.Error("maxLead=2 should fail")

@@ -1,13 +1,10 @@
-// Package markov implements a sparse discrete-time Markov chain engine with
-// stationary-distribution solvers.
+// Package markov implements a sparse discrete-time Markov chain and its
+// stationary distribution.
 //
 // The paper's 2-D selfish-mining process is a uniformized continuous-time
 // chain: every transition corresponds to one block-creation event and the
 // total event rate is 1 everywhere, so stationary probabilities of the
-// embedded discrete chain equal the continuous-time occupancy. The engine is
-// deliberately generic (any comparable state type) so the same machinery
-// drives the paper's chain, the Eyal-Sirer baseline, and the small chains
-// used in tests.
+// embedded discrete chain equal the continuous-time occupancy.
 package markov
 
 import (
@@ -17,25 +14,20 @@ import (
 	"sort"
 )
 
-// Default solver parameters.
 const (
-	// DefaultTolerance is the L1 convergence threshold for the iterative
-	// solver.
-	DefaultTolerance = 1e-13
+	// maxSweeps bounds the Gauss–Seidel sweeps of Stationary.
+	maxSweeps = 200000
 
-	// DefaultMaxIterations bounds the iterative solver.
-	DefaultMaxIterations = 200000
-
-	// denseLimit is the largest state count solved by dense elimination
-	// when no method is forced.
-	denseLimit = 400
+	// sweepTolerance stops Stationary once a sweep changes the expected
+	// visits per cycle by at most this fraction of their sum (L1).
+	sweepTolerance = 1e-15
 
 	// rowSumTolerance is the allowed deviation of outgoing probability
 	// mass from 1 during validation.
 	rowSumTolerance = 1e-9
 )
 
-// Errors reported by the solvers.
+// Errors reported by Stationary and Validate.
 var (
 	// ErrEmptyChain is returned when no states have been added.
 	ErrEmptyChain = errors.New("markov: chain has no states")
@@ -44,12 +36,12 @@ var (
 	// mass is not 1.
 	ErrNotStochastic = errors.New("markov: transition probabilities do not sum to 1")
 
-	// ErrReducible is returned when the chain is not irreducible, so the
-	// stationary distribution is not unique.
-	ErrReducible = errors.New("markov: chain is not irreducible")
+	// ErrReducible is returned when some state cannot reach the first
+	// state added, so that state may be transient or pi not unique.
+	ErrReducible = errors.New("markov: some state cannot reach the first state")
 
-	// ErrNoConvergence is returned when the iterative solver does not
-	// reach the tolerance within the iteration budget.
+	// ErrNoConvergence is returned when the solve does not settle within
+	// maxSweeps sweeps.
 	ErrNoConvergence = errors.New("markov: iteration did not converge")
 )
 
@@ -71,8 +63,8 @@ func New[S comparable]() *Chain[S] {
 	return &Chain[S]{index: make(map[S]int)}
 }
 
-// AddState ensures s is a state of the chain and returns its dense index.
-func (c *Chain[S]) AddState(s S) int {
+// add ensures s is a state of the chain and returns its dense index.
+func (c *Chain[S]) add(s S) int {
 	if i, seen := c.index[s]; seen {
 		return i
 	}
@@ -90,8 +82,8 @@ func (c *Chain[S]) AddTransition(from, to S, p float64) {
 	if p <= 0 {
 		return
 	}
-	fi := c.AddState(from)
-	ti := c.AddState(to)
+	fi := c.add(from)
+	ti := c.add(to)
 	for k := range c.out[fi] {
 		if c.out[fi][k].to == ti {
 			c.out[fi][k].p += p
@@ -101,20 +93,11 @@ func (c *Chain[S]) AddTransition(from, to S, p float64) {
 	c.out[fi] = append(c.out[fi], edge{to: ti, p: p})
 }
 
-// Len returns the number of states.
-func (c *Chain[S]) Len() int { return len(c.state) }
-
 // States returns a copy of the state list in insertion order.
 func (c *Chain[S]) States() []S {
 	out := make([]S, len(c.state))
 	copy(out, c.state)
 	return out
-}
-
-// Contains reports whether s is a state of the chain.
-func (c *Chain[S]) Contains(s S) bool {
-	_, seen := c.index[s]
-	return seen
 }
 
 // Prob returns the one-step transition probability from one state to
@@ -171,237 +154,91 @@ func (c *Chain[S]) Validate() error {
 	return nil
 }
 
-// IsIrreducible reports whether every state can reach every other state.
-// It runs one forward reachability pass from state 0 on the graph and one
-// on the reversed graph; the chain is irreducible iff both passes reach all
-// states.
-func (c *Chain[S]) IsIrreducible() bool {
-	n := len(c.state)
-	if n == 0 {
-		return false
-	}
-	forward := make([][]int, n)
-	backward := make([][]int, n)
-	for from, edges := range c.out {
-		for _, e := range edges {
-			forward[from] = append(forward[from], e.to)
-			backward[e.to] = append(backward[e.to], from)
-		}
-	}
-	return reachesAll(forward, 0) && reachesAll(backward, 0)
-}
-
-func reachesAll(adj [][]int, start int) bool {
-	seen := make([]bool, len(adj))
-	stack := []int{start}
-	seen[start] = true
-	count := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range adj[u] {
-			if !seen[v] {
-				seen[v] = true
-				count++
-				stack = append(stack, v)
-			}
-		}
-	}
-	return count == len(adj)
-}
-
-// Method selects a stationary-distribution algorithm.
-type Method int
-
-// Solver methods. Auto picks dense elimination for small chains and the
-// iterative solver otherwise.
-const (
-	Auto Method = iota + 1
-	Dense
-	Iterative
-)
-
-// Options configures Stationary.
-type Options struct {
-	// Method selects the algorithm; the zero value means Auto.
-	Method Method
-
-	// Tolerance is the L1 convergence threshold for the iterative
-	// solver; the zero value means DefaultTolerance.
-	Tolerance float64
-
-	// MaxIterations bounds the iterative solver; the zero value means
-	// DefaultMaxIterations.
-	MaxIterations int
-
-	// SkipChecks disables the stochasticity and irreducibility
-	// validation, for callers that construct chains known to be valid
-	// (e.g. in benchmarks).
-	SkipChecks bool
-}
-
-// Stationary computes the unique stationary distribution pi with pi = pi P.
-func (c *Chain[S]) Stationary(opts Options) (map[S]float64, error) {
-	if len(c.state) == 0 {
-		return nil, ErrEmptyChain
-	}
-	if !opts.SkipChecks {
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		if !c.IsIrreducible() {
-			return nil, ErrReducible
-		}
-	}
-	method := opts.Method
-	if method == 0 || method == Auto {
-		if len(c.state) <= denseLimit {
-			method = Dense
-		} else {
-			method = Iterative
-		}
-	}
-
-	var (
-		pi  []float64
-		err error
-	)
-	switch method {
-	case Dense:
-		pi, err = c.stationaryDense()
-	case Iterative:
-		pi, err = c.stationaryIterative(opts)
-	default:
-		return nil, fmt.Errorf("markov: unknown method %d", method)
-	}
-	if err != nil {
+// Stationary validates the chain and computes its stationary distribution
+// pi = pi P.
+//
+// The solve is regenerative at the first state added, which every state
+// must reach (ErrReducible otherwise); states it cannot reach are then
+// transient and get no mass, so pi is unique. Fixing the first state at one
+// visit per cycle, every other state j's expected visits per cycle satisfy
+// v(j) = sum_i v(i) P(i,j). Gauss–Seidel sweeps over the in-edges until a
+// sweep changes v by at most sweepTolerance of its sum, and pi is v
+// normalised. The sum is the expected return time to the first state, so
+// pi of that state is its reciprocal (Kac's formula).
+func (c *Chain[S]) Stationary() (map[S]float64, error) {
+	if err := c.Validate(); err != nil {
 		return nil, err
 	}
-
-	result := make(map[S]float64, len(pi))
-	for i, p := range pi {
-		result[c.state[i]] = p
-	}
-	return result, nil
-}
-
-// stationaryDense solves (P^T - I) pi = 0 with the normalization
-// sum(pi) = 1 by Gaussian elimination with partial pivoting. Suitable for
-// chains up to a few hundred states.
-func (c *Chain[S]) stationaryDense() ([]float64, error) {
 	n := len(c.state)
-	// Build A = P^T - I, then replace the last equation with sum(pi)=1.
-	a := make([][]float64, n)
-	for i := range a {
-		a[i] = make([]float64, n+1)
-		a[i][i] = -1
-	}
+	// In-edges in CSR form: those of state j are src/prob[first[j]:
+	// first[j+1]]. Self-loops go to stay instead, which Gauss–Seidel
+	// solves for exactly.
+	first := make([]int, n+1)
+	stay := make([]float64, n)
 	for from, edges := range c.out {
 		for _, e := range edges {
-			a[e.to][from] += e.p
-		}
-	}
-	for j := 0; j < n; j++ {
-		a[n-1][j] = 1
-	}
-	a[n-1][n] = 1
-
-	for col := 0; col < n; col++ {
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-300 {
-			return nil, fmt.Errorf("markov: singular system at column %d: %w",
-				col, ErrReducible)
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		inv := 1 / a[col][col]
-		for r := col + 1; r < n; r++ {
-			factor := a[r][col] * inv
-			if factor == 0 {
-				continue
-			}
-			for k := col; k <= n; k++ {
-				a[r][k] -= factor * a[col][k]
+			if e.to == from {
+				stay[from] = e.p
+			} else {
+				first[e.to+1]++
 			}
 		}
 	}
-	pi := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		sum := a[i][n]
-		for k := i + 1; k < n; k++ {
-			sum -= a[i][k] * pi[k]
+	for j := 1; j <= n; j++ {
+		first[j] += first[j-1]
+	}
+	next := append([]int(nil), first[:n]...)
+	src := make([]int, first[n])
+	prob := make([]float64, first[n])
+	for from, edges := range c.out {
+		for _, e := range edges {
+			if e.to != from {
+				src[next[e.to]], prob[next[e.to]] = from, e.p
+				next[e.to]++
+			}
 		}
-		pi[i] = sum / a[i][i]
-	}
-	clampAndNormalize(pi)
-	return pi, nil
-}
-
-// stationaryIterative runs damped power iteration,
-// pi <- (pi + pi P) / 2, which converges for any irreducible chain
-// (the damping makes periodic chains aperiodic without changing the
-// stationary distribution).
-func (c *Chain[S]) stationaryIterative(opts Options) ([]float64, error) {
-	tol := opts.Tolerance
-	if tol <= 0 {
-		tol = DefaultTolerance
-	}
-	maxIter := opts.MaxIterations
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIterations
 	}
 
-	n := len(c.state)
-	pi := make([]float64, n)
-	next := make([]float64, n)
-	for i := range pi {
-		pi[i] = 1 / float64(n)
+	// Search backwards from state 0 for the states that reach it.
+	reaches := make([]bool, n)
+	reaches[0] = true
+	stack, count := []int{0}, 1
+	for len(stack) > 0 {
+		j := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, i := range src[first[j]:first[j+1]] {
+			if !reaches[i] {
+				reaches[i] = true
+				count++
+				stack = append(stack, i)
+			}
+		}
 	}
-	for iter := 0; iter < maxIter; iter++ {
-		for i := range next {
-			next[i] = 0
-		}
-		for from, edges := range c.out {
-			mass := pi[from]
-			if mass == 0 {
-				continue
+	if count < n {
+		return nil, ErrReducible
+	}
+
+	v := make([]float64, n)
+	v[0] = 1
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		total, delta := 1.0, 0.0
+		for j := 1; j < n; j++ {
+			var in float64
+			for k := first[j]; k < first[j+1]; k++ {
+				in += v[src[k]] * prob[k]
 			}
-			for _, e := range edges {
-				next[e.to] += mass * e.p
+			in /= 1 - stay[j]
+			delta += math.Abs(in - v[j])
+			total += in
+			v[j] = in
+		}
+		if delta <= sweepTolerance*total {
+			pi := make(map[S]float64, n)
+			for i, visits := range v {
+				pi[c.state[i]] = visits / total
 			}
-		}
-		var delta float64
-		for i := range next {
-			next[i] = (next[i] + pi[i]) / 2
-			delta += math.Abs(next[i] - pi[i])
-		}
-		pi, next = next, pi
-		if delta < tol {
-			clampAndNormalize(pi)
 			return pi, nil
 		}
 	}
-	return nil, fmt.Errorf("after %d iterations: %w", maxIter, ErrNoConvergence)
-}
-
-// clampAndNormalize removes tiny negative round-off and rescales to sum 1.
-func clampAndNormalize(pi []float64) {
-	var sum float64
-	for i, p := range pi {
-		if p < 0 {
-			pi[i] = 0
-			continue
-		}
-		sum += p
-	}
-	if sum <= 0 {
-		return
-	}
-	for i := range pi {
-		pi[i] /= sum
-	}
+	return nil, fmt.Errorf("after %d sweeps: %w", maxSweeps, ErrNoConvergence)
 }
